@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,8 @@ from .geometry import minkowski_difference, pentagon
 from .motion import ORIGIN
 from .sdp import SdpProblem, SdpSolution
 from .specfun import coeff_D_exact, laguerre_coeffs_exact
+
+log = logging.getLogger("pentapack.certify")
 
 
 class RankDeficiencyError(ValueError):
@@ -112,32 +116,41 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     return out, info
 
 
+def _equality_residual_mp(sol: SdpSolution, p: SdpProblem):
+    """Worst normalized equality residual as an mpf at the working precision.
+
+    Uses the assembly's high-precision rows when the problem carries them and
+    lifts the float rows exactly otherwise.
+    """
+    worst = mp.mpf(0)
+    hp_rows = p.meta.get("hp_rows")
+    if hp_rows:
+        for coeffs, rhs, _label in hp_rows:
+            acc = -mp.mpf(rhs)
+            nrm = mp.mpf(0)
+            for (lab, i, j), w in coeffs.items():
+                w = mp.mpf(w)
+                acc += w * mp.mpf(float(sol.blocks[lab][i, j]))
+                nrm += w * w
+            worst = max(worst, abs(acc) / mp.sqrt(nrm))
+        return worst
+    for t in p.eq_constraints:
+        acc = -mp.mpf(t.rhs)
+        nrm = mp.mpf(0)
+        for lab, c in t.coeffs.items():
+            x = np.asarray(sol.blocks[lab])
+            for idx, cv in np.ndenumerate(np.asarray(c)):
+                if cv != 0.0:
+                    acc += mp.mpf(cv) * mp.mpf(float(x[idx]))
+                    nrm += mp.mpf(cv) ** 2
+        worst = max(worst, abs(acc) / mp.sqrt(nrm))
+    return worst
+
+
 def equality_residual_hp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) -> float:
     """Worst normalized equality residual, recomputed in extended precision."""
     with mp.workprec(precision_bits):
-        worst = mp.mpf(0)
-        hp_rows = p.meta.get("hp_rows")
-        if hp_rows:
-            for coeffs, rhs, _label in hp_rows:
-                acc = -mp.mpf(rhs)
-                nrm = mp.mpf(0)
-                for (lab, i, j), w in coeffs.items():
-                    w = mp.mpf(w)
-                    acc += w * mp.mpf(float(sol.blocks[lab][i, j]))
-                    nrm += w * w
-                worst = max(worst, abs(acc) / mp.sqrt(nrm))
-            return float(worst)
-        for t in p.eq_constraints:
-            acc = -mp.mpf(t.rhs)
-            nrm = mp.mpf(0)
-            for lab, c in t.coeffs.items():
-                x = np.asarray(sol.blocks[lab])
-                for idx, cv in np.ndenumerate(np.asarray(c)):
-                    if cv != 0.0:
-                        acc += mp.mpf(cv) * mp.mpf(float(x[idx]))
-                        nrm += mp.mpf(cv) ** 2
-            worst = max(worst, abs(acc) / mp.sqrt(nrm))
-        return float(worst)
+        return float(_equality_residual_mp(sol, p))
 
 
 def feasibility_margin(
@@ -153,28 +166,7 @@ def feasibility_margin(
     count only their violation.
     """
     with mp.workprec(precision_bits):
-        worst = mp.mpf(0)
-        hp_rows = p.meta.get("hp_rows")
-        if hp_rows:
-            for coeffs, rhs, _label in hp_rows:
-                acc = -mp.mpf(rhs)
-                nrm = mp.mpf(0)
-                for (lab, i, j), w in coeffs.items():
-                    w = mp.mpf(w)
-                    acc += w * mp.mpf(float(sol.blocks[lab][i, j]))
-                    nrm += w * w
-                worst = max(worst, abs(acc) / mp.sqrt(nrm))
-        else:
-            for t in p.eq_constraints:
-                acc = -mp.mpf(t.rhs)
-                nrm = mp.mpf(0)
-                for lab, c in t.coeffs.items():
-                    x = np.asarray(sol.blocks[lab])
-                    for idx, cv in np.ndenumerate(np.asarray(c)):
-                        if cv != 0.0:
-                            acc += mp.mpf(cv) * mp.mpf(float(x[idx]))
-                            nrm += mp.mpf(cv) ** 2
-                worst = max(worst, abs(acc) / mp.sqrt(nrm))
+        worst = _equality_residual_mp(sol, p)
         for t in p.ineq_constraints:
             acc = -mp.mpf(t.rhs)
             nrm = mp.mpf(0)
@@ -222,12 +214,12 @@ def _bernstein_max(coeffs: list, a, b) -> object:
             continue
         # (a + w tau)^j expanded
         for k in range(j + 1):
-            ct[k] += c * mp.binomial(j, k) * a ** (j - k) * w**k
+            ct[k] += c * math.comb(j, k) * a ** (j - k) * w**k
     best = mp.mpf(0)
     for i in range(n + 1):
         beta = mp.mpf(0)
         for k in range(i + 1):
-            beta += ct[k] * mp.binomial(i, k) / mp.binomial(n, k)
+            beta += ct[k] * math.comb(i, k) / math.comb(n, k)
         best = max(best, abs(beta))
     return best
 
@@ -244,7 +236,11 @@ def _weighted_sup(coeffs: list, u_max, panels: int = 24) -> object:
 
 
 def _compiled_pairs(t: CoefficientTensor):
-    """Per negation-orbit radial polynomials in u = rho^2 (weights folded in)."""
+    """Per negation-orbit radial polynomials in u = rho^2 (weights folded in).
+
+    Returns (r, s, coefficients of P_{r,s}) at the working precision, so that
+    f = sum cos(s alpha + (r-s) theta) P_{r,s}(rho^2) e^(-pi rho^2).
+    """
     seen = set()
     for r, s, k, v in t.nonzero_items():
         m = abs(r - s)
@@ -312,7 +308,7 @@ def lipschitz_estimate(t: CoefficientTensor, rho_max: float = 1.0, precision_bit
 
 
 # ---------------------------------------------------------------------------
-# high-precision evaluation of f
+# evaluation of f: high precision, and float64 with an error radius
 
 
 class MpEvaluator:
@@ -327,33 +323,9 @@ class MpEvaluator:
 
     def __init__(self, t: CoefficientTensor, precision_bits: int):
         self.prec = precision_bits
-        self.pairs = []  # (s, r - s, radial coefficients in u = rho^2)
         with mp.workprec(precision_bits):
-            seen = set()
-            for r, s, k, v in t.nonzero_items():
-                m = abs(r - s)
-                if (r - s) % 10 != 0 or k < m // 2:
-                    continue
-                if (r, s) in seen or (-r, -s) in seen:
-                    continue
-                seen.add((r, s))
-            d = t.params.d
-            for (r, s) in sorted(seen):
-                weight = 1 if (r, s) == (-r, -s) else 2
-                m = abs(r - s)
-                ucoeffs = [mp.mpf(0)] * (d + 1)
-                for k in range(m // 2, d + 1):
-                    v = t.get(r, s, k)
-                    if v == 0.0:
-                        continue
-                    q, e, _ = coeff_D_exact(r, s, k)
-                    dsc = mp.mpf(q.numerator) / q.denominator * mp.pi**e
-                    base = mp.mpf(v) * (-1) ** (m // 2) * dsc * weight
-                    for j, lam in enumerate(laguerre_coeffs_exact(k - m // 2, m)):
-                        ucoeffs[m // 2 + j] += (
-                            base * mp.mpf(lam.numerator) / lam.denominator * mp.pi**j
-                        )
-                self.pairs.append((s, r - s, ucoeffs))
+            # (s, r - s, radial coefficients in u = rho^2)
+            self.pairs = [(s, r - s, ucoeffs) for r, s, ucoeffs in _compiled_pairs(t)]
 
     def eval(self, x, y, cos_table, sin_table):
         """f at (x, y) given per-alpha tables cos(s alpha), sin(s alpha)."""
@@ -400,6 +372,104 @@ class MpEvaluator:
             return cos_table, sin_table
 
 
+# Error radius of FloatEvaluator, relative to S (see its docstring).
+FLOAT_ERROR_RADIUS = 2.0**-40
+
+
+def _gamma(n: int, unit: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u)."""
+    return n * unit / (1.0 - n * unit)
+
+
+class FloatEvaluator:
+    """f in float64 over arrays of points, with an a-priori error radius.
+
+    Evaluates the expansion of an `MpEvaluator` with its coefficients and
+    per-alpha tables rounded to float, by the same operations: u = x^2 + y^2,
+    (cos theta, sin theta) = (x, y)/sqrt(u), cos/sin(n theta) by the
+    angle-addition recurrence (complex products z_n = z_(n-1) z_1), Horner in
+    u, phase = cos(s alpha) cos(m theta) - sin(s alpha) sin(m theta), the sum
+    over pairs, and the factor exp(-pi u).  `eval` returns v and a radius E
+    with |v - f_mp| <= E, where f_mp is `MpEvaluator.eval` at the same point.
+
+    The bound (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3
+    and 5) uses the unit roundoff ur = 2^-53, gamma_n = n ur/(1 - n ur) and
+    (1+gamma_j)(1+gamma_k) <= 1+gamma_(j+k).  Let d be the degree in u, M
+    the largest |r-s|, J the number of pairs, P_j = sum_k |c_jk| u^k and
+    S = e^(-pi u) sum_j P_j:
+
+    - u is computed with relative error gamma_2 (two products, one sum of
+      nonnegative terms); sqrt and the divisions give |z_1 - e^(i theta)| <=
+      gamma_4.
+    - A computed complex product errs by at most sqrt(2) gamma_2 |z||w| <=
+      gamma_3 |z||w| (Higham, Lemma 3.5), so by induction |z_n - e^(i n
+      theta)| <= (1+gamma_4)^n (1+gamma_3)^(n-1) - 1 <= gamma_(7n).
+    - The tables are rounded once (error ur); with one more rounded product
+      pair and a difference the phase errs by at most gamma_(7M+4).
+    - Horner with rounded coefficients at the rounded u gives
+      sum_k (1+theta_(2k+1)) c_k u^k (1+theta_2)^k, an error of at most
+      gamma_(4d+1) P_j.
+    - Each product poly * phase then errs by at most gamma_(4d+7M+6) P_j,
+      and summing J terms, in any order, adds gamma_(J-1) sum_j P_j.
+    - The argument -pi u of exp carries relative error gamma_4, at most
+      6.5 gamma_4 in absolute terms (u <= 2.05), so exp changes by a factor
+      within e^(27 u) of the true one; allowing 4 ulps for exp itself and one
+      rounding for the last product gives gamma_36.
+
+    In all |v - f| <= gamma_n S with n = 4d + 7M + J + 42, f computed
+    exactly from the mp coefficients and tables.  f_mp differs from that f
+    by the same bound at the mp unit 2^-precision_bits.  At N=5, d=11 (M=10,
+    J=7) n = 163, gamma_n S ~ 1.8e-14 S, and the radius E = 2^-40 S ~ 9.1e-13
+    S is 50 times larger; a larger model raises E to 10 gamma_n S.  The
+    margin also covers the rounding of S itself and of v -/+ E, so [v - E,
+    v + E] as computed encloses f_mp.  Below 53 bits mp rounds the point
+    itself, so there E is infinite and every decision falls back to mp.
+    Measured over random points the error stays below 1.4 * 2^-52 S.
+    """
+
+    def __init__(self, ev: MpEvaluator):
+        self.s = [s for s, _, _ in ev.pairs]
+        md = np.array([m for _, m, _ in ev.pairs], dtype=int)
+        self.m = np.abs(md)
+        self.sign = np.where(md < 0, -1.0, 1.0)  # sin(md theta) = sign * sin(|md| theta)
+        coeffs = np.array([[float(c) for c in u] for _, _, u in ev.pairs] or np.zeros((0, 1)))
+        # Horner runs on the signed coefficients and their absolute values at once,
+        # from the leading coefficient down
+        self.horner = list(np.concatenate([coeffs, np.abs(coeffs)]).T[::-1])
+        self.n_pairs = len(ev.pairs)
+        self.M = int(self.m.max(initial=0))
+        n = 4 * (coeffs.shape[1] - 1) + 7 * self.M + self.n_pairs + 42
+        if ev.prec < 53:
+            self.rel = math.inf
+        else:
+            self.rel = max(FLOAT_ERROR_RADIUS, 10 * _gamma(n, 2.0**-53)) + _gamma(n, 2.0**-ev.prec)
+
+    def tables(self, cos_table, sin_table):
+        """Per-pair rows cos(s alpha), sign(r-s) sin(s alpha) from `MpEvaluator.alpha_tables`."""
+        return (np.array([float(cos_table[s]) for s in self.s]),
+                np.array([float(sin_table[s]) for s in self.s]) * self.sign)
+
+    def eval(self, x, y, cos_s, sin_s):
+        """v and E at the points (x, y); cos_s, sin_s: one row of `tables`, or one per point."""
+        u = x * x + y * y
+        rho = np.sqrt(u)
+        nz = rho > 0
+        z = np.ones(u.shape + (self.M + 1,), complex)
+        z[..., 1:] = (np.divide(x, rho, out=np.ones_like(u), where=nz)
+                      + 1j * np.divide(y, rho, out=np.zeros_like(u), where=nz))[..., None]
+        z = np.cumprod(z, axis=-1)[..., self.m]  # z_n = z_(n-1) z_1 ~ e^(i n theta)
+        phase = cos_s * z.real - sin_s * z.imag
+        uu = u[..., None]
+        acc = np.zeros(u.shape + (2 * self.n_pairs,))
+        for c in self.horner:
+            acc *= uu
+            acc += c
+        g = np.exp(-np.pi * u)
+        v = (acc[..., : self.n_pairs] * phase).sum(axis=-1) * g
+        S = acc[..., self.n_pairs:].sum(axis=-1) * g
+        return v, np.multiply(self.rel, S, out=np.zeros_like(S), where=S > 0)
+
+
 def tensor_hash(t: CoefficientTensor) -> str:
     return hashlib.sha256(t.dumps().encode()).hexdigest()[:16]
 
@@ -430,12 +500,96 @@ class SignVerification:
     evaluations: int
     lipschitz_x: float
     lipschitz_alpha: float
-    base_cell_radius: float
     covering_radius: float
+    base_cell_radius: float
     precision_bits: int
     enlargement: float
     failures: list = field(default_factory=list)
     notes: str = ""
+
+    def __post_init__(self):
+        # JSON hands back lists; the verifier produces tuples
+        self.witness = tuple(self.witness)
+        self.failures = [tuple(f) for f in self.failures]
+
+
+def _screen(xlo, ylo, h, geo, margin):
+    """Disk, erosion and region tests of the boxes [xlo, xlo+2h] x [ylo, ylo+2h].
+
+    `geo` stacks the normal components and offsets (n.x <= c inside) of the
+    Minkowski difference, shape (3, edges, 1) for one alpha or (3, edges,
+    boxes) for one alpha per box.  Returns (keep, region, cx, cy): keep marks
+    boxes that meet the unit disk and are not inside the difference for
+    every alpha within `margin`; region marks box centres in the region.
+    Per edge the erosion test takes the corner maximizing n.p; rounding is
+    monotone, so that corner's rounded value is the largest of the four and
+    the test equals the one over all corners.
+    """
+    n0, n1, off = geo
+    xhi = xlo + 2 * h
+    yhi = ylo + 2 * h
+    nx = np.where((xlo > 0) | (xhi < 0), np.minimum(np.abs(xlo), np.abs(xhi)), 0.0)
+    ny = np.where((ylo > 0) | (yhi < 0), np.minimum(np.abs(ylo), np.abs(yhi)), 0.0)
+    px = np.where(n0 >= 0, xhi, xlo)
+    py = np.where(n1 >= 0, yhi, ylo)
+    inside = (n0 * px + n1 * py <= off - margin - 1e-12).all(axis=0)
+    cx = xlo + h
+    cy = ylo + h
+    centre_inside = (n0 * cx + n1 * cy <= off - 1e-12).all(axis=0)
+    keep = ~(nx * nx + ny * ny > 1.0) & ~inside
+    region = (cx * cx + cy * cy <= 1.0) & ~centre_inside
+    return keep, region, cx, cy
+
+
+def _pad_edges(geo, edges: int):
+    """Append edges that every point satisfies (0.x <= inf)."""
+    extra = edges - geo.shape[1]
+    if not extra:
+        return geo
+    return np.concatenate([geo, np.tile([[[0.0]], [[0.0]], [[math.inf]]], (1, extra, 1))], axis=1)
+
+
+class _Leaders:
+    """Candidates for a maximum of values known through enclosures [lo, hi].
+
+    Keeps, in arrival order, each item whose hi reaches the largest lo seen.
+    An item left out has value <= hi < that lo, so it is not the maximum and
+    cannot tie with it.
+    """
+
+    def __init__(self):
+        self.floor = -math.inf
+        self.items: list[tuple] = []
+        self._limit = 64
+
+    def add(self, lo: float, hi: float, item) -> None:
+        if lo > self.floor:
+            self.floor = lo
+        if hi >= self.floor:
+            self.items.append((hi, item))
+            self._prune()
+
+    def add_many(self, lo, hi, make) -> None:
+        """Arrays lo, hi; make(i) builds the item of entry i."""
+        if lo.size:
+            self.floor = max(self.floor, float(lo.max()))
+            self.items.extend((h, make(i)) for i, h in enumerate(hi.tolist()) if h >= self.floor)
+            self._prune()
+
+    def _prune(self) -> None:
+        if len(self.items) > self._limit:
+            self.items = [(h, it) for h, it in self.items if h >= self.floor]
+            self._limit = 2 * len(self.items) + 64
+
+    def survivors(self) -> list:
+        return [it for h, it in self.items if h >= self.floor]
+
+
+class _Children:
+    """The 8 children of a split box, screened and evaluated together."""
+
+    __slots__ = ("next", "xlo", "ylo", "h", "alpha", "ha", "depth", "a", "b",
+                 "cx", "cy", "lo", "hi", "glo", "ghi", "action", "fallback", "sub")
 
 
 def verify_nonpositivity(
@@ -448,31 +602,56 @@ def verify_nonpositivity(
     """Certify f <= 0 on {rho <= 1} outside the enlarged Minkowski difference.
 
     Streams the verification sample (the level-0 box centers), recording the
-    maximum of f over it in `precision_bits` arithmetic, then runs an
-    adaptive box pass: a box is discharged when it cannot meet the region
-    (entirely outside the unit disk, or inside the Minkowski difference for
-    every rotation angle it spans, via an erosion test), or when the center
-    value plus the certified Lipschitz radius is nonpositive; otherwise it is
-    split, down to max_depth.  The region rho >= 1 is excluded here: the
-    cylinder identity covers it, and its residual is reported separately.
+    maximum of f over it, then runs an adaptive box pass: a box is
+    discharged when it cannot meet the region (entirely outside the unit
+    disk, or inside the Minkowski difference for every rotation angle it
+    spans, via an erosion test), or when the center value fc plus the
+    certified Lipschitz radius, bound = (fc + L_x sqrt(2) h) + L_a h_alpha,
+    is nonpositive; a box whose center lies in the region with fc > 0 is a
+    failure; otherwise it is split 8-way, down to max_depth.  The region
+    rho >= 1 is excluded here: the cylinder identity covers it, and its
+    residual is reported separately.
+
+    fc is float(f_mp), f_mp the `MpEvaluator` value at `precision_bits`.
+    The stream pass handles one alpha slice per numpy batch; refinement
+    pops boxes last-in first-out and evaluates the 8 children of a split
+    together.  Every value comes first from `FloatEvaluator` as v with a
+    proved radius E, |v - f_mp| <= E (derived in its docstring), giving
+    floats lo <= f_mp <= hi.  Round-to-nearest is monotone, so lo <= fc <=
+    hi, and (fc + a) + b lies between (lo + a) + b and (hi + a) + b.  A
+    decision (fc > 0, bound <= 0) that has the same answer at lo and at hi
+    therefore has that answer at fc.  Where the two ends disagree the box is
+    evaluated by `MpEvaluator` and lo = hi = fc.
+
+    Every reported value is fc itself, from `MpEvaluator` unless lo == hi
+    (then lo <= fc <= hi pins it): the sign margin and witness come from
+    the region points whose hi reaches the largest lo, visited in stream
+    order with strict '>'; the cert margin from the boxes whose bound-hi
+    reaches the largest bound-lo; and the 16 kept failures.  A point left
+    out has fc <= hi < the largest lo, below the maximum, so the results
+    equal those of evaluating every box at `precision_bits`.
     """
     if enlargement < 1.0:
         raise ValueError(f"enlargement must be >= 1, got {enlargement}")
+    started = time.perf_counter()
     rho_max = math.sqrt(2.0) + 0.01  # boxes live in [-1,1]^2
     L_x, L_a = _lipschitz_pair(t, rho_max, max(precision_bits, 128))
     ev = MpEvaluator(t, precision_bits)
+    fe = FloatEvaluator(ev)
     rate = 0.5 * enlargement + 1e-12  # Hausdorff speed of the difference in alpha
+    max_depth = sample_spec.max_depth
 
     alpha_lo = -2.0 * math.pi / 10.0
     dalpha = (4.0 * math.pi / 10.0) / sample_spec.alpha_count
     dx0 = 2.0 / sample_spec.grid_n
 
-    sign_margin = -math.inf
-    witness = (0.0, 0.0, 0.0)
-    cert_margin = -math.inf
     failures = []
+    n_failures = 0
     stream_points = 0
     evaluations = 0
+    fallbacks = 0  # evaluated boxes whose decision needed mp
+    sign = _Leaders()  # items (cx, cy, amid, lo, hi)
+    cert = _Leaders()  # items (cx, cy, amid, lo, hi, a, b)
 
     alpha_cache: dict[float, tuple] = {}
 
@@ -480,82 +659,171 @@ def verify_nonpositivity(
         got = alpha_cache.get(amid)
         if got is None:
             edges = minkowski_difference(amid, enlargement).edges()
+            geo = np.array([[[n[0]] for n, _ in edges], [[n[1]] for n, _ in edges], [[c] for _, c in edges]])
             cos_t, sin_t = ev.alpha_tables(amid)
-            got = (edges, cos_t, sin_t)
+            got = (geo, cos_t, sin_t, fe.tables(cos_t, sin_t))
             alpha_cache[amid] = got
         return got
 
-    aborted = False
-    refine_queue: list[tuple] = []
+    mp_values: dict[tuple, float] = {}
 
-    def process(xlo, ylo, h, amid, ha, depth):
-        """Handle one box; returns children to refine (empty when settled)."""
-        nonlocal sign_margin, witness, cert_margin, stream_points, evaluations
-        cx, cy = xlo + h, ylo + h
-        # (1) box entirely outside the unit disk?
-        nx = min(abs(xlo), abs(xlo + 2 * h)) if (xlo > 0 or xlo + 2 * h < 0) else 0.0
-        ny = min(abs(ylo), abs(ylo + 2 * h)) if (ylo > 0 or ylo + 2 * h < 0) else 0.0
-        if nx * nx + ny * ny > 1.0:
-            return ()
-        edges, cos_t, sin_t = alpha_data(amid)
-        # (2) box inside the open difference for every alpha it spans?
-        margin = rate * ha
-        corners = ((xlo, ylo), (xlo + 2 * h, ylo), (xlo, ylo + 2 * h), (xlo + 2 * h, ylo + 2 * h))
-        if all(
-            all(n[0] * px + n[1] * py <= c - margin - 1e-12 for n, c in edges)
-            for px, py in corners
-        ):
-            return ()
-        fc = float(ev.eval(cx, cy, cos_t, sin_t))
-        evaluations += 1
-        center_in_region = cx * cx + cy * cy <= 1.0 and not all(
-            n[0] * cx + n[1] * cy <= c - 1e-12 for n, c in edges
-        )
-        if depth == 0 and center_in_region:
-            stream_points += 1
-            if fc > sign_margin:
-                sign_margin = fc
-                witness = (math.hypot(cx, cy), math.atan2(cy, cx) % (2 * math.pi), amid % (2 * math.pi))
-        bound = fc + L_x * math.sqrt(2.0) * h + L_a * ha
-        if bound <= 0.0:
-            cert_margin = max(cert_margin, bound)
-            return ()
-        if fc > 0.0 and center_in_region:
-            # definitive witness: f is positive at a region point, no amount
-            # of refinement can certify this box
-            failures.append((cx, cy, amid, fc, bound))
-            cert_margin = max(cert_margin, bound)
-            return ()
-        if depth >= sample_spec.max_depth:
-            failures.append((cx, cy, amid, fc, bound))
-            cert_margin = max(cert_margin, bound)
-            return ()
-        hh = 0.5 * h
-        hha = 0.5 * ha
-        return tuple(
-            (xlo + ddx, ylo + ddy, hh, amid + da, hha, depth + 1)
-            for da in (-hha, hha)
-            for ddx in (0.0, h)
-            for ddy in (0.0, h)
-        )
+    def exact(cx, cy, amid):
+        """fc by MpEvaluator, once per box."""
+        key = (cx, cy, amid)
+        if key not in mp_values:
+            _, cos_t, sin_t, _ = alpha_data(amid)
+            mp_values[key] = float(ev.eval(cx, cy, cos_t, sin_t))
+        return mp_values[key]
+
+    def value(cx, cy, amid, lo, hi):
+        """fc of a box: hi when the enclosure is a single float, else by mp."""
+        return hi if lo == hi else exact(cx, cy, amid)
+
+    def batch(xlo, ylo, h, ha, alphas, geo, cos_s, sin_s, depth):
+        """Screen, evaluate and decide boxes of half-widths (h, ha) at `depth`.
+
+        alphas, geo and the table rows give each box's alpha; geo and the
+        rows may also be one for all.  Returns, for the boxes kept by the
+        screen, their indices, centres, region flags, enclosures [lo, hi] of
+        fc and [glo, ghi] of the bound, actions (0 discharged, 1 failure,
+        2 split) and which needed mp.  Ambiguous decisions are resolved by
+        mp, collapsing lo and hi to fc.
+        """
+        keep, region, cx, cy = _screen(xlo, ylo, h, geo, rate * ha)
+        idx = np.flatnonzero(keep)
+        cx, cy, region = cx[idx], cy[idx], region[idx]
+        shape = (len(xlo), cos_s.shape[-1])
+        v, E = fe.eval(cx, cy, np.broadcast_to(cos_s, shape)[idx], np.broadcast_to(sin_s, shape)[idx])
+        lo, hi = v - E, v + E
+        a, b = L_x * math.sqrt(2.0) * h, L_a * ha
+        glo, ghi = lo + a + b, hi + a + b
+        amb = (glo <= 0.0) & (ghi > 0.0)
+        at_cap = depth >= max_depth
+        if not at_cap:
+            amb |= (ghi > 0.0) & region & (lo <= 0.0) & (hi > 0.0)
+        for i in np.flatnonzero(amb).tolist():
+            lo[i] = hi[i] = exact(float(cx[i]), float(cy[i]), alphas[idx[i]])
+        if amb.any():
+            glo, ghi = lo + a + b, hi + a + b
+        discharged = ghi <= 0.0
+        failed = ~discharged & (at_cap | (region & (lo > 0.0)))
+        action = np.where(discharged, 0, np.where(failed, 1, 2))
+        return idx, cx, cy, region, lo, hi, glo, ghi, action, amb
+
+    def fail(cx, cy, amid, lo, hi, a, b):
+        nonlocal n_failures
+        if n_failures < 16:
+            fc = value(cx, cy, amid, lo, hi)
+            failures.append((cx, cy, amid, fc, fc + a + b))
+        n_failures += 1
 
     # Stream pass: every level-0 box is visited so the reported sign_margin
     # covers the full verification sample even when certification fails early.
     # alpha_indices restricts to a subset of slices (parallel workers).
-    for ia in (range(sample_spec.alpha_count) if alpha_indices is None else alpha_indices):
+    edges0 = -1.0 + np.arange(sample_spec.grid_n) * dx0
+    xlo0 = np.tile(edges0, sample_spec.grid_n)  # row-major: iy outer, ix inner
+    ylo0 = np.repeat(edges0, sample_spec.grid_n)
+    h0, ha0 = 0.5 * dx0, 0.5 * dalpha
+    a0, b0 = L_x * math.sqrt(2.0) * h0, L_a * ha0
+    stack: list = []
+    slices = range(sample_spec.alpha_count) if alpha_indices is None else alpha_indices
+    for ia in slices:
         amid = alpha_lo + (ia + 0.5) * dalpha
-        for iy in range(sample_spec.grid_n):
-            for ix in range(sample_spec.grid_n):
-                refine_queue.extend(
-                    process(-1.0 + ix * dx0, -1.0 + iy * dx0, 0.5 * dx0, amid, 0.5 * dalpha, 0)
-                )
-    # Refinement pass, bounded by the failure and evaluation budgets.
-    while refine_queue:
-        if len(failures) >= 200 or evaluations >= 20_000_000:
+        geo, _, _, (cos_s, sin_s) = alpha_data(amid)
+        idx, cx, cy, region, lo, hi, glo, ghi, action, amb = batch(
+            xlo0, ylo0, h0, ha0, [amid] * len(xlo0), geo, cos_s, sin_s, 0)
+        evaluations += int(idx.size)
+        fallbacks += int(amb.sum())
+        stream_points += int(region.sum())
+        cxl, cyl, lol, hil = cx.tolist(), cy.tolist(), lo.tolist(), hi.tolist()
+        reg = np.flatnonzero(region)
+        sign.add_many(lo[reg], hi[reg], lambda j: (cxl[reg[j]], cyl[reg[j]], amid, lol[reg[j]], hil[reg[j]]))
+        con = np.flatnonzero(action <= 1)
+        cert.add_many(glo[con], ghi[con],
+                      lambda j: (cxl[con[j]], cyl[con[j]], amid, lol[con[j]], hil[con[j]], a0, b0))
+        for i in np.flatnonzero(action == 1).tolist():
+            fail(cxl[i], cyl[i], amid, lol[i], hil[i], a0, b0)
+        split = idx[action == 2]
+        stack.extend((x, y, amid) for x, y in zip(xlo0[split].tolist(), ylo0[split].tolist()))
+
+    def expand(parents, h, ha, depth) -> list[_Children]:
+        """The 8 children of each parent box (xlo, ylo, alpha), decided in one batch."""
+        hh, hha = 0.5 * h, 0.5 * ha
+        n = len(parents)
+        # child order: da in (-ha/2, ha/2), then ddx in (0, h), then ddy in (0, h)
+        xs = (np.array([p[0] for p in parents])[:, None] + np.array([0.0, 0.0, h, h] * 2)).ravel()
+        ys = (np.array([p[1] for p in parents])[:, None] + np.array([0.0, h, 0.0, h] * 2)).ravel()
+        alphas = [p[2] + da for p in parents for da in (-hha, hha)]
+        data = [alpha_data(al) for al in alphas]
+        edges = max(d[0].shape[1] for d in data)
+        geo = np.repeat(np.concatenate([_pad_edges(d[0], edges) for d in data], axis=2), 4, axis=2)
+        cos_s = np.repeat([d[3][0] for d in data], 4, axis=0)
+        sin_s = np.repeat([d[3][1] for d in data], 4, axis=0)
+        per_box = [al for al in alphas for _ in range(4)]
+        idx, cx, cy, _, lo, hi, glo, ghi, action, amb = batch(
+            xs, ys, hh, hha, per_box, geo, cos_s, sin_s, depth + 1)
+
+        def spread(vals, fill):
+            out = np.full(8 * n, fill, dtype=vals.dtype)
+            out[idx] = vals
+            return out.tolist()
+
+        cols = [xs.tolist(), ys.tolist(), spread(cx, 0.0), spread(cy, 0.0), spread(lo, 0.0), spread(hi, 0.0),
+                spread(glo, 0.0), spread(ghi, 0.0), spread(action, -1), spread(amb, False), per_box]
+        a, b = L_x * math.sqrt(2.0) * hh, L_a * hha
+        out = []
+        for k in range(n):
+            ch = _Children()
+            (ch.xlo, ch.ylo, ch.cx, ch.cy, ch.lo, ch.hi, ch.glo, ch.ghi, ch.action, ch.fallback,
+             ch.alpha) = (col[8 * k: 8 * k + 8] for col in cols)
+            ch.next, ch.h, ch.ha, ch.depth, ch.a, ch.b, ch.sub = 7, hh, hha, depth + 1, a, b, None
+            out.append(ch)
+        return out
+
+    # Refinement pass, bounded by the failure and evaluation budgets.  The
+    # stack holds level-0 boxes to split, as (xlo, ylo, alpha), or _Children;
+    # the children of a _Children that split are expanded together when it
+    # first reaches the top.
+    aborted = False
+    while stack:
+        if n_failures >= 200 or evaluations >= 20_000_000:
             aborted = True
             break
-        refine_queue.extend(process(*refine_queue.pop()))
-    certified = not failures and not aborted
+        ch = stack[-1]
+        if type(ch) is tuple:
+            ch = stack[-1] = expand([ch], h0, ha0, 0)[0]
+        if ch.sub is None:
+            split = [i for i in range(8) if ch.action[i] == 2]
+            parents = [(ch.xlo[i], ch.ylo[i], ch.alpha[i]) for i in split]
+            ch.sub = dict(zip(split, expand(parents, ch.h, ch.ha, ch.depth))) if split else {}
+        i = ch.next
+        ch.next -= 1
+        if i == 0:
+            stack.pop()
+        if ch.action[i] < 0:  # outside the disk or inside the difference
+            continue
+        evaluations += 1
+        fallbacks += ch.fallback[i]
+        if ch.action[i] == 2:
+            stack.append(ch.sub[i])
+            continue
+        item = (ch.cx[i], ch.cy[i], ch.alpha[i], ch.lo[i], ch.hi[i], ch.a, ch.b)
+        cert.add(ch.glo[i], ch.ghi[i], item)
+        if ch.action[i] == 1:
+            fail(*item)
+
+    sign_margin = -math.inf
+    witness = (0.0, 0.0, 0.0)
+    for cx, cy, amid, lo, hi in sign.survivors():
+        fc = value(cx, cy, amid, lo, hi)
+        if fc > sign_margin:
+            sign_margin = fc
+            witness = (math.hypot(cx, cy), math.atan2(cy, cx) % (2 * math.pi), amid % (2 * math.pi))
+    cert_margin = -math.inf
+    for cx, cy, amid, lo, hi, a, b in cert.survivors():
+        cert_margin = max(cert_margin, value(cx, cy, amid, lo, hi) + a + b)
+
+    certified = not n_failures and not aborted
     base_radius = math.sqrt(2.0) * 0.5 * dx0 + (L_a / L_x) * 0.5 * dalpha if L_x > 0 else 0.0
     if certified and L_x > 0 and math.isfinite(sign_margin):
         covering_radius = max((cert_margin - sign_margin) / L_x, 0.0)
@@ -567,6 +835,12 @@ def verify_nonpositivity(
     )
     if aborted:
         notes += "; refinement aborted at the failure/evaluation budget"
+    log.info(
+        "verify: %d level-0 boxes, %d evaluations, %d decisions settled in float, "
+        "%d mp fallbacks, %.2f s",
+        len(slices) * sample_spec.grid_n**2, evaluations, evaluations - fallbacks,
+        len(mp_values), time.perf_counter() - started,
+    )
     return SignVerification(
         sign_margin=sign_margin,
         witness=witness,
@@ -576,11 +850,11 @@ def verify_nonpositivity(
         evaluations=evaluations,
         lipschitz_x=L_x,
         lipschitz_alpha=L_a,
-        base_cell_radius=base_radius,
         covering_radius=covering_radius,
+        base_cell_radius=base_radius,
         precision_bits=precision_bits,
         enlargement=enlargement,
-        failures=failures[:16],
+        failures=failures,
         notes=notes,
     )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -74,6 +75,7 @@ def main(argv=None) -> int:
         prog="pentapack",
         description="Upper bounds for the packing density of regular pentagons",
     )
+    parser.add_argument("-v", "--verbose", action="store_true", help="log progress on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sample = sub.add_parser("sample", help="emit the constraint sample")
@@ -96,6 +98,8 @@ def main(argv=None) -> int:
         _add_config_flags(p)
 
     args = parser.parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(name)s: %(message)s")
     cfg, outdir = _config_from_args(args)
 
     try:

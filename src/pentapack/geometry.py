@@ -280,11 +280,3 @@ def verification_sample(
             theta = math.atan2(y, x) if rho > 0 else 0.0
             yield SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi), "verification")
 
-
-def minkowski_vertex_table(alphas) -> list[tuple[float, float, float]]:
-    """Rows (alpha, vx, vy) listing Minkowski-difference vertices per alpha."""
-    rows = []
-    for alpha in alphas:
-        for vx, vy in minkowski_difference(alpha, 1.0).vertices:
-            rows.append((float(alpha), float(vx), float(vy)))
-    return rows

@@ -289,25 +289,7 @@ def step_verify(cfg: RunConfig, outdir: Path) -> SignVerification:
     else:
         t = CoefficientTensor.loads(tensor_text)
         verification = verify_nonpositivity(t, enlargement, spec, cfg.precision_bits)
-    body = json.dumps(
-        {
-            "sign_margin": verification.sign_margin,
-            "witness": list(verification.witness),
-            "cert_margin": verification.cert_margin,
-            "certified_sign": verification.certified_sign,
-            "stream_points": verification.stream_points,
-            "evaluations": verification.evaluations,
-            "lipschitz_x": verification.lipschitz_x,
-            "lipschitz_alpha": verification.lipschitz_alpha,
-            "covering_radius": verification.covering_radius,
-            "base_cell_radius": verification.base_cell_radius,
-            "precision_bits": verification.precision_bits,
-            "enlargement": verification.enlargement,
-            "failures": verification.failures,
-            "notes": verification.notes,
-        },
-        indent=2,
-    ) + "\n"
+    body = json.dumps(asdict(verification), indent=2) + "\n"
     _write(outdir / "verify.json", cfg, "verify", body)
     return verification
 
@@ -321,23 +303,7 @@ def step_bound(cfg: RunConfig, outdir: Path) -> VerificationReport:
     )
     projected = import_solution(_read(outdir / "projected.sol", cfg, "solution"), variant)
     tensor = CoefficientTensor.loads(_read(outdir / "tensor.txt", cfg, "tensor"))
-    vdata = json.loads(_read(outdir / "verify.json", cfg, "verify"))
-    verification = SignVerification(
-        sign_margin=vdata["sign_margin"],
-        witness=tuple(vdata["witness"]),
-        cert_margin=vdata["cert_margin"],
-        certified_sign=vdata["certified_sign"],
-        stream_points=vdata["stream_points"],
-        evaluations=vdata["evaluations"],
-        lipschitz_x=vdata["lipschitz_x"],
-        lipschitz_alpha=vdata["lipschitz_alpha"],
-        base_cell_radius=vdata["base_cell_radius"],
-        covering_radius=vdata["covering_radius"],
-        precision_bits=vdata["precision_bits"],
-        enlargement=vdata["enlargement"],
-        failures=[tuple(f) for f in vdata["failures"]],
-        notes=vdata["notes"],
-    )
+    verification = SignVerification(**json.loads(_read(outdir / "verify.json", cfg, "verify")))
     report = build_report(
         tensor, projected, problem, verification, safety_factor=cfg.safety_factor
     )

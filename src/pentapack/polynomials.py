@@ -22,15 +22,6 @@ def conv(a, b) -> list:
     return out
 
 
-def add_scaled(acc: list, coeffs, factor) -> None:
-    """In-place acc += factor * coeffs, extending acc as needed."""
-    while len(acc) < len(coeffs):
-        acc.append(0 * factor)
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            acc[i] = acc[i] + factor * c
-
-
 @dataclass(frozen=True)
 class EvenPolynomial:
     """Even univariate polynomial sum_k c_k a^(2k)."""

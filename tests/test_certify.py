@@ -1,9 +1,13 @@
+import logging
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from pentapack import certify
 from pentapack.certify import (
+    FloatEvaluator,
     MpEvaluator,
     RankDeficiencyError,
     VerifySpec,
@@ -223,6 +227,183 @@ def test_verify_precision_consistency():
     lo = verify_nonpositivity(t, 1.02, spec, 128)
     assert hi.stream_points == lo.stream_points
     assert hi.sign_margin == pytest.approx(lo.sign_margin, abs=1e-10)
+
+
+# -- float64 evaluation with an error radius ---------------------------------
+
+
+def test_float_evaluator_encloses_mp_value():
+    """|v - f_256| <= E at random points, the origin, rho ~ sqrt(2) and slice edges."""
+    rng = np.random.default_rng(84)
+    dalpha = 0.4 * math.pi / 33
+    alphas = [-0.2 * math.pi + k * dalpha for k in range(34)]  # edges of the default 33 slices
+    for _ in range(3):
+        t = random_positive_tensor(ModelParams(5, 11), rng)
+        ev = MpEvaluator(t, 256)
+        fe = FloatEvaluator(ev)
+        checked = 0
+        for alpha in alphas:
+            cos_t, sin_t = ev.alpha_tables(alpha)
+            x, y = rng.uniform(-1.0, 1.0, (2, 300))
+            x[:6] = [0.0, 1.0, -1.0, 1.0, 1.0 - 1e-9, -1.0]
+            y[:6] = [0.0, 1.0, 1.0, -1.0, 1.0, -1.0 + 1e-9]
+            v, E = fe.eval(x, y, *fe.tables(cos_t, sin_t))
+            f = np.array([float(ev.eval(a, b, cos_t, sin_t)) for a, b in zip(x.tolist(), y.tolist())])
+            assert np.all(np.abs(v - f) <= E)
+            checked += x.size
+        assert checked >= 10_000
+
+
+def _tensor(N, d, entries):
+    e = np.zeros((2 * N + 1, 2 * N + 1, d + 1))
+    for (r, s, k), v in entries.items():
+        e[N + r, N + s, k] = v
+    return CoefficientTensor(ModelParams(N, d), e)
+
+
+# (tensor, enlargement, spec, precision_bits): one run certifies, one stops at
+# the failure budget, one has a positive witness
+GOLDEN_CASES = {
+    "certifies": (
+        lambda: _tensor(2, 3, {(0, 0, 0): -25.0, (0, 0, 1): 118.0, (0, 0, 2): -124.0,
+                               (0, 0, 3): 32.5, (1, 1, 0): 0.2, (-1, -1, 0): 0.2}),
+        1.02, VerifySpec(5, 16, 3), 192,
+    ),
+    "aborts": (lambda: scaled_unit_tensor(1.0), 1.02, VerifySpec(3, 24, 2), 128),
+    "positive": (
+        lambda: random_positive_tensor(ModelParams(5, 11), np.random.default_rng(7)),
+        1.02, VerifySpec(3, 12, 2), 256,
+    ),
+}
+
+NOTES = (
+    "adaptive box certification; covering_radius is the effective radius "
+    "(cert_margin - sign_margin)/L_x so that sign_margin + L*covering = cert_margin"
+)
+ABORTED = "; refinement aborted at the failure/evaluation budget"
+
+# Recorded from the verifier that evaluated every box at precision_bits.
+GOLDEN = {
+    'certifies': dict(
+        sign_margin=-0.6259127883779854,
+        witness=(0.9882117688026185, 4.3906384259880475, 0.0),
+        cert_margin=-0.23292003875018863,
+        certified_sign=True,
+        stream_points=196,
+        evaluations=520,
+        lipschitz_x=3.1565041213210123,
+        lipschitz_alpha=0.06366197723682179,
+        covering_radius=0.12450253017991542,
+        base_cell_radius=0.09092279705580408,
+        precision_bits=192,
+        enlargement=1.02,
+        failures=[
+        ],
+        notes=NOTES,
+    ),
+    'aborts': dict(
+        sign_margin=0.013674174104823371,
+        witness=(0.8838834764831842, 0.7853981633974483, 5.8643062867009474),
+        cert_margin=0.09759676308922942,
+        certified_sign=False,
+        stream_points=182,
+        evaluations=694,
+        lipschitz_x=1.4242135623745193,
+        lipschitz_alpha=0.0,
+        covering_radius=0.05892556509887896,
+        base_cell_radius=0.05892556509887896,
+        precision_bits=128,
+        enlargement=1.02,
+        failures=[
+            (-0.20833333333333334, -0.9583333333333334, -0.4188790204786391, 0.0077545281104254744, 0.09167711709483152),
+            (-0.12500000000000008, -0.9583333333333334, -0.4188790204786391, 0.00846164337956653, 0.09238423236397258),
+            (-0.041666666666666706, -0.9583333333333334, -0.4188790204786391, 0.008839025552510866, 0.09276161453691692),
+            (0.041666666666666664, -0.9583333333333334, -0.4188790204786391, 0.008839025552510866, 0.09276161453691692),
+            (0.12499999999999992, -0.9583333333333334, -0.4188790204786391, 0.00846164337956653, 0.09238423236397258),
+            (0.20833333333333318, -0.9583333333333334, -0.4188790204786391, 0.007754528110425476, 0.09167711709483152),
+            (-0.4583333333333333, -0.875, -0.4188790204786391, 0.007423448552946542, 0.0913460375373526),
+            (-0.37500000000000006, -0.875, -0.4188790204786391, 0.009233238652742932, 0.09315582763714898),
+            (-0.2916666666666667, -0.875, -0.4188790204786391, 0.010993924427701697, 0.09491651341210774),
+            (-0.20833333333333334, -0.875, -0.4188790204786391, 0.012531462592569913, 0.09645405157697597),
+            (-0.12500000000000008, -0.875, -0.4188790204786391, 0.013674174104823359, 0.0975967630892294),
+            (0.4583333333333332, -0.875, -0.4188790204786391, 0.0074234485529465445, 0.0913460375373526),
+            (-0.5416666666666667, -0.7916666666666667, -0.4188790204786391, 0.008839025552510862, 0.0927616145369169),
+            (-0.4583333333333333, -0.7916666666666667, -0.4188790204786391, 0.01148424420408589, 0.09540683318849194),
+            (0.5416666666666666, -0.7916666666666667, -0.4188790204786391, 0.008839025552510866, 0.09276161453691692),
+            (0.6249999999999999, -0.7083333333333334, -0.4188790204786391, 0.00964503332545393, 0.09356762230985997),
+        ],
+        notes=NOTES + ABORTED,
+    ),
+    'positive': dict(
+        sign_margin=14.813042335650065,
+        witness=(0.9204467514322717, 1.661456213995642, 5.8643062867009474),
+        cert_margin=3024.6599056642945,
+        certified_sign=False,
+        stream_points=46,
+        evaluations=433,
+        lipschitz_x=24031.39947460307,
+        lipschitz_alpha=848.5470330301692,
+        covering_radius=0.12524642464162433,
+        base_cell_radius=0.12524642464162433,
+        precision_bits=256,
+        enlargement=1.02,
+        failures=[
+            (0.08333333333333333, -0.9166666666666666, -0.4188790204786391, 14.813042335650064, 3024.6599056642945),
+            (-0.5833333333333334, -0.75, -0.4188790204786391, 1.504798370927284, 3011.3516616995717),
+            (0.5833333333333334, -0.75, -0.4188790204786391, 10.648969949445629, 3020.49583327809),
+            (0.9166666666666666, -0.25000000000000006, -0.4188790204786391, 12.144787563119852, 3021.991650891764),
+            (-0.9166666666666666, 0.08333333333333333, -0.4188790204786391, 4.499232483756531, 3014.346095812401),
+            (-0.9166666666666666, 0.24999999999999983, -0.4188790204786391, 12.144787563119872, 3021.991650891764),
+            (-0.5833333333333334, 0.7499999999999999, -0.4188790204786391, 10.648969949445638, 3020.49583327809),
+            (0.5833333333333334, 0.7499999999999999, -0.4188790204786391, 1.5047983709272723, 3011.3516616995717),
+            (-0.08333333333333341, 0.9166666666666666, -0.4188790204786391, 14.813042335650065, 3024.6599056642945),
+            (-0.25000000000000006, -0.9166666666666666, 0.0, 6.462264897399923, 3016.3091282260443),
+            (0.24999999999999983, -0.9166666666666666, 0.0, 6.4622648973998995, 3016.3091282260443),
+            (-0.75, -0.5833333333333334, 0.0, 7.439645934453866, 3017.286509263098),
+            (0.7499999999999999, -0.5833333333333334, 0.0, 7.439645934453853, 3017.286509263098),
+            (-0.75, 0.5833333333333334, 0.0, 7.439645934453866, 3017.286509263098),
+            (0.7499999999999999, 0.5833333333333334, 0.0, 7.439645934453853, 3017.286509263098),
+            (-0.25000000000000006, 0.9166666666666666, 0.0, 6.462264897399923, 3016.3091282260443),
+        ],
+        notes=NOTES + ABORTED,
+    ),
+}
+
+
+def _run_golden(name):
+    make, enlargement, spec, bits = GOLDEN_CASES[name]
+    return verify_nonpositivity(make(), enlargement, spec, bits)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_verify_golden_record(name):
+    assert asdict(_run_golden(name)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_verify_mp_fallback_golden_record(name, monkeypatch):
+    """With an infinite error radius every decision goes to mp; nothing changes."""
+    calls = []
+    mp_eval = MpEvaluator.eval
+
+    def counted(self, *args):
+        calls.append(args)
+        return mp_eval(self, *args)
+
+    monkeypatch.setattr(certify, "FLOAT_ERROR_RADIUS", math.inf)
+    monkeypatch.setattr(MpEvaluator, "eval", counted)
+    sv = _run_golden(name)
+    assert asdict(sv) == GOLDEN[name]
+    assert len(calls) >= sv.evaluations
+
+
+def test_verify_logs_one_summary_line(caplog):
+    with caplog.at_level(logging.INFO, logger="pentapack.certify"):
+        sv = _run_golden("aborts")
+    lines = [r.getMessage() for r in caplog.records if r.name == "pentapack.certify"]
+    assert len(lines) == 1
+    assert f"1728 level-0 boxes, {sv.evaluations} evaluations" in lines[0]
+    assert "decisions settled in float" in lines[0] and "mp fallbacks" in lines[0]
 
 
 # -- bound -------------------------------------------------------------------
