@@ -424,7 +424,8 @@ class FloatEvaluator:
     margin also covers the rounding of S itself and of v -/+ E, so [v - E,
     v + E] as computed encloses f_mp.  Below 53 bits mp rounds the point
     itself, so there E is infinite and every decision falls back to mp.
-    Measured over random points the error stays below 1.4 * 2^-52 S.
+    Measured on the paper-default tensor at 4,000 random points, the error
+    stays below 1.4 * 2^-52 S.
     """
 
     def __init__(self, ev: MpEvaluator):
@@ -649,7 +650,7 @@ def verify_nonpositivity(
     n_failures = 0
     stream_points = 0
     evaluations = 0
-    fallbacks = 0  # evaluated boxes whose decision needed mp
+    decided_by_mp = 0  # evaluated boxes whose decision needed mp
     sign = _Leaders()  # items (cx, cy, amid, lo, hi)
     cert = _Leaders()  # items (cx, cy, amid, lo, hi, a, b)
 
@@ -733,7 +734,7 @@ def verify_nonpositivity(
         idx, cx, cy, region, lo, hi, glo, ghi, action, amb = batch(
             xlo0, ylo0, h0, ha0, [amid] * len(xlo0), geo, cos_s, sin_s, 0)
         evaluations += int(idx.size)
-        fallbacks += int(amb.sum())
+        decided_by_mp += int(amb.sum())
         stream_points += int(region.sum())
         cxl, cyl, lol, hil = cx.tolist(), cy.tolist(), lo.tolist(), hi.tolist()
         reg = np.flatnonzero(region)
@@ -803,7 +804,7 @@ def verify_nonpositivity(
         if ch.action[i] < 0:  # outside the disk or inside the difference
             continue
         evaluations += 1
-        fallbacks += ch.fallback[i]
+        decided_by_mp += ch.fallback[i]
         if ch.action[i] == 2:
             stack.append(ch.sub[i])
             continue
@@ -838,7 +839,7 @@ def verify_nonpositivity(
     log.info(
         "verify: %d level-0 boxes, %d evaluations, %d decisions settled in float, "
         "%d mp fallbacks, %.2f s",
-        len(slices) * sample_spec.grid_n**2, evaluations, evaluations - fallbacks,
+        len(slices) * sample_spec.grid_n**2, evaluations, evaluations - decided_by_mp,
         len(mp_values), time.perf_counter() - started,
     )
     return SignVerification(
