@@ -617,8 +617,12 @@ def verify_nonpositivity(
     The stream pass handles one alpha slice per numpy batch; refinement
     pops boxes last-in first-out and evaluates the 8 children of a split
     together.  Every value comes first from `FloatEvaluator` as v with a
-    proved radius E, |v - f_mp| <= E (derived in its docstring), giving
-    floats lo <= f_mp <= hi.  Round-to-nearest is monotone, so lo <= fc <=
+    proved radius E, |v - f_mp| <= E: Higham's gamma_n bounds for u = x^2 +
+    y^2, the angle-addition recurrence, Horner, the pair sum and exp give
+    |v - f| <= gamma_n S with n = 4d + 7M + J + 42 (163 at N=5, d=11) and
+    S = e^(-pi u) sum |c_k| u^k, and E = 2^-40 S is 50 times that (the
+    steps are in its docstring).  The computed ends give floats lo <= f_mp
+    <= hi.  Round-to-nearest is monotone, so lo <= fc <=
     hi, and (fc + a) + b lies between (lo + a) + b and (hi + a) + b.  A
     decision (fc > 0, bound <= 0) that has the same answer at lo and at hi
     therefore has that answer at fc.  Where the two ends disagree the box is
