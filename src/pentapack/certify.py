@@ -487,9 +487,6 @@ class VerifySpec:
     grid_n: int = 160
     max_depth: int = 8
 
-    def describe(self) -> str:
-        return f"alpha_count={self.alpha_count} grid_n={self.grid_n} max_depth={self.max_depth}"
-
 
 @dataclass
 class SignVerification:
@@ -598,7 +595,6 @@ def verify_nonpositivity(
     enlargement: float,
     sample_spec: VerifySpec,
     precision_bits: int = 256,
-    alpha_indices=None,
 ) -> SignVerification:
     """Certify f <= 0 on {rho <= 1} outside the enlarged Minkowski difference.
 
@@ -724,15 +720,13 @@ def verify_nonpositivity(
 
     # Stream pass: every level-0 box is visited so the reported sign_margin
     # covers the full verification sample even when certification fails early.
-    # alpha_indices restricts to a subset of slices (parallel workers).
     edges0 = -1.0 + np.arange(sample_spec.grid_n) * dx0
     xlo0 = np.tile(edges0, sample_spec.grid_n)  # row-major: iy outer, ix inner
     ylo0 = np.repeat(edges0, sample_spec.grid_n)
     h0, ha0 = 0.5 * dx0, 0.5 * dalpha
     a0, b0 = L_x * math.sqrt(2.0) * h0, L_a * ha0
     stack: list = []
-    slices = range(sample_spec.alpha_count) if alpha_indices is None else alpha_indices
-    for ia in slices:
+    for ia in range(sample_spec.alpha_count):
         amid = alpha_lo + (ia + 0.5) * dalpha
         geo, _, _, (cos_s, sin_s) = alpha_data(amid)
         idx, cx, cy, region, lo, hi, glo, ghi, action, amb = batch(
@@ -843,7 +837,7 @@ def verify_nonpositivity(
     log.info(
         "verify: %d level-0 boxes, %d evaluations, %d decisions settled in float, "
         "%d mp fallbacks, %.2f s",
-        len(slices) * sample_spec.grid_n**2, evaluations, evaluations - decided_by_mp,
+        sample_spec.alpha_count * sample_spec.grid_n**2, evaluations, evaluations - decided_by_mp,
         len(mp_values), time.perf_counter() - started,
     )
     return SignVerification(

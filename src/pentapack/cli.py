@@ -23,26 +23,20 @@ from .pipeline import (
 )
 
 
+# argparse type of each RunConfig annotation (a string under postponed evaluation)
+_FLAG_TYPES = {"int": int, "float": float, "float | None": float}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """--config, --out, and one flag per RunConfig field: -N, -d, --kebab-case."""
     p.add_argument("--config", help="JSON file with RunConfig fields")
     p.add_argument("--out", help="output directory (default $PENTAPACK_SCRATCH or ./out)")
-    p.add_argument("-N", type=int, dest="N")
-    p.add_argument("-d", type=int, dest="d")
-    p.add_argument("--alpha-count", type=int, dest="alpha_count")
-    p.add_argument("--grid-n", type=int, dest="grid_n")
-    p.add_argument("--enlargement", type=float, dest="enlargement")
-    p.add_argument("--precision-bits", type=int, dest="precision_bits")
-    p.add_argument("--solver", choices=["embedded", "external-file"], dest="solver")
-    p.add_argument("--gap-tol", type=float, dest="gap_tol")
-    p.add_argument("--feas-tol", type=float, dest="feas_tol")
-    p.add_argument("--refine-margin", type=float, dest="refine_margin")
-    p.add_argument("--facet-lines", action="store_const", const=True, dest="facet_lines")
-    p.add_argument("--verify-alpha-count", type=int, dest="verify_alpha_count")
-    p.add_argument("--verify-grid-n", type=int, dest="verify_grid_n")
-    p.add_argument("--verify-max-depth", type=int, dest="verify_max_depth")
-    p.add_argument("--verify-enlargement", type=float, dest="verify_enlargement")
-    p.add_argument("--safety-factor", type=float, dest="safety_factor")
-    p.add_argument("--threads", type=int, dest="threads")
+    for f in fields(RunConfig):
+        flag = f"-{f.name}" if len(f.name) == 1 else "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p.add_argument(flag, action="store_const", const=True, dest=f.name)
+        else:
+            p.add_argument(flag, type=_FLAG_TYPES[f.type], dest=f.name)
 
 
 def _config_from_args(args) -> tuple[RunConfig, Path]:
@@ -82,7 +76,6 @@ def main(argv=None) -> int:
     p_sample.add_argument("--plot-data", action="store_true", help="also emit Minkowski plot CSVs")
     p_generate = sub.add_parser("generate", help="emit the SDPA problem and manifest")
     p_solve = sub.add_parser("solve", help="solve the program (embedded or imported)")
-    p_solve.add_argument("--embedded", action="store_true", help="use the embedded solver (default)")
     p_solve.add_argument("--import-solution", help="import an external solver's solution file")
     p_refine = sub.add_parser("refine", help="feasibility re-solve with capped objective")
     p_project = sub.add_parser("project", help="project the solution onto the equality constraints")
@@ -100,9 +93,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.verbose:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(name)s: %(message)s")
-    cfg, outdir = _config_from_args(args)
-
     try:
+        cfg, outdir = _config_from_args(args)
         if args.command == "sample":
             n = step_sample(cfg, outdir, plot_data=args.plot_data)
             print(f"sample: {n} points -> {outdir / 'sample.txt'}")

@@ -12,8 +12,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,6 @@ class RunConfig:
     grid_n: int = 50
     enlargement: float = 1.02
     precision_bits: int = 256
-    solver: str = "embedded"  # embedded | external-file
     gap_tol: float = 1e-8
     feas_tol: float = 1e-8
     refine_margin: float = 1e-4
@@ -60,8 +58,6 @@ class RunConfig:
     verify_max_depth: int = 6
     verify_enlargement: float | None = None
     safety_factor: float = 1e3
-    threads: int = 1
-    retained_blocks_only: bool = True  # False instantiates the discarded blocks too
 
     @property
     def params(self) -> ModelParams:
@@ -78,6 +74,9 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown RunConfig field(s): {', '.join(unknown)}")
         return cls(**data)
 
     def to_json(self) -> str:
@@ -117,7 +116,7 @@ def build_sample(cfg: RunConfig) -> list[SamplePoint]:
 
 
 def build_problem(cfg: RunConfig):
-    return assemble_problem_A(cfg.params, build_sample(cfg), retained=cfg.retained_blocks_only)
+    return assemble_problem_A(cfg.params, build_sample(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +174,13 @@ def step_generate(cfg: RunConfig, outdir: Path):
 
 def step_solve(cfg: RunConfig, outdir: Path, import_path: str | None = None):
     problem = build_problem(cfg)
-    if import_path is not None or cfg.solver == "external-file":
-        if import_path is None:
-            raise ValueError("external-file solver needs an imported solution path")
+    if import_path is not None:
         sol = import_solution(Path(import_path).read_text(), problem)
         sol.objective = problem.value(problem.objective, sol.blocks)
-        status_note = "imported"
     else:
         sol = solve(problem, gap_tol=cfg.gap_tol, feas_tol=cfg.feas_tol)
-        status_note = sol.status
-    if not sol.is_usable() and status_note != "imported":
-        raise RuntimeError(f"solve failed with status {sol.status}")
+        if not sol.is_usable():
+            raise RuntimeError(f"solve failed with status {sol.status}")
     _write(outdir / "solve.sol", cfg, "solution", export_solution(sol, problem))
     meta = {
         "objective": sol.objective,
@@ -237,58 +232,14 @@ def step_project(cfg: RunConfig, outdir: Path):
     return projected, tensor, info
 
 
-def _verify_chunk(args):
-    tensor_text, enlargement, alpha_count, grid_n, max_depth, precision_bits, indices = args
-    t = CoefficientTensor.loads(tensor_text)
-    spec = VerifySpec(alpha_count=alpha_count, grid_n=grid_n, max_depth=max_depth)
-    return verify_nonpositivity(t, enlargement, spec, precision_bits, alpha_indices=indices)
-
-
-def _merge_verifications(parts: list[SignVerification]) -> SignVerification:
-    best = max(parts, key=lambda p: p.sign_margin)
-    out = SignVerification(
-        sign_margin=best.sign_margin,
-        witness=best.witness,
-        cert_margin=max(p.cert_margin for p in parts),
-        certified_sign=all(p.certified_sign for p in parts),
-        stream_points=sum(p.stream_points for p in parts),
-        evaluations=sum(p.evaluations for p in parts),
-        lipschitz_x=parts[0].lipschitz_x,
-        lipschitz_alpha=parts[0].lipschitz_alpha,
-        base_cell_radius=parts[0].base_cell_radius,
-        covering_radius=parts[0].covering_radius,
-        precision_bits=parts[0].precision_bits,
-        enlargement=parts[0].enlargement,
-        failures=[f for p in parts for f in p.failures][:16],
-        notes=parts[0].notes,
-    )
-    if out.certified_sign and out.lipschitz_x > 0 and math.isfinite(out.sign_margin):
-        out.covering_radius = max((out.cert_margin - out.sign_margin) / out.lipschitz_x, 0.0)
-    return out
-
-
 def step_verify(cfg: RunConfig, outdir: Path) -> SignVerification:
-    tensor_text = _read(outdir / "tensor.txt", cfg, "tensor")
+    t = CoefficientTensor.loads(_read(outdir / "tensor.txt", cfg, "tensor"))
     spec = VerifySpec(
         alpha_count=cfg.verify_alpha_count,
         grid_n=cfg.verify_grid_n,
         max_depth=cfg.verify_max_depth,
     )
-    enlargement = cfg.effective_verify_enlargement
-    if cfg.threads > 1:
-        chunks = np.array_split(np.arange(cfg.verify_alpha_count), min(cfg.threads, cfg.verify_alpha_count))
-        args = [
-            (tensor_text, enlargement, cfg.verify_alpha_count, cfg.verify_grid_n,
-             cfg.verify_max_depth, cfg.precision_bits, [int(i) for i in chunk])
-            for chunk in chunks
-            if len(chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(_verify_chunk, args))
-        verification = _merge_verifications(parts)
-    else:
-        t = CoefficientTensor.loads(tensor_text)
-        verification = verify_nonpositivity(t, enlargement, spec, cfg.precision_bits)
+    verification = verify_nonpositivity(t, cfg.effective_verify_enlargement, spec, cfg.precision_bits)
     body = json.dumps(asdict(verification), indent=2) + "\n"
     _write(outdir / "verify.json", cfg, "verify", body)
     return verification

@@ -29,7 +29,7 @@ from mpmath import mp
 
 from .fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams
 from .motion import MotionPoint
-from .polynomials import EvenPolynomial
+from .polynomials import EvenPolynomial, conv
 from .sdp import Block, LinearTerm, SdpProblem, SdpSolution
 from .specfun import coeff_D_exact, laguerre_coeffs_exact
 
@@ -168,19 +168,9 @@ def _products(bcoefs: list[list]) -> dict[tuple[int, int, int], list]:
     out = {}
     for l in range(half + 1):
         for lp in range(half + 1):
-            base = _conv(bcoefs[l], bcoefs[lp])
+            base = conv(bcoefs[l], bcoefs[lp])
             out[(0, l, lp)] = base
             out[(1, l, lp)] = [0 * base[0]] + base
-    return out
-
-
-def _conv(a, b):
-    out = [0 * (a[0] * b[0])] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
     return out
 
 
@@ -392,11 +382,7 @@ def _hp_row_dict(row: _RowAccumulator) -> dict:
     return out
 
 
-def assemble_problem_A(
-    params: ModelParams,
-    sample,
-    retained: bool = True,
-) -> SdpProblem:
+def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     """Build Problem A for the given model parameters and constraint sample.
 
     Equality constraints: the structural zeros (low powers against large
@@ -410,7 +396,7 @@ def assemble_problem_A(
     """
     N, d = params.N, params.d
     half = d // 2
-    specs = block_specs(params, retained=retained)
+    specs = block_specs(params)
     spec_by_label = {b.label: b for b in specs}
     dims = {b.label: b.dim for b in specs}
     isets = index_sets(N)
@@ -693,7 +679,6 @@ def assemble_problem_A(
         ineq_constraints=ineq_terms,
         meta={
             "params": params,
-            "retained": retained,
             "block_specs": specs,
             "manifest": manifest,
             "hp_rows": hp_rows,
@@ -725,7 +710,7 @@ def assemble_feasibility_variant(base: SdpProblem, z_star: float, margin: float 
     return variant
 
 
-def recover_tensor(sol: SdpSolution, params: ModelParams, retained: bool = True) -> CoefficientTensor:
+def recover_tensor(sol: SdpSolution, params: ModelParams) -> CoefficientTensor:
     """Recover f[r][s][k] = sum_i <F^i_{r,s;k}, Q^{ij}> from the solution blocks.
 
     Entries for pairs not covered by any present Q block are zero; values are
@@ -734,7 +719,7 @@ def recover_tensor(sol: SdpSolution, params: ModelParams, retained: bool = True)
     """
     N, d = params.N, params.d
     half = d // 2
-    specs = block_specs(params, retained=retained)
+    specs = block_specs(params)
     prods = {k: [float(c) for c in v] for k, v in _products(realize_basis(d)).items()}
     n = 2 * N + 1
     raw = np.zeros((n, n, d + 1))

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -118,31 +119,6 @@ def test_scratch_env_var(tmp_path, monkeypatch):
     assert default_outdir() == tmp_path / "scratch"
 
 
-def test_verify_threads_matches_single(tiny_run, tmp_path):
-    """Chunked parallel verification merges to the same result."""
-    import shutil
-    from dataclasses import replace
-
-    cfg, outdir, _report = tiny_run
-    for name in ("sample.txt", "problem.dat-s", "problem.manifest.txt", "solve.sol",
-                 "solve.meta.json", "refine.sol", "refine.meta.json", "projected.sol",
-                 "projected.meta.json", "tensor.txt"):
-        shutil.copy(outdir / name, tmp_path / name)
-    single = json.loads((outdir / "verify.json").read_text().split("\n", 2)[2])
-    # threads changes the config hash, so rewrite artifact headers to match
-    cfg2 = replace(cfg, threads=2)
-    for name in ("solve.meta.json", "tensor.txt"):
-        body = (tmp_path / name).read_text().split("\n", 2)[2]
-        kind = {"solve.meta.json": "solve-meta", "tensor.txt": "tensor"}[name]
-        (tmp_path / name).write_text(
-            f"# pentapack-artifact v1 {kind}\n# config {cfg2.config_hash()}\n" + body
-        )
-    v = step_verify(cfg2, tmp_path)
-    assert v.stream_points == single["stream_points"]
-    assert v.sign_margin == pytest.approx(single["sign_margin"], abs=1e-14)
-    assert v.certified_sign == single["certified_sign"]
-
-
 def test_external_file_solver_roundtrip(tiny_run, tmp_path):
     """The external-solver path: export, solve elsewhere, import the file."""
     cfg, outdir, _report = tiny_run
@@ -155,3 +131,57 @@ def test_external_file_solver_roundtrip(tiny_run, tmp_path):
     sol = step_solve(cfg, tmp_path, import_path=str(ext))
     meta = json.loads((outdir / "solve.meta.json").read_text().split("\n", 2)[2])
     assert sol.objective == pytest.approx(meta["objective"], abs=1e-9)
+    # the same import through the command line
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(cfg.to_json())
+    cli_out = tmp_path / "cli"
+    rc = main(["solve", "--config", str(cfgfile), "--out", str(cli_out), "--import-solution", str(ext)])
+    assert rc == 0
+    for name in ("solve.sol", "solve.meta.json"):
+        assert (cli_out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+# Every RunConfig field at a value other than its default, under its flag.
+FLAG_VALUES = {
+    "-N": ("N", 4),
+    "-d": ("d", 7),
+    "--alpha-count": ("alpha_count", 2),
+    "--grid-n": ("grid_n", 8),
+    "--enlargement": ("enlargement", 1.03),
+    "--precision-bits": ("precision_bits", 128),
+    "--gap-tol": ("gap_tol", 1e-7),
+    "--feas-tol": ("feas_tol", 1e-7),
+    "--refine-margin": ("refine_margin", 1e-3),
+    "--facet-lines": ("facet_lines", True),
+    "--verify-alpha-count": ("verify_alpha_count", 3),
+    "--verify-grid-n": ("verify_grid_n", 10),
+    "--verify-max-depth": ("verify_max_depth", 2),
+    "--verify-enlargement": ("verify_enlargement", 1.05),
+    "--safety-factor": ("safety_factor", 10.0),
+}
+
+
+def test_every_config_field_has_its_flag(tmp_path):
+    values = dict(FLAG_VALUES.values())
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    assert set(values) == set(defaults)
+    assert all(values[k] != defaults[k] for k in values)
+    argv = ["sample", "--out", str(tmp_path)]
+    for flag, (_name, value) in FLAG_VALUES.items():
+        argv += [flag] if value is True else [flag, repr(value)]
+    assert main(argv) == 0
+    config_line = (tmp_path / "sample.txt").read_text().splitlines()[1]
+    assert config_line == f"# config {RunConfig(**values).config_hash()}"
+
+
+def test_config_file_with_unknown_fields_is_refused(tmp_path, capsys):
+    """A configuration written before threads, solver and retained_blocks_only were removed."""
+    stale = {**json.loads(RunConfig().to_json()), "threads": 1, "solver": "embedded",
+             "retained_blocks_only": True}
+    text = json.dumps(stale)
+    with pytest.raises(ValueError, match=r"unknown RunConfig field\(s\): retained_blocks_only, solver, threads"):
+        RunConfig.from_json(text)
+    cfgfile = tmp_path / "stale.json"
+    cfgfile.write_text(text)
+    assert main(["sample", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
+    assert "unknown RunConfig field(s)" in capsys.readouterr().err
