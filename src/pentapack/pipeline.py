@@ -4,14 +4,22 @@ Every step writes plain-text artifacts stamped with a format version and the
 configuration hash, so any step can be re-run in isolation and mismatched
 inputs are rejected rather than silently combined.  Artifacts carry no
 timestamps; identical configurations produce byte-identical files.
+
+Problem A is assembled once per `run_all`, by `step_generate`, and handed to
+every later step that needs it; a step run on its own (`pentapack solve`,
+...) assembles it again.  Each step logs its wall time on the
+`pentapack.pipeline` logger (`pentapack -v`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import logging
 import math
 import os
+import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -32,11 +40,14 @@ from .geometry import (
     minkowski_difference,
     _closest_facet_pair,
 )
+from .sdp import SdpProblem
 from .sdpa import export_sdpa, export_solution, import_solution
 from .sos import assemble_feasibility_variant, assemble_problem_A, recover_tensor
 from .solver import solve
 
 FORMAT_VERSION = "pentapack-artifact v1"
+
+log = logging.getLogger("pentapack.pipeline")
 
 
 @dataclass(frozen=True)
@@ -115,8 +126,19 @@ def build_sample(cfg: RunConfig) -> list[SamplePoint]:
     return pts + extra
 
 
-def build_problem(cfg: RunConfig):
-    return assemble_problem_A(cfg.params, build_sample(cfg))
+def build_problem(cfg: RunConfig) -> SdpProblem:
+    problem = assemble_problem_A(cfg.params, build_sample(cfg))
+    problem.meta["config"] = cfg.config_hash()
+    return problem
+
+
+def _problem_for(cfg: RunConfig, problem: SdpProblem | None) -> SdpProblem:
+    """The given Problem A, refused if built under another configuration, or a new one."""
+    if problem is None:
+        return build_problem(cfg)
+    if problem.meta.get("config") != cfg.config_hash():
+        raise ValueError("the given problem was built under a different configuration")
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +167,21 @@ def _read(path: Path, cfg: RunConfig, kind: str) -> str:
     return _check_header(path.read_text(), cfg, kind, path)
 
 
+def _timed(step):
+    """Log the wall time of each call of a pipeline step."""
+    name = step.__name__.removeprefix("step_")
+
+    @functools.wraps(step)
+    def run(*args, **kwargs):
+        started = time.perf_counter()
+        out = step(*args, **kwargs)
+        log.info("%s: %.2f s", name, time.perf_counter() - started)
+        return out
+
+    return run
+
+
+@_timed
 def step_sample(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> int:
     pts = build_sample(cfg)
     body = "\n".join(f"{p.rho!r} {p.theta!r} {p.alpha!r}" for p in pts) + "\n"
@@ -164,7 +201,8 @@ def step_sample(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> int:
     return len(pts)
 
 
-def step_generate(cfg: RunConfig, outdir: Path):
+@_timed
+def step_generate(cfg: RunConfig, outdir: Path) -> SdpProblem:
     problem = build_problem(cfg)
     _write(outdir / "problem.dat-s", cfg, "sdpa-problem", export_sdpa(problem))
     manifest = "\n".join(problem.meta["manifest"]) + "\n"
@@ -172,8 +210,11 @@ def step_generate(cfg: RunConfig, outdir: Path):
     return problem
 
 
-def step_solve(cfg: RunConfig, outdir: Path, import_path: str | None = None):
-    problem = build_problem(cfg)
+@_timed
+def step_solve(
+    cfg: RunConfig, outdir: Path, import_path: str | None = None, *, problem: SdpProblem | None = None
+):
+    problem = _problem_for(cfg, problem)
     if import_path is not None:
         sol = import_solution(Path(import_path).read_text(), problem)
         sol.objective = problem.value(problem.objective, sol.blocks)
@@ -192,8 +233,9 @@ def step_solve(cfg: RunConfig, outdir: Path, import_path: str | None = None):
     return sol
 
 
-def step_refine(cfg: RunConfig, outdir: Path):
-    problem = build_problem(cfg)
+@_timed
+def step_refine(cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None):
+    problem = _problem_for(cfg, problem)
     meta = json.loads(_read(outdir / "solve.meta.json", cfg, "solve-meta"))
     variant = assemble_feasibility_variant(problem, meta["objective"], margin=cfg.refine_margin)
     sol = solve(
@@ -211,19 +253,18 @@ def step_refine(cfg: RunConfig, outdir: Path):
     return sol
 
 
-def step_project(cfg: RunConfig, outdir: Path):
-    problem = build_problem(cfg)
+@_timed
+def step_project(cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None):
+    source = outdir / "refine.sol"
+    if not source.exists():
+        raise FileNotFoundError(f"{source} is missing; run refine first")
+    problem = _problem_for(cfg, problem)
     variant = assemble_feasibility_variant(
         problem,
         json.loads(_read(outdir / "solve.meta.json", cfg, "solve-meta"))["objective"],
         margin=cfg.refine_margin,
     )
-    source = outdir / "refine.sol"
-    if not source.exists():
-        source = outdir / "solve.sol"
-        sol = import_solution(_read(source, cfg, "solution"), problem)
-    else:
-        sol = import_solution(_read(source, cfg, "solution"), variant)
+    sol = import_solution(_read(source, cfg, "solution"), variant)
     projected, info = project_affine(sol, problem)
     _write(outdir / "projected.sol", cfg, "solution", export_solution(projected, variant))
     _write(outdir / "projected.meta.json", cfg, "project-meta", json.dumps(info, indent=2) + "\n")
@@ -232,6 +273,7 @@ def step_project(cfg: RunConfig, outdir: Path):
     return projected, tensor, info
 
 
+@_timed
 def step_verify(cfg: RunConfig, outdir: Path) -> SignVerification:
     t = CoefficientTensor.loads(_read(outdir / "tensor.txt", cfg, "tensor"))
     spec = VerifySpec(
@@ -245,8 +287,11 @@ def step_verify(cfg: RunConfig, outdir: Path) -> SignVerification:
     return verification
 
 
-def step_bound(cfg: RunConfig, outdir: Path) -> VerificationReport:
-    problem = build_problem(cfg)
+@_timed
+def step_bound(
+    cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None
+) -> VerificationReport:
+    problem = _problem_for(cfg, problem)
     variant = assemble_feasibility_variant(
         problem,
         json.loads(_read(outdir / "solve.meta.json", cfg, "solve-meta"))["objective"],
@@ -265,12 +310,12 @@ def step_bound(cfg: RunConfig, outdir: Path) -> VerificationReport:
 
 def run_all(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> VerificationReport:
     step_sample(cfg, outdir, plot_data=plot_data)
-    step_generate(cfg, outdir)
-    step_solve(cfg, outdir)
-    step_refine(cfg, outdir)
-    step_project(cfg, outdir)
+    problem = step_generate(cfg, outdir)
+    step_solve(cfg, outdir, problem=problem)
+    step_refine(cfg, outdir, problem=problem)
+    step_project(cfg, outdir, problem=problem)
     step_verify(cfg, outdir)
-    return step_bound(cfg, outdir)
+    return step_bound(cfg, outdir, problem=problem)
 
 
 def default_outdir() -> Path:

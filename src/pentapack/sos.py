@@ -426,9 +426,8 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                 ]
         T = bco  # B_k coefficients in u = rho^2, lower triangular
 
-        def tau_upoly(i, l, lp, r, s):
-            """Coefficients in u = rho^2 of tau_{r,s}(a^2i P_l P_l')(rho) / phase."""
-            m = abs(r - s)
+        def tau_upoly(i, l, lp, m):
+            """Coefficients in u = rho^2 of tau_{r,s}(a^2i P_l P_l')(rho) / phase, m = |r - s|."""
             c = prods[(i, l, lp)]
             out = [mp.mpf(0)] * (d + 1)
             sign = (-1) ** (m // 2)
@@ -455,31 +454,44 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                 ]
             return classes[key]
 
-        def add_identity(m1, m2, upoly, block, a, b):
+        def entry_upoly(family, i, l, lp, m=0):
+            """Coefficients in u of the polynomial a block entry adds to the identity."""
+            if family == "Q":
+                return tau_upoly(i, l, lp, m)
+            base = prods[(i, l, lp)]
+            if family == "R":
+                return base
+            # S: multiply by (rho^2 - 1)
+            return [-base[0]] + [
+                (base[t - 1] if t - 1 < len(base) else mp.mpf(0))
+                - (base[t] if t < len(base) else mp.mpf(0))
+                for t in range(1, len(base) + 1)
+            ]
+
+        # The entry polynomial depends only on (family, i, l, l') and, for Q,
+        # on |r - s|: far fewer keys than block entries (216 against 3,240 at
+        # N = 5, d = 11), so each is expanded in the basis once.
+        entry_coords: dict[tuple, list] = {}
+
+        def add_identity(m1, m2, key, block, a, b):
             rows = class_rows(m1, m2)
-            for k, g in enumerate(_basis_coords(upoly, T, d)):
-                if g != 0:
-                    rows[k].add(block, a, b, g)
+            if key not in entry_coords:
+                gamma = _basis_coords(entry_upoly(*key), T, d)
+                entry_coords[key] = [(k, g) for k, g in enumerate(gamma) if g != 0]
+            for k, g in entry_coords[key]:
+                rows[k].add(block, a, b, g)
 
         for bs in specs:
             if bs.family == "Q":
                 for a_idx, (l, r) in enumerate(bs.index):
                     for b_idx, (lp, s) in enumerate(bs.index):
-                        add_identity(-r, -s, tau_upoly(bs.i, l, lp, r, s), bs.label, a_idx, b_idx)
+                        key = ("Q", bs.i, l, lp, abs(r - s))
+                        add_identity(-r, -s, key, bs.label, a_idx, b_idx)
             else:  # R or S over pair index sets
                 for a_idx, (l, (u, v)) in enumerate(bs.index):
                     for b_idx, (lp, (up, vp)) in enumerate(bs.index):
-                        base = prods[(bs.i, l, lp)]
-                        if bs.family == "S":
-                            # multiply by (rho^2 - 1)
-                            upoly = [-base[0]] + [
-                                (base[t - 1] if t - 1 < len(base) else mp.mpf(0))
-                                - (base[t] if t < len(base) else mp.mpf(0))
-                                for t in range(1, len(base) + 1)
-                            ]
-                        else:
-                            upoly = base
-                        add_identity(up - u, vp - v, upoly, bs.label, a_idx, b_idx)
+                        key = (bs.family, bs.i, l, lp)
+                        add_identity(up - u, vp - v, key, bs.label, a_idx, b_idx)
 
         eq_rows: list[tuple[_RowAccumulator, float]] = []
         seen_signatures: list[dict] = []

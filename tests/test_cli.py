@@ -1,11 +1,15 @@
 import json
+import logging
+import shutil
 from dataclasses import fields
 
 import pytest
 
+from pentapack import pipeline
 from pentapack.cli import main
 from pentapack.pipeline import (
     RunConfig,
+    build_problem,
     run_all,
     step_bound,
     step_generate,
@@ -28,6 +32,24 @@ TINY = dict(
 )
 
 
+# Every artifact `run_all` writes without --plot-data.
+ARTIFACTS = (
+    "sample.txt",
+    "problem.dat-s",
+    "problem.manifest.txt",
+    "solve.sol",
+    "solve.meta.json",
+    "refine.sol",
+    "refine.meta.json",
+    "projected.sol",
+    "projected.meta.json",
+    "tensor.txt",
+    "verify.json",
+    "report.txt",
+    "report.json",
+)
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     cfg = RunConfig(**TINY)
@@ -46,6 +68,7 @@ def test_pipeline_produces_report(tiny_run):
 
 
 def test_stepwise_equals_all_byte_for_byte(tiny_run, tmp_path):
+    """Each step below assembles Problem A itself; `run_all` assembled it once."""
     cfg, outdir, _report = tiny_run
     step_sample(cfg, tmp_path)
     step_generate(cfg, tmp_path)
@@ -54,8 +77,56 @@ def test_stepwise_equals_all_byte_for_byte(tiny_run, tmp_path):
     step_project(cfg, tmp_path)
     step_verify(cfg, tmp_path)
     step_bound(cfg, tmp_path)
-    for name in ("sample.txt", "problem.dat-s", "tensor.txt", "report.txt", "report.json"):
+    assert sorted(p.name for p in outdir.iterdir()) == sorted(ARTIFACTS)
+    for name in ARTIFACTS:
         assert (tmp_path / name).read_bytes() == (outdir / name).read_bytes(), name
+
+
+def test_each_run_assembles_once(tmp_path, monkeypatch):
+    calls = []
+    assemble = pipeline.assemble_problem_A
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "assemble_problem_A", counted)
+    cfg = RunConfig(**TINY)
+    for run in range(2):
+        run_all(cfg, tmp_path / str(run))
+        assert len(calls) == run + 1
+
+
+@pytest.mark.parametrize("step", [step_solve, step_refine, step_project, step_bound])
+def test_steps_refuse_a_problem_from_another_config(tiny_run, tmp_path, step):
+    cfg, outdir, _report = tiny_run
+    for name in ARTIFACTS:
+        shutil.copy(outdir / name, tmp_path / name)
+    other = RunConfig(**{**TINY, "gap_tol": 1e-7})
+    with pytest.raises(ValueError, match="problem was built under a different configuration"):
+        step(cfg, tmp_path, problem=build_problem(other))
+
+
+def test_project_without_refine_names_the_missing_file(tiny_run, tmp_path, capsys):
+    cfg, outdir, _report = tiny_run
+    for name in ("sample.txt", "problem.dat-s", "solve.sol", "solve.meta.json"):
+        shutil.copy(outdir / name, tmp_path / name)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(cfg.to_json())
+    assert main(["project", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "refine.sol" in err and "run refine first" in err
+    assert not (tmp_path / "projected.sol").exists()
+
+
+def test_steps_log_their_time(tmp_path, caplog):
+    cfg = RunConfig(**TINY)
+    with caplog.at_level(logging.INFO, logger="pentapack.pipeline"):
+        step_sample(cfg, tmp_path)
+        step_generate(cfg, tmp_path)
+    lines = [r.getMessage() for r in caplog.records if r.name == "pentapack.pipeline"]
+    assert [line.split(":")[0] for line in lines] == ["sample", "generate"]
+    assert all(line.endswith(" s") for line in lines)
 
 
 def test_artifacts_reject_config_mismatch(tiny_run, tmp_path):
