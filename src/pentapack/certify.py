@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from mpmath import mp
+from scipy.linalg import cho_solve
 
 from .fourier import CoefficientTensor, evaluate_f, lambda_of
 from .geometry import minkowski_difference, pentagon
@@ -90,7 +91,7 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     x1 = x.copy()
     for _ in range(3):  # refinement squeezes the residual toward roundoff
         r = A @ x1 - b
-        lam = np.linalg.solve(G.T, np.linalg.solve(G, r))
+        lam = cho_solve((G, True), r, check_finite=False)
         x1 = x1 - A.T @ lam
     post = A @ x1 - b
     blocks = dict(sol.blocks)
@@ -106,6 +107,7 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
         gap=sol.gap,
         iterations=sol.iterations,
         dual_blocks=sol.dual_blocks,
+        stop_reason=sol.stop_reason,
     )
     info = {
         "displacement": float(np.linalg.norm(x1 - x)),

@@ -228,6 +228,7 @@ def step_solve(
         "status": sol.status,
         "gap": sol.gap,
         "iterations": sol.iterations,
+        "stop_reason": sol.stop_reason,
     }
     _write(outdir / "solve.meta.json", cfg, "solve-meta", json.dumps(meta, indent=2) + "\n")
     return sol
@@ -248,7 +249,12 @@ def step_refine(cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = No
     if not sol.is_usable():
         raise RuntimeError(f"feasibility re-solve failed with status {sol.status}")
     _write(outdir / "refine.sol", cfg, "solution", export_solution(sol, variant))
-    rmeta = {"status": sol.status, "iterations": sol.iterations, "cap": variant.meta["cap"]}
+    rmeta = {
+        "status": sol.status,
+        "iterations": sol.iterations,
+        "stop_reason": sol.stop_reason,
+        "cap": variant.meta["cap"],
+    }
     _write(outdir / "refine.meta.json", cfg, "refine-meta", json.dumps(rmeta, indent=2) + "\n")
     return sol
 

@@ -207,5 +207,6 @@ def import_solution(text: str, p: SdpProblem) -> SdpSolution:
     for lab, c in objective.items():
         pobj += float(np.sum(np.asarray(c) * prim[lab]))
     return SdpSolution(
-        blocks=prim, y=y, objective=pobj, status="imported", gap=float("nan"), iterations=0, dual_blocks=dual
+        blocks=prim, y=y, objective=pobj, status="imported", gap=float("nan"), iterations=0,
+        dual_blocks=dual, stop_reason="imported",
     )

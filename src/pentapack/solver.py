@@ -15,12 +15,17 @@ solve against V = R^(-1) X R^(-1)).  The predictor uses Uc = -V.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from .sdp import SdpProblem, SdpSolution, standard_form
+
+log = logging.getLogger("pentapack.solver")
 
 
 @dataclass
@@ -32,7 +37,6 @@ class SolverConfig:
     mehrotra: bool = True
     sigma_fixed: float = 0.3  # centering when the corrector is disabled
     y_divergence: float = 1e10
-    verbose: bool = False
 
 
 class _BlockData:
@@ -61,6 +65,10 @@ def _eig_psd_sqrt(mat):
 
 def _max_step(x_chol, direction, frac):
     """Largest alpha <= 1 with X + alpha*dX staying in the cone (PSD block)."""
+    # Kept as general solves: scipy's triangular solve with a matrix
+    # right-hand side wakes scipy's own BLAS thread pool, which then competes
+    # with numpy's, and the default solve's stopping point is sensitive to
+    # the rounding of these step lengths.
     s = np.linalg.solve(x_chol, np.linalg.solve(x_chol, direction).T)
     lam = np.linalg.eigvalsh(_sym(s)).min()
     if lam >= 0:
@@ -139,7 +147,7 @@ class _Workspace:
 
     def restore(self, X, gram_chol, rp):
         """Minimum-norm correction moving X onto the affine constraint set."""
-        lam = np.linalg.solve(gram_chol.T, np.linalg.solve(gram_chol, rp))
+        lam = cho_solve((gram_chol, True), rp, check_finite=False)
         out = {}
         for lab, d in self.data.items():
             corr = (
@@ -170,8 +178,13 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
 
     Returns a solution with status "optimal" when the scaled duality gap and
     the primal/dual residuals all fall below their tolerances, and weaker
-    statuses otherwise; never raises on numerical trouble.
+    statuses otherwise; never raises on numerical trouble.  `stop_reason`
+    says why the iteration ended: converged, stalled (8 iterations without
+    improvement), step-stall (5 vanishing steps), y-divergence,
+    cholesky-failure or max-iter.  Logs one DEBUG line per iteration and one
+    INFO line per solve on the `pentapack.solver` logger.
     """
+    started = time.perf_counter()
     cfg = SolverConfig(gap_tol=gap_tol, feas_tol=feas_tol, **kwargs)
     ws = _Workspace(p)
     m = ws.m
@@ -194,7 +207,9 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
     y = np.zeros(m)
 
     status = "numerical-failure"
+    stop_reason = "max-iter"
     it = 0
+    ap = ad = sigma = math.nan  # the step that reached the current iterate
     stall = 0
     best = None  # (score, X, Z, y, metrics)
     no_improve = 0
@@ -217,8 +232,10 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
         )
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         gap_history.append(relgap)
-        if cfg.verbose:
-            print(f"  it {it:3d}  pobj {pobj:+.9e}  gap {relgap:.2e}  pinf {pinf:.2e}  dinf {dinf:.2e}")
+        log.debug(
+            "it %3d  pobj %+.9e  relgap %.2e  pinf %.2e  dinf %.2e  ap %.2e  ad %.2e  sigma %.2e",
+            it, pobj, relgap, pinf, dinf, ap, ad, sigma,
+        )
         score = max(pinf / cfg.feas_tol, dinf / cfg.feas_tol, relgap / cfg.gap_tol)
         if best is None or score < best[0] * 0.98:
             best = (score, {k: v.copy() for k, v in X.items()}, {k: v.copy() for k, v in Z.items()}, y.copy(), (pobj, relgap, pinf, dinf))
@@ -227,11 +244,14 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
             no_improve += 1
         if pinf <= cfg.feas_tol and dinf <= cfg.feas_tol and relgap <= cfg.gap_tol:
             status = "optimal"
+            stop_reason = "converged"
             break
         if no_improve >= 8:
-            break  # stalled; classify from the best iterate below
+            stop_reason = "stalled"  # classify from the best iterate below
+            break
         if float(np.abs(y).max(initial=0.0)) > cfg.y_divergence:
             status = "infeasible"
+            stop_reason = "y-divergence"
             break
 
         # NT scaling per block.
@@ -277,14 +297,15 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
                     shift = mnorm * (1e-13 if attempt == 0 else shift / mnorm * 1e3)
             if L is None:
                 status = "numerical-failure"
+                stop_reason = "cholesky-failure"
                 break
 
             def schur_solve(rhs):
-                x = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+                x = cho_solve((L, True), rhs, check_finite=False)
                 # one step of iterative refinement; the Schur matrix turns
                 # very ill-conditioned near convergence
                 r = rhs - M @ x - shift * x
-                return x + np.linalg.solve(L.T, np.linalg.solve(L, r))
+                return x + cho_solve((L, True), r, check_finite=False)
 
             def newton(Rc):
                 """Solve the Newton system for a given centrality target."""
@@ -359,6 +380,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
             ap, ad = step_lengths(dX, dZ)
         except (FloatingPointError, np.linalg.LinAlgError):
             status = "numerical-failure"
+            stop_reason = "cholesky-failure"
             break
 
         # Apply the step, backtracking if roundoff pushed an iterate out of
@@ -393,6 +415,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
         if max(ap, ad) < 1e-10:
             stall += 1
             if stall >= 5:
+                stop_reason = "step-stall"
                 break
         else:
             stall = 0
@@ -438,6 +461,10 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
     pobj = sum(float(np.sum(ws.data[lab].C * X[lab])) for lab in X)
     gap = ws.inner(X, Z)
     relgap = gap / (1.0 + abs(pobj) + abs(float(ws.b @ y)))
+    log.info(
+        "solve: %d iterations, status %s, stop %s, %.2f s",
+        it, status, stop_reason, time.perf_counter() - started,
+    )
     return SdpSolution(
         blocks={lab: x.copy() for lab, x in X.items()},
         y=y / ws.row_scale,
@@ -447,4 +474,5 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
         iterations=it,
         dual_blocks={lab: z.copy() for lab, z in Z.items()},
         gap_history=gap_history,
+        stop_reason=stop_reason,
     )

@@ -67,6 +67,14 @@ def test_pipeline_produces_report(tiny_run):
     assert report.lambda_value == pytest.approx(1.0, abs=1e-6)
 
 
+def test_solver_meta_records_stop_reason(tiny_run):
+    cfg, outdir, _report = tiny_run
+    reasons = {"converged", "stalled", "step-stall", "y-divergence", "cholesky-failure", "max-iter"}
+    for name, kind in (("solve.meta.json", "solve-meta"), ("refine.meta.json", "refine-meta")):
+        meta = json.loads(pipeline._read(outdir / name, cfg, kind))
+        assert meta["stop_reason"] in reasons, name
+
+
 def test_stepwise_equals_all_byte_for_byte(tiny_run, tmp_path):
     """Each step below assembles Problem A itself; `run_all` assembled it once."""
     cfg, outdir, _report = tiny_run
@@ -210,6 +218,7 @@ def test_external_file_solver_roundtrip(tiny_run, tmp_path):
     assert rc == 0
     for name in ("solve.sol", "solve.meta.json"):
         assert (cli_out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert json.loads(pipeline._read(cli_out / "solve.meta.json", cfg, "solve-meta"))["stop_reason"] == "imported"
 
 
 # Every RunConfig field at a value other than its default, under its flag.

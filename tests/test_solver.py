@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,70 @@ def lambda_max_problem(A):
     return SdpProblem(blocks, {"t": np.array([1.0, -1.0])}, eqs, [])
 
 
-def test_lambda_max():
+def test_lambda_max(caplog):
     rng = np.random.default_rng(50)
     A = rng.standard_normal((3, 3))
     A = 0.5 * (A + A.T)
-    sol = solve(lambda_max_problem(A))
+    with caplog.at_level(logging.DEBUG, logger="pentapack.solver"):
+        sol = solve(lambda_max_problem(A))
     assert sol.status == "optimal"
+    assert sol.stop_reason == "converged"
     assert sol.objective == pytest.approx(np.linalg.eigvalsh(A).max(), abs=1e-8)
+    # one DEBUG line per iteration, then one INFO line for the solve
+    records = [r for r in caplog.records if r.name == "pentapack.solver"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * sol.iterations + [logging.INFO]
+    assert "status optimal, stop converged" in records[-1].getMessage()
+
+
+def test_schur_factor_is_never_lu_solved(monkeypatch):
+    """The Schur and Gram systems are solved with their Cholesky factors."""
+    rng = np.random.default_rng(54)
+    A = rng.standard_normal((6, 6))
+    A = 0.5 * (A + A.T)
+    p = lambda_max_problem(A)
+    m = len(p.eq_constraints)  # 21, larger than every block dimension
+    shapes = []
+    lu_solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return lu_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    sol = solve(p)
+    assert sol.status == "optimal"
+    assert shapes  # the step-length computation still goes through np.linalg.solve
+    assert not [s for s in shapes if m in s[0] or m in s[1]]
+
+
+def test_dependent_rows_take_the_shifted_cholesky_path(monkeypatch):
+    rng = np.random.default_rng(60)
+    C = rng.standard_normal((4, 4))
+    C = 0.5 * (C + C.T)
+    A = rng.standard_normal((4, 4))
+    A = 0.5 * (A + A.T)
+    rows = [LinearTerm({"X": np.eye(4)}, 4.0), LinearTerm({"X": A}, float(np.trace(A)))]
+    duplicate = LinearTerm({"X": 2.0 * A}, 2.0 * float(np.trace(A)))  # twice the second row
+    reference = solve(SdpProblem([Block("X", 4, "psd")], {"X": C}, rows, []))
+
+    failed = []
+    cholesky = np.linalg.cholesky
+
+    def recording_cholesky(a):
+        try:
+            return cholesky(a)
+        except np.linalg.LinAlgError:
+            failed.append(np.shape(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    sol = solve(SdpProblem([Block("X", 4, "psd")], {"X": C}, rows + [duplicate], []))
+    # the singular Gram matrix fails once; every further 3 x 3 failure is an
+    # unshifted Schur factorisation that the shift retry recovered from
+    assert failed.count((3, 3)) > 1
+    assert sol.status == "optimal"
+    assert sol.stop_reason == "converged"
+    assert sol.objective == pytest.approx(reference.objective, abs=1e-7)
 
 
 def test_one_dimensional_lp():
@@ -88,6 +147,16 @@ def test_infeasible_detected():
     )
     sol = solve(p, max_iter=100)
     assert sol.status in ("infeasible", "numerical-failure")
+    assert (sol.status == "infeasible") == (sol.stop_reason == "y-divergence")
+
+
+def test_iteration_cap_is_reported():
+    rng = np.random.default_rng(50)
+    A = rng.standard_normal((3, 3))
+    A = 0.5 * (A + A.T)
+    sol = solve(lambda_max_problem(A), max_iter=2)
+    assert sol.iterations == 2
+    assert sol.stop_reason == "max-iter"
 
 
 def test_determinism():
