@@ -22,7 +22,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from mpmath import mp
@@ -31,8 +31,8 @@ from scipy.linalg import cho_solve
 from .fourier import CoefficientTensor, evaluate_f, lambda_of
 from .geometry import minkowski_difference, pentagon
 from .motion import ORIGIN
-from .sdp import SdpProblem, SdpSolution
-from .specfun import coeff_D_exact, laguerre_coeffs_exact
+from .sdp import LinearTerm, SdpProblem, SdpSolution
+from .specfun import tau_radial_coeffs
 
 log = logging.getLogger("pentapack.certify")
 
@@ -118,33 +118,44 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     return out, info
 
 
+def _residual_mp(rhs, terms):
+    """(sum w x - rhs, sum w^2) over the (weight, value) pairs, at the working precision.
+
+    Weights are rounded to the working precision, values lifted exactly.
+    """
+    acc = -mp.mpf(rhs)
+    nrm = mp.mpf(0)
+    for w, x in terms:
+        w = mp.mpf(w)
+        acc += w * mp.mpf(float(x))
+        nrm += w * w
+    return acc, nrm
+
+
+def _float_row_terms(t: LinearTerm, blocks: dict):
+    """(coefficient, block entry) over the nonzero coefficients of a float row."""
+    for lab, c in t.coeffs.items():
+        x = np.asarray(blocks[lab])
+        for idx, cv in np.ndenumerate(np.asarray(c)):
+            if cv != 0.0:
+                yield cv, x[idx]
+
+
 def _equality_residual_mp(sol: SdpSolution, p: SdpProblem):
     """Worst normalized equality residual as an mpf at the working precision.
 
     Uses the assembly's high-precision rows when the problem carries them and
     lifts the float rows exactly otherwise.
     """
+    if p.meta.get("hp_rows"):
+        rows = [
+            _residual_mp(rhs, ((w, sol.blocks[lab][i, j]) for (lab, i, j), w in coeffs.items()))
+            for coeffs, rhs, _label in p.meta["hp_rows"]
+        ]
+    else:
+        rows = [_residual_mp(t.rhs, _float_row_terms(t, sol.blocks)) for t in p.eq_constraints]
     worst = mp.mpf(0)
-    hp_rows = p.meta.get("hp_rows")
-    if hp_rows:
-        for coeffs, rhs, _label in hp_rows:
-            acc = -mp.mpf(rhs)
-            nrm = mp.mpf(0)
-            for (lab, i, j), w in coeffs.items():
-                w = mp.mpf(w)
-                acc += w * mp.mpf(float(sol.blocks[lab][i, j]))
-                nrm += w * w
-            worst = max(worst, abs(acc) / mp.sqrt(nrm))
-        return worst
-    for t in p.eq_constraints:
-        acc = -mp.mpf(t.rhs)
-        nrm = mp.mpf(0)
-        for lab, c in t.coeffs.items():
-            x = np.asarray(sol.blocks[lab])
-            for idx, cv in np.ndenumerate(np.asarray(c)):
-                if cv != 0.0:
-                    acc += mp.mpf(cv) * mp.mpf(float(x[idx]))
-                    nrm += mp.mpf(cv) ** 2
+    for acc, nrm in rows:
         worst = max(worst, abs(acc) / mp.sqrt(nrm))
     return worst
 
@@ -170,21 +181,7 @@ def feasibility_margin(
     with mp.workprec(precision_bits):
         worst = _equality_residual_mp(sol, p)
         for t in p.ineq_constraints:
-            acc = -mp.mpf(t.rhs)
-            nrm = mp.mpf(0)
-            for lab, c in t.coeffs.items():
-                x = np.asarray(sol.blocks[lab])
-                c = np.asarray(c)
-                if c.ndim == 2:
-                    for (i, j), cv in np.ndenumerate(c):
-                        if cv != 0.0:
-                            acc += mp.mpf(cv) * mp.mpf(float(x[i, j]))
-                            nrm += mp.mpf(cv) ** 2
-                else:
-                    for i, cv in enumerate(c):
-                        if cv != 0.0:
-                            acc += mp.mpf(cv) * mp.mpf(float(x[i]))
-                            nrm += mp.mpf(cv) ** 2
+            acc, nrm = _residual_mp(t.rhs, _float_row_terms(t, sol.blocks))
             if nrm > 0 and acc / mp.sqrt(nrm) > worst:
                 worst = acc / mp.sqrt(nrm)
         min_eig = mp.inf
@@ -255,18 +252,8 @@ def _compiled_pairs(t: CoefficientTensor):
     out = []
     for (r, s) in sorted(seen):
         weight = 1 if (r, s) == (-r, -s) else 2
-        m = abs(r - s)
-        ucoeffs = [mp.mpf(0)] * (d + 1)
-        for k in range(m // 2, d + 1):
-            v = t.get(r, s, k)
-            if v == 0.0:
-                continue
-            q, e, _ = coeff_D_exact(r, s, k)
-            dsc = mp.mpf(q.numerator) / q.denominator * mp.pi**e
-            base = mp.mpf(v) * (-1) ** (m // 2) * dsc * weight
-            for j, lam in enumerate(laguerre_coeffs_exact(k - m // 2, m)):
-                ucoeffs[m // 2 + j] += base * mp.mpf(lam.numerator) / lam.denominator * mp.pi**j
-        out.append((r, s, ucoeffs))
+        c = [mp.mpf(t.get(r, s, k)) * weight for k in range(d + 1)]
+        out.append((r, s, tau_radial_coeffs(c, abs(r - s))))
     return out
 
 
@@ -879,24 +866,26 @@ def final_bound(t: CoefficientTensor, enlargement: float = 1.02) -> float:
     return 2.0 * math.pi * f0 / lam * pentagon(enlargement).area()
 
 
-@dataclass
+@dataclass(kw_only=True)
 class VerificationReport:
+    """The report; fields in the order of the report.json keys."""
+
     min_block_eigenvalue: float
     max_constraint_residual: float
     sign_margin: float
     lipschitz_bound: float
     covering_radius: float
+    cert_margin: float = math.nan
     enlargement: float
-    certified: bool
+    certified: bool = False
     bound: float
     safety_factor: float = 1e3
-    cert_margin: float = math.nan
     witness: tuple = ()
     stream_points: int = 0
     precision_bits: int = 256
     tensor_hash: str = ""
     sample_spec: str = ""
-    lambda_value: float = math.nan
+    lambda_value: float = math.nan  # key "lambda"
     f_origin: float = math.nan
     notes: str = ""
 
@@ -912,26 +901,9 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        return {
-            "min_block_eigenvalue": self.min_block_eigenvalue,
-            "max_constraint_residual": self.max_constraint_residual,
-            "sign_margin": self.sign_margin,
-            "lipschitz_bound": self.lipschitz_bound,
-            "covering_radius": self.covering_radius,
-            "cert_margin": self.cert_margin,
-            "enlargement": self.enlargement,
-            "certified": self.certified,
-            "bound": self.bound,
-            "safety_factor": self.safety_factor,
-            "witness": list(self.witness),
-            "stream_points": self.stream_points,
-            "precision_bits": self.precision_bits,
-            "tensor_hash": self.tensor_hash,
-            "sample_spec": self.sample_spec,
-            "lambda": self.lambda_value,
-            "f_origin": self.f_origin,
-            "notes": self.notes,
-        }
+        out = {"lambda" if k == "lambda_value" else k: v for k, v in asdict(self).items()}
+        out["witness"] = list(self.witness)
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -953,21 +925,14 @@ def build_report(
     adaptive sign pass succeeded.
     """
     min_eig, max_res = feasibility_margin(sol, problem, margin_precision_bits)
-    bound = final_bound(t, verification.enlargement)
-    certified = (
-        min_eig > safety_factor * max_res
-        and verification.certified_sign
-        and verification.sign_margin + verification.lipschitz_x * verification.covering_radius <= 0.0
-    )
-    return VerificationReport(
+    report = VerificationReport(
         min_block_eigenvalue=min_eig,
         max_constraint_residual=max_res,
         sign_margin=verification.sign_margin,
         lipschitz_bound=verification.lipschitz_x,
         covering_radius=verification.covering_radius,
         enlargement=verification.enlargement,
-        certified=certified,
-        bound=bound,
+        bound=final_bound(t, verification.enlargement),
         safety_factor=safety_factor,
         cert_margin=verification.cert_margin,
         witness=verification.witness,
@@ -979,3 +944,5 @@ def build_report(
         f_origin=evaluate_f(t, ORIGIN),
         notes=verification.notes,
     )
+    report.certified = verification.certified_sign and report.invariant_holds()
+    return report

@@ -167,6 +167,12 @@ def _read(path: Path, cfg: RunConfig, kind: str) -> str:
     return _check_header(path.read_text(), cfg, kind, path)
 
 
+def _feasibility_variant(cfg: RunConfig, outdir: Path, problem: SdpProblem) -> SdpProblem:
+    """The refine problem: Problem A capped at the objective solve.meta.json records."""
+    meta = json.loads(_read(outdir / "solve.meta.json", cfg, "solve-meta"))
+    return assemble_feasibility_variant(problem, meta["objective"], margin=cfg.refine_margin)
+
+
 def _timed(step):
     """Log the wall time of each call of a pipeline step."""
     name = step.__name__.removeprefix("step_")
@@ -237,8 +243,7 @@ def step_solve(
 @_timed
 def step_refine(cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None):
     problem = _problem_for(cfg, problem)
-    meta = json.loads(_read(outdir / "solve.meta.json", cfg, "solve-meta"))
-    variant = assemble_feasibility_variant(problem, meta["objective"], margin=cfg.refine_margin)
+    variant = _feasibility_variant(cfg, outdir, problem)
     sol = solve(
         variant,
         gap_tol=1e-7,
@@ -265,11 +270,7 @@ def step_project(cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = N
     if not source.exists():
         raise FileNotFoundError(f"{source} is missing; run refine first")
     problem = _problem_for(cfg, problem)
-    variant = assemble_feasibility_variant(
-        problem,
-        json.loads(_read(outdir / "solve.meta.json", cfg, "solve-meta"))["objective"],
-        margin=cfg.refine_margin,
-    )
+    variant = _feasibility_variant(cfg, outdir, problem)
     sol = import_solution(_read(source, cfg, "solution"), variant)
     projected, info = project_affine(sol, problem)
     _write(outdir / "projected.sol", cfg, "solution", export_solution(projected, variant))
@@ -298,11 +299,7 @@ def step_bound(
     cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None
 ) -> VerificationReport:
     problem = _problem_for(cfg, problem)
-    variant = assemble_feasibility_variant(
-        problem,
-        json.loads(_read(outdir / "solve.meta.json", cfg, "solve-meta"))["objective"],
-        margin=cfg.refine_margin,
-    )
+    variant = _feasibility_variant(cfg, outdir, problem)
     projected = import_solution(_read(outdir / "projected.sol", cfg, "solution"), variant)
     tensor = CoefficientTensor.loads(_read(outdir / "tensor.txt", cfg, "tensor"))
     verification = SignVerification(**json.loads(_read(outdir / "verify.json", cfg, "verify")))

@@ -41,29 +41,28 @@ def export_sdpa(p: SdpProblem) -> str:
     lines.append(f"{len(blocks)}")
     lines.append(" ".join(str(b.dim if b.kind == "psd" else -b.dim) for b in blocks))
     lines.append(" ".join(repr(float(t.rhs)) for t in eqs))
-
-    def emit(matno, coeffs, negate=False):
-        out = []
-        for bno, blk in enumerate(blocks, start=1):
-            if blk.label not in coeffs:
-                continue
-            mat = np.asarray(coeffs[blk.label], dtype=float)
-            if blk.kind == "psd":
-                idx = [(i, j) for i in range(blk.dim) for j in range(i, blk.dim)]
-            else:
-                idx = [(i, i) for i in range(blk.dim)]
-            for i, j in idx:
-                v = float(mat[i, j]) if blk.kind == "psd" else float(mat[i])
-                if v != 0.0:
-                    if negate:
-                        v = -v
-                    out.append(f"{matno} {bno} {i + 1} {j + 1} {v!r}")
-        return out
-
-    lines += emit(0, objective, negate=True)
+    lines += _entry_lines(blocks, 0, objective, sign=-1.0)
     for idx, t in enumerate(eqs, start=1):
-        lines += emit(idx, t.coeffs)
+        lines += _entry_lines(blocks, idx, t.coeffs)
     return "\n".join(lines) + "\n"
+
+
+def _entry_lines(blocks: list[Block], matno: int, mats: dict | None, sign: float = 1.0) -> list[str]:
+    """The lines "matno blockno i j value" of the nonzero upper-triangle entries, 1-based."""
+    out = []
+    for bno, blk in enumerate(blocks, start=1):
+        if mats is None or blk.label not in mats:
+            continue
+        mat = np.asarray(mats[blk.label], dtype=float)
+        if blk.kind == "psd":
+            idx = [(i, j) for i in range(blk.dim) for j in range(i, blk.dim)]
+        else:
+            idx = [(i, i) for i in range(blk.dim)]
+        for i, j in idx:
+            v = float(mat[i, j]) if blk.kind == "psd" else float(mat[i])
+            if v != 0.0:
+                out.append(f"{matno} {bno} {i + 1} {j + 1} {sign * v!r}")
+    return out
 
 
 def parse_sdpa(text: str) -> SdpProblem:
@@ -125,28 +124,8 @@ def export_solution(sol: SdpSolution, p: SdpProblem) -> str:
     if len(sol.y) != len(eqs):
         raise DimensionMismatchError("dual vector length does not match problem")
     lines = ['"pentapack solution v1', " ".join(repr(float(v)) for v in sol.y)]
-
-    def emit(matno, source):
-        out = []
-        for bno, blk in enumerate(blocks, start=1):
-            if source is None or blk.label not in source:
-                continue
-            mat = np.asarray(source[blk.label])
-            if blk.kind == "psd":
-                for i in range(blk.dim):
-                    for j in range(i, blk.dim):
-                        v = float(mat[i, j])
-                        if v != 0.0:
-                            out.append(f"{matno} {bno} {i + 1} {j + 1} {v!r}")
-            else:
-                for i in range(blk.dim):
-                    v = float(mat[i])
-                    if v != 0.0:
-                        out.append(f"{matno} {bno} {i + 1} {i + 1} {v!r}")
-        return out
-
-    lines += emit(1, sol.dual_blocks)
-    lines += emit(2, sol.blocks)
+    lines += _entry_lines(blocks, 1, sol.dual_blocks)
+    lines += _entry_lines(blocks, 2, sol.blocks)
     lines.append('"end')
     return "\n".join(lines) + "\n"
 

@@ -27,11 +27,11 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from .fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams
+from .fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams, tau
 from .motion import MotionPoint
 from .polynomials import EvenPolynomial, conv
 from .sdp import Block, LinearTerm, SdpProblem, SdpSolution
-from .specfun import coeff_D_exact, laguerre_coeffs_exact
+from .specfun import coeff_D_mp, laguerre, laguerre_coeffs_exact, tau_radial_coeffs
 
 RETAINED_LABELS = ("Q00", "Q05", "Q10", "Q15", "R00", "R05", "S0", "S5")
 ASSEMBLY_DPS = 50  # working precision (decimal digits) for row generation
@@ -175,7 +175,29 @@ def _products(bcoefs: list[list]) -> dict[tuple[int, int, int], list]:
 
 
 # ---------------------------------------------------------------------------
-# the F, calF and W matrices (spec surfaces; also used by tests)
+# the F, calF and W matrices (spec surfaces; also used by tests).  calF is
+# defined by `fourier.tau`: calF^{ij}(p)_{(l,r)(l',s)} = tau_{r,s}(a^2i P_l P_l')(p).
+
+
+def _spec(params: ModelParams, family: str, i: int, j: int) -> BlockSpec:
+    return next(
+        bs for bs in block_specs(params, retained=False)
+        if bs.family == family and bs.i == i and bs.j == j
+    )
+
+
+def _f_entries(specs, r: int, s: int):
+    """The slots of F^i_{r,s;k} in the given Q blocks (they do not depend on k).
+
+    Yields (block label, row, column, product key (i, l, l')), l and l'
+    ascending, with (F^i_{r,s;k})_{(l,r)(l',s)} = coeff(a^2k, a^2i P_l P_l').
+    """
+    for bs in specs:
+        pos = {t: n for n, t in enumerate(bs.index)}
+        half = bs.index[-1][0]
+        for l in range(half + 1):
+            for lp in range(half + 1):
+                yield bs.label, pos[(l, r)], pos[(lp, s)], (bs.i, l, lp)
 
 
 def build_F(i: int, r: int, s: int, k: int, b: BasisPolynomials, N: int | None = None) -> np.ndarray:
@@ -183,59 +205,25 @@ def build_F(i: int, r: int, s: int, k: int, b: BasisPolynomials, N: int | None =
     if (r - s) % ANGULAR_MODULUS != 0:
         raise ValueError("r and s must lie in a common residue class mod 10")
     params = ModelParams(N if N is not None else max(abs(r), abs(s), 1), b.d)
-    spec = next(
-        bs for bs in block_specs(params, retained=False)
-        if bs.family == "Q" and bs.i == i and bs.j == r % ANGULAR_MODULUS
-    )
+    spec = _spec(params, "Q", i, r % ANGULAR_MODULUS)
     prods = _products(realize_basis(b.d))
     mat = np.zeros((spec.dim, spec.dim))
-    pos = {t: n for n, t in enumerate(spec.index)}
-    half = b.d // 2
-    for l in range(half + 1):
-        for lp in range(half + 1):
-            c = prods[(i, l, lp)]
-            if k < len(c):
-                mat[pos[(l, r)], pos[(lp, s)]] = float(c[k])
+    for _, a, b_idx, key in _f_entries([spec], r, s):
+        c = prods[key]
+        if k < len(c):
+            mat[a, b_idx] = float(c[k])
     return mat
-
-
-def _dscal_float(m: int, k: int) -> float:
-    q, e, _ = coeff_D_exact(m, 0, k)
-    return float(q) * math.pi**e
 
 
 def build_calF(i: int, j: int, p: MotionPoint, b: BasisPolynomials, N: int) -> np.ndarray:
     """The matrix calF^{ij}(p) with entries tau_{r,s}(a^2i P_l P_l')(p)."""
-    params = ModelParams(N, b.d)
-    spec = next(
-        bs for bs in block_specs(params, retained=False)
-        if bs.family == "Q" and bs.i == i and bs.j == j
-    )
+    spec = _spec(ModelParams(N, b.d), "Q", i, j)
     prods = _products(realize_basis(b.d))
-    t = math.pi * p.rho * p.rho
     mat = np.zeros((spec.dim, spec.dim), dtype=complex)
     for a_idx, (l, r) in enumerate(spec.index):
         for b_idx, (lp, s) in enumerate(spec.index):
-            m = abs(r - s)
-            c = prods[(i, l, lp)]
-            radial = 0.0
-            for k in range(m // 2, len(c)):
-                if c[k] == 0:
-                    continue
-                lag = _laguerre_value(k - m // 2, m, t)
-                radial += float(c[k]) * _dscal_float(m, k) * p.rho**m * lag
-            phase = (-1.0) ** (m // 2) * np.exp(-1j * (s * p.alpha + (r - s) * p.theta))
-            mat[a_idx, b_idx] = phase * radial
+            mat[a_idx, b_idx] = tau(r, s, EvenPolynomial(prods[(i, l, lp)]), p)
     return mat
-
-
-def _laguerre_value(n: int, m: int, x) -> float:
-    if n == 0:
-        return 1.0
-    prev, curr = 1.0, 1.0 + m - x
-    for j in range(1, n):
-        prev, curr = curr, ((2 * j + 1 + m - x) * curr - (j + m) * prev) / (j + 1)
-    return curr
 
 
 @dataclass(frozen=True)
@@ -270,11 +258,7 @@ class LaurentMatrix:
 
 def build_W(i: int, j: int, b: BasisPolynomials, N: int) -> LaurentMatrix:
     """W^{ij} over {0..d/2} x P_j: entry = rho^2i P_l P_l' z1^(u'-u) z2^(v'-v)."""
-    params = ModelParams(N, b.d)
-    spec = next(
-        bs for bs in block_specs(params, retained=False)
-        if bs.family == "R" and bs.i == i and bs.j == j
-    )
+    spec = _spec(ModelParams(N, b.d), "R", i, j)
     prods = _products(realize_basis(b.d))
     entries = {}
     for a_idx, (l, (u, v)) in enumerate(spec.index):
@@ -395,10 +379,13 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     symmetries, are pruned; the manifest in `meta` records everything.
     """
     N, d = params.N, params.d
-    half = d // 2
     specs = block_specs(params)
-    spec_by_label = {b.label: b for b in specs}
     dims = {b.label: b.dim for b in specs}
+    q_block = {(b.i, b.j): b for b in specs if b.family == "Q"}
+
+    def q_blocks(j, i_values=(0, 1)):
+        return [q_block[i, j] for i in i_values if (i, j) in q_block]
+
     isets = index_sets(N)
     manifest: list[str] = []
     pruned = {"zero": 0, "duplicate": 0}
@@ -412,32 +399,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     with mp.workdps(ASSEMBLY_DPS):
         bco = realize_basis(d, high_precision=True)
         prods = _products(bco)
-        # D-scalar and Laguerre tables at working precision.
-        pi = mp.pi
-        dscal = {}
-        lag_exact = {}
-        for m in sorted(m_values):
-            for k in range(m // 2, d + 1):
-                q, e, _ = coeff_D_exact(m, 0, k)
-                dscal[(m, k)] = mp.mpf(q.numerator) / q.denominator * pi**e
-                lag_exact[(m, k)] = [
-                    mp.mpf(c.numerator) / c.denominator
-                    for c in laguerre_coeffs_exact(k - m // 2, m)
-                ]
         T = bco  # B_k coefficients in u = rho^2, lower triangular
-
-        def tau_upoly(i, l, lp, m):
-            """Coefficients in u = rho^2 of tau_{r,s}(a^2i P_l P_l')(rho) / phase, m = |r - s|."""
-            c = prods[(i, l, lp)]
-            out = [mp.mpf(0)] * (d + 1)
-            sign = (-1) ** (m // 2)
-            for k in range(m // 2, len(c)):
-                if c[k] == 0:
-                    continue
-                base = sign * c[k] * dscal[(m, k)]
-                for t_pow, lam in enumerate(lag_exact[(m, k)]):
-                    out[m // 2 + t_pow] += base * lam * pi**t_pow
-            return out
 
         # ------------------------------------------------------------------
         # cylinder identity rows, one per raw z-monomial class; classes whose
@@ -457,7 +419,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
         def entry_upoly(family, i, l, lp, m=0):
             """Coefficients in u of the polynomial a block entry adds to the identity."""
             if family == "Q":
-                return tau_upoly(i, l, lp, m)
+                return tau_radial_coeffs(prods[(i, l, lp)], m)
             base = prods[(i, l, lp)]
             if family == "R":
                 return base
@@ -516,7 +478,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
         # structural zero rows (low k against large |r-s|), Q blocks only
         seen_pairs = set()
         for j in range(ANGULAR_MODULUS):
-            if f"Q0{j}" not in spec_by_label:
+            if (0, j) not in q_block:
                 continue
             for r in isets[j]:
                 for s in isets[j]:
@@ -526,16 +488,10 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                     seen_pairs.add((min(r, s), max(r, s)))
                     for k in range(min(m // 2, d + 1)):
                         row = _RowAccumulator(f"lowk[r={r},s={s};k={k}]")
-                        for i in (0, 1):
-                            lab = f"Q{i}{j}"
-                            if lab not in spec_by_label:
-                                continue
-                            pos = {t: n for n, t in enumerate(spec_by_label[lab].index)}
-                            for l in range(half + 1):
-                                for lp in range(half + 1):
-                                    c = prods[(i, l, lp)]
-                                    if k < len(c) and c[k] != 0:
-                                        row.add(lab, pos[(l, r)], pos[(lp, s)], c[k])
+                        for lab, a, b, key in _f_entries(q_blocks(j), r, s):
+                            c = prods[key]
+                            if k < len(c) and c[k] != 0:
+                                row.add(lab, a, b, c[k])
                         if row.max_abs() < 1e-30:
                             pruned["zero"] += 1
                         else:
@@ -545,11 +501,9 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
         # negation-symmetry rows f_{r,s;k} = f_{-r,-s;k}
         seen_orbits = set()
         for j in range(ANGULAR_MODULUS):
-            if f"Q0{j}" not in spec_by_label:
-                continue
             jn = (-j) % ANGULAR_MODULUS
-            if f"Q0{jn}" not in spec_by_label:
-                continue  # partner class discarded; row would be vacuous
+            if (0, j) not in q_block or (0, jn) not in q_block:
+                continue  # class or partner class discarded; row would be vacuous
             for r in isets[j]:
                 for s in isets[j]:
                     orbit = frozenset(((r, s), (s, r), (-r, -s), (-s, -r)))
@@ -562,16 +516,11 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                     for k in range(d + 1):
                         row = _RowAccumulator(f"realpair[r={r},s={s};k={k}]")
                         for i in (0, 1):
-                            lab, labn = f"Q{i}{j}", f"Q{i}{jn}"
-                            for sign, ll, rr, ss in ((1, lab, r, s), (-1, labn, -r, -s)):
-                                if ll not in spec_by_label:
-                                    continue
-                                pos = {t: n for n, t in enumerate(spec_by_label[ll].index)}
-                                for l in range(half + 1):
-                                    for lp in range(half + 1):
-                                        c = prods[(i, l, lp)]
-                                        if k < len(c) and c[k] != 0:
-                                            row.add(ll, pos[(l, rr)], pos[(lp, ss)], sign * c[k])
+                            for sign, jj, rr, ss in ((1, j, r, s), (-1, jn, -r, -s)):
+                                for lab, a, b, key in _f_entries(q_blocks(jj, (i,)), rr, ss):
+                                    c = prods[key]
+                                    if k < len(c) and c[k] != 0:
+                                        row.add(lab, a, b, sign * c[k])
                         if row.max_abs() < 1e-30:
                             pruned["zero"] += 1
                         else:
@@ -580,16 +529,9 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
         # ------------------------------------------------------------------
         # normalization: f_{0,0;0} = 1
         norm_row = _RowAccumulator("normalization")
-        for i in (0, 1):
-            lab = f"Q{i}0"
-            if lab not in spec_by_label:
-                continue
-            pos = {t: n for n, t in enumerate(spec_by_label[lab].index)}
-            for l in range(half + 1):
-                for lp in range(half + 1):
-                    c = prods[(i, l, lp)]
-                    if c[0] != 0:
-                        norm_row.add(lab, pos[(l, 0)], pos[(lp, 0)], c[0])
+        for lab, a, b, key in _f_entries(q_blocks(0), 0, 0):
+            if prods[key][0] != 0:
+                norm_row.add(lab, a, b, prods[key][0])
         eq_rows.append((norm_row, 1.0))
 
         # ------------------------------------------------------------------
@@ -602,11 +544,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                 for b_idx, (lp, s) in enumerate(bs.index):
                     if r != s:
                         continue
-                    c = prods[(bs.i, l, lp)]
-                    val = mp.mpf(0)
-                    for k in range(len(c)):
-                        if c[k] != 0:
-                            val += c[k] * dscal[(0, k)]
+                    val = tau_radial_coeffs(prods[(bs.i, l, lp)], 0)[0]  # f at the identity
                     if val != 0:
                         obj_row.add(bs.label, a_idx, b_idx, val)
 
@@ -615,7 +553,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
         # re-evaluates f in high precision independently of these rows)
         ineq_terms: list[LinearTerm] = []
         prods_f = {k: [float(c) for c in v] for k, v in prods.items()}
-        dscal_f = {k: float(v) for k, v in dscal.items()}
+        dscal_f = {(m, k): float(coeff_D_mp(m, k)) for m in m_values for k in range(m // 2, d + 1)}
         for idx, pt in enumerate(sample):
             if pt.rho > 1.0 + 1e-9:
                 raise ValueError(f"sample point {idx} violates rho <= 1")
@@ -623,7 +561,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
             lag_val = {}
             for m in sorted(m_values):
                 for k in range(m // 2, d + 1):
-                    lag_val[(m, k)] = _laguerre_value(k - m // 2, m, trho)
+                    lag_val[(m, k)] = laguerre(k - m // 2, m, trho)
             mats: dict[str, np.ndarray] = {}
             for bs in specs:
                 if bs.family != "Q":
@@ -730,7 +668,6 @@ def recover_tensor(sol: SdpSolution, params: ModelParams) -> CoefficientTensor:
     representative so the tensor invariants hold exactly.
     """
     N, d = params.N, params.d
-    half = d // 2
     specs = block_specs(params)
     prods = {k: [float(c) for c in v] for k, v in _products(realize_basis(d)).items()}
     n = 2 * N + 1
@@ -744,18 +681,16 @@ def recover_tensor(sol: SdpSolution, params: ModelParams) -> CoefficientTensor:
         Q = np.asarray(sol.blocks[bs.label])
         if Q.shape != (bs.dim, bs.dim):
             raise ValueError(f"block {bs.label} has shape {Q.shape}, expected {(bs.dim, bs.dim)}")
-        pos = {t: idx for idx, t in enumerate(bs.index)}
         rs = index_sets(N)[bs.j]
         for r in rs:
             for s in rs:
                 covered[r + N, s + N] = True
-                for l in range(half + 1):
-                    for lp in range(half + 1):
-                        c = prods[(bs.i, l, lp)]
-                        q = Q[pos[(l, r)], pos[(lp, s)]]
-                        for k in range(len(c)):
-                            if c[k] != 0.0:
-                                raw[r + N, s + N, k] += c[k] * q
+                for _, a, b, key in _f_entries([bs], r, s):
+                    c = prods[key]
+                    q = Q[a, b]
+                    for k in range(len(c)):
+                        if c[k] != 0.0:
+                            raw[r + N, s + N, k] += c[k] * q
     out = np.zeros_like(raw)
     for r in range(-N, N + 1):
         for s in range(-N, N + 1):

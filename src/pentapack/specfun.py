@@ -6,8 +6,10 @@ Hankel-type integral
 
     int_0^inf a^(2k+1) e^(-pi a^2) J_{s-r}(2 pi a rho) da
 
-to its hypergeometric closed form.  All gamma values appearing here have
-positive integer arguments, so plain factorials suffice.
+to its hypergeometric closed form, and `tau_radial_coeffs`, the one
+high-precision expansion of the radial part of tau_{r,s} in u = rho^2.  All
+gamma values appearing here have positive integer arguments, so plain
+factorials suffice.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from mpmath import mp
 from scipy.integrate import quad
 
 _SERIES_CUTOFF = 9.0  # |z| above which the power series loses too many digits
@@ -202,10 +205,35 @@ def coeff_D_exact(r: int, s: int, k: int) -> tuple[Fraction, int, int]:
     return q, m // 2 - k - 1, m
 
 
+def coeff_D_mp(m: int, k: int):
+    """D_{r,s;k}(rho) / rho^m for m = |r - s|, in mpmath at the working precision."""
+    q, e, _ = coeff_D_exact(m, 0, k)
+    return mp.mpf(q.numerator) / q.denominator * mp.pi**e
+
+
 def coeff_D(r: int, s: int, k: int, rho: float) -> float:
     """D_{r,s;k}(rho) = C_{r,s;k}(rho) n! / (|r-s|+1)_n with n = k - |r-s|/2."""
     q, e, m = coeff_D_exact(r, s, k)
     return float(q) * math.pi**e * rho**m
+
+
+def tau_radial_coeffs(c, m: int) -> list:
+    """Coefficients in u = rho^2 of the radial part of tau_{r,s}(sum_k c_k a^(2k)).
+
+    That part is (-1)^(m/2) sum_k c_k D_{r,s;k}(rho) L^m_{k-m/2}(pi rho^2)
+    with m = |r - s| even, a polynomial in u divisible by u^(m/2); the phase
+    e^(-i(s alpha + (r-s) theta)) is left out.  The values are mpmath numbers
+    at the working precision, one per entry of c.
+    """
+    out = [mp.mpf(0)] * len(c)
+    sign = (-1) ** (m // 2)
+    for k in range(m // 2, len(c)):
+        if c[k] == 0:
+            continue
+        base = sign * c[k] * coeff_D_mp(m, k)
+        for j, lam in enumerate(laguerre_coeffs_exact(k - m // 2, m)):
+            out[m // 2 + j] += base * (mp.mpf(lam.numerator) / lam.denominator) * mp.pi**j
+    return out
 
 
 def hankel_closed_form(r: int, s: int, k: int, rho: float) -> float:

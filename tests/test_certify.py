@@ -10,6 +10,7 @@ from pentapack.certify import (
     FloatEvaluator,
     MpEvaluator,
     RankDeficiencyError,
+    VerificationReport,
     VerifySpec,
     _lipschitz_pair,
     feasibility_margin,
@@ -20,7 +21,7 @@ from pentapack.certify import (
     verify_nonpositivity,
 )
 from pentapack.fourier import CoefficientTensor, ModelParams, evaluate_f, random_positive_tensor
-from pentapack.geometry import constraint_sample, pentagon
+from pentapack.geometry import constraint_sample, pentagon, verification_sample
 from pentapack.motion import MotionPoint
 from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution
 from pentapack.sos import assemble_problem_A
@@ -193,6 +194,13 @@ def test_verify_certifies_negative_tensor():
     assert sv.sign_margin + sv.lipschitz_x * sv.covering_radius == pytest.approx(
         sv.cert_margin, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("alpha_count,grid_n", [(5, 24), (8, 64), (33, 40)])
+def test_verify_streams_the_verification_sample(alpha_count, grid_n):
+    spec = VerifySpec(alpha_count=alpha_count, grid_n=grid_n, max_depth=0)
+    sv = verify_nonpositivity(scaled_unit_tensor(-1.0), 1.02, spec, 128)
+    assert sv.stream_points == sum(1 for _ in verification_sample(alpha_count, grid_n, 1.02))
 
 
 def test_verify_flags_positive_tensor():
@@ -407,6 +415,23 @@ def test_verify_logs_one_summary_line(caplog):
 
 
 # -- bound -------------------------------------------------------------------
+
+
+def test_report_dict_follows_the_field_order():
+    report = VerificationReport(
+        min_block_eigenvalue=1e-6, max_constraint_residual=1e-15, sign_margin=-1e-3,
+        lipschitz_bound=2.0, covering_radius=1e-4, enlargement=1.02, bound=0.98,
+        witness=(0.5, 1.0, 0.1), lambda_value=1.0,
+    )
+    d = report.to_dict()
+    assert list(d) == [
+        "min_block_eigenvalue", "max_constraint_residual", "sign_margin", "lipschitz_bound",
+        "covering_radius", "cert_margin", "enlargement", "certified", "bound", "safety_factor",
+        "witness", "stream_points", "precision_bits", "tensor_hash", "sample_spec", "lambda",
+        "f_origin", "notes",
+    ]
+    assert d["witness"] == [0.5, 1.0, 0.1] and d["lambda"] == 1.0 and d["certified"] is False
+    assert report.to_text().splitlines()[11] == "witness: [0.5, 1.0, 0.1]"
 
 
 def test_final_bound_formula():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -8,6 +9,7 @@ from pentapack.fourier import ModelParams, evaluate_f, lambda_of
 from pentapack.geometry import constraint_sample
 from pentapack.motion import MotionPoint
 from pentapack.polynomials import conv
+from pentapack.sdpa import export_sdpa
 from pentapack.sos import (
     assemble_feasibility_variant,
     assemble_problem_A,
@@ -110,12 +112,33 @@ def test_W_matrix_structure():
 
 
 @pytest.fixture(scope="module")
-def small_solved():
+def small_problem():
+    return assemble_problem_A(ModelParams(5, 5), constraint_sample(3, 16, 1.02))
+
+
+@pytest.fixture(scope="module")
+def small_solved(small_problem):
     params = ModelParams(5, 5)
     sample = constraint_sample(3, 16, 1.02)
-    problem = assemble_problem_A(params, sample)
-    sol = solve(problem)
-    return params, sample, problem, sol
+    sol = solve(small_problem)
+    return params, sample, small_problem, sol
+
+
+# SHA-256 of the SDPA export and of the exact binary values (mpf man_exp) of
+# the high-precision rows of `small_problem`; any rounding change in any
+# row, float or high-precision, changes one of them.
+SMALL_SDPA_SHA256 = "f6b9814a4f68baee111d499ce8617c99b441d6fbc785e44d3f3ee584f312f63f"
+SMALL_HP_ROWS_SHA256 = "0d37c8e1a72654659ccbae548daa01c0c77cc1a0a7ce03c4f47130a73de75fe7"
+
+
+def test_assembly_is_bit_stable(small_problem):
+    assert hashlib.sha256(export_sdpa(small_problem).encode()).hexdigest() == SMALL_SDPA_SHA256
+    h = hashlib.sha256()
+    for coeffs, rhs, label in small_problem.meta["hp_rows"]:
+        h.update(f"{label} {rhs.man_exp}\n".encode())
+        for key in sorted(coeffs):
+            h.update(f"{key} {coeffs[key].man_exp}\n".encode())
+    assert h.hexdigest() == SMALL_HP_ROWS_SHA256
 
 
 def test_problem_A_solves_and_normalizes(small_solved):

@@ -4,7 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+from mpmath import mp
 
+from pentapack.fourier import tau
+from pentapack.motion import MotionPoint
+from pentapack.polynomials import EvenPolynomial
 from pentapack.specfun import (
     bessel_j,
     bessel_j_integral_oracle,
@@ -16,6 +20,7 @@ from pentapack.specfun import (
     laguerre,
     laguerre_coeffs_exact,
     pochhammer,
+    tau_radial_coeffs,
 )
 
 
@@ -135,3 +140,35 @@ def test_hankel_identity_spot(r, s, k, rho):
     assert hankel_integral_oracle(r, s, k, rho) == pytest.approx(
         hankel_closed_form(r, s, k, rho), abs=1e-9
     )
+
+
+def _tau_radial_float(m, c, rho):
+    """(-1)^(m/2) sum_k c_k D_{r,s;k}(rho) L^m_{k-m/2}(pi rho^2) from the float coeff_D and laguerre.
+
+    fourier.tau refuses |r - s| not divisible by 10, so m = 2 spells its sum out.
+    """
+    if m % 10 == 0:
+        return tau(m, 0, EvenPolynomial(c), MotionPoint(rho, 0.0, 0.0)).real
+    x = math.pi * rho * rho
+    return (-1) ** (m // 2) * sum(
+        ck * coeff_D(m, 0, k, rho) * laguerre(k - m // 2, m, x) for k, ck in enumerate(c) if k >= m // 2
+    )
+
+
+@pytest.mark.parametrize("m", [0, 2, 10, 20])
+def test_tau_radial_coeffs_match_float_tau(m):
+    # The mp u-polynomial at u = rho^2 against the float closed form; the
+    # signs at m = 2, 10 (negative) and 0, 20 (positive) and the magnitudes
+    # of the D and Laguerre factors all enter.
+    rng = np.random.default_rng(50 + m)
+    c = rng.standard_normal(13)
+    with mp.workprec(128):
+        u = tau_radial_coeffs([mp.mpf(float(ck)) for ck in c], m)
+        assert len(u) == len(c) and all(v == 0 for v in u[: m // 2])
+        for rho in np.linspace(0.0, 1.5, 16):
+            got = float(mp.polyval(u[::-1], mp.mpf(float(rho)) ** 2))
+            scale = sum(
+                abs(ck * coeff_D(m, 0, k, rho) * laguerre(k - m // 2, m, math.pi * rho * rho))
+                for k, ck in enumerate(c) if k >= m // 2
+            )
+            assert got == pytest.approx(_tau_radial_float(m, c, rho), rel=0, abs=1e-12 * scale)
