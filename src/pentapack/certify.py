@@ -31,7 +31,7 @@ from scipy.linalg import cho_solve
 from .fourier import CoefficientTensor, evaluate_f, lambda_of
 from .geometry import minkowski_difference, pentagon
 from .motion import ORIGIN
-from .sdp import LinearTerm, SdpProblem, SdpSolution
+from .sdp import LinearTerm, SdpProblem, SdpSolution, stack_rows
 from .specfun import tau_radial_coeffs
 
 log = logging.getLogger("pentapack.certify")
@@ -45,29 +45,6 @@ class RankDeficiencyError(ValueError):
 # projection onto the equality constraints
 
 
-def _stack_layout(p: SdpProblem):
-    labels = [b.label for b in p.blocks]
-    offs, total = {}, 0
-    for b in p.blocks:
-        offs[b.label] = total
-        total += b.dim * b.dim if b.kind == "psd" else b.dim
-    return labels, offs, total
-
-
-def _stack_rows(p: SdpProblem):
-    labels, offs, total = _stack_layout(p)
-    rows, rhs = [], []
-    for t in p.eq_constraints:
-        row = np.zeros(total)
-        for lab, c in t.coeffs.items():
-            c = np.asarray(c)
-            row[offs[lab]: offs[lab] + c.size] = c.ravel()
-        n = float(np.linalg.norm(row))
-        rows.append(row / n)
-        rhs.append(t.rhs / n)
-    return labels, offs, total, np.array(rows), np.array(rhs)
-
-
 def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     """Least-squares projection of the blocks onto the equality subspace.
 
@@ -75,17 +52,14 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     with diagnostics: displacement norm and pre/post residuals.  Raises
     RankDeficiencyError when dependent rows survived assembly pruning.
     """
-    labels, offs, total, A, b = _stack_rows(p)
+    A, b = stack_rows(p.blocks, p.eq_constraints)
     m = len(A)
     svals = np.linalg.svd(A, compute_uv=False)
     if svals[-1] < 1e-8 * svals[0]:
         raise RankDeficiencyError(
             f"equality system nearly rank-deficient (sigma_min/sigma_max = {svals[-1]/svals[0]:.2e})"
         )
-    x = np.zeros(total)
-    for lab in labels:
-        blk = np.asarray(sol.blocks[lab])
-        x[offs[lab]: offs[lab] + blk.size] = blk.ravel()
+    x = np.concatenate([np.ravel(sol.blocks[blk.label]) for blk in p.blocks])
     pre = A @ x - b
     G = np.linalg.cholesky(A @ A.T)
     x1 = x.copy()
@@ -94,11 +68,12 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
         lam = cho_solve((G, True), r, check_finite=False)
         x1 = x1 - A.T @ lam
     post = A @ x1 - b
-    blocks = dict(sol.blocks)
-    for lab in labels:
-        blk = np.asarray(sol.blocks[lab])
-        v = x1[offs[lab]: offs[lab] + blk.size].reshape(blk.shape)
-        blocks[lab] = 0.5 * (v + v.T) if v.ndim == 2 else v
+    blocks, at = dict(sol.blocks), 0
+    for blk in p.blocks:
+        shape = np.shape(sol.blocks[blk.label])
+        v = x1[at: at + math.prod(shape)].reshape(shape)
+        at += v.size
+        blocks[blk.label] = 0.5 * (v + v.T) if v.ndim == 2 else v
     out = SdpSolution(
         blocks=blocks,
         y=sol.y.copy(),
@@ -472,9 +447,9 @@ def tensor_hash(t: CoefficientTensor) -> str:
 class VerifySpec:
     """Geometry of the verification sweep (matches verification_sample)."""
 
-    alpha_count: int = 17
-    grid_n: int = 160
-    max_depth: int = 8
+    alpha_count: int
+    grid_n: int
+    max_depth: int
 
 
 @dataclass
@@ -572,13 +547,6 @@ class _Leaders:
         return [it for h, it in self.items if h >= self.floor]
 
 
-class _Children:
-    """The 8 children of a split box, screened and evaluated together."""
-
-    __slots__ = ("next", "xlo", "ylo", "h", "alpha", "ha", "depth", "a", "b",
-                 "cx", "cy", "lo", "hi", "glo", "ghi", "action", "fallback", "sub")
-
-
 def verify_nonpositivity(
     t: CoefficientTensor,
     enlargement: float,
@@ -599,10 +567,12 @@ def verify_nonpositivity(
     residual is reported separately.
 
     fc is float(f_mp), f_mp the `MpEvaluator` value at `precision_bits`.
-    The stream pass handles one alpha slice per numpy batch; refinement
-    pops boxes last-in first-out and evaluates the 8 children of a split
-    together.  Every value comes first from `FloatEvaluator` as v with a
-    proved radius E, |v - f_mp| <= E: Higham's gamma_n bounds for u = x^2 +
+    The stream pass handles one alpha slice per numpy batch.  Refinement
+    takes the split level-0 boxes last-in first-out and visits each box's
+    children depth first, from the last child to the first; the children
+    of all split siblings are evaluated in one batch.  Every value comes
+    first from `FloatEvaluator` as v with a proved radius E, |v - f_mp| <=
+    E: Higham's gamma_n bounds for u = x^2 +
     y^2, the angle-addition recurrence, Horner, the pair sum and exp give
     |v - f| <= gamma_n S with n = 4d + 7M + J + 42 (163 at N=5, d=11) and
     S = e^(-pi u) sum |c_k| u^k, and E = 2^-40 S is 50 times that (the
@@ -714,7 +684,7 @@ def verify_nonpositivity(
     ylo0 = np.repeat(edges0, sample_spec.grid_n)
     h0, ha0 = 0.5 * dx0, 0.5 * dalpha
     a0, b0 = L_x * math.sqrt(2.0) * h0, L_a * ha0
-    stack: list = []
+    split0: list = []  # level-0 boxes (xlo, ylo, alpha) to refine
     for ia in range(sample_spec.alpha_count):
         amid = alpha_lo + (ia + 0.5) * dalpha
         geo, _, _, (cos_s, sin_s) = alpha_data(amid)
@@ -732,13 +702,17 @@ def verify_nonpositivity(
         for i in np.flatnonzero(action == 1).tolist():
             fail(cxl[i], cyl[i], amid, lol[i], hil[i], a0, b0)
         split = idx[action == 2]
-        stack.extend((x, y, amid) for x, y in zip(xlo0[split].tolist(), ylo0[split].tolist()))
+        split0.extend((x, y, amid) for x, y in zip(xlo0[split].tolist(), ylo0[split].tolist()))
 
-    def expand(parents, h, ha, depth) -> list[_Children]:
-        """The 8 children of each parent box (xlo, ylo, alpha), decided in one batch."""
+    def expand(parents, h, ha, depth):
+        """The 8 children of each parent box (xlo, ylo, alpha), decided in one batch.
+
+        Per parent, its children in the order da in (-ha/2, ha/2), then ddx
+        in (0, h), then ddy in (0, h): None where the screen drops the child
+        (outside the disk or inside the difference), else (xlo, ylo, alpha,
+        cx, cy, lo, hi, glo, ghi, action, needed mp) from `batch`.
+        """
         hh, hha = 0.5 * h, 0.5 * ha
-        n = len(parents)
-        # child order: da in (-ha/2, ha/2), then ddx in (0, h), then ddy in (0, h)
         xs = (np.array([p[0] for p in parents])[:, None] + np.array([0.0, 0.0, h, h] * 2)).ravel()
         ys = (np.array([p[1] for p in parents])[:, None] + np.array([0.0, h, 0.0, h] * 2)).ravel()
         alphas = [p[2] + da for p in parents for da in (-hha, hha)]
@@ -750,55 +724,53 @@ def verify_nonpositivity(
         per_box = [al for al in alphas for _ in range(4)]
         idx, cx, cy, _, lo, hi, glo, ghi, action, amb = batch(
             xs, ys, hh, hha, per_box, geo, cos_s, sin_s, depth + 1)
+        xs, ys, kids = xs.tolist(), ys.tolist(), [None] * len(per_box)
+        for k, *decided in zip(idx.tolist(), cx.tolist(), cy.tolist(), lo.tolist(), hi.tolist(),
+                               glo.tolist(), ghi.tolist(), action.tolist(), amb.tolist()):
+            kids[k] = (xs[k], ys[k], per_box[k], *decided)
+        return [kids[k: k + 8] for k in range(0, len(kids), 8)]
 
-        def spread(vals, fill):
-            out = np.full(8 * n, fill, dtype=vals.dtype)
-            out[idx] = vals
-            return out.tolist()
+    def over_budget():
+        return n_failures >= 200 or evaluations >= 20_000_000
 
-        cols = [xs.tolist(), ys.tolist(), spread(cx, 0.0), spread(cy, 0.0), spread(lo, 0.0), spread(hi, 0.0),
-                spread(glo, 0.0), spread(ghi, 0.0), spread(action, -1), spread(amb, False), per_box]
-        a, b = L_x * math.sqrt(2.0) * hh, L_a * hha
-        out = []
-        for k in range(n):
-            ch = _Children()
-            (ch.xlo, ch.ylo, ch.cx, ch.cy, ch.lo, ch.hi, ch.glo, ch.ghi, ch.action, ch.fallback,
-             ch.alpha) = (col[8 * k: 8 * k + 8] for col in cols)
-            ch.next, ch.h, ch.ha, ch.depth, ch.a, ch.b, ch.sub = 7, hh, hha, depth + 1, a, b, None
-            out.append(ch)
-        return out
+    def visit(children, h, ha, depth):
+        """Decide the children of one box, last to first, refining those that split.
 
-    # Refinement pass, bounded by the failure and evaluation budgets.  The
-    # stack holds level-0 boxes to split, as (xlo, ylo, alpha), or _Children;
-    # the children of a _Children that split are expanded together when it
-    # first reaches the top.
+        The children have half-widths (h, ha) and sit at `depth`; the
+        children of all that split are expanded together.  Returns False
+        once the failure or evaluation budget is spent.
+        """
+        nonlocal evaluations, decided_by_mp
+        if over_budget():
+            return False
+        split = [c[:3] for c in children if c is not None and c[9] == 2]  # action 2: split
+        subs = expand(split, h, ha, depth) if split else []
+        a, b = L_x * math.sqrt(2.0) * h, L_a * ha
+        for child in reversed(children):
+            if over_budget():
+                return False
+            if child is None:
+                continue
+            _, _, alpha, cx, cy, lo, hi, glo, ghi, action, amb = child
+            evaluations += 1
+            decided_by_mp += amb
+            if action == 2:
+                if not visit(subs.pop(), 0.5 * h, 0.5 * ha, depth + 1):
+                    return False
+                continue
+            item = (cx, cy, alpha, lo, hi, a, b)
+            cert.add(glo, ghi, item)
+            if action == 1:
+                fail(*item)
+        return True
+
+    # Refinement pass, bounded by the failure and evaluation budgets; split
+    # level-0 boxes are refined last-in first-out.
     aborted = False
-    while stack:
-        if n_failures >= 200 or evaluations >= 20_000_000:
+    for box in reversed(split0):
+        if over_budget() or not visit(expand([box], h0, ha0, 0)[0], 0.5 * h0, 0.5 * ha0, 1):
             aborted = True
             break
-        ch = stack[-1]
-        if type(ch) is tuple:
-            ch = stack[-1] = expand([ch], h0, ha0, 0)[0]
-        if ch.sub is None:
-            split = [i for i in range(8) if ch.action[i] == 2]
-            parents = [(ch.xlo[i], ch.ylo[i], ch.alpha[i]) for i in split]
-            ch.sub = dict(zip(split, expand(parents, ch.h, ch.ha, ch.depth))) if split else {}
-        i = ch.next
-        ch.next -= 1
-        if i == 0:
-            stack.pop()
-        if ch.action[i] < 0:  # outside the disk or inside the difference
-            continue
-        evaluations += 1
-        decided_by_mp += ch.fallback[i]
-        if ch.action[i] == 2:
-            stack.append(ch.sub[i])
-            continue
-        item = (ch.cx[i], ch.cy[i], ch.alpha[i], ch.lo[i], ch.hi[i], ch.a, ch.b)
-        cert.add(ch.glo[i], ch.ghi[i], item)
-        if ch.action[i] == 1:
-            fail(*item)
 
     sign_margin = -math.inf
     witness = (0.0, 0.0, 0.0)
@@ -915,7 +887,6 @@ def build_report(
     problem: SdpProblem,
     verification: SignVerification,
     safety_factor: float = 1e3,
-    margin_precision_bits: int = 128,
 ) -> VerificationReport:
     """Combine margins, sign verification and the bound into one report.
 
@@ -924,7 +895,7 @@ def build_report(
     discharges the rho >= 1 region through the cylinder identity) and the
     adaptive sign pass succeeded.
     """
-    min_eig, max_res = feasibility_margin(sol, problem, margin_precision_bits)
+    min_eig, max_res = feasibility_margin(sol, problem)
     report = VerificationReport(
         min_block_eigenvalue=min_eig,
         max_constraint_residual=max_res,

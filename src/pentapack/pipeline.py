@@ -244,13 +244,7 @@ def step_solve(
 def step_refine(cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None):
     problem = _problem_for(cfg, problem)
     variant = _feasibility_variant(cfg, outdir, problem)
-    sol = solve(
-        variant,
-        gap_tol=1e-7,
-        feas_tol=1e-9,
-        mehrotra=False,
-        sigma_fixed=0.3,
-    )
+    sol = solve(variant, gap_tol=1e-7, feas_tol=1e-9, mehrotra=False)
     if not sol.is_usable():
         raise RuntimeError(f"feasibility re-solve failed with status {sol.status}")
     _write(outdir / "refine.sol", cfg, "solution", export_solution(sol, variant))

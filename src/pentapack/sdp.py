@@ -100,6 +100,27 @@ class SdpSolution:
         return self.status in ("optimal", "near-optimal")
 
 
+def stack_rows(blocks: list[Block], terms: list[LinearTerm]) -> tuple[np.ndarray, np.ndarray]:
+    """The terms as dense rows of unit norm, and their right-hand sides scaled alike.
+
+    A row runs over the blocks in the given order, each psd coefficient
+    matrix flattened row-major and each diag vector as it is.
+    """
+    offs, total = {}, 0
+    for b in blocks:
+        offs[b.label] = total
+        total += b.dim * b.dim if b.kind == "psd" else b.dim
+    rows, rhs = np.zeros((len(terms), total)), np.zeros(len(terms))
+    for i, t in enumerate(terms):
+        for lab, c in t.coeffs.items():
+            c = np.asarray(c)
+            rows[i, offs[lab]: offs[lab] + c.size] = c.ravel()
+        n = np.linalg.norm(rows[i])
+        rows[i] /= n
+        rhs[i] = t.rhs / n
+    return rows, rhs
+
+
 def standard_form(p: SdpProblem) -> tuple[list[Block], dict, list[LinearTerm]]:
     """Rewrite inequalities <G, X> <= h as equalities with slack variables.
 

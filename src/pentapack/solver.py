@@ -18,7 +18,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -28,15 +27,10 @@ from .sdp import SdpProblem, SdpSolution, standard_form
 log = logging.getLogger("pentapack.solver")
 
 
-@dataclass
-class SolverConfig:
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    max_iter: int = 200
-    step_frac: float = 0.98  # fraction of the step to the cone boundary
-    mehrotra: bool = True
-    sigma_fixed: float = 0.3  # centering when the corrector is disabled
-    y_divergence: float = 1e10
+MAX_ITER = 200
+STEP_FRAC = 0.98  # fraction of the step to the cone boundary
+SIGMA_FIXED = 0.3  # centering when the corrector is disabled
+Y_DIVERGENCE = 1e10  # |y| beyond this reads as an infeasible problem
 
 
 class _BlockData:
@@ -172,20 +166,45 @@ class _Workspace:
     def inner(self, X, Y):
         return sum(float(np.sum(X[lab] * Y[lab])) for lab in X)
 
+    def interior(self, blocks) -> bool:
+        """Whether every psd block, symmetrized, has a Cholesky factor and every diag entry is positive."""
+        try:
+            for lab, v in blocks.items():
+                if self.data[lab].kind == "psd":
+                    np.linalg.cholesky(_sym(v))
+                elif (v <= 0).any():
+                    return False
+            return True
+        except np.linalg.LinAlgError:
+            return False
 
-def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs) -> SdpSolution:
+    def backtrack(self, V, dV, step: float) -> float:
+        """step * 0.7^k for the least k < 40 keeping V + step dV interior, else 0.
+
+        The boundary fraction comes from eigenvalues and can overshoot by
+        rounding when V is very ill-conditioned.
+        """
+        for _ in range(40):
+            if self.interior({lab: V[lab] + step * dV[lab] for lab in V}):
+                return step
+            step *= 0.7
+        return 0.0
+
+
+def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra: bool = True) -> SdpSolution:
     """Solve a block-diagonal SDP to the requested tolerances.
 
     Returns a solution with status "optimal" when the scaled duality gap and
     the primal/dual residuals all fall below their tolerances, and weaker
-    statuses otherwise; never raises on numerical trouble.  `stop_reason`
-    says why the iteration ended: converged, stalled (8 iterations without
-    improvement), step-stall (5 vanishing steps), y-divergence,
-    cholesky-failure or max-iter.  Logs one DEBUG line per iteration and one
-    INFO line per solve on the `pentapack.solver` logger.
+    statuses otherwise; never raises on numerical trouble.  With `mehrotra`
+    the centering comes from the predictor step, otherwise it is
+    SIGMA_FIXED.  `stop_reason` says why the iteration ended: converged,
+    stalled (8 iterations without improvement), step-stall (5 vanishing
+    steps), y-divergence (|y| above Y_DIVERGENCE), cholesky-failure or
+    max-iter (MAX_ITER iterations).  Logs one DEBUG line per iteration and
+    one INFO line per solve on the `pentapack.solver` logger.
     """
     started = time.perf_counter()
-    cfg = SolverConfig(gap_tol=gap_tol, feas_tol=feas_tol, **kwargs)
     ws = _Workspace(p)
     m = ws.m
 
@@ -215,7 +234,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
     no_improve = 0
     gap_history: list[float] = []
     gram_chol = ws.gram_factor()
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rp = ws.b - ws.apply_A(X)
         Aty = ws.apply_At(y)
         Rd = {}
@@ -236,20 +255,20 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
             "it %3d  pobj %+.9e  relgap %.2e  pinf %.2e  dinf %.2e  ap %.2e  ad %.2e  sigma %.2e",
             it, pobj, relgap, pinf, dinf, ap, ad, sigma,
         )
-        score = max(pinf / cfg.feas_tol, dinf / cfg.feas_tol, relgap / cfg.gap_tol)
+        score = max(pinf / feas_tol, dinf / feas_tol, relgap / gap_tol)
         if best is None or score < best[0] * 0.98:
             best = (score, {k: v.copy() for k, v in X.items()}, {k: v.copy() for k, v in Z.items()}, y.copy(), (pobj, relgap, pinf, dinf))
             no_improve = 0
         else:
             no_improve += 1
-        if pinf <= cfg.feas_tol and dinf <= cfg.feas_tol and relgap <= cfg.gap_tol:
+        if pinf <= feas_tol and dinf <= feas_tol and relgap <= gap_tol:
             status = "optimal"
             stop_reason = "converged"
             break
         if no_improve >= 8:
             stop_reason = "stalled"  # classify from the best iterate below
             break
-        if float(np.abs(y).max(initial=0.0)) > cfg.y_divergence:
+        if float(np.abs(y).max(initial=0.0)) > Y_DIVERGENCE:
             status = "infeasible"
             stop_reason = "y-divergence"
             break
@@ -338,11 +357,11 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
                 ap = ad = 1.0
                 for lab, d in ws.data.items():
                     if d.kind == "psd":
-                        ap = min(ap, _max_step(np.linalg.cholesky(X[lab]), dX[lab], cfg.step_frac))
-                        ad = min(ad, _max_step(np.linalg.cholesky(Z[lab]), dZ[lab], cfg.step_frac))
+                        ap = min(ap, _max_step(np.linalg.cholesky(X[lab]), dX[lab], STEP_FRAC))
+                        ad = min(ad, _max_step(np.linalg.cholesky(Z[lab]), dZ[lab], STEP_FRAC))
                     else:
-                        ap = min(ap, _max_step_diag(X[lab], dX[lab], cfg.step_frac))
-                        ad = min(ad, _max_step_diag(Z[lab], dZ[lab], cfg.step_frac))
+                        ap = min(ap, _max_step_diag(X[lab], dX[lab], STEP_FRAC))
+                        ad = min(ad, _max_step_diag(Z[lab], dZ[lab], STEP_FRAC))
                 return ap, ad
 
             # Predictor (affine) direction: Uc = -V, i.e. Rc = -X.
@@ -350,7 +369,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
             dy_a, dX_a, dZ_a = newton(Rc_aff)
             ap_a, ad_a = step_lengths(dX_a, dZ_a)
 
-            if cfg.mehrotra:
+            if mehrotra:
                 gap_aff = 0.0
                 for lab in X:
                     gap_aff += float(
@@ -358,7 +377,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
                     )
                 sigma = min(0.9999, max(1e-6, (max(gap_aff, 0.0) / gap) ** 3))
             else:
-                sigma = cfg.sigma_fixed
+                sigma = SIGMA_FIXED
 
             # Corrector: Lyapunov solve in the scaled space per block.
             Rc = {}
@@ -384,33 +403,9 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
             break
 
         # Apply the step, backtracking if roundoff pushed an iterate out of
-        # the cone (the boundary fraction is computed from eigenvalues and
-        # can overshoot by rounding when X or Z is very ill-conditioned).
-        def _stays_pd(blocks_new):
-            try:
-                for lab, v in blocks_new.items():
-                    if ws.data[lab].kind == "psd":
-                        np.linalg.cholesky(v)
-                    elif (v <= 0).any():
-                        return False
-                return True
-            except np.linalg.LinAlgError:
-                return False
-
-        for _ in range(40):
-            Xn = {lab: X[lab] + ap * dX[lab] for lab in X}
-            if _stays_pd({lab: _sym(v) if ws.data[lab].kind == "psd" else v for lab, v in Xn.items()}):
-                break
-            ap *= 0.7
-        else:
-            ap = 0.0
-        for _ in range(40):
-            Zn = {lab: Z[lab] + ad * dZ[lab] for lab in Z}
-            if _stays_pd({lab: _sym(v) if ws.data[lab].kind == "psd" else v for lab, v in Zn.items()}):
-                break
-            ad *= 0.7
-        else:
-            ad = 0.0
+        # the cone.
+        ap = ws.backtrack(X, dX, ap)
+        ad = ws.backtrack(Z, dZ, ad)
 
         if max(ap, ad) < 1e-10:
             stall += 1
@@ -431,17 +426,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
             nrm = float(np.linalg.norm(rp_now))
             if 0.0 < nrm <= 1e-3 * (1.0 + float(np.linalg.norm(ws.b))):
                 Xr = ws.restore(X, gram_chol, rp_now)
-                ok = True
-                try:
-                    for lab, v in Xr.items():
-                        if ws.data[lab].kind == "psd":
-                            np.linalg.cholesky(_sym(v))
-                        elif (v <= 0).any():
-                            ok = False
-                            break
-                except np.linalg.LinAlgError:
-                    ok = False
-                if ok:
+                if ws.interior(Xr):
                     X = {
                         lab: _sym(v) if ws.data[lab].kind == "psd" else v
                         for lab, v in Xr.items()
@@ -451,9 +436,9 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, **kwargs
     # Schur system degenerates).
     if best is not None and status not in ("optimal", "infeasible"):
         _, X, Z, y, (pobj, relgap, pinf, dinf) = best
-        if pinf <= cfg.feas_tol and dinf <= cfg.feas_tol and relgap <= cfg.gap_tol:
+        if pinf <= feas_tol and dinf <= feas_tol and relgap <= gap_tol:
             status = "optimal"
-        elif pinf <= 1e3 * cfg.feas_tol and dinf <= 1e3 * cfg.feas_tol and relgap <= 1e3 * cfg.gap_tol:
+        elif pinf <= 1e3 * feas_tol and dinf <= 1e3 * feas_tol and relgap <= 1e3 * gap_tol:
             status = "near-optimal"
         else:
             status = "numerical-failure"

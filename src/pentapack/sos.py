@@ -30,7 +30,7 @@ from mpmath import mp
 from .fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams, tau
 from .motion import MotionPoint
 from .polynomials import EvenPolynomial, conv
-from .sdp import Block, LinearTerm, SdpProblem, SdpSolution
+from .sdp import Block, LinearTerm, SdpProblem, SdpSolution, stack_rows
 from .specfun import coeff_D_mp, laguerre, laguerre_coeffs_exact, tau_radial_coeffs
 
 RETAINED_LABELS = ("Q00", "Q05", "Q10", "Q15", "R00", "R05", "S0", "S5")
@@ -316,25 +316,17 @@ class _RowAccumulator:
         return LinearTerm(mats, rhs, self.label)
 
 
-def _independent_rows(terms: list[LinearTerm], dims: dict[str, int], tol: float = 1e-10) -> list[int]:
+def _independent_rows(rows: np.ndarray, tol: float = 1e-10) -> list[int]:
     """Indices of a maximal set of linearly independent rows, greedily in order.
 
-    Rows are normalized and orthogonalized (modified Gram-Schmidt); a row is
-    dropped when its residual against the span of the kept rows falls below
-    tol.  Deterministic and stable for the row counts that occur here.
+    The rows, of unit norm, are orthogonalized in place (modified
+    Gram-Schmidt); a row is dropped when its residual against the span of
+    the kept rows falls below tol.  Deterministic and stable for the row
+    counts that occur here.
     """
-    order = sorted(dims)
-    offs, total = {}, 0
-    for lab in order:
-        offs[lab] = total
-        total += dims[lab] * dims[lab]
     basis: list[np.ndarray] = []
     keep: list[int] = []
-    for idx, t in enumerate(terms):
-        v = np.zeros(total)
-        for lab, mat in t.coeffs.items():
-            v[offs[lab]: offs[lab] + mat.size] = np.asarray(mat).ravel()
-        v /= np.linalg.norm(v)
+    for idx, v in enumerate(rows):
         for u in basis:
             v -= (u @ v) * u
         nrm = np.linalg.norm(v)
@@ -604,12 +596,12 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     # Drop equality rows that are linear combinations of earlier ones (for
     # N = 5 the negation-symmetry rows are implied by the identity rows);
     # keeping them would make the projection stage rank-deficient.
-    keep = _independent_rows(eq_terms, dims)
+    blocks = [Block(b.label, b.dim, "psd") for b in specs]
+    keep = _independent_rows(stack_rows(blocks, eq_terms)[0])
     pruned["dependent"] = len(eq_terms) - len(keep)
     eq_terms = [eq_terms[i] for i in keep]
     hp_rows = [hp_rows[i] for i in keep]
 
-    blocks = [Block(b.label, b.dim, "psd") for b in specs]
     manifest.append(f"blocks: {', '.join(f'{b.label}(dim {b.dim})' for b in specs)}")
     manifest.append(
         "block index order: (l, r) with l = 0..floor(d/2) outer-major over I_j (Q) "
@@ -628,11 +620,8 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
         eq_constraints=eq_terms,
         ineq_constraints=ineq_terms,
         meta={
-            "params": params,
-            "block_specs": specs,
             "manifest": manifest,
             "hp_rows": hp_rows,
-            "objective_row": obj_term,
             "kind": "problem-A",
         },
     )
@@ -640,7 +629,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     return problem
 
 
-def assemble_feasibility_variant(base: SdpProblem, z_star: float, margin: float = 1e-5) -> SdpProblem:
+def assemble_feasibility_variant(base: SdpProblem, z_star: float, margin: float) -> SdpProblem:
     """The re-solve problem: objective removed, objective value capped.
 
     Adds the inequality <calF(0,0,0), Q> <= z_star + margin so an interior
@@ -648,8 +637,7 @@ def assemble_feasibility_variant(base: SdpProblem, z_star: float, margin: float 
     """
     if base.meta.get("kind") != "problem-A":
         raise ValueError("feasibility variant requires a problem built by assemble_problem_A")
-    obj_term: LinearTerm = base.meta["objective_row"]
-    cap = LinearTerm(dict(obj_term.coeffs), float(z_star) + margin, "objective-cap")
+    cap = LinearTerm(dict(base.objective), float(z_star) + margin, "objective-cap")
     variant = SdpProblem(
         blocks=list(base.blocks),
         objective={},

@@ -1,6 +1,7 @@
 import logging
 import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ def test_feasibility_margin_on_refined_problem(solved_small):
 
     params, problem, sol = solved_small
     variant = assemble_feasibility_variant(problem, sol.objective, margin=1e-4)
-    refined = solve(variant, mehrotra=False, sigma_fixed=0.3, gap_tol=1e-7, feas_tol=1e-9)
+    refined = solve(variant, mehrotra=False, gap_tol=1e-7, feas_tol=1e-9)
     assert refined.is_usable()
     projected, _ = project_affine(refined, problem)
     mineig, res = feasibility_margin(projected, problem, precision_bits=128)
@@ -269,8 +270,11 @@ def _tensor(N, d, entries):
     return CoefficientTensor(ModelParams(N, d), e)
 
 
+PAPER_DEFAULT_TENSOR = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "paper_default_tensor.txt"
+
 # (tensor, enlargement, spec, precision_bits): one run certifies, one stops at
-# the failure budget, one has a positive witness
+# the failure budget, one has a positive witness, and one stops at the failure
+# budget among depth-5 boxes of a paper-default tensor
 GOLDEN_CASES = {
     "certifies": (
         lambda: _tensor(2, 3, {(0, 0, 0): -25.0, (0, 0, 1): 118.0, (0, 0, 2): -124.0,
@@ -282,6 +286,10 @@ GOLDEN_CASES = {
         lambda: random_positive_tensor(ModelParams(5, 11), np.random.default_rng(7)),
         1.02, VerifySpec(3, 12, 2), 256,
     ),
+    "deep": (
+        lambda: CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text()),
+        1.02, VerifySpec(3, 16, 5), 256,
+    ),
 }
 
 NOTES = (
@@ -290,7 +298,8 @@ NOTES = (
 )
 ABORTED = "; refinement aborted at the failure/evaluation budget"
 
-# Recorded from the verifier that evaluated every box at precision_bits.
+# Recorded from the verifier that evaluated every box at precision_bits, and
+# 'deep' from the float-filtered verifier with the explicit refinement stack.
 GOLDEN = {
     'certifies': dict(
         sign_margin=-0.6259127883779854,
@@ -372,6 +381,39 @@ GOLDEN = {
             (-0.75, 0.5833333333333334, 0.0, 7.439645934453866, 3017.286509263098),
             (0.7499999999999999, 0.5833333333333334, 0.0, 7.439645934453853, 3017.286509263098),
             (-0.25000000000000006, 0.9166666666666666, 0.0, 6.462264897399923, 3016.3091282260443),
+        ],
+        notes=NOTES + ABORTED,
+    ),
+    'deep': dict(
+        sign_margin=-0.00038964481974729226,
+        witness=(0.9395810236483068, 3.208160817365617, 0.0),
+        cert_margin=0.0017481111028321927,
+        certified_sign=False,
+        stream_points=112,
+        evaluations=3316,
+        lipschitz_x=2.626546471299487,
+        lipschitz_alpha=0.0704477702920862,
+        covering_radius=0.09400581783917587,
+        base_cell_radius=0.09400581783917587,
+        precision_bits=256,
+        enlargement=1.02,
+        failures=[
+            (0.482421875, 0.876953125, 0.4254240051736178, -0.007603872144841282, 0.00011208564038089663),
+            (0.478515625, 0.880859375, 0.4254240051736178, -0.007620208557388402, 9.57492278337773e-05),
+            (0.478515625, 0.876953125, 0.4254240051736178, -0.007582802860668819, 0.00013315492455336027),
+            (0.470703125, 0.884765625, 0.4254240051736178, -0.007617584231476666, 9.837355374551295e-05),
+            (0.470703125, 0.876953125, 0.4385139745635752, -0.007708891007029207, 7.066778192972155e-06),
+            (0.474609375, 0.880859375, 0.4254240051736178, -0.007600575156465586, 0.00011538262875659288),
+            (0.474609375, 0.876953125, 0.4254240051736178, -0.007560370674178582, 0.0001555871110435969),
+            (0.470703125, 0.880859375, 0.4254240051736178, -0.007579614976839162, 0.00013634280838301728),
+            (0.470703125, 0.876953125, 0.4254240051736178, -0.007536587353539319, 0.00017937043168285975),
+            (0.455078125, 0.892578125, 0.4254240051736178, -0.007614631682767813, 0.00010132610245436612),
+            (0.466796875, 0.884765625, 0.4254240051736178, -0.007598080533774525, 0.00011787725144765437),
+            (0.462890625, 0.888671875, 0.4254240051736178, -0.007615719412901789, 0.00010023837232038996),
+            (0.462890625, 0.884765625, 0.4254240051736178, -0.007577297207047748, 0.000138660578174431),
+            (0.466796875, 0.876953125, 0.4385139745635752, -0.007684696747717513, 3.126103750466575e-05),
+            (0.462890625, 0.880859375, 0.4385139745635752, -0.007706175647679615, 9.782137542564261e-06),
+            (0.462890625, 0.876953125, 0.4385139745635752, -0.007659172837281498, 5.678494794068091e-05),
         ],
         notes=NOTES + ABORTED,
     ),

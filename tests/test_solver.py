@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from pentapack import solver
 from pentapack.sdp import Block, LinearTerm, SdpProblem
 from pentapack.solver import solve
 
@@ -137,7 +138,7 @@ def test_solution_invariants():
     assert sol.gap_history[-1] < sol.gap_history[0]
 
 
-def test_infeasible_detected():
+def test_infeasible_detected(monkeypatch):
     # x <= -1 and x >= 0 (diag block) is infeasible
     p = SdpProblem(
         [Block("x", 1, "diag")],
@@ -145,16 +146,18 @@ def test_infeasible_detected():
         [],
         [LinearTerm({"x": np.ones(1)}, -1.0)],
     )
-    sol = solve(p, max_iter=100)
+    monkeypatch.setattr(solver, "MAX_ITER", 100)
+    sol = solve(p)
     assert sol.status in ("infeasible", "numerical-failure")
     assert (sol.status == "infeasible") == (sol.stop_reason == "y-divergence")
 
 
-def test_iteration_cap_is_reported():
+def test_iteration_cap_is_reported(monkeypatch):
     rng = np.random.default_rng(50)
     A = rng.standard_normal((3, 3))
     A = 0.5 * (A + A.T)
-    sol = solve(lambda_max_problem(A), max_iter=2)
+    monkeypatch.setattr(solver, "MAX_ITER", 2)
+    sol = solve(lambda_max_problem(A))
     assert sol.iterations == 2
     assert sol.stop_reason == "max-iter"
 

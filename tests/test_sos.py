@@ -268,7 +268,7 @@ def test_feasibility_variant_contract(small_solved):
     variant = assemble_feasibility_variant(problem, sol.objective, margin=1e-4)
     assert not variant.objective
     assert len(variant.ineq_constraints) == len(problem.ineq_constraints) + 1
-    fsol = solve(variant, mehrotra=False, sigma_fixed=0.3, gap_tol=1e-7, feas_tol=1e-9)
+    fsol = solve(variant, mehrotra=False, gap_tol=1e-7, feas_tol=1e-9)
     assert fsol.is_usable()
     cap = variant.ineq_constraints[-1]
     assert problem.value(cap.coeffs, fsol.blocks) <= cap.rhs + 1e-9
