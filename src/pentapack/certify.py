@@ -2,9 +2,10 @@
 
 The chain is: project the solution onto the equality constraints (least
 squares, with high-precision residual refinement), recompute feasibility
-margins in extended precision, verify the sign condition of the recovered
-function over the enlarged-body region with certified Lipschitz bounds, and
-evaluate the final bound
+margins in extended precision (float64 with proved error bounds skips the
+rows and blocks that cannot change them), verify the sign condition of the
+recovered function over the enlarged-body region with certified Lipschitz
+bounds, and evaluate the final bound
 
     2 pi * f(0, I) / f_{0,0;0} * area(enlargement * K).
 
@@ -141,6 +142,62 @@ def equality_residual_hp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 
         return float(_equality_residual_mp(sol, p))
 
 
+def _gamma(n: int, unit: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u); infinite once n u reaches 1."""
+    return n * unit / (1.0 - n * unit) if n * unit < 1.0 else math.inf
+
+
+def _ineq_proved_satisfied(t: LinearTerm, blocks: dict, precision_bits: int) -> bool:
+    """True only if `_residual_mp` of the row, sum <c, x> - rhs, is negative.
+
+    In float64, acc = sum vdot(c, x) - rhs is within gamma_n(2^-53) S of the
+    exact residual for any summation order (Higham, ch. 3), S = sum
+    vdot(|c|, |x|) + |rhs| and n = 1 + sum (size + 1) over the blocks; the
+    mp value (lifted c, x, rhs, a rounded product and sum per term) is within
+    gamma_(3n)(2^-bits) S of it.  Doubling the radii covers the rounding of
+    S, the radius and the sum, so acc + radius < 0 as computed proves it.
+    """
+    acc, S, n = -t.rhs, abs(t.rhs), 1
+    for lab, c in t.coeffs.items():
+        c, x = np.ravel(c), np.ravel(blocks[lab])
+        acc += np.vdot(c, x)
+        S += np.vdot(np.abs(c), np.abs(x))
+        n += c.size + 1
+    return bool(acc + 2.0 * (_gamma(n, 2.0**-53) + _gamma(3 * n, 2.0**-precision_bits)) * S < 0.0)
+
+
+def _proved_positive_definite(b: np.ndarray, tau: float = 0.0) -> bool:
+    """True only if b - tau I is positive definite, b a symmetric float matrix.
+
+    Rump's isspd (Rump, "Verification of positive definiteness", BIT 46,
+    2006).  If float Cholesky of a symmetric A of order n runs to completion
+    with factor R, then R^T R = A + dA, |dA| <= gamma_(n+1) |R^T| |R|
+    (Demmel; Higham, Thm 10.3, inner products in any order).  By
+    Cauchy-Schwarz and |r_i|^2 <= a_ii / (1 - gamma_(n+1)), ||dA||_2 <=
+    alpha tr(A), alpha = gamma_(n+1) / (1 - gamma_(n+1)); gradual underflow
+    adds at most (n + 2 + tr) 2^-1074 per entry, n times that in norm.  A is
+    b with diagonal b_ii - tau - c, rounded down by `np.nextafter`, c twice
+    alpha tr(b - tau I) + 4 n (2 n + 4 + tr) 2^-1074 (the 2 covers c's own
+    rounding).  Off the diagonal A = b, so b - tau I >= A + c I = R^T R +
+    (c I - dA) >= R^T R, positive definite as diag(R) > 0.  A b_ii <= tau,
+    a non-finite entry or an asymmetric b gives False.
+    """
+    n = len(b)
+    if not (math.isfinite(tau) and np.isfinite(b).all() and np.array_equal(b, b.T)):
+        return False
+    d = np.nextafter(np.diag(b) - tau, -np.inf)  # <= b_ii - tau
+    if not (d > 0.0).all():
+        return False
+    tr, g = d.sum(), _gamma(n + 1, 2.0**-53)
+    c = 2.0 * (g / (1.0 - g) * tr + 4 * n * (2 * n + 4 + tr) * 2.0**-1074)
+    a = np.array(b, dtype=float)
+    np.fill_diagonal(a, np.nextafter(d - c, -np.inf))
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(a)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
 def feasibility_margin(
     sol: SdpSolution, p: SdpProblem, precision_bits: int = 128
 ) -> tuple[float, float]:
@@ -151,23 +208,48 @@ def feasibility_margin(
     exactly otherwise), each normalized by its coefficient norm so the value
     is the distance to the constraint hyperplane, which is the scale the
     perturbation argument compares against the eigenvalues; inequality rows
-    count only their violation.
+    count only their violation.  The eigenvalues are `mp.eigsy`'s.
+
+    float64 only skips work that provably cannot change either result.  An
+    inequality row proved not violated (`_ineq_proved_satisfied`) is
+    skipped; every other row, NaN ones included, goes through
+    `_residual_mp`.  Blocks go in order of their float `eigvalsh` minimum, a
+    heuristic only; a block B skips `mp.eigsy` when B - tau I is proved
+    positive definite (`_proved_positive_definite`), tau the current
+    minimum plus 2^-(bits-20) ||B||_F rounded up.  That rests on one
+    assumption: `mp.eigsy` at `precision_bits` is accurate to 2^-(bits-20)
+    ||B||_F (the norm computed in float), so all it would return exceeds
+    the current minimum.
     """
+    started = time.perf_counter()
     with mp.workprec(precision_bits):
         worst = _equality_residual_mp(sol, p)
+        to_mp = 0
         for t in p.ineq_constraints:
+            if _ineq_proved_satisfied(t, sol.blocks, precision_bits):
+                continue
+            to_mp += 1
             acc, nrm = _residual_mp(t.rhs, _float_row_terms(t, sol.blocks))
             if nrm > 0 and acc / mp.sqrt(nrm) > worst:
                 worst = acc / mp.sqrt(nrm)
-        min_eig = mp.inf
+        min_eig, dense = mp.inf, []
         for b in p.blocks:
             x = np.asarray(sol.blocks[b.label])
             if b.kind == "diag" or x.ndim == 1:
                 min_eig = min(min_eig, mp.mpf(float(x.min())))
+            else:
+                dense.append(x)
+        dense.sort(key=lambda x: np.linalg.eigvalsh(x)[0] if np.isfinite(x).all() else -math.inf)
+        eigsy_calls = 0
+        for x in dense:
+            shift = mp.fadd(min_eig, mp.ldexp(np.linalg.norm(x), 20 - precision_bits), rounding="u")
+            if _proved_positive_definite(x, math.nextafter(float(shift), math.inf)):
                 continue
-            A = mp.matrix([[mp.mpf(float(x[i, j])) for j in range(x.shape[1])] for i in range(x.shape[0])])
-            ev = mp.eigsy(A, eigvals_only=True)
-            min_eig = min(min_eig, min(ev))
+            min_eig = min(min_eig, min(mp.eigsy(mp.matrix(x.tolist()), eigvals_only=True)))
+            eigsy_calls += 1
+        log.info("margins: %d inequality rows decided in float, %d sent to mp, %d blocks proved above "
+                 "the minimum, %d eigsy calls, %.2f s", len(p.ineq_constraints) - to_mp, to_mp,
+                 len(dense) - eigsy_calls, eigsy_calls, time.perf_counter() - started)
         return float(min_eig), float(worst)
 
 
@@ -338,11 +420,6 @@ class MpEvaluator:
 
 # Error radius of FloatEvaluator, relative to S (see its docstring).
 FLOAT_ERROR_RADIUS = 2.0**-40
-
-
-def _gamma(n: int, unit: float) -> float:
-    """Higham's gamma_n = n u / (1 - n u)."""
-    return n * unit / (1.0 - n * unit)
 
 
 class FloatEvaluator:

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mpmath import mp
+
 from pentapack import certify
 from pentapack.certify import (
     FloatEvaluator,
@@ -14,6 +16,7 @@ from pentapack.certify import (
     VerificationReport,
     VerifySpec,
     _lipschitz_pair,
+    _proved_positive_definite,
     feasibility_margin,
     final_bound,
     lipschitz_estimate,
@@ -25,7 +28,7 @@ from pentapack.fourier import CoefficientTensor, ModelParams, evaluate_f, random
 from pentapack.geometry import constraint_sample, pentagon, verification_sample
 from pentapack.motion import MotionPoint
 from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution
-from pentapack.sos import assemble_problem_A
+from pentapack.sos import assemble_feasibility_variant, assemble_problem_A
 from pentapack.solver import solve
 
 
@@ -104,19 +107,140 @@ def test_feasibility_margin_trivial_cases():
     assert res == 0.0
 
 
-def test_feasibility_margin_on_refined_problem(solved_small):
-    from pentapack.sos import assemble_feasibility_variant
-
+@pytest.fixture(scope="module")
+def refined_small(solved_small):
+    """solved_small's problem and its refined, projected solution."""
     params, problem, sol = solved_small
     variant = assemble_feasibility_variant(problem, sol.objective, margin=1e-4)
     refined = solve(variant, mehrotra=False, gap_tol=1e-7, feas_tol=1e-9)
     assert refined.is_usable()
-    projected, _ = project_affine(refined, problem)
+    return problem, project_affine(refined, problem)[0]
+
+
+def test_feasibility_margin_on_refined_problem(refined_small):
+    problem, projected = refined_small
     mineig, res = feasibility_margin(projected, problem, precision_bits=128)
     # interior point: equality residuals collapse, inequalities have slack,
     # eigenvalues dominate the residual by a wide margin
     assert res < 1e-12
     assert mineig > 1e3 * res
+
+
+def _margin_all_mp(sol, p, precision_bits=128):
+    """feasibility_margin's results with every row through _residual_mp and every block through eigsy."""
+    with mp.workprec(precision_bits):
+        worst = certify._equality_residual_mp(sol, p)
+        for t in p.ineq_constraints:
+            acc, nrm = certify._residual_mp(t.rhs, certify._float_row_terms(t, sol.blocks))
+            if nrm > 0 and acc / mp.sqrt(nrm) > worst:
+                worst = acc / mp.sqrt(nrm)
+        min_eig = mp.inf
+        for b in p.blocks:
+            x = np.asarray(sol.blocks[b.label])
+            if x.ndim == 1:
+                min_eig = min(min_eig, mp.mpf(float(x.min())))
+            else:
+                A = mp.matrix([[mp.mpf(float(v)) for v in row] for row in x.tolist()])
+                min_eig = min(min_eig, min(mp.eigsy(A, eigvals_only=True)))
+        return float(min_eig), float(worst)
+
+
+def _traced_margin(sol, p, monkeypatch):
+    """feasibility_margin, with the rhs of each row it lifts and each matrix it hands to eigsy."""
+    rows, mats = [], []
+    residual_mp, eigsy = certify._residual_mp, mp.eigsy
+
+    def lifted(rhs, terms):
+        rows.append(rhs)
+        return residual_mp(rhs, terms)
+
+    def counted(A, **kwargs):
+        mats.append(np.array(A.tolist(), dtype=float))
+        return eigsy(A, **kwargs)
+
+    monkeypatch.setattr(certify, "_residual_mp", lifted)
+    monkeypatch.setattr(mp, "eigsy", counted)
+    got = feasibility_margin(sol, p)
+    monkeypatch.undo()
+    return got, rows, mats
+
+
+def test_feasibility_margin_equals_all_mp_reference(solved_small, monkeypatch):
+    params, problem, sol = solved_small
+    projected, _ = project_affine(sol, problem)
+    got, rows, _ = _traced_margin(projected, problem, monkeypatch)
+    assert got == _margin_all_mp(projected, problem)
+    # the unrefined projection violates some inequality rows; they reach mp
+    assert len(rows) > len(problem.eq_constraints)
+
+
+def test_feasibility_margin_sends_a_violated_row_to_mp(refined_small, monkeypatch):
+    problem, projected = refined_small
+    t = problem.ineq_constraints[7]
+    value = sum(np.vdot(c, projected.blocks[lab]) for lab, c in t.coeffs.items())
+    norm = math.sqrt(sum(np.vdot(c, c) for c in t.coeffs.values()))
+    violated = LinearTerm(t.coeffs, float(value - 1e-9 * norm), t.label)
+    rows = list(problem.ineq_constraints)
+    rows[7] = violated
+    p = SdpProblem(problem.blocks, problem.objective, problem.eq_constraints, rows, problem.meta)
+    got, lifted, _ = _traced_margin(projected, p, monkeypatch)
+    assert got == _margin_all_mp(projected, p)
+    assert lifted.count(violated.rhs) == 1
+    assert got[1] == pytest.approx(1e-9, rel=1e-4)
+
+
+def test_feasibility_margin_tied_blocks_both_reach_eigsy(refined_small, monkeypatch):
+    problem, projected = refined_small
+    # S0 holds the smallest eigenvalue; R00 becomes S0 reversed, the same spectrum
+    s0 = np.asarray(projected.blocks["S0"])
+    tied = SdpSolution(blocks={**projected.blocks, "R00": s0[::-1, ::-1].copy()}, y=projected.y,
+                       objective=projected.objective, status=projected.status, gap=projected.gap,
+                       iterations=projected.iterations)
+    lows = sorted(np.linalg.eigvalsh(tied.blocks[lab])[0] for lab in ("S0", "R00"))
+    assert lows[1] - lows[0] < 1e-13
+    got, _, mats = _traced_margin(tied, problem, monkeypatch)
+    assert got == _margin_all_mp(tied, problem)
+    assert any(np.array_equal(m, s0) for m in mats)
+    assert any(np.array_equal(m, s0[::-1, ::-1]) for m in mats)
+
+
+def test_feasibility_margin_logs_one_summary_line(refined_small, caplog):
+    problem, projected = refined_small
+    with caplog.at_level(logging.INFO, logger="pentapack.certify"):
+        feasibility_margin(projected, problem)
+    lines = [r.getMessage() for r in caplog.records if r.name == "pentapack.certify"]
+    assert len(lines) == 1
+    assert "margins: 26 inequality rows decided in float, 0 sent to mp, " in lines[0]
+    assert "blocks proved above the minimum, 1 eigsy calls" in lines[0]
+
+
+def _spd(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return g @ g.T + n * np.eye(n)
+
+
+def _gram_rank_deficient():
+    """An exactly singular Gram matrix (integer entries, rank 7 of 8).
+
+    Plain float Cholesky of it runs to completion with a common LAPACK, so
+    a test that trusted Cholesky alone would accept it.
+    """
+    g = np.random.default_rng(0).integers(-4, 5, size=(8, 7)).astype(float)
+    return g @ g.T
+
+
+@pytest.mark.parametrize("b,tau,expected", [
+    (np.eye(7), 0.0, True),
+    (_spd(12, 1), 0.0, True),
+    (_spd(12, 2), np.linalg.eigvalsh(_spd(12, 2))[0] * (1 - 1e-9), True),
+    (_gram_rank_deficient(), 0.0, False),
+    (np.diag([1.0, 0.0, 1.0]), 0.0, False),
+    (np.diag([1.0, -1.0, 1.0]), 0.0, False),
+    (_spd(12, 3), np.linalg.eigvalsh(_spd(12, 3))[0] + 1e-15 * np.linalg.norm(_spd(12, 3)), False),
+    (np.eye(3), math.nan, False),
+])
+def test_proved_positive_definite(b, tau, expected):
+    assert _proved_positive_definite(b, tau) is expected
 
 
 # -- Lipschitz ---------------------------------------------------------------

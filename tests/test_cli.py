@@ -67,6 +67,13 @@ def test_pipeline_produces_report(tiny_run):
     assert report.lambda_value == pytest.approx(1.0, abs=1e-6)
 
 
+def test_margins_golden_bits(tiny_run):
+    """Both feasibility margins at TINY, as float.hex, recorded from the all-mp computation."""
+    _cfg, _outdir, report = tiny_run
+    assert float.hex(report.min_block_eigenvalue) == "0x1.37d1feebfab4ap-17"
+    assert float.hex(report.max_constraint_residual) == "0x1.3ef36926ca6d3p-53"
+
+
 def test_solver_meta_records_stop_reason(tiny_run):
     cfg, outdir, _report = tiny_run
     reasons = {"converged", "stalled", "step-stall", "y-divergence", "cholesky-failure", "max-iter"}
