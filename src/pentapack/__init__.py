@@ -6,7 +6,7 @@ from .motion import Motion, MotionPoint, compose, from_polar, invert, to_polar
 from .pipeline import RunConfig, run_all
 from .sdp import Block, LinearTerm, SdpProblem, SdpSolution
 from .solver import solve
-from .sos import assemble_feasibility_variant, assemble_problem_A, basis, recover_tensor
+from .sos import assemble_feasibility_variant, assemble_problem_A, recover_tensor
 from .certify import final_bound, project_affine, verify_nonpositivity
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "SdpSolution",
     "assemble_feasibility_variant",
     "assemble_problem_A",
-    "basis",
     "compose",
     "constraint_sample",
     "evaluate_f",

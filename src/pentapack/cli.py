@@ -10,6 +10,7 @@ from pathlib import Path
 
 from . import theta as theta_mod
 from .pipeline import (
+    FIELD_TYPES,
     RunConfig,
     default_outdir,
     run_all,
@@ -23,10 +24,6 @@ from .pipeline import (
 )
 
 
-# argparse type of each RunConfig annotation (a string under postponed evaluation)
-_FLAG_TYPES = {"int": int, "float": float, "float | None": float}
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """--config, --out, and one flag per RunConfig field: -N, -d, --kebab-case."""
     p.add_argument("--config", help="JSON file with RunConfig fields")
@@ -36,7 +33,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         if f.type == "bool":
             p.add_argument(flag, action="store_const", const=True, dest=f.name)
         else:
-            p.add_argument(flag, type=_FLAG_TYPES[f.type], dest=f.name)
+            p.add_argument(flag, type=FIELD_TYPES[f.type], dest=f.name)
 
 
 def _config_from_args(args) -> tuple[RunConfig, Path]:

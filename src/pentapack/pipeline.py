@@ -49,6 +49,18 @@ FORMAT_VERSION = "pentapack-artifact v1"
 
 log = logging.getLogger("pentapack.pipeline")
 
+# Python type of each RunConfig annotation (a string under postponed evaluation);
+# the CLI parses its flags with them and `RunConfig.from_json` checks values against them
+FIELD_TYPES = {"bool": bool, "int": int, "float": float, "float | None": float}
+
+
+def _json_type_matches(annotation: str, value) -> bool:
+    """Whether a JSON value fits a field: only a bool field takes a bool; a float field takes any number."""
+    if value is None:
+        return annotation.endswith("| None")
+    kind = FIELD_TYPES[annotation]
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, (int, float) if kind is float else kind)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -88,6 +100,9 @@ class RunConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown RunConfig field(s): {', '.join(unknown)}")
+        for f in fields(cls):
+            if f.name in data and not _json_type_matches(f.type, data[f.name]):
+                raise ValueError(f"RunConfig field {f.name} must be {f.type}, got {data[f.name]!r}")
         return cls(**data)
 
     def to_json(self) -> str:
@@ -193,16 +208,14 @@ def step_sample(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> int:
     body = "\n".join(f"{p.rho!r} {p.theta!r} {p.alpha!r}" for p in pts) + "\n"
     _write(outdir / "sample.txt", cfg, "constraint-sample", body)
     if plot_data:
-        alphas = [float(a) for a in np.linspace(-2.0 * math.pi / 10.0, 2.0 * math.pi / 10.0, 33)]
-        rows = ["alpha,vx,vy"]
-        for alpha in alphas:
-            for vx, vy in minkowski_difference(alpha, 1.0).vertices:
-                rows.append(f"{alpha!r},{float(vx)!r},{float(vy)!r}")
+        verts = [
+            (alpha, repr(float(vx)), repr(float(vy)))
+            for alpha in map(float, np.linspace(-2.0 * math.pi / 10.0, 2.0 * math.pi / 10.0, 33))
+            for vx, vy in minkowski_difference(alpha, 1.0).vertices
+        ]
+        rows = ["alpha,vx,vy"] + [f"{alpha!r},{vx},{vy}" for alpha, vx, vy in verts]
         _write(outdir / "minkowski_vertices.csv", cfg, "plot-minkowski", "\n".join(rows) + "\n")
-        rows = ["x1,x2,alpha"]
-        for alpha in alphas:
-            for vx, vy in minkowski_difference(alpha, 1.0).vertices:
-                rows.append(f"{float(vx)!r},{float(vy)!r},{alpha!r}")
+        rows = ["x1,x2,alpha"] + [f"{vx},{vy},{alpha!r}" for alpha, vx, vy in verts]
         _write(outdir / "fig1_set.csv", cfg, "plot-3dset", "\n".join(rows) + "\n")
     return len(pts)
 

@@ -65,6 +65,21 @@ def _entry_lines(blocks: list[Block], matno: int, mats: dict | None, sign: float
     return out
 
 
+def _entry_fields(ln: str) -> tuple[int, int, int, int, float]:
+    """The fields (matno, blockno, i, j, value) of an entry line; the value must be finite."""
+    parts = ln.split()
+    if len(parts) != 5:
+        raise MalformedFileError(f"bad entry line: {ln!r}")
+    try:
+        matno, bno, i, j = (int(v) for v in parts[:4])
+        val = float(parts[4])
+    except ValueError:
+        raise MalformedFileError(f"non-numeric field in entry line: {ln!r}") from None
+    if not np.isfinite(val):
+        raise MalformedFileError(f"non-finite value in entry line: {ln!r}")
+    return matno, bno, i, j, val
+
+
 def parse_sdpa(text: str) -> SdpProblem:
     """Parse SDPA sparse format back into a problem (equalities only)."""
     rows = []
@@ -82,6 +97,8 @@ def parse_sdpa(text: str) -> SdpProblem:
         rhs = [float(v) for v in rows[3].replace(",", " ").split()]
     except ValueError as e:
         raise MalformedFileError(f"bad SDPA header: {e}") from e
+    if not np.isfinite(rhs).all():
+        raise MalformedFileError(f"non-finite right-hand side: {rows[3]!r}")
     if len(dims) != nblocks:
         raise MalformedFileError("block count does not match dimension list")
     if len(rhs) != m:
@@ -92,10 +109,7 @@ def parse_sdpa(text: str) -> SdpProblem:
     ]
     mats: list[dict[str, np.ndarray]] = [dict() for _ in range(m + 1)]
     for ln in rows[4:]:
-        parts = ln.split()
-        if len(parts) != 5:
-            raise MalformedFileError(f"bad entry line: {ln!r}")
-        matno, bno, i, j, val = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])
+        matno, bno, i, j, val = _entry_fields(ln)
         if not (0 <= matno <= m and 1 <= bno <= nblocks):
             raise MalformedFileError(f"entry indices out of range: {ln!r}")
         blk = blocks[bno - 1]
@@ -147,6 +161,8 @@ def import_solution(text: str, p: SdpProblem) -> SdpSolution:
         y = np.array([float(v) for v in rows[0].split()])
     except ValueError as e:
         raise MalformedFileError(f"bad dual vector line: {e}") from e
+    if not np.isfinite(y).all():
+        raise MalformedFileError(f"non-finite value in dual vector line: {rows[0]!r}")
     if len(y) != len(eqs):
         raise DimensionMismatchError(
             f"dual vector has {len(y)} entries, problem has {len(eqs)} constraints"
@@ -158,10 +174,7 @@ def import_solution(text: str, p: SdpProblem) -> SdpSolution:
         prim[blk.label] = zero.copy()
         dual[blk.label] = zero.copy()
     for ln in rows[1:]:
-        parts = ln.split()
-        if len(parts) != 5:
-            raise MalformedFileError(f"bad entry line: {ln!r}")
-        matno, bno, i, j, val = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4])
+        matno, bno, i, j, val = _entry_fields(ln)
         if matno not in (1, 2):
             raise MalformedFileError(f"unknown matrix number {matno}")
         if not (1 <= bno <= len(blocks)):

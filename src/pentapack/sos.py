@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
@@ -103,16 +102,11 @@ def block_specs(params: ModelParams, retained: bool = True) -> list[BlockSpec]:
 # the normalized Laguerre basis
 
 
-def _laguerre_2pi_exact(k: int) -> list[tuple[Fraction, int]]:
-    """Coefficients of L_k^0(2 pi x^2) as (rational, power of 2pi) pairs."""
-    return [(c, j) for j, c in enumerate(laguerre_coeffs_exact(k, 0))]
-
-
 def _mu_argmax(k: int) -> int:
     """Index of the largest-magnitude coefficient of L_k^0(2 pi x^2)."""
     with mp.workdps(40):
         terms = [abs(mp.mpf(c.numerator) / c.denominator) * (2 * mp.pi) ** j
-                 for c, j in _laguerre_2pi_exact(k)]
+                 for j, c in enumerate(laguerre_coeffs_exact(k, 0))]
         return max(range(len(terms)), key=lambda i: terms[i])
 
 
@@ -125,10 +119,9 @@ def realize_basis(d: int, high_precision: bool = False) -> list[list]:
     two_pi = 2 * mp.pi if high_precision else 2.0 * math.pi
     out = []
     for k in range(d + 1):
-        pairs = _laguerre_2pi_exact(k)
         jstar = _mu_argmax(k)
         coeffs = []
-        for c, j in pairs:
+        for j, c in enumerate(laguerre_coeffs_exact(k, 0)):
             if high_precision:
                 num = mp.mpf(c.numerator) / c.denominator
             else:
@@ -137,29 +130,6 @@ def realize_basis(d: int, high_precision: bool = False) -> list[list]:
         mu = abs(coeffs[jstar])
         out.append([c / mu for c in coeffs])
     return out
-
-
-@dataclass(frozen=True)
-class BasisPolynomials:
-    """Normalized Laguerre basis P_k(x) = L_k^0(2 pi x^2) / mu_k, k = 0..d."""
-
-    d: int
-    polys: tuple[EvenPolynomial, ...]
-    mus: tuple[float, ...]
-
-
-def basis(d: int) -> BasisPolynomials:
-    """The basis used for all block and identity expansions; d must be odd."""
-    if d < 1 or d % 2 == 0:
-        raise ValueError(f"d must be odd and >= 1, got {d}")
-    coeff_lists = realize_basis(d)
-    mus = []
-    for k in range(d + 1):
-        jstar = _mu_argmax(k)
-        pairs = _laguerre_2pi_exact(k)
-        c, j = pairs[jstar]
-        mus.append(abs(float(c)) * (2.0 * math.pi) ** j)
-    return BasisPolynomials(d, tuple(EvenPolynomial(c) for c in coeff_lists), tuple(mus))
 
 
 def _products(bcoefs: list[list]) -> dict[tuple[int, int, int], list]:
@@ -200,13 +170,13 @@ def _f_entries(specs, r: int, s: int):
                 yield bs.label, pos[(l, r)], pos[(lp, s)], (bs.i, l, lp)
 
 
-def build_F(i: int, r: int, s: int, k: int, b: BasisPolynomials, N: int | None = None) -> np.ndarray:
+def build_F(i: int, r: int, s: int, k: int, d: int, N: int | None = None) -> np.ndarray:
     """Constraint matrix with (F^i_{r,s;k})_{(l,r)(l',s)} = coeff(a^2k, a^2i P_l P_l')."""
     if (r - s) % ANGULAR_MODULUS != 0:
         raise ValueError("r and s must lie in a common residue class mod 10")
-    params = ModelParams(N if N is not None else max(abs(r), abs(s), 1), b.d)
+    params = ModelParams(N if N is not None else max(abs(r), abs(s), 1), d)
     spec = _spec(params, "Q", i, r % ANGULAR_MODULUS)
-    prods = _products(realize_basis(b.d))
+    prods = _products(realize_basis(d))
     mat = np.zeros((spec.dim, spec.dim))
     for _, a, b_idx, key in _f_entries([spec], r, s):
         c = prods[key]
@@ -215,10 +185,10 @@ def build_F(i: int, r: int, s: int, k: int, b: BasisPolynomials, N: int | None =
     return mat
 
 
-def build_calF(i: int, j: int, p: MotionPoint, b: BasisPolynomials, N: int) -> np.ndarray:
+def build_calF(i: int, j: int, p: MotionPoint, d: int, N: int) -> np.ndarray:
     """The matrix calF^{ij}(p) with entries tau_{r,s}(a^2i P_l P_l')(p)."""
-    spec = _spec(ModelParams(N, b.d), "Q", i, j)
-    prods = _products(realize_basis(b.d))
+    spec = _spec(ModelParams(N, d), "Q", i, j)
+    prods = _products(realize_basis(d))
     mat = np.zeros((spec.dim, spec.dim), dtype=complex)
     for a_idx, (l, r) in enumerate(spec.index):
         for b_idx, (lp, s) in enumerate(spec.index):
@@ -256,10 +226,10 @@ class LaurentMatrix:
         return out
 
 
-def build_W(i: int, j: int, b: BasisPolynomials, N: int) -> LaurentMatrix:
+def build_W(i: int, j: int, d: int, N: int) -> LaurentMatrix:
     """W^{ij} over {0..d/2} x P_j: entry = rho^2i P_l P_l' z1^(u'-u) z2^(v'-v)."""
-    spec = _spec(ModelParams(N, b.d), "R", i, j)
-    prods = _products(realize_basis(b.d))
+    spec = _spec(ModelParams(N, d), "R", i, j)
+    prods = _products(realize_basis(d))
     entries = {}
     for a_idx, (l, (u, v)) in enumerate(spec.index):
         for b_idx, (lp, (up, vp)) in enumerate(spec.index):
@@ -298,10 +268,13 @@ class _RowAccumulator:
     def max_abs(self) -> float:
         return max((abs(float(v)) for v in self.entries.values()), default=0.0)
 
-    def to_term(self, dims: dict[str, int], rhs: float, drop_tol: float) -> LinearTerm:
-        """Round to a float LinearTerm with symmetrized coefficient matrices."""
+    def to_term(self, dims: dict[str, int], rhs: float, max_abs: float) -> LinearTerm:
+        """Round to a float LinearTerm with symmetrized coefficient matrices.
+
+        Entries below 1e-35 * max_abs, the row's `max_abs()`, are dropped.
+        """
         mats: dict[str, np.ndarray] = {}
-        cutoff = drop_tol * max(self.max_abs(), 1e-300)
+        cutoff = 1e-35 * max(max_abs, 1e-300)
         for (blk, a, b), v in self.entries.items():
             fv = float(v)
             if abs(fv) < cutoff:
@@ -367,6 +340,17 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     Each sample point contributes <calF(point), Q> <= 0.  The objective
     minimizes f at the identity motion.
 
+    One walk over the block entries writes each entry's identity-row terms
+    (from its entry polynomial, expanded once per distinct polynomial); for
+    Q entries with r = s, the objective term, that polynomial's constant
+    coefficient; and for Q entries, the entry of every sample row, a radial
+    vector over the points times a phase vector.  The sample rows round as a
+    scalar evaluation per point would: rho**m is Python's float power point
+    by point (numpy's array power rounds differently), the phase is
+    math.cos, each entry is added into a zero matrix, and each matrix is
+    symmetrized as (M + M^T)/2.  The insertion orders of rows, blocks and
+    entries set the summation order of later residuals, so they are kept.
+
     Rows that are identically zero, or duplicates forced by the tensor
     symmetries, are pruned; the manifest in `meta` records everything.
     """
@@ -381,17 +365,15 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     isets = index_sets(N)
     manifest: list[str] = []
     pruned = {"zero": 0, "duplicate": 0}
-
-    m_values = {0}
-    for j in range(ANGULAR_MODULUS):
-        for r in isets[j]:
-            for s in isets[j]:
-                m_values.add(abs(r - s))
+    for idx, pt in enumerate(sample):
+        if pt.rho > 1.0 + 1e-9:
+            raise ValueError(f"sample point {idx} violates rho <= 1")
+    rho = [pt.rho for pt in sample]
+    trho = math.pi * np.array(rho, dtype=float) * rho
 
     with mp.workdps(ASSEMBLY_DPS):
         bco = realize_basis(d, high_precision=True)
-        prods = _products(bco)
-        T = bco  # B_k coefficients in u = rho^2, lower triangular
+        prods = _products(bco)  # bco[k]: the coefficients of P_k in u = rho^2, lower triangular
 
         # ------------------------------------------------------------------
         # cylinder identity rows, one per raw z-monomial class; classes whose
@@ -399,59 +381,97 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
         # are pruned below
         classes: dict[tuple[int, int], list[_RowAccumulator]] = {}
 
-        def class_rows(m1, m2):
-            key = (m1, m2)
-            if key not in classes:
-                classes[key] = [
-                    _RowAccumulator(f"identity[{key[0]},{key[1]};k={k}]")
-                    for k in range(d + 1)
-                ]
-            return classes[key]
-
-        def entry_upoly(family, i, l, lp, m=0):
-            """Coefficients in u of the polynomial a block entry adds to the identity."""
-            if family == "Q":
-                return tau_radial_coeffs(prods[(i, l, lp)], m)
-            base = prods[(i, l, lp)]
-            if family == "R":
-                return base
-            # S: multiply by (rho^2 - 1)
-            return [-base[0]] + [
-                (base[t - 1] if t - 1 < len(base) else mp.mpf(0))
-                - (base[t] if t < len(base) else mp.mpf(0))
-                for t in range(1, len(base) + 1)
-            ]
-
         # The entry polynomial depends only on (family, i, l, l') and, for Q,
         # on |r - s|: far fewer keys than block entries (216 against 3,240 at
         # N = 5, d = 11), so each is expanded in the basis once.
-        entry_coords: dict[tuple, list] = {}
+        entry_coords: dict[tuple, tuple] = {}  # key -> (constant coefficient, nonzero basis coordinates)
 
         def add_identity(m1, m2, key, block, a, b):
-            rows = class_rows(m1, m2)
+            """Add a block entry's terms to the identity rows; return its polynomial's constant."""
             if key not in entry_coords:
-                gamma = _basis_coords(entry_upoly(*key), T, d)
-                entry_coords[key] = [(k, g) for k, g in enumerate(gamma) if g != 0]
-            for k, g in entry_coords[key]:
+                family, i, l, lp = key[:4]
+                base = prods[(i, l, lp)]
+                if family == "Q":
+                    upoly = tau_radial_coeffs(base, key[4])
+                else:  # R, or S multiplied by (rho^2 - 1)
+                    upoly = base if family == "R" else conv(base, [-1, 1])
+                gamma = _basis_coords(upoly, bco, d)
+                entry_coords[key] = upoly[0], [(k, g) for k, g in enumerate(gamma) if g != 0]
+            const, coords = entry_coords[key]
+            if (m1, m2) not in classes:
+                classes[m1, m2] = [_RowAccumulator(f"identity[{m1},{m2};k={k}]") for k in range(d + 1)]
+            rows = classes[m1, m2]
+            for k, g in coords:
                 rows[k].add(block, a, b, g)
+            return const
 
+        # ------------------------------------------------------------------
+        # sample rows in float precision (the verification stage re-evaluates
+        # f in high precision independently of these rows), over all points
+        radial_terms: dict[tuple[int, int], tuple] = {}  # (m, k) -> (D, L^m_{k-m/2}(pi rho^2))
+        powers: dict[int, np.ndarray] = {}  # m -> (-1)^(m/2) rho^m
+        phases: dict[tuple[int, int], np.ndarray] = {}
+        prods_f = {k: [float(c) for c in v] for k, v in prods.items()}
+
+        def radial(key) -> np.ndarray:
+            """The radial factor of a Q entry's tau at every point."""
+            _, i, l, lp, m = key
+            c = prods_f[(i, l, lp)]
+            out = np.zeros(len(sample))
+            for k in range(m // 2, len(c)):
+                if c[k] != 0:
+                    if (m, k) not in radial_terms:
+                        radial_terms[m, k] = float(coeff_D_mp(m, k)), laguerre(k - m // 2, m, trho)
+                    dk, lk = radial_terms[m, k]
+                    out += c[k] * dk * lk
+            if m not in powers:
+                sign = (-1.0) ** (m // 2)
+                powers[m] = np.array([sign * x**m for x in rho])
+            return out * powers[m]
+
+        def phase(r, s) -> np.ndarray:
+            if (r, s) not in phases:
+                phases[r, s] = np.array([math.cos(s * pt.alpha + (r - s) * pt.theta) for pt in sample])
+            return phases[r, s]
+
+        obj_row = _RowAccumulator("objective")  # <calF(0,0,0), Q>, also the feasibility cap
+        sample_mats: list[dict[str, np.ndarray]] = [{} for _ in sample]
         for bs in specs:
-            if bs.family == "Q":
-                for a_idx, (l, r) in enumerate(bs.index):
-                    for b_idx, (lp, s) in enumerate(bs.index):
-                        key = ("Q", bs.i, l, lp, abs(r - s))
-                        add_identity(-r, -s, key, bs.label, a_idx, b_idx)
-            else:  # R or S over pair index sets
+            if bs.family != "Q":  # R or S over pair index sets
                 for a_idx, (l, (u, v)) in enumerate(bs.index):
                     for b_idx, (lp, (up, vp)) in enumerate(bs.index):
                         key = (bs.family, bs.i, l, lp)
                         add_identity(up - u, vp - v, key, bs.label, a_idx, b_idx)
+                continue
+            mats = [np.zeros((bs.dim, bs.dim)) for _ in sample]
+            for a_idx, (l, r) in enumerate(bs.index):
+                row_a = np.zeros((len(sample), bs.dim))  # row a_idx of every point's matrix
+                for b_idx, (lp, s) in enumerate(bs.index):
+                    key = ("Q", bs.i, l, lp, abs(r - s))
+                    const = add_identity(-r, -s, key, bs.label, a_idx, b_idx)
+                    if r == s and const != 0:  # f at the identity
+                        obj_row.add(bs.label, a_idx, b_idx, const)
+                    row_a[:, b_idx] = radial(key) * phase(r, s)
+                for mat, vals in zip(mats, row_a):
+                    mat[a_idx] += vals
+            for point_mats, mat in zip(sample_mats, mats):
+                # (M + M^T)/2 in place (numpy buffers the overlapping transpose):
+                # a fresh copy per point would leave the heap fragmented
+                mat += mat.T
+                mat *= 0.5
+                if mat.any():
+                    point_mats[bs.label] = mat
+        ineq_terms = [
+            LinearTerm(m, 0.0, f"sample[{idx};rho={pt.rho:.6f},theta={pt.theta:.6f},alpha={pt.alpha:.6f}]")
+            for idx, (pt, m) in enumerate(zip(sample, sample_mats))
+        ]
 
-        eq_rows: list[tuple[_RowAccumulator, float]] = []
+        eq_rows: list[tuple[_RowAccumulator, float, float]] = []  # (row, rhs, max_abs)
         seen_signatures: list[dict] = []
         for key in sorted(classes):
-            for k, row in enumerate(classes[key]):
-                if row.max_abs() < 1e-30:
+            for row in classes[key]:
+                scale = row.max_abs()
+                if scale < 1e-30:
                     pruned["zero"] += 1
                     continue
                 sig = _hp_row_dict(row)
@@ -464,7 +484,21 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                     pruned["duplicate"] += 1
                     continue
                 seen_signatures.append(sig)
-                eq_rows.append((row, 0.0))
+                eq_rows.append((row, 0.0, scale))
+
+        def add_f_row(label, k, parts, rhs=0.0):
+            """The row sum sign * f^i_{r,s;k} over parts (sign, Q blocks, r, s), unless zero."""
+            row = _RowAccumulator(label)
+            for sign, blocks, r, s in parts:
+                for lab, a, b, key in _f_entries(blocks, r, s):
+                    c = prods[key]
+                    if k < len(c) and c[k] != 0:
+                        row.add(lab, a, b, sign * c[k])
+            scale = row.max_abs()
+            if scale < 1e-30:
+                pruned["zero"] += 1
+            else:
+                eq_rows.append((row, rhs, scale))
 
         # ------------------------------------------------------------------
         # structural zero rows (low k against large |r-s|), Q blocks only
@@ -479,15 +513,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                         continue
                     seen_pairs.add((min(r, s), max(r, s)))
                     for k in range(min(m // 2, d + 1)):
-                        row = _RowAccumulator(f"lowk[r={r},s={s};k={k}]")
-                        for lab, a, b, key in _f_entries(q_blocks(j), r, s):
-                            c = prods[key]
-                            if k < len(c) and c[k] != 0:
-                                row.add(lab, a, b, c[k])
-                        if row.max_abs() < 1e-30:
-                            pruned["zero"] += 1
-                        else:
-                            eq_rows.append((row, 0.0))
+                        add_f_row(f"lowk[r={r},s={s};k={k}]", k, [(1, q_blocks(j), r, s)])
 
         # ------------------------------------------------------------------
         # negation-symmetry rows f_{r,s;k} = f_{-r,-s;k}
@@ -505,93 +531,30 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                     if (-r, -s) in ((r, s), (s, r)):
                         pruned["duplicate"] += 1  # row is identically zero
                         continue
+                    parts = [
+                        (sign, q_blocks(jj, (i,)), rr, ss)
+                        for i in (0, 1)
+                        for sign, jj, rr, ss in ((1, j, r, s), (-1, jn, -r, -s))
+                    ]
                     for k in range(d + 1):
-                        row = _RowAccumulator(f"realpair[r={r},s={s};k={k}]")
-                        for i in (0, 1):
-                            for sign, jj, rr, ss in ((1, j, r, s), (-1, jn, -r, -s)):
-                                for lab, a, b, key in _f_entries(q_blocks(jj, (i,)), rr, ss):
-                                    c = prods[key]
-                                    if k < len(c) and c[k] != 0:
-                                        row.add(lab, a, b, sign * c[k])
-                        if row.max_abs() < 1e-30:
-                            pruned["zero"] += 1
-                        else:
-                            eq_rows.append((row, 0.0))
+                        add_f_row(f"realpair[r={r},s={s};k={k}]", k, parts)
 
         # ------------------------------------------------------------------
         # normalization: f_{0,0;0} = 1
-        norm_row = _RowAccumulator("normalization")
-        for lab, a, b, key in _f_entries(q_blocks(0), 0, 0):
-            if prods[key][0] != 0:
-                norm_row.add(lab, a, b, prods[key][0])
-        eq_rows.append((norm_row, 1.0))
-
-        # ------------------------------------------------------------------
-        # objective row <calF(0,0,0), Q> (also reused by the feasibility cap)
-        obj_row = _RowAccumulator("objective")
-        for bs in specs:
-            if bs.family != "Q":
-                continue
-            for a_idx, (l, r) in enumerate(bs.index):
-                for b_idx, (lp, s) in enumerate(bs.index):
-                    if r != s:
-                        continue
-                    val = tau_radial_coeffs(prods[(bs.i, l, lp)], 0)[0]  # f at the identity
-                    if val != 0:
-                        obj_row.add(bs.label, a_idx, b_idx, val)
-
-        # ------------------------------------------------------------------
-        # sample nonpositivity rows (float precision; the verification stage
-        # re-evaluates f in high precision independently of these rows)
-        ineq_terms: list[LinearTerm] = []
-        prods_f = {k: [float(c) for c in v] for k, v in prods.items()}
-        dscal_f = {(m, k): float(coeff_D_mp(m, k)) for m in m_values for k in range(m // 2, d + 1)}
-        for idx, pt in enumerate(sample):
-            if pt.rho > 1.0 + 1e-9:
-                raise ValueError(f"sample point {idx} violates rho <= 1")
-            trho = math.pi * pt.rho * pt.rho
-            lag_val = {}
-            for m in sorted(m_values):
-                for k in range(m // 2, d + 1):
-                    lag_val[(m, k)] = laguerre(k - m // 2, m, trho)
-            mats: dict[str, np.ndarray] = {}
-            for bs in specs:
-                if bs.family != "Q":
-                    continue
-                mat = np.zeros((bs.dim, bs.dim))
-                for a_idx, (l, r) in enumerate(bs.index):
-                    for b_idx, (lp, s) in enumerate(bs.index):
-                        m = abs(r - s)
-                        if m > 0 and pt.rho == 0.0:
-                            continue
-                        c = prods_f[(bs.i, l, lp)]
-                        radial = 0.0
-                        for k in range(m // 2, len(c)):
-                            if c[k] != 0:
-                                radial += c[k] * dscal_f[(m, k)] * lag_val[(m, k)]
-                        if radial == 0.0:
-                            continue
-                        radial *= (-1.0) ** (m // 2) * pt.rho**m
-                        mat[a_idx, b_idx] += radial * math.cos(s * pt.alpha + (r - s) * pt.theta)
-                mat = 0.5 * (mat + mat.T)
-                if mat.any():
-                    mats[bs.label] = mat
-            ineq_terms.append(
-                LinearTerm(mats, 0.0, f"sample[{idx};rho={pt.rho:.6f},theta={pt.theta:.6f},alpha={pt.alpha:.6f}]")
-            )
+        add_f_row("normalization", 0, [(1, q_blocks(0), 0, 0)], rhs=1.0)
 
         # ------------------------------------------------------------------
         # realize float problem
         eq_terms = []
         hp_rows = []
-        for row, rhs in eq_rows:
-            term = row.to_term(dims, rhs, drop_tol=1e-35)
+        for row, rhs, scale in eq_rows:
+            term = row.to_term(dims, rhs, scale)
             if not term.coeffs:
                 pruned["zero"] += 1
                 continue
             eq_terms.append(term)
             hp_rows.append((_hp_row_dict(row), mp.mpf(rhs), row.label))
-        obj_term = obj_row.to_term(dims, 0.0, drop_tol=1e-35)
+        obj_term = obj_row.to_term(dims, 0.0, obj_row.max_abs())
 
     # Drop equality rows that are linear combinations of earlier ones (for
     # N = 5 the negation-symmetry rows are implied by the identity rows);

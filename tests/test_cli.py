@@ -272,3 +272,21 @@ def test_config_file_with_unknown_fields_is_refused(tmp_path, capsys):
     cfgfile.write_text(text)
     assert main(["sample", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 1
     assert "unknown RunConfig field(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [({"facet_lines": "no"}, "facet_lines"), ({"grid_n": 50.5}, "grid_n"), ({"N": "5"}, "N"),
+     ({"enlargement": True}, "enlargement"), ({"grid_n": None}, "grid_n")],
+)
+def test_config_file_with_wrong_json_types_is_refused(data, field):
+    with pytest.raises(ValueError, match=rf"RunConfig field {field} must be"):
+        RunConfig.from_json(json.dumps(data))
+
+
+def test_config_json_round_trip():
+    cfg = RunConfig()
+    assert RunConfig.from_json(cfg.to_json()) == cfg
+    loaded = RunConfig.from_json(json.dumps({"enlargement": 1, "verify_enlargement": None, "facet_lines": True}))
+    assert loaded == RunConfig(enlargement=1, facet_lines=True)
+    assert loaded.config_hash() == RunConfig(enlargement=1, facet_lines=True).config_hash()

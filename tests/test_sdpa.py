@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,36 @@ def test_parse_rejects_malformed():
         parse_sdpa("2\n")
     with pytest.raises(MalformedFileError):
         parse_sdpa("1\n1\n2\n0.0\n1 1 5 5 1.0\n")  # index out of range
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf"])
+def test_parse_rejects_bad_numbers(bad):
+    """A non-numeric or non-finite field is refused, naming its line."""
+    text = export_sdpa(mixed_problem())
+    lines = text.splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.startswith("1 "))
+    lines[n] = " ".join(lines[n].split()[:4] + [bad])
+    with pytest.raises(MalformedFileError, match=re.escape(repr(lines[n]))):
+        parse_sdpa("\n".join(lines) + "\n")
+    lines = text.splitlines()
+    lines[4] = " ".join([bad] + lines[4].split()[1:])  # the right-hand side
+    with pytest.raises(MalformedFileError):
+        parse_sdpa("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf"])
+def test_import_solution_rejects_bad_numbers(bad):
+    """A non-numeric or non-finite field is refused, naming its line."""
+    p = mixed_problem()
+    lines = export_solution(solve(p), p).splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.startswith("2 "))
+    lines[n] = " ".join(lines[n].split()[:4] + [bad])
+    with pytest.raises(MalformedFileError, match=re.escape(repr(lines[n]))):
+        import_solution("\n".join(lines) + "\n", p)
+    lines = export_solution(solve(p), p).splitlines()
+    lines[1] = " ".join([bad] + lines[1].split()[1:])  # the dual vector
+    with pytest.raises(MalformedFileError):
+        import_solution("\n".join(lines) + "\n", p)
 
 
 def test_solution_roundtrip():

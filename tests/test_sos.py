@@ -13,7 +13,6 @@ from pentapack.sdpa import export_sdpa
 from pentapack.sos import (
     assemble_feasibility_variant,
     assemble_problem_A,
-    basis,
     block_specs,
     build_F,
     build_W,
@@ -40,20 +39,14 @@ def test_index_sets_for_n5():
 
 
 def test_basis_polynomials():
-    b = basis(11)
-    assert b.polys[0].coeffs == (1.0,)
-    # P_1 = (1 - 2 pi x^2) / (2 pi)
-    assert b.polys[1].coeffs[0] == pytest.approx(1 / (2 * math.pi))
-    assert b.polys[1].coeffs[1] == pytest.approx(-1.0)
-    assert b.mus[1] == pytest.approx(2 * math.pi)
+    b = realize_basis(11)
+    assert b[0] == [1.0]
+    # P_1 = (1 - 2 pi x^2) / (2 pi): mu_1 = 2 pi
+    assert b[1][0] == pytest.approx(1 / (2 * math.pi))
+    assert b[1][1] == pytest.approx(-1.0)
     for k in range(6):
-        assert max(abs(c) for c in b.polys[k].coeffs) == pytest.approx(1.0, rel=1e-13)
-        assert b.polys[k].degree == 2 * k
-
-
-def test_basis_rejects_even_degree():
-    with pytest.raises(ValueError):
-        basis(4)
+        assert max(abs(c) for c in b[k]) == pytest.approx(1.0, rel=1e-13)
+        assert len(b[k]) == k + 1 and b[k][-1] != 0  # degree 2k in x
 
 
 def test_block_dimensions_match_index_sets():
@@ -65,21 +58,19 @@ def test_block_dimensions_match_index_sets():
 
 
 def test_build_F_examples():
-    b = basis(11)
-    F0 = build_F(0, 0, 0, 0, b, N=5)
+    F0 = build_F(0, 0, 0, 0, 11, N=5)
     assert F0[0, 0] == pytest.approx(1.0)  # coeff(a^0, P0 P0) = 1
-    F1 = build_F(1, 0, 0, 0, b, N=5)
+    F1 = build_F(1, 0, 0, 0, 11, N=5)
     assert not F1.any()  # a^2 P_l P_l' has no constant term
     with pytest.raises(ValueError):
-        build_F(0, 1, 0, 0, b)
+        build_F(0, 1, 0, 0, 11)
 
 
 def test_build_F_polynomial_reconstruction():
     # sum_k F^i_{r,s;k} a^2k reproduces a^2i P_l P_l' entrywise
-    b = basis(5)
     bco = realize_basis(5)
     for i in (0, 1):
-        mats = [build_F(i, 0, 0, k, b, N=1) for k in range(6)]
+        mats = [build_F(i, 0, 0, k, 5, N=1) for k in range(6)]
         for l in range(3):
             for lp in range(3):
                 série = [m[l, lp] for m in mats]
@@ -91,14 +82,12 @@ def test_build_F_polynomial_reconstruction():
 
 
 def test_calF_entry_at_origin():
-    b = basis(11)
-    F = build_calF(0, 0, MotionPoint(0.0, 0.0, 0.0), b, 5)
+    F = build_calF(0, 0, MotionPoint(0.0, 0.0, 0.0), 11, 5)
     assert F[0, 0] == pytest.approx(1 / (2 * math.pi))
 
 
 def test_W_matrix_structure():
-    b = basis(3)
-    W = build_W(0, 0, b, 5)
+    W = build_W(0, 0, 3, 5)
     entry = W.entries[(0, 0)]
     assert entry.m1 == 0 and entry.m2 == 0
     assert entry.coeffs[0] == pytest.approx(1.0)
@@ -107,7 +96,7 @@ def test_W_matrix_structure():
     assert np.abs(M - M.conj().T).max() < 1e-12
     assert np.linalg.eigvalsh(M).min() > -1e-12
     # (rho^2 - 1) W^{0j} is PSD for rho >= 1
-    M2 = (1.5**2 - 1.0) * build_W(0, 5, b, 5).evaluate(1.5, 0.4, 1.0)
+    M2 = (1.5**2 - 1.0) * build_W(0, 5, 3, 5).evaluate(1.5, 0.4, 1.0)
     assert np.linalg.eigvalsh(0.5 * (M2 + M2.conj().T)).min() > -1e-12
 
 
@@ -124,21 +113,66 @@ def small_solved(small_problem):
     return params, sample, small_problem, sol
 
 
-# SHA-256 of the SDPA export and of the exact binary values (mpf man_exp) of
-# the high-precision rows of `small_problem`; any rounding change in any
-# row, float or high-precision, changes one of them.
-SMALL_SDPA_SHA256 = "f6b9814a4f68baee111d499ce8617c99b441d6fbc785e44d3f3ee584f312f63f"
-SMALL_HP_ROWS_SHA256 = "0d37c8e1a72654659ccbae548daa01c0c77cc1a0a7ce03c4f47130a73de75fe7"
+def _assembly_fingerprint(problem) -> dict:
+    """SHA-256 hashes of everything an assembly stores, each in its stored order.
+
+    "sdpa" is the SDPA export; "hp_rows" the exact binary values (mpf
+    man_exp) of the high-precision rows with keys sorted, "hp_rows_stored"
+    the same in the rows' own key order; "manifest" the manifest lines;
+    "terms" the objective, equality and inequality terms with each term's
+    block order and coefficient bytes.  Any rounding or ordering change in
+    any row changes one of them.
+    """
+    out = {"sdpa": hashlib.sha256(export_sdpa(problem).encode()).hexdigest()}
+    for name, order in (("hp_rows", sorted), ("hp_rows_stored", list)):
+        h = hashlib.sha256()
+        for coeffs, rhs, label in problem.meta["hp_rows"]:
+            h.update(f"{label} {rhs.man_exp}\n".encode())
+            for key in order(coeffs):
+                h.update(f"{key} {coeffs[key].man_exp}\n".encode())
+        out[name] = h.hexdigest()
+    out["manifest"] = hashlib.sha256("\n".join(problem.meta["manifest"]).encode()).hexdigest()
+    h = hashlib.sha256()
+    terms = [("objective", 0.0, problem.objective)]
+    terms += [(t.label, t.rhs, t.coeffs) for t in problem.eq_constraints + problem.ineq_constraints]
+    for label, rhs, coeffs in terms:
+        h.update(f"{label} {float(rhs)!r}\n".encode())
+        for blk, mat in coeffs.items():
+            h.update(blk.encode() + np.ascontiguousarray(mat, dtype=float).tobytes())
+    out["terms"] = h.hexdigest()
+    return out
+
+
+# Fingerprints of `assemble_problem_A(ModelParams(5, 5), constraint_sample(alpha_count,
+# grid_n, 1.02))`, keyed by (alpha_count, grid_n).  The 3 x 32 sample reaches
+# radial terms whose rounding the 3 x 16 sample does not exercise (rho**m taken
+# through numpy's array power instead of Python's float power changes it).
+ASSEMBLY_SHA256 = {
+    (3, 16): {
+        "sdpa": "f6b9814a4f68baee111d499ce8617c99b441d6fbc785e44d3f3ee584f312f63f",
+        "hp_rows": "0d37c8e1a72654659ccbae548daa01c0c77cc1a0a7ce03c4f47130a73de75fe7",
+        "hp_rows_stored": "9ff00df0edfa3b628a9d04930356de1ae57664a20ef5fe7def901f61520369ee",
+        "manifest": "ecfb1c7a63f179ca31cc4e9e31a2a8c6c5584edd59fdc24e9d38aa278b42aae2",
+        "terms": "b8792558306b74d2a8a02773bfc1b8caf1cdac1144901157c1feccdf29d7d5bd",
+    },
+    (3, 32): {
+        "sdpa": "afb6efe4fc4e9a733766cee195998f5815e4ea87d29bcc5fedf1cf9ea6d536a5",
+        "hp_rows": "0d37c8e1a72654659ccbae548daa01c0c77cc1a0a7ce03c4f47130a73de75fe7",
+        "hp_rows_stored": "9ff00df0edfa3b628a9d04930356de1ae57664a20ef5fe7def901f61520369ee",
+        "manifest": "1adb10c2f9be76095f3ba6741bc4cf557c5776f3a5d350399b93933cdb4159a6",
+        "terms": "df6338a67ba2a330d8d005a257ce2f362cbb46c9356f250960019219eda391aa",
+    },
+}
 
 
 def test_assembly_is_bit_stable(small_problem):
-    assert hashlib.sha256(export_sdpa(small_problem).encode()).hexdigest() == SMALL_SDPA_SHA256
-    h = hashlib.sha256()
-    for coeffs, rhs, label in small_problem.meta["hp_rows"]:
-        h.update(f"{label} {rhs.man_exp}\n".encode())
-        for key in sorted(coeffs):
-            h.update(f"{key} {coeffs[key].man_exp}\n".encode())
-    assert h.hexdigest() == SMALL_HP_ROWS_SHA256
+    for (alpha_count, grid_n), want in ASSEMBLY_SHA256.items():
+        if grid_n == 16:
+            problem = small_problem
+        else:
+            problem = assemble_problem_A(ModelParams(5, 5), constraint_sample(alpha_count, grid_n, 1.02))
+        got = _assembly_fingerprint(problem)
+        assert got == want, (alpha_count, grid_n)
 
 
 def test_problem_A_solves_and_normalizes(small_solved):
@@ -170,13 +204,12 @@ def test_identity_expansion_matches_direct_evaluation(small_solved):
     """The identity rows are a faithful decomposition of the cylinder polynomial."""
     params, sample, problem, sol = small_solved
     d = params.d
-    b = basis(d)
     rng = np.random.default_rng(41)
     blocks = {}
     for blk in problem.blocks:
         M = rng.standard_normal((blk.dim, blk.dim))
         blocks[blk.label] = 0.5 * (M + M.T)
-    W00, W05 = build_W(0, 0, b, 5), build_W(0, 5, b, 5)
+    W00, W05 = build_W(0, 0, d, 5), build_W(0, 5, d, 5)
     bco = realize_basis(d)
 
     def basis_val(k, rho):
@@ -201,7 +234,7 @@ def test_identity_expansion_matches_direct_evaluation(small_solved):
         al = rng.uniform(0, 2 * math.pi)
         direct = 0j
         for (i, j, lab) in [(0, 0, "Q00"), (0, 5, "Q05"), (1, 0, "Q10"), (1, 5, "Q15")]:
-            direct += np.sum(build_calF(i, j, MotionPoint(rho, th, al), b, 5) * blocks[lab])
+            direct += np.sum(build_calF(i, j, MotionPoint(rho, th, al), d, 5) * blocks[lab])
         for lab, WM in (("R00", W00), ("R05", W05)):
             direct += np.sum(WM.evaluate(rho, th, al) * blocks[lab])
         for lab, WM in (("S0", W00), ("S5", W05)):
