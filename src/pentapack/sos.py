@@ -11,7 +11,10 @@ through the polynomial identity
 and a finite sample of motions contributes one nonpositivity inequality each.
 The identity is a Laurent polynomial in z1, z2 with even polynomial
 coefficients in rho; it is expanded in the basis P_k(rho^2) z1^(-r) z2^(-s)
-and each coefficient is forced to zero.  Coefficient generation runs in
+and each coefficient is forced to zero.  Equality rows that are zero or
+linear combinations of earlier rows are dropped; the negation symmetry of f
+needs no rows, as the identity implies it (see `assemble_problem_A`).
+Coefficient generation runs in
 high-precision arithmetic (the Laguerre normalizers mix powers of pi into
 everything, so exact rationals are not available); rows are rounded to
 float64 for the solver while the high-precision originals are kept for the
@@ -268,13 +271,18 @@ class _RowAccumulator:
     def max_abs(self) -> float:
         return max((abs(float(v)) for v in self.entries.values()), default=0.0)
 
-    def to_term(self, dims: dict[str, int], rhs: float, max_abs: float) -> LinearTerm:
+    def to_term(self, dims: dict[str, int], rhs: float) -> LinearTerm:
         """Round to a float LinearTerm with symmetrized coefficient matrices.
 
-        Entries below 1e-35 * max_abs, the row's `max_abs()`, are dropped.
+        Entries below 1e-35 times the row's `max_abs()` are dropped.  A row
+        whose `max_abs()` is below 1e-30 is zero up to the assembly
+        precision and rounds to a term without coefficients.
         """
         mats: dict[str, np.ndarray] = {}
-        cutoff = 1e-35 * max(max_abs, 1e-300)
+        max_abs = self.max_abs()
+        if max_abs < 1e-30:
+            return LinearTerm(mats, rhs, self.label)
+        cutoff = 1e-35 * max_abs
         for (blk, a, b), v in self.entries.items():
             fv = float(v)
             if abs(fv) < cutoff:
@@ -309,14 +317,6 @@ def _independent_rows(rows: np.ndarray, tol: float = 1e-10) -> list[int]:
     return keep
 
 
-def _rows_equal(a: dict, b: dict, rel_tol: float = 1e-25) -> bool:
-    """Whether two symmetrized high-precision rows define the same functional."""
-    if set(a) != set(b):
-        return False
-    scale = max((abs(v) for v in a.values()), default=0)
-    return all(abs(a[k] - b[k]) <= rel_tol * scale for k in a)
-
-
 def _hp_row_dict(row: _RowAccumulator) -> dict:
     """High-precision row as weights w keyed by (block, i, j) with i <= j.
 
@@ -334,11 +334,10 @@ def _hp_row_dict(row: _RowAccumulator) -> dict:
 def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     """Build Problem A for the given model parameters and constraint sample.
 
-    Equality constraints: the structural zeros (low powers against large
-    |r - s|), the negation-symmetry rows that make f real, the cylinder
-    identity expanded coefficientwise, and the normalization lambda = 1.
-    Each sample point contributes <calF(point), Q> <= 0.  The objective
-    minimizes f at the identity motion.
+    Equality constraints: the cylinder identity expanded coefficientwise,
+    the structural zeros (low powers against large |r - s|) and the
+    normalization lambda = 1.  Each sample point contributes
+    <calF(point), Q> <= 0.  The objective minimizes f at the identity motion.
 
     One walk over the block entries writes each entry's identity-row terms
     (from its entry polynomial, expanded once per distinct polynomial); for
@@ -351,20 +350,31 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     symmetrized as (M + M^T)/2.  The insertion orders of rows, blocks and
     entries set the summation order of later residuals, so they are kept.
 
-    Rows that are identically zero, or duplicates forced by the tensor
-    symmetries, are pruned; the manifest in `meta` records everything.
+    A row that rounds to no coefficients is pruned as zero.  Every other row
+    that is a linear combination of earlier rows is pruned by
+    `_independent_rows`, which keeps the projection stage full rank; among
+    them are the identity rows of a class (m1, m2) that coincide with those
+    of (-m1, -m2).  The manifest in `meta` records everything.
+
+    The negation symmetry f_{r,s;k} = f_{-r,-s;k} that makes f real needs
+    no rows of its own: the identity rows and the low-k rows imply it.  On
+    symmetric R and S the R and S parts of the identity classes (m1, m2)
+    and (-m1, -m2) agree, their entries being transposes of each other.  So
+    the difference of the two classes' rows is the Q part at (r, s) =
+    (-m1, -m2) minus the Q part at (-r, -s), written in the triangular
+    Laguerre basis: T_m(g_{r,s} - g_{-r,-s}) with m = |r - s|, g_{r,s}(a^2) =
+    sum_k f_{r,s;k} a^2k and T_m the radial part of tau
+    (`specfun.tau_radial_coeffs`).  T_m sends a^2k to zero for k < m/2 and
+    to a polynomial of degree exactly k in rho^2 for k >= m/2, so the
+    difference vanishes exactly when f_{r,s;k} = f_{-r,-s;k} for every
+    k >= |r - s|/2; for k < |r - s|/2 the low-k rows set both sides to zero.
     """
     N, d = params.N, params.d
     specs = block_specs(params)
     dims = {b.label: b.dim for b in specs}
+    blocks = [Block(b.label, b.dim, "psd") for b in specs]
     q_block = {(b.i, b.j): b for b in specs if b.family == "Q"}
-
-    def q_blocks(j, i_values=(0, 1)):
-        return [q_block[i, j] for i in i_values if (i, j) in q_block]
-
     isets = index_sets(N)
-    manifest: list[str] = []
-    pruned = {"zero": 0, "duplicate": 0}
     for idx, pt in enumerate(sample):
         if pt.rho > 1.0 + 1e-9:
             raise ValueError(f"sample point {idx} violates rho <= 1")
@@ -466,39 +476,17 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
             for idx, (pt, m) in enumerate(zip(sample, sample_mats))
         ]
 
-        eq_rows: list[tuple[_RowAccumulator, float, float]] = []  # (row, rhs, max_abs)
-        seen_signatures: list[dict] = []
-        for key in sorted(classes):
-            for row in classes[key]:
-                scale = row.max_abs()
-                if scale < 1e-30:
-                    pruned["zero"] += 1
-                    continue
-                sig = _hp_row_dict(row)
-                dup = False
-                for other in seen_signatures:
-                    if _rows_equal(sig, other):
-                        dup = True
-                        break
-                if dup:
-                    pruned["duplicate"] += 1
-                    continue
-                seen_signatures.append(sig)
-                eq_rows.append((row, 0.0, scale))
+        eq_rows = [(row, 0.0) for key in sorted(classes) for row in classes[key]]  # (row, rhs)
 
-        def add_f_row(label, k, parts, rhs=0.0):
-            """The row sum sign * f^i_{r,s;k} over parts (sign, Q blocks, r, s), unless zero."""
+        def add_f_row(label, k, j, r, s, rhs=0.0):
+            """The row sum_i f^i_{r,s;k} over the Q blocks of class j."""
             row = _RowAccumulator(label)
-            for sign, blocks, r, s in parts:
-                for lab, a, b, key in _f_entries(blocks, r, s):
-                    c = prods[key]
-                    if k < len(c) and c[k] != 0:
-                        row.add(lab, a, b, sign * c[k])
-            scale = row.max_abs()
-            if scale < 1e-30:
-                pruned["zero"] += 1
-            else:
-                eq_rows.append((row, rhs, scale))
+            q_blocks = [q_block[i, j] for i in (0, 1) if (i, j) in q_block]
+            for lab, a, b, key in _f_entries(q_blocks, r, s):
+                c = prods[key]
+                if k < len(c) and c[k] != 0:
+                    row.add(lab, a, b, c[k])
+            eq_rows.append((row, rhs))
 
         # ------------------------------------------------------------------
         # structural zero rows (low k against large |r-s|), Q blocks only
@@ -513,65 +501,34 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                         continue
                     seen_pairs.add((min(r, s), max(r, s)))
                     for k in range(min(m // 2, d + 1)):
-                        add_f_row(f"lowk[r={r},s={s};k={k}]", k, [(1, q_blocks(j), r, s)])
-
-        # ------------------------------------------------------------------
-        # negation-symmetry rows f_{r,s;k} = f_{-r,-s;k}
-        seen_orbits = set()
-        for j in range(ANGULAR_MODULUS):
-            jn = (-j) % ANGULAR_MODULUS
-            if (0, j) not in q_block or (0, jn) not in q_block:
-                continue  # class or partner class discarded; row would be vacuous
-            for r in isets[j]:
-                for s in isets[j]:
-                    orbit = frozenset(((r, s), (s, r), (-r, -s), (-s, -r)))
-                    if orbit in seen_orbits:
-                        continue
-                    seen_orbits.add(orbit)
-                    if (-r, -s) in ((r, s), (s, r)):
-                        pruned["duplicate"] += 1  # row is identically zero
-                        continue
-                    parts = [
-                        (sign, q_blocks(jj, (i,)), rr, ss)
-                        for i in (0, 1)
-                        for sign, jj, rr, ss in ((1, j, r, s), (-1, jn, -r, -s))
-                    ]
-                    for k in range(d + 1):
-                        add_f_row(f"realpair[r={r},s={s};k={k}]", k, parts)
+                        add_f_row(f"lowk[r={r},s={s};k={k}]", k, j, r, s)
 
         # ------------------------------------------------------------------
         # normalization: f_{0,0;0} = 1
-        add_f_row("normalization", 0, [(1, q_blocks(0), 0, 0)], rhs=1.0)
+        add_f_row("normalization", 0, 0, 0, 0, rhs=1.0)
 
         # ------------------------------------------------------------------
-        # realize float problem
-        eq_terms = []
-        hp_rows = []
-        for row, rhs, scale in eq_rows:
-            term = row.to_term(dims, rhs, scale)
-            if not term.coeffs:
-                pruned["zero"] += 1
-                continue
-            eq_terms.append(term)
-            hp_rows.append((_hp_row_dict(row), mp.mpf(rhs), row.label))
-        obj_term = obj_row.to_term(dims, 0.0, obj_row.max_abs())
+        # realize float problem: drop the zero rows, then the rows that are
+        # linear combinations of earlier ones, which would make the
+        # projection stage rank-deficient
+        nonzero = []  # (row, rhs, term)
+        for row, rhs in eq_rows:
+            term = row.to_term(dims, rhs)
+            if term.coeffs:
+                nonzero.append((row, rhs, term))
+        keep = _independent_rows(stack_rows(blocks, [term for _, _, term in nonzero])[0])
+        kept = [nonzero[n] for n in keep]
+        eq_terms = [term for _, _, term in kept]
+        hp_rows = [(_hp_row_dict(row), mp.mpf(rhs), row.label) for row, rhs, _ in kept]
+        obj_term = obj_row.to_term(dims, 0.0)
 
-    # Drop equality rows that are linear combinations of earlier ones (for
-    # N = 5 the negation-symmetry rows are implied by the identity rows);
-    # keeping them would make the projection stage rank-deficient.
-    blocks = [Block(b.label, b.dim, "psd") for b in specs]
-    keep = _independent_rows(stack_rows(blocks, eq_terms)[0])
-    pruned["dependent"] = len(eq_terms) - len(keep)
-    eq_terms = [eq_terms[i] for i in keep]
-    hp_rows = [hp_rows[i] for i in keep]
-
-    manifest.append(f"blocks: {', '.join(f'{b.label}(dim {b.dim})' for b in specs)}")
-    manifest.append(
+    manifest = [
+        f"blocks: {', '.join(f'{b.label}(dim {b.dim})' for b in specs)}",
         "block index order: (l, r) with l = 0..floor(d/2) outer-major over I_j (Q) "
-        "or P_j pairs (R, S)"
-    )
-    manifest.append(f"pruned rows: {pruned['zero']} zero, {pruned['duplicate']} symmetric-duplicate")
-    manifest.append("inequalities enter the solver and SDPA export through slack variables")
+        "or P_j pairs (R, S)",
+        f"pruned rows: {len(eq_rows) - len(nonzero)} zero, {len(nonzero) - len(keep)} dependent",
+        "inequalities enter the solver and SDPA export through slack variables",
+    ]
     for n, t in enumerate(eq_terms):
         manifest.append(f"eq[{n}] {t.label}")
     for n, t in enumerate(ineq_terms):

@@ -5,12 +5,14 @@ import re
 import numpy as np
 import pytest
 
+from pentapack.certify import project_affine
 from pentapack.fourier import ModelParams, evaluate_f, lambda_of
 from pentapack.geometry import constraint_sample
 from pentapack.motion import MotionPoint
 from pentapack.polynomials import conv
 from pentapack.sdpa import export_sdpa
 from pentapack.sos import (
+    _independent_rows,
     assemble_feasibility_variant,
     assemble_problem_A,
     block_specs,
@@ -152,14 +154,14 @@ ASSEMBLY_SHA256 = {
         "sdpa": "f6b9814a4f68baee111d499ce8617c99b441d6fbc785e44d3f3ee584f312f63f",
         "hp_rows": "0d37c8e1a72654659ccbae548daa01c0c77cc1a0a7ce03c4f47130a73de75fe7",
         "hp_rows_stored": "9ff00df0edfa3b628a9d04930356de1ae57664a20ef5fe7def901f61520369ee",
-        "manifest": "ecfb1c7a63f179ca31cc4e9e31a2a8c6c5584edd59fdc24e9d38aa278b42aae2",
+        "manifest": "b35da3a0e8982de40b7a4e5dc1669ab79de37280065e975e73a421bdefde352a",
         "terms": "b8792558306b74d2a8a02773bfc1b8caf1cdac1144901157c1feccdf29d7d5bd",
     },
     (3, 32): {
         "sdpa": "afb6efe4fc4e9a733766cee195998f5815e4ea87d29bcc5fedf1cf9ea6d536a5",
         "hp_rows": "0d37c8e1a72654659ccbae548daa01c0c77cc1a0a7ce03c4f47130a73de75fe7",
         "hp_rows_stored": "9ff00df0edfa3b628a9d04930356de1ae57664a20ef5fe7def901f61520369ee",
-        "manifest": "1adb10c2f9be76095f3ba6741bc4cf557c5776f3a5d350399b93933cdb4159a6",
+        "manifest": "2c9b417c7a6c10966ed79beff5807a500ae716ee57d99b16fea7eb13af7c0077",
         "terms": "df6338a67ba2a330d8d005a257ce2f362cbb46c9356f250960019219eda391aa",
     },
 }
@@ -173,6 +175,54 @@ def test_assembly_is_bit_stable(small_problem):
             problem = assemble_problem_A(ModelParams(5, 5), constraint_sample(alpha_count, grid_n, 1.02))
         got = _assembly_fingerprint(problem)
         assert got == want, (alpha_count, grid_n)
+
+
+def test_independent_rows_keeps_the_first_of_each_dependent_set():
+    e1, e2, e3 = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+    def unit(*rows):
+        return np.array([r / np.linalg.norm(r) for r in rows])
+
+    # a repeat, a scaled copy and a sum of two earlier rows are all dropped
+    assert _independent_rows(unit(e1, e1, e2, -3.0 * e1, e1 + e2, e3)) == [0, 2, 5]
+    # the kept indices are the earliest independent ones, in input order
+    assert _independent_rows(unit(e3, e1 + e2, e1, e2)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("params", [ModelParams(5, 5), ModelParams(11, 3)])
+def test_equality_rows_imply_negation_symmetry(small_problem, params):
+    """f_{r,s;k} = f_{-r,-s;k} on Problem A's equality subspace, without rows of its own.
+
+    At N = 11 the class 0 holds r = -10, 0, 10, so (r, s) and (-r, -s) differ
+    in more than one index.
+    """
+    if params == ModelParams(5, 5):
+        problem = small_problem
+    else:
+        problem = assemble_problem_A(params, constraint_sample(3, 16, 1.02))
+    rng = np.random.default_rng(44)
+    blocks = {}
+    for blk in problem.blocks:
+        M = rng.standard_normal((blk.dim, blk.dim))
+        blocks[blk.label] = 0.5 * (M + M.T)
+    sol = SdpSolution(blocks=blocks, y=np.zeros(1), objective=0.0, status="optimal", gap=0.0, iterations=0)
+    Q = project_affine(sol, problem)[0].blocks
+
+    def raw_f(r, s, k):
+        j = r % 10
+        return sum(
+            float(np.sum(build_F(i, r, s, k, params.d, N=params.N) * Q[f"Q{i}{j}"]))
+            for i in (0, 1)
+        )
+
+    isets = index_sets(params.N)
+    classes = {bs.j for bs in block_specs(params) if bs.family == "Q"}
+    pairs = [(r, s) for j in classes for r in isets[j] for s in isets[j]]
+    f = {(r, s, k): raw_f(r, s, k) for r, s in pairs for k in range(params.d + 1)}
+    scale = max(abs(v) for v in f.values())
+    assert scale > 1.0  # the projected blocks are far from zero
+    for (r, s, k), v in f.items():
+        assert abs(v - f[-r, -s, k]) <= 1e-9 * scale, (r, s, k)
 
 
 def test_problem_A_solves_and_normalizes(small_solved):
@@ -226,7 +276,7 @@ def test_identity_expansion_matches_direct_evaluation(small_solved):
             float(np.sum(np.asarray(c) * blocks[lab])) for lab, c in t.coeffs.items()
         )
     for m1, m2 in list(rowvals):
-        rowvals.setdefault((-m1, -m2), rowvals[(m1, m2)])  # pruned duplicates
+        rowvals.setdefault((-m1, -m2), rowvals[(m1, m2)])  # a class pruned as dependent repeats its negation
 
     for _ in range(6):
         rho = rng.uniform(0.2, 2.0)
