@@ -57,21 +57,27 @@ class SdpProblem:
         raise KeyError(label)
 
     def validate(self) -> None:
-        labels = [b.label for b in self.blocks]
-        if len(set(labels)) != len(labels):
+        """Refuse duplicate labels, unknown blocks, wrong shapes and asymmetric psd coefficients.
+
+        Symmetry is `np.allclose(c, c.T, atol=1e-12)` for every coefficient
+        of a psd block, objective included, checked in one call per block.
+        """
+        mats: dict[str, list[np.ndarray]] = {b.label: [] for b in self.blocks}
+        if len(mats) != len(self.blocks):
             raise ValueError("duplicate block labels")
         for term in [LinearTerm(self.objective, 0.0)] + self.eq_constraints + self.ineq_constraints:
             for lab, mat in term.coeffs.items():
-                blk = self.block(lab)
-                mat = np.asarray(mat)
-                if blk.kind == "psd":
-                    if mat.shape != (blk.dim, blk.dim):
-                        raise ValueError(f"bad coefficient shape for block {lab}")
-                    if not np.allclose(mat, mat.T, atol=1e-12):
-                        raise ValueError(f"coefficient for block {lab} is not symmetric")
-                else:
-                    if mat.shape != (blk.dim,):
-                        raise ValueError(f"bad coefficient shape for diag block {lab}")
+                if lab not in mats:
+                    raise KeyError(lab)
+                mats[lab].append(np.asarray(mat))
+        for blk in self.blocks:
+            shape = (blk.dim, blk.dim) if blk.kind == "psd" else (blk.dim,)
+            if any(mat.shape != shape for mat in mats[blk.label]):
+                raise ValueError(f"bad coefficient shape for {blk.kind} block {blk.label}")
+            if blk.kind == "psd" and mats[blk.label]:
+                stack = np.stack(mats[blk.label])
+                if not np.allclose(stack, stack.transpose(0, 2, 1), atol=1e-12):
+                    raise ValueError(f"coefficient for block {blk.label} is not symmetric")
 
     def value(self, term_coeffs: dict[str, np.ndarray], blocks: dict[str, np.ndarray]) -> float:
         """Evaluate a linear functional at a block assignment."""

@@ -6,6 +6,14 @@ up to a few dozen, around a thousand constraints), so everything is dense:
 the Newton system is reduced to the Schur complement M[i,j] = <A_i, W A_j W>,
 which is symmetric positive definite under NT scaling and solved by Cholesky.
 
+M is assembled block by block.  A psd block's rows split into runs of
+consecutive constraint indices, and its dense product is added into M one
+basic slice per pair of runs.  A diag block adds the outer product
+w_j^2 a_j a_j^T of each column j over that column's nonzero rows, so the
+slack block of the inequalities adds only its diagonal.  Within one
+iteration the factors of X and Z, W Rd W and the Cholesky factor of M serve
+both the predictor and the corrector.
+
 The search direction solves
     A(dX) = rp,   A*(dy) + dZ = Rd,   dX + W dZ W = R Uc R
 where W is the NT scaling point (W Z W = X), R = W^(1/2), and Uc comes from
@@ -39,9 +47,29 @@ class _BlockData:
     def __init__(self, kind, dim, rows, A, C):
         self.kind = kind  # "psd" | "diag"
         self.dim = dim
-        self.rows = rows  # indices of constraints touching this block
+        self.rows = rows  # indices of constraints touching this block, ascending
         self.A = A  # (mb, n, n) or (mb, n)
         self.C = C  # (n, n) or (n,)
+        # (slice of M, slice of the block's rows) per run of consecutive rows
+        cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
+        self.runs = [(slice(rows[a], rows[b - 1] + 1), slice(a, b)) for a, b in zip(cuts, cuts[1:]) if b > a]
+        if kind == "psd":
+            # the contraction path depends only on the shapes; C stands in for W
+            self.path = np.einsum_path("ij,kjl,lm->kim", C, A, C, optimize=True)[0]
+        else:
+            # rows of M, column j and entries a_rj, a_sj of each pair (r, s) sharing a nonzero column
+            nz = [np.flatnonzero(A[:, j]) for j in range(dim)]
+            r = np.concatenate([np.repeat(k, len(k)) for k in nz])
+            s = np.concatenate([np.tile(k, len(k)) for k in nz])
+            j = np.repeat(np.arange(dim), [len(k) ** 2 for k in nz])
+            self.outer = (rows[r], rows[s], j, A[r, j], A[s, j])
+
+
+def _add_runs(M, runs, sub):
+    """M[np.ix_(rows, rows)] += sub, as one basic slice per pair of row runs."""
+    for mi, si in runs:
+        for mj, sj in runs:
+            M[mi, mj] += sub[si, sj]
 
 
 def _sym(m):
@@ -133,11 +161,25 @@ class _Workspace:
             if len(d.rows) == 0:
                 continue
             Ab = d.A.reshape(len(d.rows), -1)
-            G[np.ix_(d.rows, d.rows)] += Ab @ Ab.T
+            _add_runs(G, d.runs, Ab @ Ab.T)
         try:
             return np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
             return None
+
+    def schur(self, W):
+        """M[i,j] = <A_i, W A_j W>; W maps a psd label to its W, a diag label to w with W = diag(w)."""
+        M = np.zeros((self.m, self.m))
+        for lab, d in self.data.items():
+            if len(d.rows) == 0:
+                continue
+            if d.kind == "psd":
+                B = np.einsum("ij,kjl,lm->kim", W[lab], d.A, W[lab], optimize=d.path)
+                _add_runs(M, d.runs, d.A.reshape(len(d.rows), -1) @ B.reshape(len(d.rows), -1).T)
+            else:
+                i, j, col, a_i, a_j = d.outer
+                np.add.at(M, (i, j), a_i * W[lab][col] ** 2 * a_j)
+        return M
 
     def restore(self, X, gram_chol, rp):
         """Minimum-norm correction moving X onto the affine constraint set."""
@@ -291,26 +333,14 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
                     v = np.sqrt(X[lab] * Z[lab])
                     scal[lab] = (w, v)
 
-            # Schur complement M[i,j] = <A_i, W A_j W>.
-            M = np.zeros((m, m))
-            for lab, d in ws.data.items():
-                if len(d.rows) == 0:
-                    continue
-                if d.kind == "psd":
-                    W = scal[lab][0]
-                    B = np.einsum("ij,kjl,lm->kim", W, d.A, W, optimize=True)
-                    Msub = d.A.reshape(len(d.rows), -1) @ B.reshape(len(d.rows), -1).T
-                else:
-                    w2 = scal[lab][0] ** 2
-                    Msub = (d.A * w2) @ d.A.T
-                M[np.ix_(d.rows, d.rows)] += Msub
+            M = ws.schur({lab: sc[0] for lab, sc in scal.items()})
 
             L = None
             shift = 0.0
             mnorm = float(np.abs(M).max())
             for attempt in range(4):
                 try:
-                    L = np.linalg.cholesky(M + shift * np.eye(m))
+                    L = np.linalg.cholesky(M + shift * np.eye(m) if shift else M)
                     break
                 except np.linalg.LinAlgError:
                     shift = mnorm * (1e-13 if attempt == 0 else shift / mnorm * 1e3)
@@ -318,6 +348,15 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
                 status = "numerical-failure"
                 stop_reason = "cholesky-failure"
                 break
+            L = np.asfortranarray(L)  # cho_solve would copy a C-ordered factor on every call
+
+            # Unchanged between the predictor and the corrector.
+            psd = [lab for lab, d in ws.data.items() if d.kind == "psd"]
+            chol = {lab: (np.linalg.cholesky(X[lab]), np.linalg.cholesky(Z[lab])) for lab in psd}
+            WRW = {}
+            for lab, d in ws.data.items():
+                W = scal[lab][0]
+                WRW[lab] = _sym(W @ Rd[lab] @ W) if d.kind == "psd" else W**2 * Rd[lab]
 
             def schur_solve(rhs):
                 x = cho_solve((L, True), rhs, check_finite=False)
@@ -329,13 +368,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
             def newton(Rc):
                 """Solve the Newton system for a given centrality target."""
                 rhs = rp.copy()
-                WRW = {}
                 for lab, d in ws.data.items():
-                    if d.kind == "psd":
-                        W = scal[lab][0]
-                        WRW[lab] = _sym(W @ Rd[lab] @ W)
-                    else:
-                        WRW[lab] = scal[lab][0] ** 2 * Rd[lab]
                     x = WRW[lab] - Rc[lab]
                     if d.kind == "psd":
                         rhs[d.rows] += np.einsum("kij,ij->k", d.A, x)
@@ -357,8 +390,8 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
                 ap = ad = 1.0
                 for lab, d in ws.data.items():
                     if d.kind == "psd":
-                        ap = min(ap, _max_step(np.linalg.cholesky(X[lab]), dX[lab], STEP_FRAC))
-                        ad = min(ad, _max_step(np.linalg.cholesky(Z[lab]), dZ[lab], STEP_FRAC))
+                        ap = min(ap, _max_step(chol[lab][0], dX[lab], STEP_FRAC))
+                        ad = min(ad, _max_step(chol[lab][1], dZ[lab], STEP_FRAC))
                     else:
                         ap = min(ap, _max_step_diag(X[lab], dX[lab], STEP_FRAC))
                         ad = min(ad, _max_step_diag(Z[lab], dZ[lab], STEP_FRAC))
@@ -446,9 +479,10 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
     pobj = sum(float(np.sum(ws.data[lab].C * X[lab])) for lab in X)
     gap = ws.inner(X, Z)
     relgap = gap / (1.0 + abs(pobj) + abs(float(ws.b @ y)))
+    elapsed = time.perf_counter() - started
     log.info(
-        "solve: %d iterations, status %s, stop %s, %.2f s",
-        it, status, stop_reason, time.perf_counter() - started,
+        "solve: %d iterations, status %s, stop %s, %.2f s, %.1f ms/iteration",
+        it, status, stop_reason, elapsed, 1e3 * elapsed / max(it, 1),
     )
     return SdpSolution(
         blocks={lab: x.copy() for lab, x in X.items()},

@@ -1,9 +1,11 @@
 import logging
+import re
 
 import numpy as np
 import pytest
 
 from pentapack import solver
+from pentapack.pipeline import RunConfig, build_problem
 from pentapack.sdp import Block, LinearTerm, SdpProblem
 from pentapack.solver import solve
 
@@ -35,6 +37,7 @@ def test_lambda_max(caplog):
     records = [r for r in caplog.records if r.name == "pentapack.solver"]
     assert [r.levelno for r in records] == [logging.DEBUG] * sol.iterations + [logging.INFO]
     assert "status optimal, stop converged" in records[-1].getMessage()
+    assert re.search(r", \d+\.\d ms/iteration$", records[-1].getMessage())
 
 
 def test_schur_factor_is_never_lu_solved(monkeypatch):
@@ -86,6 +89,86 @@ def test_dependent_rows_take_the_shifted_cholesky_path(monkeypatch):
     assert sol.status == "optimal"
     assert sol.stop_reason == "converged"
     assert sol.objective == pytest.approx(reference.objective, abs=1e-7)
+
+
+def reference_schur(ws, W):
+    """M[i,j] = <A_i, W A_j W> as one dense product per block, scattered with np.ix_."""
+    M = np.zeros((ws.m, ws.m))
+    for lab, d in ws.data.items():
+        if d.kind == "psd":
+            B = np.einsum("ij,kjl,lm->kim", W[lab], d.A, W[lab], optimize=True)
+            Msub = d.A.reshape(len(d.rows), -1) @ B.reshape(len(d.rows), -1).T
+        else:
+            Msub = (d.A * W[lab] ** 2) @ d.A.T
+        M[np.ix_(d.rows, d.rows)] += Msub
+    return M
+
+
+def alternating_problem(shared):
+    """Block X touches the even rows, Y the odd rows and the diag block D every row.
+
+    Each row has one positive D entry: its own column, or with `shared` the
+    column of its pair (2k, 2k+1), so rows 0 and 1 meet only in D.  The
+    problem is strictly feasible at X = Y = I, D = 1 and bounded below by 0.
+    """
+    rng = np.random.default_rng(61)
+    m, n = 12, 4
+    dim_d = m // 2 if shared else m
+    eqs = []
+    for i in range(m):
+        A = rng.standard_normal((n, n))
+        A = A + A.T
+        dv = np.zeros(dim_d)
+        dv[i // 2 if shared else i] = rng.uniform(0.5, 2.0)
+        eqs.append(LinearTerm({"X" if i % 2 == 0 else "Y": A, "D": dv}, float(np.trace(A) + dv.sum())))
+    blocks = [Block("X", n), Block("Y", n), Block("D", dim_d, "diag")]
+    return SdpProblem(blocks, {"X": np.eye(n), "Y": np.eye(n), "D": np.ones(dim_d)}, eqs, [])
+
+
+def random_scaling(ws):
+    rng = np.random.default_rng(62)
+    W = {}
+    for lab, d in ws.data.items():
+        if d.kind == "psd":
+            G = rng.standard_normal((d.dim, d.dim))
+            W[lab] = G @ G.T + np.eye(d.dim)
+        else:
+            W[lab] = rng.uniform(0.5, 2.0, d.dim)
+    return W
+
+
+def test_schur_matches_dense_reference_on_problem_A(monkeypatch):
+    """Problem A at TINY's size, with the scaling of the first iteration."""
+    calls = []
+    schur = solver._Workspace.schur
+
+    def recording_schur(ws, W):
+        calls.append((ws, W))
+        return schur(ws, W)
+
+    monkeypatch.setattr(solver._Workspace, "schur", recording_schur)
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
+    solve(build_problem(RunConfig(d=5, alpha_count=3, grid_n=16)))
+    ws, W = calls[0]
+    assert max(len(d.runs) for d in ws.data.values()) > 1
+    assert np.array_equal(ws.schur(W), reference_schur(ws, W))
+
+
+def test_schur_matches_dense_reference_over_many_runs():
+    ws = solver._Workspace(alternating_problem(shared=False))
+    assert [len(ws.data[lab].runs) for lab in "XY"] == [6, 6]
+    W = random_scaling(ws)
+    assert np.array_equal(ws.schur(W), reference_schur(ws, W))
+
+
+def test_diag_column_shared_by_two_rows():
+    p = alternating_problem(shared=True)
+    ws = solver._Workspace(p)
+    W = random_scaling(ws)
+    M = ws.schur(W)
+    assert M[0, 1] > 0 and M[1, 0] == M[0, 1]  # rows 0 and 1 meet only in D
+    assert np.allclose(M, reference_schur(ws, W), rtol=1e-15, atol=0.0)
+    assert solve(p).status == "optimal"
 
 
 def test_one_dimensional_lp():
