@@ -280,14 +280,84 @@ def _bernstein_max(coeffs: list, a, b) -> object:
     return best
 
 
+def _panel_bounds(coeffs: list, starts: list, step):
+    """Floats lo <= V <= hi for each panel value V of `_weighted_sup`, or None.
+
+    V = `_bernstein_max` on [a, a + w] times mp's e^(-pi a), a in `starts`,
+    w = (a + step) - a, at the working precision p.  With K coefficients,
+    n = K - 1, numpy forms for all panels the Bernstein coefficients
+    b = B T c, T_kj = C(j,k) a^(j-k) w^k (powers by cumulative products),
+    B_ik = C(i,k)/C(n,k), from mp's a, w, c rounded to float, and S by the
+    same contraction on |c|.  A term of b passes at most 2j + 2K + 7 <= m =
+    4K + 5 roundings (c, a and w per use, the powers, C, two products, the
+    sum over j, B, one product, the sum over k), so the float b^ is within
+    gamma_m S of b, its exact value at mp's inputs (Higham, ch. 3, any
+    summation order).  mp rounds each term at most 2K + 9 times (an integer
+    power counts twice: mpmath rounds it once, after exact products or
+    truncation at p + 4 bitcount + 4 bits), so at p >= 128 its b is within
+    2^-100 S of b, and its e^(-pi a) within 2^-100 relative.  Gradual
+    underflow adds at most 2^-1075 to a float product or conversion, times
+    the other factors of the term (at most G = 2^n max(1, a, w)^n max(1,
+    |c|)), over at most 2K + 4 of them; A = K^2 (2K + 4) G 2^-1071 covers
+    that in b^ and S four times over.  With R = max(FLOAT_ERROR_RADIUS,
+    10 gamma_m), rad = R S + A is at least twice the error of |b^| against
+    mp's |b|.  While exp(-pi a) is normal its argument is at most 709, off
+    by gamma_3 709; with 4 ulps for exp it errs below 0.29 * 2^-40 <= 0.29
+    R, so damp (1 -/+ R) encloses mp's factor.  The margins cover the
+    remaining roundings, so hi = max_i(|b^_i| + rad) damp (1 + R) and lo =
+    max_i(max(|b^_i| - rad, 0)) damp (1 - R) enclose V.  None when p < 128,
+    when an hi or lo is not finite (overflow, NaN, infinite R), or when an
+    hi or damp factor is below 2^-1022, where rounding is no longer
+    relative.
+    """
+    K = len(coeffs)
+    if not K or mp.prec < 128:
+        return None
+    comb = np.array([[math.comb(j, k) for j in range(K)] for k in range(K)], dtype=float)
+    a = np.array([float(x) for x in starts])
+    w = np.array([float(x + step - x) for x in starts])
+    c = np.array([float(x) for x in coeffs])
+    j = np.arange(K)
+    apow = np.cumprod(np.where(j > 0, a[:, None], 1.0), axis=1)  # a^j
+    wpow = np.cumprod(np.where(j > 0, w[:, None], 1.0), axis=1)
+    T = comb * apow[:, np.maximum(j - j[:, None], 0)] * wpow[:, :, None]  # T[panel, k, j]
+    B = comb.T / comb[:, -1]  # B[i, k] = C(i, k) / C(n, k)
+    R = max(FLOAT_ERROR_RADIUS, 10 * _gamma(4 * K + 5, 2.0**-53))
+    with np.errstate(all="ignore"):
+        b, S = np.abs((T @ c) @ B.T), (T @ np.abs(c)) @ B.T
+        G = np.float64(2.0) ** (K - 1) * max(1.0, a.max(), w.max()) ** (K - 1) * max(1.0, np.abs(c).max())
+        rad = np.multiply(R, S, out=np.zeros_like(S), where=S > 0) + np.ldexp(K * K * (2 * K + 4) * G, -1071)
+        damp = np.exp(-np.pi * a)
+        hi = (b + rad).max(axis=1) * (damp * (1 + R))
+        lo = np.maximum(b - rad, 0.0).max(axis=1) * (damp * (1 - R))
+    if np.isfinite(hi).all() and np.isfinite(lo).all() and min(hi.min(), damp.min()) >= np.finfo(float).tiny:
+        return lo, hi
+    return None
+
+
+# Panels `_weighted_sup` has screened and sent to mp; verify logs its own share.
+_panel_counts = {"all": 0, "mp": 0}
+
+
 def _weighted_sup(coeffs: list, u_max, panels: int = 24) -> object:
-    """Certified sup over [0, u_max] of |p(u)| e^(-pi u), by panelled Bernstein."""
-    total = mp.mpf(0)
+    """Certified sup over [0, u_max] of |p(u)| e^(-pi u), by panelled Bernstein.
+
+    The largest panel value, `_bernstein_max` times e^(-pi a) on [a, a +
+    step] in mp, taken only over the panels whose float bound hi reaches the
+    largest lo of `_panel_bounds`: a panel left out has value <= hi < max lo
+    <= the maximum, so the result is the same mp number as over all panels.
+    Without float bounds (non-finite, underflow) every panel goes to mp.
+    """
     step = mp.mpf(u_max) / panels
-    for i in range(panels):
-        a = i * step
-        bound = _bernstein_max(coeffs, a, a + step) * mp.e ** (-mp.pi * a)
-        total = max(total, bound)
+    starts = [i * step for i in range(panels)]
+    bounds = _panel_bounds(coeffs, starts, step)
+    keep = range(panels) if bounds is None else np.flatnonzero(bounds[1] >= bounds[0].max()).tolist()
+    _panel_counts["all"] += panels
+    _panel_counts["mp"] += len(keep)
+    total = mp.mpf(0)
+    for i in keep:
+        a = starts[i]
+        total = max(total, _bernstein_max(coeffs, a, a + step) * mp.e ** (-mp.pi * a))
     return total
 
 
@@ -322,7 +392,9 @@ def _lipschitz_pair(t: CoefficientTensor, rho_max: float, precision_bits: int) -
     derivative is 2 rho (P' - pi P)(u) e^(-pi u) and the angular-in-theta
     part contributes |r-s| P(u)/rho; since P carries the factor u^(|r-s|/2),
     both are polynomials (times a bounded sqrt(u)), and each factor is
-    bounded by panelled Bernstein enclosures over [0, rho_max^2].
+    bounded by panelled Bernstein enclosures over [0, rho_max^2]; float64
+    bounds send only the panels that can hold each maximum to mp
+    (`_weighted_sup`).
     """
     with mp.workprec(max(precision_bits, 128)):
         U = mp.mpf(rho_max) ** 2
@@ -666,13 +738,18 @@ def verify_nonpositivity(
     order with strict '>'; the cert margin from the boxes whose bound-hi
     reaches the largest bound-lo; and the 16 kept failures.  A point left
     out has fc <= hi < the largest lo, below the maximum, so the results
-    equal those of evaluating every box at `precision_bits`.
+    equal those of evaluating every box at `precision_bits`.  L_x and L_a
+    come from `_lipschitz_pair`, whose panels are screened the same way
+    (`_weighted_sup`).
     """
     if enlargement < 1.0:
         raise ValueError(f"enlargement must be >= 1, got {enlargement}")
     started = time.perf_counter()
     rho_max = math.sqrt(2.0) + 0.01  # boxes live in [-1,1]^2
+    panels_before = dict(_panel_counts)
     L_x, L_a = _lipschitz_pair(t, rho_max, max(precision_bits, 128))
+    lipschitz_s = time.perf_counter() - started
+    lip_all, lip_mp = (_panel_counts[k] - panels_before[k] for k in ("all", "mp"))
     ev = MpEvaluator(t, precision_bits)
     fe = FloatEvaluator(ev)
     rate = 0.5 * enlargement + 1e-12  # Hausdorff speed of the difference in alpha
@@ -874,9 +951,9 @@ def verify_nonpositivity(
         notes += "; refinement aborted at the failure/evaluation budget"
     log.info(
         "verify: %d level-0 boxes, %d evaluations, %d decisions settled in float, "
-        "%d mp fallbacks, %.2f s",
+        "%d mp fallbacks, %d of %d Lipschitz panels by mp in %.2f s, %.2f s",
         sample_spec.alpha_count * sample_spec.grid_n**2, evaluations, evaluations - decided_by_mp,
-        len(mp_values), time.perf_counter() - started,
+        len(mp_values), lip_mp, lip_all, lipschitz_s, time.perf_counter() - started,
     )
     return SignVerification(
         sign_margin=sign_margin,

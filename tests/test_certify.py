@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -287,6 +288,124 @@ def test_lipschitz_dominates_sampled_gradients():
         assert La >= amax * 0.999  # alpha bound is near-tight by construction
 
 
+def weighted_sup_all_panels(coeffs, u_max, panels=24):
+    """Reference: `_weighted_sup` by mp on every panel, without the float screen."""
+    total = mp.mpf(0)
+    step = mp.mpf(u_max) / panels
+    for i in range(panels):
+        a = i * step
+        bound = certify._bernstein_max(coeffs, a, a + step) * mp.e ** (-mp.pi * a)
+        total = max(total, bound)
+    return total
+
+
+def _count_bernstein_calls(monkeypatch):
+    calls = []
+    bernstein_max = certify._bernstein_max
+
+    def counted(*args):
+        calls.append(args)
+        return bernstein_max(*args)
+
+    monkeypatch.setattr(certify, "_bernstein_max", counted)
+    return calls
+
+
+def test_weighted_sup_equals_all_panels_on_paper_default_polynomials(monkeypatch):
+    seen = []
+    weighted_sup = certify._weighted_sup
+
+    def recorded(coeffs, u_max):
+        seen.append((coeffs, u_max, weighted_sup(coeffs, u_max)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(certify, "_weighted_sup", recorded)
+    _lipschitz_pair(CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text()), math.sqrt(2.0) + 0.01, 256)
+    assert len(seen) == 7
+    with mp.workprec(256):
+        for coeffs, u_max, value in seen:
+            assert value == weighted_sup_all_panels(coeffs, u_max)
+
+
+def _cancelling_polynomials():
+    """(coefficients, u_max) with alternating signs; values far below the coefficients."""
+    rng = np.random.default_rng(83)
+    binomials = [  # (u - r)^n expanded
+        [mp.mpf(math.comb(n, k)) * (-r) ** (n - k) for k in range(n + 1)]
+        for n, r in [(11, 1), (11, 0.5), (8, 2), (13, 1.25)]
+    ]
+    randoms = [
+        [mp.mpf(float(x)) * (-1) ** k * 10 ** float(e) for k, (x, e) in
+         enumerate(zip(np.abs(rng.standard_normal(K)), rng.uniform(-4, 4, K)))]
+        for K in rng.integers(1, 15, 40)
+    ]
+    return [(coeffs, mp.mpf(float(rng.uniform(0.1, 4.0)))) for coeffs in binomials + randoms]
+
+
+def test_weighted_sup_equals_all_panels_under_cancellation():
+    with mp.workprec(256):
+        for coeffs, u_max in _cancelling_polynomials():
+            assert certify._weighted_sup(coeffs, u_max) == weighted_sup_all_panels(coeffs, u_max)
+
+
+def test_panel_bounds_enclose_every_panel_value():
+    with mp.workprec(256):
+        for coeffs, u_max in _cancelling_polynomials():
+            step = u_max / 24
+            starts = [i * step for i in range(24)]
+            lo, hi = certify._panel_bounds(coeffs, starts, step)
+            for a, low, high in zip(starts, lo.tolist(), hi.tolist()):
+                value = certify._bernstein_max(coeffs, a, a + step) * mp.e ** (-mp.pi * a)
+                assert low <= value <= high
+
+
+@pytest.mark.parametrize("coeffs", [[], [3.5], [-2.0], [0.0], [0.0] * 6, [0.0, 0.0, 1e-310]])
+def test_weighted_sup_degenerate_polynomials(coeffs):
+    with mp.workprec(256):
+        coeffs = [mp.mpf(c) for c in coeffs]
+        u_max = mp.mpf(2.0283)
+        assert certify._weighted_sup(coeffs, u_max) == weighted_sup_all_panels(coeffs, u_max)
+
+
+def test_weighted_sup_sends_tied_panels_to_mp(monkeypatch):
+    # p(u) = u: panel i gives (i + 1) w e^(-pi i w), and w = ln 2 / pi ties panels 0 and 1
+    calls = _count_bernstein_calls(monkeypatch)
+    with mp.workprec(256):
+        coeffs, u_max = [mp.mpf(0), mp.mpf(1)], 24 * mp.log(2) / mp.pi
+        assert certify._weighted_sup(coeffs, u_max) == weighted_sup_all_panels(coeffs, u_max)
+        assert sorted(a for _, a, _ in calls[:-24]) == [0, u_max / 24]
+
+
+def test_weighted_sup_beyond_float_range_sends_every_panel_to_mp(monkeypatch):
+    calls = _count_bernstein_calls(monkeypatch)
+    with mp.workprec(256):
+        coeffs = [mp.mpf(1), mp.mpf("1e400"), mp.mpf(-3)]
+        assert certify._weighted_sup(coeffs, mp.mpf(2)) == weighted_sup_all_panels(coeffs, mp.mpf(2))
+    assert len(calls) == 24 + 24  # the screened call, then the reference
+
+
+def test_lipschitz_pair_on_paper_default_sends_seven_panels_to_mp(monkeypatch):
+    calls = _count_bernstein_calls(monkeypatch)
+    before = dict(certify._panel_counts)
+    t = CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text())
+    assert _lipschitz_pair(t, math.sqrt(2.0) + 0.01, 256) == (2.626546471299487, 0.0704477702920862)
+    assert len(calls) == 7
+    assert certify._panel_counts["all"] - before["all"] == 168
+    assert certify._panel_counts["mp"] - before["mp"] == 7
+
+
+def test_lipschitz_pair_equals_all_panels_reference(monkeypatch):
+    rng = np.random.default_rng(84)
+    tensors = [random_positive_tensor(ModelParams(2, 3), rng) for _ in range(5)]
+    tensors += [make() for make, *_ in GOLDEN_CASES.values()]  # 'deep' is the paper-default fixture
+    for t in tensors:
+        for rho_max, bits in [(math.sqrt(2.0) + 0.01, 256), (1.0, 128)]:
+            screened = _lipschitz_pair(t, rho_max, bits)
+            with monkeypatch.context() as m:
+                m.setattr(certify, "_weighted_sup", weighted_sup_all_panels)
+                assert _lipschitz_pair(t, rho_max, bits) == screened
+
+
 # -- high-precision evaluator ------------------------------------------------
 
 
@@ -566,9 +685,13 @@ def test_verify_mp_fallback_golden_record(name, monkeypatch):
 
     monkeypatch.setattr(certify, "FLOAT_ERROR_RADIUS", math.inf)
     monkeypatch.setattr(MpEvaluator, "eval", counted)
+    panels = _count_bernstein_calls(monkeypatch)
+    before = dict(certify._panel_counts)
     sv = _run_golden(name)
     assert asdict(sv) == GOLDEN[name]
     assert len(calls) >= sv.evaluations
+    assert len(panels) == certify._panel_counts["all"] - before["all"] > 0
+    assert certify._panel_counts["mp"] - before["mp"] == len(panels)
 
 
 def test_verify_logs_one_summary_line(caplog):
@@ -578,6 +701,7 @@ def test_verify_logs_one_summary_line(caplog):
     assert len(lines) == 1
     assert f"1728 level-0 boxes, {sv.evaluations} evaluations" in lines[0]
     assert "decisions settled in float" in lines[0] and "mp fallbacks" in lines[0]
+    assert re.search(r", 2 of 48 Lipschitz panels by mp in \d+\.\d\d s, ", lines[0])
 
 
 # -- bound -------------------------------------------------------------------
