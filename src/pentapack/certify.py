@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from mpmath import mp
-from scipy.linalg import cho_solve
 
 from .fourier import CoefficientTensor, evaluate_f, lambda_of
 from .geometry import minkowski_difference, pentagon
@@ -53,6 +52,7 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     with diagnostics: displacement norm and pre/post residuals.  Raises
     RankDeficiencyError when dependent rows survived assembly pruning.
     """
+    from scipy.linalg import cho_solve  # imported on first use: scipy.linalg takes longer to load than pentapack
     A, b = stack_rows(p.blocks, p.eq_constraints)
     m = len(A)
     svals = np.linalg.svd(A, compute_uv=False)

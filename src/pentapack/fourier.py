@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .motion import MotionPoint
 from .polynomials import EvenPolynomial
@@ -243,6 +242,7 @@ def evaluate_f_quadrature(t: CoefficientTensor, p: MotionPoint) -> float:
     target accuracy.  Test oracle only; the closed form is the production
     route.
     """
+    from scipy.integrate import quad  # imported on first use: scipy.integrate is slow to load
     t.validate()
     items = list(t.nonzero_items())
     orders = sorted({s - r for r, s, _k, _v in items})
@@ -280,6 +280,7 @@ def lambda_integral_oracle(t: CoefficientTensor) -> float:
     averages use trapezoid sums, which are exact for trigonometric
     polynomials of the occurring degrees.
     """
+    from scipy.integrate import quad  # imported on first use: scipy.integrate is slow to load
     n_theta = 8 * t.params.N + 8
     n_alpha = 4 * t.params.N + 4
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)

@@ -318,7 +318,8 @@ def step_bound(
     return report
 
 
-def run_all(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> VerificationReport:
+def run_all(cfg: RunConfig, outdir: Path | str, plot_data: bool = False) -> VerificationReport:
+    outdir = Path(outdir)
     step_sample(cfg, outdir, plot_data=plot_data)
     problem = step_generate(cfg, outdir)
     step_solve(cfg, outdir, problem=problem)

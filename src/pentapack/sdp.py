@@ -97,7 +97,6 @@ class SdpSolution:
     gap: float
     iterations: int
     dual_blocks: dict[str, np.ndarray] | None = None
-    gap_history: list[float] = field(default_factory=list)
     # converged | stalled | step-stall | y-divergence | cholesky-failure |
     # max-iter for the embedded solver; imported for a read-in solution
     stop_reason: str = ""

@@ -28,7 +28,6 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .sdp import SdpProblem, SdpSolution, standard_form
 
@@ -183,6 +182,7 @@ class _Workspace:
 
     def restore(self, X, gram_chol, rp):
         """Minimum-norm correction moving X onto the affine constraint set."""
+        from scipy.linalg import cho_solve  # imported on first use: scipy.linalg takes longer to load than pentapack
         lam = cho_solve((gram_chol, True), rp, check_finite=False)
         out = {}
         for lab, d in self.data.items():
@@ -246,6 +246,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
     max-iter (MAX_ITER iterations).  Logs one DEBUG line per iteration and
     one INFO line per solve on the `pentapack.solver` logger.
     """
+    from scipy.linalg import cho_solve  # imported on first use: scipy.linalg takes longer to load than pentapack
     started = time.perf_counter()
     ws = _Workspace(p)
     m = ws.m
@@ -274,7 +275,6 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
     stall = 0
     best = None  # (score, X, Z, y, metrics)
     no_improve = 0
-    gap_history: list[float] = []
     gram_chol = ws.gram_factor()
     for it in range(1, MAX_ITER + 1):
         rp = ws.b - ws.apply_A(X)
@@ -292,7 +292,6 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
             for lab in Rd
         )
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
-        gap_history.append(relgap)
         log.debug(
             "it %3d  pobj %+.9e  relgap %.2e  pinf %.2e  dinf %.2e  ap %.2e  ad %.2e  sigma %.2e",
             it, pobj, relgap, pinf, dinf, ap, ad, sigma,
@@ -492,6 +491,5 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
         gap=relgap,
         iterations=it,
         dual_blocks={lab: z.copy() for lab, z in Z.items()},
-        gap_history=gap_history,
         stop_reason=stop_reason,
     )

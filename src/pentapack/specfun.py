@@ -18,7 +18,6 @@ import math
 from fractions import Fraction
 
 from mpmath import mp
-from scipy.integrate import quad
 
 _SERIES_CUTOFF = 9.0  # |z| above which the power series loses too many digits
 
@@ -94,6 +93,7 @@ def bessel_j_integral_oracle(n: int, z: float) -> float:
     Uses (1 / (2 pi i^n)) int_0^2pi e^(i z cos xi) e^(i n xi) d xi; test
     oracle only.
     """
+    from scipy.integrate import quad  # imported on first use: scipy.integrate is slow to load
     n = int(n)
 
     def re_part(xi):
@@ -256,6 +256,7 @@ def hankel_integral_oracle(r: int, s: int, k: int, rho: float) -> float:
     Truncated at a = 10 where the Gaussian tail is below 1e-130; raises if
     the quadrature does not converge.  Test oracle only.
     """
+    from scipy.integrate import quad  # imported on first use: scipy.integrate is slow to load
     m = abs(r - s)
     if m % 2 != 0:
         raise ValueError("hankel_integral_oracle requires |r-s| even")

@@ -1,6 +1,10 @@
+import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -479,6 +483,36 @@ def test_verify_precision_consistency():
     lo = verify_nonpositivity(t, 1.02, spec, 128)
     assert hi.stream_points == lo.stream_points
     assert hi.sign_margin == pytest.approx(lo.sign_margin, abs=1e-10)
+
+
+_IMPORT_GRAPH_SCRIPT = """
+import json, sys
+import numpy as np
+import pentapack
+from pentapack.certify import VerifySpec, verify_nonpositivity
+from pentapack.fourier import CoefficientTensor, ModelParams
+from pentapack.sdp import Block, LinearTerm, SdpProblem
+e = np.zeros((5, 5, 4))
+e[2, 2, 0] = -1.0
+sv = verify_nonpositivity(CoefficientTensor(ModelParams(2, 3), e), 1.02, VerifySpec(3, 8, 1), 128)
+after_verify = sorted(m for m in ("scipy.linalg", "scipy.integrate") if m in sys.modules)
+sol = pentapack.solve(SdpProblem([Block("X", 2, "psd")], {"X": np.eye(2)}, [LinearTerm({"X": np.eye(2)}, 1.0)], []))
+print(json.dumps([sv.sign_margin, after_verify, sol.status, "scipy.linalg" in sys.modules]))
+"""
+
+
+def test_verify_loads_neither_scipy_linalg_nor_integrate():
+    """In a fresh process (this one already holds scipy), verify needs no scipy; a solve loads scipy.linalg."""
+    src = str(Path(certify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    sign_margin, after_verify, status, linalg_after_solve = json.loads(out)
+    assert sign_margin < 0
+    assert after_verify == []
+    assert status == "optimal"
+    assert linalg_after_solve
 
 
 # -- float64 evaluation with an error radius ---------------------------------

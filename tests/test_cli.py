@@ -108,7 +108,7 @@ def test_each_run_assembles_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "assemble_problem_A", counted)
     cfg = RunConfig(**TINY)
     for run in range(2):
-        run_all(cfg, tmp_path / str(run))
+        run_all(cfg, str(tmp_path / str(run)))  # a str outdir works too
         assert len(calls) == run + 1
 
 

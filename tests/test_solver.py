@@ -216,9 +216,6 @@ def test_solution_invariants():
     assert abs(float(np.sum(X * Z))) <= 1e-7
     # optimum of min <C, X> over the spectrahedron tr X = 1 is lambda_min
     assert sol.objective == pytest.approx(np.linalg.eigvalsh(C).min(), abs=1e-7)
-    # gap trajectory is logged and trends down
-    assert len(sol.gap_history) == sol.iterations
-    assert sol.gap_history[-1] < sol.gap_history[0]
 
 
 def test_infeasible_detected(monkeypatch):
