@@ -23,7 +23,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from mpmath import mp
@@ -75,16 +75,7 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
         v = x1[at: at + math.prod(shape)].reshape(shape)
         at += v.size
         blocks[blk.label] = 0.5 * (v + v.T) if v.ndim == 2 else v
-    out = SdpSolution(
-        blocks=blocks,
-        y=sol.y.copy(),
-        objective=sol.objective,
-        status=sol.status,
-        gap=sol.gap,
-        iterations=sol.iterations,
-        dual_blocks=sol.dual_blocks,
-        stop_reason=sol.stop_reason,
-    )
+    out = replace(sol, blocks=blocks, y=sol.y.copy())
     info = {
         "displacement": float(np.linalg.norm(x1 - x)),
         "pre_residual": float(np.abs(pre).max()),
@@ -339,8 +330,8 @@ def _panel_bounds(coeffs: list, starts: list, step):
 _panel_counts = {"all": 0, "mp": 0}
 
 
-def _weighted_sup(coeffs: list, u_max, panels: int = 24) -> object:
-    """Certified sup over [0, u_max] of |p(u)| e^(-pi u), by panelled Bernstein.
+def _weighted_sup(coeffs: list, u_max) -> object:
+    """Certified sup over [0, u_max] of |p(u)| e^(-pi u), by Bernstein on 24 panels.
 
     The largest panel value, `_bernstein_max` times e^(-pi a) on [a, a +
     step] in mp, taken only over the panels whose float bound hi reaches the
@@ -348,11 +339,11 @@ def _weighted_sup(coeffs: list, u_max, panels: int = 24) -> object:
     <= the maximum, so the result is the same mp number as over all panels.
     Without float bounds (non-finite, underflow) every panel goes to mp.
     """
-    step = mp.mpf(u_max) / panels
-    starts = [i * step for i in range(panels)]
+    step = mp.mpf(u_max) / 24
+    starts = [i * step for i in range(24)]
     bounds = _panel_bounds(coeffs, starts, step)
-    keep = range(panels) if bounds is None else np.flatnonzero(bounds[1] >= bounds[0].max()).tolist()
-    _panel_counts["all"] += panels
+    keep = range(24) if bounds is None else np.flatnonzero(bounds[1] >= bounds[0].max()).tolist()
+    _panel_counts["all"] += 24
     _panel_counts["mp"] += len(keep)
     total = mp.mpf(0)
     for i in keep:
@@ -418,11 +409,6 @@ def _lipschitz_pair(t: CoefficientTensor, rho_max: float, precision_bits: int) -
             Lx += sup_radial + sup_angular
             La += abs(s) * _weighted_sup(ucoeffs, U)
         return float(Lx * (1 + mp.mpf(1e-12))), float(La * (1 + mp.mpf(1e-12)))
-
-
-def lipschitz_estimate(t: CoefficientTensor, rho_max: float = 1.0, precision_bits: int = 128) -> float:
-    """Certified upper bound on the spatial gradient norm of f for rho <= rho_max."""
-    return _lipschitz_pair(t, rho_max, precision_bits)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .motion import MotionPoint
-from .polynomials import EvenPolynomial
 from .specfun import bessel_j, coeff_D, laguerre
 
 ANGULAR_MODULUS = 10  # r - s must vanish mod this for nonzero coefficients
@@ -100,11 +99,11 @@ class CoefficientTensor:
                         worst = max(worst, float(np.abs(bad).max()))
         return worst
 
-    def validate(self, tol: float = 1e-8) -> None:
-        scale = max(1.0, self.l1_norm())
-        if self.structural_violation() > tol * scale:
+    def validate(self) -> None:
+        tol = 1e-8 * max(1.0, self.l1_norm())
+        if self.structural_violation() > tol:
             raise TensorInvariantError("structural zero constraints violated")
-        if self.asymmetry() > tol * scale:
+        if self.asymmetry() > tol:
             raise TensorInvariantError("tensor symmetry invariants violated")
 
     def nonzero_items(self):
@@ -136,8 +135,13 @@ class CoefficientTensor:
         n = 2 * params.N + 1
         entries = np.zeros((n, n, params.d + 1))
         for ln in lines[2:]:
-            r, s, k, v = ln.split()
-            entries[int(r) + params.N, int(s) + params.N, int(k)] = float(v)
+            parts = ln.split()
+            if len(parts) != 4:
+                raise ValueError(f"tensor entry is not 'r s k value': {ln!r}")
+            r, s, k, v = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            if max(abs(r), abs(s)) > params.N or not 0 <= k <= params.d or not math.isfinite(v):
+                raise ValueError(f"tensor entry out of range for N {params.N} d {params.d}: {ln!r}")
+            entries[r + params.N, s + params.N, k] = v
         return cls(params, entries)
 
 
@@ -172,10 +176,10 @@ def matrix_coefficient_u_quadrature(a: float, r: int, s: int, p: MotionPoint) ->
     return complex(vals.mean())
 
 
-def tau(r: int, s: int, q: EvenPolynomial, p: MotionPoint) -> complex:
-    """Apply the linear operator tau_{r,s} to an even polynomial at p.
+def tau(r: int, s: int, coeffs, p: MotionPoint) -> complex:
+    """Apply the linear operator tau_{r,s} at p to the even polynomial sum_k coeffs[k] a^(2k).
 
-    Monomials a^(2k) map to (-1)^(|r-s|/2) e^(-i(s alpha + (r-s) theta))
+    Each power a^(2k) maps to (-1)^(|r-s|/2) e^(-i(s alpha + (r-s) theta))
     D_{r,s;k}(rho) L_n^{|r-s|}(pi rho^2) with n = k - |r-s|/2, and to zero
     when k < |r-s|/2.
     """
@@ -184,7 +188,7 @@ def tau(r: int, s: int, q: EvenPolynomial, p: MotionPoint) -> complex:
     m = abs(r - s)
     t = math.pi * p.rho * p.rho
     radial = 0.0
-    for k, c in enumerate(q.coeffs):
+    for k, c in enumerate(coeffs):
         if c == 0 or k < m // 2:
             continue
         radial += c * coeff_D(r, s, k, p.rho) * laguerre(k - m // 2, m, t)
@@ -298,9 +302,7 @@ def lambda_integral_oracle(t: CoefficientTensor) -> float:
     return (2.0 * math.pi) ** 2 * val
 
 
-def random_positive_tensor(
-    params: ModelParams, rng: np.random.Generator, cols_per_class: int = 2, scale: float = 1.0
-) -> CoefficientTensor:
+def random_positive_tensor(params: ModelParams, rng: np.random.Generator) -> CoefficientTensor:
     """Random tensor whose phi(a) is positive semidefinite for every a.
 
     Builds phi = G G^T where row r of G carries a^|r| times random even
@@ -315,11 +317,11 @@ def random_positive_tensor(
         if not rows:
             continue
         # polys[r] is a coefficient list of G_{r,c}(a) = a^|r| * poly(a^2)
-        for _ in range(cols_per_class):
+        for _ in range(2):  # two columns per class
             polys = {}
             for r in rows:
                 top = (d - abs(r)) // 2
-                polys[r] = scale * rng.standard_normal(top + 1)
+                polys[r] = rng.standard_normal(top + 1)
             for r in rows:
                 for s in rows:
                     # |r| + |s| is even within a class, so the product of

@@ -125,11 +125,11 @@ def minkowski_difference(alpha: float, scale: float = 1.0) -> ConvexPolygon:
     return ConvexPolygon(convex_hull(diffs))
 
 
-def contains_interior(p: ConvexPolygon, x, margin: float = 0.0) -> bool:
-    """True iff x lies strictly inside p (eroded by margin when margin > 0)."""
+def contains_interior(p: ConvexPolygon, x) -> bool:
+    """True iff x lies strictly inside p."""
     x = np.asarray(x, dtype=float)
     for n, c in p.edges():
-        if n @ x >= c - margin - _COLLINEAR_TOL:
+        if n @ x >= c - _COLLINEAR_TOL:
             return False
     return True
 
@@ -247,18 +247,14 @@ def constraint_sample(
     return out
 
 
-def verification_sample(
-    alpha_count: int, grid_n: int, scale: float, erosion: float = 0.0
-) -> Iterator[SamplePoint]:
+def verification_sample(alpha_count: int, grid_n: int, scale: float) -> Iterator[SamplePoint]:
     """Stream the verification sample for the enlarged body.
 
     Walks alpha over the cell centers of a uniform partition of
     [-2 pi/10, 2 pi/10] into alpha_count cells and, per slice, the cell
     centers of a grid_n x grid_n partition of [-1, 1]^2.  A point is emitted
-    when rho <= 1 and it lies outside the open set scale*(K - A(alpha) K)
-    eroded by `erosion` (erosion 0 is the plain region; a positive erosion
-    keeps a collar of near-boundary interior points as well).  The order is
-    deterministic: alpha ascending, then row-major in (x2, x1).
+    when rho <= 1 and it lies outside the open set scale*(K - A(alpha) K).
+    The order is deterministic: alpha ascending, then row-major in (x2, x1).
     """
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
@@ -273,7 +269,7 @@ def verification_sample(
         depth = np.full(X.shape, -np.inf)
         for n, c in mink.edges():
             np.maximum(depth, n[0] * X + n[1] * Y - c, out=depth)
-        keep = in_disk & (depth >= -erosion - _COLLINEAR_TOL)
+        keep = in_disk & (depth >= -_COLLINEAR_TOL)
         for iy, ix in zip(*np.nonzero(keep)):
             x, y = float(X[iy, ix]), float(Y[iy, ix])
             rho = math.hypot(x, y)

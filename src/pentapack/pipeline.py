@@ -97,6 +97,8 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"RunConfig JSON must be an object, got {type(data).__name__}")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown RunConfig field(s): {', '.join(unknown)}")
@@ -236,7 +238,6 @@ def step_solve(
     problem = _problem_for(cfg, problem)
     if import_path is not None:
         sol = import_solution(Path(import_path).read_text(), problem)
-        sol.objective = problem.value(problem.objective, sol.blocks)
     else:
         sol = solve(problem, gap_tol=cfg.gap_tol, feas_tol=cfg.feas_tol)
         if not sol.is_usable():

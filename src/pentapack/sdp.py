@@ -50,12 +50,6 @@ class SdpProblem:
     ineq_constraints: list[LinearTerm] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def block(self, label: str) -> Block:
-        for b in self.blocks:
-            if b.label == label:
-                return b
-        raise KeyError(label)
-
     def validate(self) -> None:
         """Refuse duplicate labels, unknown blocks, wrong shapes and asymmetric psd coefficients.
 

@@ -150,7 +150,7 @@ def import_solution(text: str, p: SdpProblem) -> SdpSolution:
     Matrices are symmetrized as (M + M^T)/2; the objective is recomputed
     from the imported primal blocks.
     """
-    blocks, objective, eqs = standard_form(p)
+    blocks, _, eqs = standard_form(p)
     raw = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not raw or raw[0] != '"pentapack solution v1' or raw[-1] != '"end':
         raise MalformedFileError("missing solution header or terminator (truncated file?)")
@@ -195,10 +195,7 @@ def import_solution(text: str, p: SdpProblem) -> SdpSolution:
         if blk.kind == "psd":
             prim[blk.label] = 0.5 * (prim[blk.label] + prim[blk.label].T)
             dual[blk.label] = 0.5 * (dual[blk.label] + dual[blk.label].T)
-    pobj = 0.0
-    for lab, c in objective.items():
-        pobj += float(np.sum(np.asarray(c) * prim[lab]))
     return SdpSolution(
-        blocks=prim, y=y, objective=pobj, status="imported", gap=float("nan"), iterations=0,
-        dual_blocks=dual, stop_reason="imported",
+        blocks=prim, y=y, objective=p.value(p.objective, prim), status="imported", gap=float("nan"),
+        iterations=0, dual_blocks=dual, stop_reason="imported",
     )

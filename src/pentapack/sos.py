@@ -31,7 +31,6 @@ from mpmath import mp
 
 from .fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams, tau
 from .motion import MotionPoint
-from .polynomials import EvenPolynomial, conv
 from .sdp import Block, LinearTerm, SdpProblem, SdpSolution, stack_rows
 from .specfun import coeff_D_mp, laguerre, laguerre_coeffs_exact, tau_radial_coeffs
 
@@ -135,6 +134,21 @@ def realize_basis(d: int, high_precision: bool = False) -> list[list]:
     return out
 
 
+def conv(a, b) -> list:
+    """Coefficientwise product of two coefficient sequences.
+
+    Works for floats, Fractions and mpmath values alike; the assembly relies
+    on that to run the same code at different precisions.
+    """
+    out = [0 * (a[0] * b[0])] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
+
+
 def _products(bcoefs: list[list]) -> dict[tuple[int, int, int], list]:
     """prod[(i, l, l')] = coefficients of a^(2i) P_l P_l' in a^2."""
     half = (len(bcoefs) - 1) // 2
@@ -195,7 +209,7 @@ def build_calF(i: int, j: int, p: MotionPoint, d: int, N: int) -> np.ndarray:
     mat = np.zeros((spec.dim, spec.dim), dtype=complex)
     for a_idx, (l, r) in enumerate(spec.index):
         for b_idx, (lp, s) in enumerate(spec.index):
-            mat[a_idx, b_idx] = tau(r, s, EvenPolynomial(prods[(i, l, lp)]), p)
+            mat[a_idx, b_idx] = tau(r, s, prods[(i, l, lp)], p)
     return mat
 
 
@@ -297,12 +311,12 @@ class _RowAccumulator:
         return LinearTerm(mats, rhs, self.label)
 
 
-def _independent_rows(rows: np.ndarray, tol: float = 1e-10) -> list[int]:
+def _independent_rows(rows: np.ndarray) -> list[int]:
     """Indices of a maximal set of linearly independent rows, greedily in order.
 
     The rows, of unit norm, are orthogonalized in place (modified
     Gram-Schmidt); a row is dropped when its residual against the span of
-    the kept rows falls below tol.  Deterministic and stable for the row
+    the kept rows falls below 1e-10.  Deterministic and stable for the row
     counts that occur here.
     """
     basis: list[np.ndarray] = []
@@ -311,7 +325,7 @@ def _independent_rows(rows: np.ndarray, tol: float = 1e-10) -> list[int]:
         for u in basis:
             v -= (u @ v) * u
         nrm = np.linalg.norm(v)
-        if nrm > tol:
+        if nrm > 1e-10:
             basis.append(v / nrm)
             keep.append(idx)
     return keep
@@ -386,7 +400,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
         prods = _products(bco)  # bco[k]: the coefficients of P_k in u = rho^2, lower triangular
 
         # ------------------------------------------------------------------
-        # cylinder identity rows, one per raw z-monomial class; classes whose
+        # cylinder identity rows, one per raw class z1^m1 z2^m2; classes whose
         # rows coincide after symmetrization (transpose-related entry sets)
         # are pruned below
         classes: dict[tuple[int, int], list[_RowAccumulator]] = {}

@@ -98,7 +98,7 @@ def parse_graph(text: str) -> FiniteGraph:
     return FiniteGraph.from_edges(n, edges)
 
 
-def theta_prime_bound(g: FiniteGraph, tol: float = 1e-8) -> float:
+def theta_prime_bound(g: FiniteGraph) -> float:
     """Optimal kernel bound on the independence number (theta prime).
 
     Solves  min B  s.t.  K - J >= 0 (PSD), K(x, y) <= 0 for distinct
@@ -127,7 +127,7 @@ def theta_prime_bound(g: FiniteGraph, tol: float = 1e-8) -> float:
         E[i, i] = 1.0
         ineqs.append(LinearTerm({"Y": E, "B": -np.ones(1)}, -1.0, f"diag[{i}]"))  # Y_ii + 1 - B <= 0
     problem = SdpProblem(blocks, {"B": np.ones(1)}, [], ineqs)
-    sol = solve(problem, gap_tol=tol, feas_tol=tol)
+    sol = solve(problem, gap_tol=1e-8, feas_tol=1e-8)
     if not sol.is_usable():
         raise RuntimeError(f"theta-prime solve failed with status {sol.status}")
     return float(sol.blocks["B"][0])

@@ -39,7 +39,6 @@ from pentapack.geometry import (
 )
 from pentapack.motion import MotionPoint, compose, from_polar, invert, to_polar
 from pentapack.pipeline import RunConfig, build_sample, run_all
-from pentapack.polynomials import conv
 from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution
 from pentapack.sdpa import export_sdpa, import_solution, parse_sdpa
 from pentapack.solver import solve
@@ -47,6 +46,7 @@ from pentapack.sos import (
     ASSEMBLY_DPS,
     assemble_problem_A,
     block_specs,
+    conv,
     realize_basis,
     recover_tensor,
 )
@@ -374,8 +374,6 @@ def test_criterion_5_sos_sdp_correctness(paper_run):
     t = recover_tensor(sol, params)
     bco = realize_basis(params.d)
     sigma_err = 0.0
-    from pentapack.polynomials import conv
-
     for r, s in [(0, 0), (5, 5), (5, -5)]:
         sig = np.zeros(params.d + 1)
         for bs in block_specs(params):

@@ -24,7 +24,6 @@ from pentapack.certify import (
     _proved_positive_definite,
     feasibility_margin,
     final_bound,
-    lipschitz_estimate,
     project_affine,
     tensor_hash,
     verify_nonpositivity,
@@ -253,14 +252,14 @@ def test_proved_positive_definite(b, tau, expected):
 
 def test_lipschitz_zero_tensor():
     t = scaled_unit_tensor(0.0)
-    assert lipschitz_estimate(t) == 0.0
+    assert _lipschitz_pair(t, 1.0, 128)[0] == 0.0
 
 
 def test_lipschitz_unit_tensor_dominates_analytic_maximum():
     t = scaled_unit_tensor(1.0)
     # max |d/drho (1/(2pi)) e^(-pi rho^2)| = e^(-1/2) / sqrt(2 pi)
     analytic = math.exp(-0.5) / math.sqrt(2 * math.pi)
-    L = lipschitz_estimate(t, rho_max=1.0)
+    L = _lipschitz_pair(t, 1.0, 128)[0]
     assert L >= analytic
     assert L < 10 * analytic  # and not wildly loose
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import shutil
@@ -72,6 +73,31 @@ def test_margins_golden_bits(tiny_run):
     _cfg, _outdir, report = tiny_run
     assert float.hex(report.min_block_eigenvalue) == "0x1.37d1feebfab4ap-17"
     assert float.hex(report.max_constraint_residual) == "0x1.3ef36926ca6d3p-53"
+
+
+# sha256 of every TINY artifact, recorded with 2 OpenBLAS threads like the margins above.
+GOLDEN_SHA256 = {
+    "sample.txt": "254f4e126441135afa6b82a0a8c88642f77f8487c71097e209d4d0bb16b68966",
+    "problem.dat-s": "395e0ffa98cb2ae53befceb9b1979bde39a938e1a449b1bda659b10ab11740f6",
+    "problem.manifest.txt": "540b92b845297a8ccc19105d2c027a80d5aca6d6fd6c4ad6506015d67c37f86f",
+    "solve.sol": "a723d9b7c2e78cbea5c4e45f71ec07793b8e21fd0caad99127d9d43526a1ca74",
+    "solve.meta.json": "593f818d9d0433f693684eb04c5d0940be2e198717d989c5e0c6d537bfc9b7f4",
+    "refine.sol": "c33b1111ef7c529adbaa714e08e7fd38f5a95d132065f804de78717e48f6bfef",
+    "refine.meta.json": "6cfa8137730595dfb789f88d86c7f93f4bb2d1b425700d0d51a1121305b889a7",
+    "projected.sol": "e13fe7645acb84deb78f856271e4550fa65867439950f02078fd0dd4c198949f",
+    "projected.meta.json": "3422f68d9663b5f6269cefe18aa50bce377f40503a4c1323189ba74ddb816d70",
+    "tensor.txt": "6ca736558b7a94b5d9d78faa3dc772ffd394bd58086f615816e28f868f5584a6",
+    "verify.json": "193ee948e7cd185835c9a8cc67c2ca1b9dd4814d1017936eae0e59f6dab4ad33",
+    "report.txt": "efc5e5194377bc692614979659e6c93086c2390a90503090b51070c80595fe5c",
+    "report.json": "733b9aefcfd0c92ab4e3f9f00b8da4a18cf4a3f15a438dbc79216cd9676c68f4",
+}
+
+
+def test_artifacts_golden_sha256(tiny_run):
+    _cfg, outdir, _report = tiny_run
+    assert set(GOLDEN_SHA256) == set(ARTIFACTS)
+    for name in ARTIFACTS:
+        assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == GOLDEN_SHA256[name], name
 
 
 def test_solver_meta_records_stop_reason(tiny_run):
@@ -275,12 +301,18 @@ def test_config_file_with_unknown_fields_is_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "data, field",
+    "data, name",
     [({"facet_lines": "no"}, "facet_lines"), ({"grid_n": 50.5}, "grid_n"), ({"N": "5"}, "N"),
-     ({"enlargement": True}, "enlargement"), ({"grid_n": None}, "grid_n")],
+     ({"enlargement": True}, "enlargement"), ({"grid_n": None}, "grid_n"),
+     ([1], "list"), (3, "int"), (None, "NoneType"), ("x", "str")],
 )
-def test_config_file_with_wrong_json_types_is_refused(data, field):
-    with pytest.raises(ValueError, match=rf"RunConfig field {field} must be"):
+def test_config_file_with_wrong_json_types_is_refused(data, name):
+    """`name` is the offending field, or the Python type of a document that is not an object."""
+    if isinstance(data, dict):
+        message = rf"RunConfig field {name} must be"
+    else:
+        message = rf"^RunConfig JSON must be an object, got {name}$"
+    with pytest.raises(ValueError, match=message):
         RunConfig.from_json(json.dumps(data))
 
 

@@ -9,7 +9,6 @@ from pentapack.certify import project_affine
 from pentapack.fourier import ModelParams, evaluate_f, lambda_of
 from pentapack.geometry import constraint_sample
 from pentapack.motion import MotionPoint
-from pentapack.polynomials import conv
 from pentapack.sdpa import export_sdpa
 from pentapack.sos import (
     _independent_rows,
@@ -19,6 +18,7 @@ from pentapack.sos import (
     build_F,
     build_W,
     build_calF,
+    conv,
     index_sets,
     pair_sets,
     realize_basis,

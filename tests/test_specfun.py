@@ -8,7 +8,6 @@ from mpmath import mp
 
 from pentapack.fourier import tau
 from pentapack.motion import MotionPoint
-from pentapack.polynomials import EvenPolynomial
 from pentapack.specfun import (
     bessel_j,
     bessel_j_integral_oracle,
@@ -148,7 +147,7 @@ def _tau_radial_float(m, c, rho):
     fourier.tau refuses |r - s| not divisible by 10, so m = 2 spells its sum out.
     """
     if m % 10 == 0:
-        return tau(m, 0, EvenPolynomial(c), MotionPoint(rho, 0.0, 0.0)).real
+        return tau(m, 0, c, MotionPoint(rho, 0.0, 0.0)).real
     x = math.pi * rho * rho
     return (-1) ** (m // 2) * sum(
         ck * coeff_D(m, 0, k, rho) * laguerre(k - m // 2, m, x) for k, ck in enumerate(c) if k >= m // 2
