@@ -24,6 +24,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp
@@ -659,18 +660,12 @@ class _Leaders:
         self.items: list[tuple] = []
         self._limit = 64
 
-    def add(self, lo: float, hi: float, item) -> None:
-        if lo > self.floor:
-            self.floor = lo
-        if hi >= self.floor:
-            self.items.append((hi, item))
-            self._prune()
-
     def add_many(self, lo, hi, make) -> None:
         """Arrays lo, hi; make(i) builds the item of entry i."""
         if lo.size:
             self.floor = max(self.floor, float(lo.max()))
-            self.items.extend((h, make(i)) for i, h in enumerate(hi.tolist()) if h >= self.floor)
+            top = np.flatnonzero(hi >= self.floor)
+            self.items.extend((h, make(i)) for i, h in zip(top.tolist(), hi[top].tolist()))
             self._prune()
 
     def _prune(self) -> None:
@@ -680,6 +675,78 @@ class _Leaders:
 
     def survivors(self) -> list:
         return [it for h, it in self.items if h >= self.floor]
+
+
+class _Level(NamedTuple):
+    """One depth level of a refinement subtree: 8 child slots per box that split a level up.
+
+    `kept` indexes the slots the screen keeps; the other arrays hold the kept
+    boxes' alphas, centres, enclosures of fc and of the bound, actions (0
+    discharged, 1 failure, 2 split) and whether mp decided them.  a + b is the
+    level's Lipschitz radius.
+    """
+
+    slots: int
+    a: float
+    b: float
+    kept: np.ndarray
+    alpha: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    glo: np.ndarray
+    ghi: np.ndarray
+    action: np.ndarray
+    amb: np.ndarray
+
+    def item(self, i: int) -> tuple:
+        """(cx, cy, alpha, lo, hi, a, b) of kept box i, in Python floats."""
+        return (*(float(v[i]) for v in (self.cx, self.cy, self.alpha, self.lo, self.hi)), self.a, self.b)
+
+
+def _dfs_positions(levels: list[_Level]) -> list[np.ndarray]:
+    """Per level, the depth-first position of each slot of a refinement subtree.
+
+    The depth-first traversal counts a box, then visits its child slots from
+    the last to the first, and checks the budget before every slot.  A slot's
+    position is the number of boxes counted before it, so a kept slot's
+    position is its box's rank.  With size(box) = 1 + the sizes of its
+    children, computed bottom-up, rank(child) = rank(parent) + 1 + the sizes
+    of the later slots of the same parent, computed top-down from the
+    level-0 box at rank -1.
+    """
+    sizes, below = [], None
+    for lv in reversed(levels):
+        size = np.zeros(lv.slots, np.int64)
+        size[lv.kept] = 1
+        if below is not None:
+            size[lv.kept[lv.action == 2]] += below.reshape(-1, 8).sum(axis=1)
+        sizes.append(size)
+        below = size
+    positions, top = [], np.array([-1])
+    for lv, size in zip(levels, reversed(sizes)):
+        s = size.reshape(-1, 8)
+        later = s[:, ::-1].cumsum(axis=1)[:, ::-1] - s
+        pos = (top[:, None] + 1 + later).ravel()
+        positions.append(pos)
+        top = pos[lv.kept[lv.action == 2]]
+    return positions
+
+
+def _budget_cut(levels: list[_Level], positions: list[np.ndarray], evaluations_left: int, failures_left: int):
+    """The position at which the depth-first traversal of a subtree stops, or None.
+
+    The traversal checks the budget before every slot, so it stops at the
+    first slot position q with `evaluations_left` boxes, or with
+    `failures_left` failures, among the q boxes before it; with no slot at
+    or after q it passes the whole subtree.  Both counts are at least 1.
+    """
+    q = evaluations_left
+    fail_ranks = np.sort(np.concatenate([p[lv.kept[lv.action == 1]] for lv, p in zip(levels, positions)]))
+    if fail_ranks.size >= failures_left:
+        q = min(q, int(fail_ranks[failures_left - 1]) + 1)
+    return q if q <= max(int(p.max()) for p in positions) else None
 
 
 def verify_nonpositivity(
@@ -703,9 +770,12 @@ def verify_nonpositivity(
 
     fc is float(f_mp), f_mp the `MpEvaluator` value at `precision_bits`.
     The stream pass handles one alpha slice per numpy batch.  Refinement
-    takes the split level-0 boxes last-in first-out and visits each box's
-    children depth first, from the last child to the first; the children
-    of all split siblings are evaluated in one batch.  Every value comes
+    takes the split level-0 boxes last-in first-out and decides each one's
+    subtree a depth level at a time, in batches of at most grid_n^2 boxes;
+    the boxes then count, fail and meet the budget in depth-first order,
+    children from the last to the first, with ranks from `_dfs_positions`.
+    Boxes decided past the point where the budget runs out are dropped,
+    so the results do not depend on the batching.  Every value comes
     first from `FloatEvaluator` as v with a proved radius E, |v - f_mp| <=
     E: Higham's gamma_n bounds for u = x^2 +
     y^2, the angle-addition recurrence, Horner, the pair sum and exp give
@@ -750,6 +820,10 @@ def verify_nonpositivity(
     stream_points = 0
     evaluations = 0
     decided_by_mp = 0  # evaluated boxes whose decision needed mp
+    max_failures, max_evaluations = 200, 20_000_000  # the refinement budget
+    by_depth = [0] * (max_depth + 1)  # evaluations per depth
+    outcomes = np.zeros(4, np.int64)  # screened out, discharged, failed, split
+    past_budget = wasted_mp = 0  # boxes decided after the budget was spent, and their mp calls
     sign = _Leaders()  # items (cx, cy, amid, lo, hi)
     cert = _Leaders()  # items (cx, cy, amid, lo, hi, a, b)
 
@@ -782,8 +856,8 @@ def verify_nonpositivity(
     def batch(xlo, ylo, h, ha, alphas, geo, cos_s, sin_s, depth):
         """Screen, evaluate and decide boxes of half-widths (h, ha) at `depth`.
 
-        alphas, geo and the table rows give each box's alpha; geo and the
-        rows may also be one for all.  Returns, for the boxes kept by the
+        The array alphas, geo and the table rows give each box's alpha; geo
+        and the rows may also be one for all.  Returns, for the boxes kept by the
         screen, their indices, centres, region flags, enclosures [lo, hi] of
         fc and [glo, ghi] of the bound, actions (0 discharged, 1 failure,
         2 split) and which needed mp.  Ambiguous decisions are resolved by
@@ -802,7 +876,7 @@ def verify_nonpositivity(
         if not at_cap:
             amb |= (ghi > 0.0) & region & (lo <= 0.0) & (hi > 0.0)
         for i in np.flatnonzero(amb).tolist():
-            lo[i] = hi[i] = exact(float(cx[i]), float(cy[i]), alphas[idx[i]])
+            lo[i] = hi[i] = exact(float(cx[i]), float(cy[i]), float(alphas[idx[i]]))
         if amb.any():
             glo, ghi = lo + a + b, hi + a + b
         discharged = ghi <= 0.0
@@ -829,10 +903,12 @@ def verify_nonpositivity(
         amid = alpha_lo + (ia + 0.5) * dalpha
         geo, _, _, (cos_s, sin_s) = alpha_data(amid)
         idx, cx, cy, region, lo, hi, glo, ghi, action, amb = batch(
-            xlo0, ylo0, h0, ha0, [amid] * len(xlo0), geo, cos_s, sin_s, 0)
+            xlo0, ylo0, h0, ha0, np.full(xlo0.size, amid), geo, cos_s, sin_s, 0)
         evaluations += int(idx.size)
         decided_by_mp += int(amb.sum())
         stream_points += int(region.sum())
+        by_depth[0] += int(idx.size)
+        outcomes += [xlo0.size - idx.size, *np.bincount(action, minlength=3)]
         cxl, cyl, lol, hil = cx.tolist(), cy.tolist(), lo.tolist(), hi.tolist()
         reg = np.flatnonzero(region)
         sign.add_many(lo[reg], hi[reg], lambda j: (cxl[reg[j]], cyl[reg[j]], amid, lol[reg[j]], hil[reg[j]]))
@@ -844,72 +920,77 @@ def verify_nonpositivity(
         split = idx[action == 2]
         split0.extend((x, y, amid) for x, y in zip(xlo0[split].tolist(), ylo0[split].tolist()))
 
-    def expand(parents, h, ha, depth):
-        """The 8 children of each parent box (xlo, ylo, alpha), decided in one batch.
+    cap = sample_spec.grid_n**2  # boxes per refinement batch, as in the stream pass
 
-        Per parent, its children in the order da in (-ha/2, ha/2), then ddx
-        in (0, h), then ddy in (0, h): None where the screen drops the child
-        (outside the disk or inside the difference), else (xlo, ylo, alpha,
-        cx, cy, lo, hi, glo, ghi, action, needed mp) from `batch`.
+    def decide(box):
+        """Decide the whole subtree below a split level-0 box (xlo, ylo, alpha), a level at a time.
+
+        Level k holds the 8 children of each box that split at level k - 1,
+        per parent in the order da in (-ha/2, ha/2), then ddx in (0, h),
+        then ddy in (0, h); each level goes through `batch` in runs of at
+        most `cap` boxes.
         """
-        hh, hha = 0.5 * h, 0.5 * ha
-        xs = (np.array([p[0] for p in parents])[:, None] + np.array([0.0, 0.0, h, h] * 2)).ravel()
-        ys = (np.array([p[1] for p in parents])[:, None] + np.array([0.0, h, 0.0, h] * 2)).ravel()
-        alphas = [p[2] + da for p in parents for da in (-hha, hha)]
-        data = [alpha_data(al) for al in alphas]
-        edges = max(d[0].shape[1] for d in data)
-        geo = np.repeat(np.concatenate([_pad_edges(d[0], edges) for d in data], axis=2), 4, axis=2)
-        cos_s = np.repeat([d[3][0] for d in data], 4, axis=0)
-        sin_s = np.repeat([d[3][1] for d in data], 4, axis=0)
-        per_box = [al for al in alphas for _ in range(4)]
-        idx, cx, cy, _, lo, hi, glo, ghi, action, amb = batch(
-            xs, ys, hh, hha, per_box, geo, cos_s, sin_s, depth + 1)
-        xs, ys, kids = xs.tolist(), ys.tolist(), [None] * len(per_box)
-        for k, *decided in zip(idx.tolist(), cx.tolist(), cy.tolist(), lo.tolist(), hi.tolist(),
-                               glo.tolist(), ghi.tolist(), action.tolist(), amb.tolist()):
-            kids[k] = (xs[k], ys[k], per_box[k], *decided)
-        return [kids[k: k + 8] for k in range(0, len(kids), 8)]
+        x, y, al = (np.array([v]) for v in box)
+        h, ha = h0, ha0
+        levels = []
+        for depth in range(1, max_depth + 1):
+            if not x.size:
+                break
+            xs = (x[:, None] + np.array([0.0, 0.0, h, h] * 2)).ravel()
+            ys = (y[:, None] + np.array([0.0, h, 0.0, h] * 2)).ravel()
+            h, ha = 0.5 * h, 0.5 * ha
+            als = (al[:, None] + np.repeat([-ha, ha], 4)).ravel()
+            uniq, inv = np.unique(als, return_inverse=True)
+            data = [alpha_data(a) for a in uniq.tolist()]
+            edges = max(d[0].shape[1] for d in data)
+            geo = np.concatenate([_pad_edges(d[0], edges) for d in data], axis=2)
+            cos_u, sin_u = (np.array([d[3][k] for d in data]) for k in (0, 1))
+            runs = []
+            for i in range(0, xs.size, cap):
+                s, u = slice(i, i + cap), inv[i: i + cap]
+                idx, *rest = batch(xs[s], ys[s], h, ha, als[s], geo[:, :, u], cos_u[u], sin_u[u], depth)
+                runs.append((idx + i, *rest))
+            idx, cx, cy, _, lo, hi, glo, ghi, action, amb = map(np.concatenate, zip(*runs))
+            levels.append(_Level(xs.size, L_x * math.sqrt(2.0) * h, L_a * ha, idx, als[idx],
+                                 cx, cy, lo, hi, glo, ghi, action, amb))
+            split = idx[action == 2]
+            x, y, al = xs[split], ys[split], als[split]
+        return levels
 
     def over_budget():
-        return n_failures >= 200 or evaluations >= 20_000_000
+        return n_failures >= max_failures or evaluations >= max_evaluations
 
-    def visit(children, h, ha, depth):
-        """Decide the children of one box, last to first, refining those that split.
-
-        The children have half-widths (h, ha) and sit at `depth`; the
-        children of all that split are expanded together.  Returns False
-        once the failure or evaluation budget is spent.
-        """
-        nonlocal evaluations, decided_by_mp
-        if over_budget():
-            return False
-        split = [c[:3] for c in children if c is not None and c[9] == 2]  # action 2: split
-        subs = expand(split, h, ha, depth) if split else []
-        a, b = L_x * math.sqrt(2.0) * h, L_a * ha
-        for child in reversed(children):
-            if over_budget():
-                return False
-            if child is None:
-                continue
-            _, _, alpha, cx, cy, lo, hi, glo, ghi, action, amb = child
-            evaluations += 1
-            decided_by_mp += amb
-            if action == 2:
-                if not visit(subs.pop(), 0.5 * h, 0.5 * ha, depth + 1):
-                    return False
-                continue
-            item = (cx, cy, alpha, lo, hi, a, b)
-            cert.add(glo, ghi, item)
-            if action == 1:
-                fail(*item)
-        return True
-
-    # Refinement pass, bounded by the failure and evaluation budgets; split
-    # level-0 boxes are refined last-in first-out.
+    # Refinement pass, bounded by the failure and evaluation budgets.  Each
+    # split level-0 box, last-in first-out, has its subtree decided first;
+    # then its boxes count as the depth-first traversal, children from last
+    # to first, would count them, up to the position where that traversal
+    # would stop; the boxes decided past it are dropped.
     aborted = False
     for box in reversed(split0):
-        if over_budget() or not visit(expand([box], h0, ha0, 0)[0], 0.5 * h0, 0.5 * ha0, 1):
+        if over_budget():
             aborted = True
+            break
+        levels = decide(box)
+        positions = _dfs_positions(levels)
+        q = _budget_cut(levels, positions, max_evaluations - evaluations, max_failures - n_failures)
+        aborted = q is not None
+        found = []  # (rank, item) of the counted failures
+        for depth, (lv, p) in enumerate(zip(levels, positions), 1):
+            passed = p < q if aborted else np.ones(p.size, bool)
+            done = passed[lv.kept]
+            n_done = int(done.sum())
+            evaluations += n_done
+            by_depth[depth] += n_done
+            decided_by_mp += int(lv.amb[done].sum())
+            past_budget += lv.kept.size - n_done
+            wasted_mp += int(lv.amb[~done].sum())
+            outcomes += [int(passed.sum()) - n_done, *np.bincount(lv.action[done], minlength=3)]
+            con = np.flatnonzero(done & (lv.action <= 1))
+            cert.add_many(lv.glo[con], lv.ghi[con], lambda j: lv.item(con[j]))
+            found += ((int(p[lv.kept[i]]), lv.item(i)) for i in np.flatnonzero(done & (lv.action == 1)))
+        for _, item in sorted(found):
+            fail(*item)
+        if aborted:
             break
 
     sign_margin = -math.inf
@@ -937,9 +1018,11 @@ def verify_nonpositivity(
         notes += "; refinement aborted at the failure/evaluation budget"
     log.info(
         "verify: %d level-0 boxes, %d evaluations, %d decisions settled in float, "
-        "%d mp fallbacks, %d of %d Lipschitz panels by mp in %.2f s, %.2f s",
+        "%d mp fallbacks, evaluations by depth %s, %d screened out, %d discharged, %d failed, "
+        "%d split, %d decided past the budget, %d of %d Lipschitz panels by mp in %.2f s, %.2f s",
         sample_spec.alpha_count * sample_spec.grid_n**2, evaluations, evaluations - decided_by_mp,
-        len(mp_values), lip_mp, lip_all, lipschitz_s, time.perf_counter() - started,
+        len(mp_values) - wasted_mp, "/".join(map(str, by_depth)), *outcomes.tolist(), past_budget,
+        lip_mp, lip_all, lipschitz_s, time.perf_counter() - started,
     )
     return SignVerification(
         sign_margin=sign_margin,

@@ -128,17 +128,26 @@ class CoefficientTensor:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0].strip() != cls.FORMAT_HEADER:
             raise ValueError("not a pentapack tensor file")
+        if len(lines) < 2:
+            raise ValueError(f"tensor file ends after its first line: {lines[0]!r}")
         hdr = lines[1].split()
-        if len(hdr) != 4 or hdr[0] != "N" or hdr[2] != "d":
-            raise ValueError(f"malformed tensor header: {lines[1]!r}")
-        params = ModelParams(int(hdr[1]), int(hdr[3]))
+        try:
+            if len(hdr) != 4 or hdr[0] != "N" or hdr[2] != "d":
+                raise ValueError
+            N, d = int(hdr[1]), int(hdr[3])
+        except ValueError:
+            raise ValueError(f"malformed tensor header: {lines[1]!r}") from None
+        params = ModelParams(N, d)
         n = 2 * params.N + 1
         entries = np.zeros((n, n, params.d + 1))
         for ln in lines[2:]:
             parts = ln.split()
-            if len(parts) != 4:
-                raise ValueError(f"tensor entry is not 'r s k value': {ln!r}")
-            r, s, k, v = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            try:
+                if len(parts) != 4:
+                    raise ValueError
+                r, s, k, v = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            except ValueError:
+                raise ValueError(f"tensor entry is not 'r s k value': {ln!r}") from None
             if max(abs(r), abs(s)) > params.N or not 0 <= k <= params.d or not math.isfinite(v):
                 raise ValueError(f"tensor entry out of range for N {params.N} d {params.d}: {ln!r}")
             entries[r + params.N, s + params.N, k] = v

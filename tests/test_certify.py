@@ -441,6 +441,24 @@ def test_verify_certifies_negative_tensor():
     assert sv.sign_margin + sv.lipschitz_x * sv.covering_radius == pytest.approx(
         sv.cert_margin, abs=1e-12
     )
+    # every split level-0 box refined to depth 4 without abort; recorded when
+    # refinement decided one box's children per batch
+    assert asdict(sv) == dict(
+        sign_margin=-0.007423448552946542,
+        witness=(0.9877724659274748, 4.229875685362213, 5.7805304826052195),
+        cert_margin=-1.092129888989428e-05,
+        certified_sign=True,
+        stream_points=318,
+        evaluations=1421680,
+        lipschitz_x=1.4242135623745193,
+        lipschitz_alpha=0.0,
+        covering_radius=0.005204645883092221,
+        base_cell_radius=0.05892556509887896,
+        precision_bits=256,
+        enlargement=1.02,
+        failures=[],
+        notes=NOTES,
+    )
 
 
 @pytest.mark.parametrize("alpha_count,grid_n", [(5, 24), (8, 64), (33, 40)])
@@ -707,7 +725,7 @@ def test_verify_golden_record(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_verify_mp_fallback_golden_record(name, monkeypatch):
+def test_verify_mp_fallback_golden_record(name, monkeypatch, caplog):
     """With an infinite error radius every decision goes to mp; nothing changes."""
     calls = []
     mp_eval = MpEvaluator.eval
@@ -720,11 +738,115 @@ def test_verify_mp_fallback_golden_record(name, monkeypatch):
     monkeypatch.setattr(MpEvaluator, "eval", counted)
     panels = _count_bernstein_calls(monkeypatch)
     before = dict(certify._panel_counts)
-    sv = _run_golden(name)
+    with caplog.at_level(logging.INFO, logger="pentapack.certify"):
+        sv = _run_golden(name)
     assert asdict(sv) == GOLDEN[name]
     assert len(calls) >= sv.evaluations
     assert len(panels) == certify._panel_counts["all"] - before["all"] > 0
     assert certify._panel_counts["mp"] - before["mp"] == len(panels)
+    # the mp fallbacks are those of the counted boxes, not of boxes decided past the budget
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "pentapack.certify"]
+    n = sv.evaluations
+    assert f" {n} evaluations, 0 decisions settled in float, {n} mp fallbacks, " in line
+    assert len(calls) == n + int(re.search(r"(\d+) decided past the budget", line)[1])
+
+
+def test_verify_refines_in_batches_of_at_most_grid_n_squared(monkeypatch):
+    """Each level of a subtree is decided in runs of at most grid_n^2 boxes, the stream pass's batch size."""
+    sizes = []
+    float_eval = FloatEvaluator.eval
+
+    def recorded(self, x, *args):
+        sizes.append(x.size)
+        return float_eval(self, x, *args)
+
+    monkeypatch.setattr(FloatEvaluator, "eval", recorded)
+    sv = _run_golden("deep")
+    assert asdict(sv) == GOLDEN["deep"]
+    grid_n = GOLDEN_CASES["deep"][2].grid_n
+    assert max(sizes) <= grid_n**2
+    assert sum(sizes) >= sv.evaluations and len(sizes) > GOLDEN_CASES["deep"][2].alpha_count
+
+
+def _tree(kept_and_actions):
+    """Subtree levels from (slots, kept, actions) per level; only the shape is filled in."""
+    return [certify._Level(n, 0.0, 0.0, np.array(k, int), *[None] * 7, np.array(a, int), None)
+            for n, k, a in kept_and_actions]
+
+
+def _walk(levels, evaluations_left=math.inf, failures_left=math.inf):
+    """Walk the tree box by box: a box, then its slots from the last to the first, depth first.
+
+    Checks the budget before every slot.  Returns the positions of the slots
+    and the number of boxes counted when the walk stopped, or None.
+    """
+    pos = [np.full(lv.slots, -1) for lv in levels]
+    counted = failed = 0
+
+    def visit(k, parent):
+        nonlocal counted, failed
+        lv = levels[k]
+        action = dict(zip(lv.kept.tolist(), lv.action.tolist()))
+        below = {s: j for j, s in enumerate(lv.kept[lv.action == 2].tolist())}
+        for slot in reversed(range(8 * parent, 8 * parent + 8)):
+            if counted >= evaluations_left or failed >= failures_left:
+                return False
+            pos[k][slot] = counted
+            if slot in action:
+                counted += 1
+                failed += action[slot] == 1
+                if action[slot] == 2 and not visit(k + 1, below[slot]):
+                    return False
+        return True
+
+    return pos, None if visit(0, 0) else counted
+
+
+def test_dfs_positions_by_hand():
+    levels = _tree([(8, [0, 3, 7], [2, 0, 2]), (16, [1, 9, 15], [0, 1, 0])])
+    got = certify._dfs_positions(levels)
+    assert got[0].tolist() == [4, 4, 4, 3, 3, 3, 3, 0]
+    assert got[1].tolist() == [6, 5, 5, 5, 5, 5, 5, 5, 3, 2, 2, 2, 2, 2, 2, 1]
+
+
+def _random_tree(rng):
+    rows, parents, depth = [], 1, int(rng.integers(1, 6))
+    for k in range(depth):
+        kept = np.flatnonzero(rng.random(8 * parents) < rng.uniform(0.1, 0.9))
+        action = rng.integers(0, 3 if k < depth - 1 else 2, kept.size)
+        rows.append((8 * parents, kept, action))
+        parents = int((action == 2).sum())
+        if not parents:
+            break
+    return _tree(rows)
+
+
+def test_dfs_positions_equal_a_depth_first_walk():
+    rng = np.random.default_rng(85)
+    for _ in range(200):
+        levels = _random_tree(rng)
+        for got, want in zip(certify._dfs_positions(levels), _walk(levels)[0]):
+            assert got.tolist() == want.tolist()
+
+
+def test_budget_cut_equals_a_depth_first_walk():
+    """Where the walk stops; a budget spent by the last box stops it only where a slot follows that box."""
+    rng = np.random.default_rng(86)
+    stops, last_box = set(), set()
+    for _ in range(300):
+        levels = _random_tree(rng)
+        positions = certify._dfs_positions(levels)
+        boxes = sum(lv.kept.size for lv in levels)
+        fails = sum(int((lv.action == 1).sum()) for lv in levels)
+        for e, f in [(max(boxes, 1), math.inf), (math.inf, max(fails, 1)), (boxes + 1, fails + 1)] + [
+                (int(rng.integers(1, boxes + 2)), int(rng.integers(1, fails + 2))) for _ in range(3)]:
+            want = _walk(levels, e, f)[1]
+            assert certify._budget_cut(levels, positions, e, f) == want
+            stops.add((want is None, want == boxes))
+            if e == boxes:
+                last_box.add(want)
+    assert stops == {(True, False), (False, True), (False, False)}
+    assert None in last_box and len(last_box) > 1
 
 
 def test_verify_logs_one_summary_line(caplog):
@@ -735,6 +857,11 @@ def test_verify_logs_one_summary_line(caplog):
     assert f"1728 level-0 boxes, {sv.evaluations} evaluations" in lines[0]
     assert "decisions settled in float" in lines[0] and "mp fallbacks" in lines[0]
     assert re.search(r", 2 of 48 Lipschitz panels by mp in \d+\.\d\d s, ", lines[0])
+    # per depth and per outcome, from the subtree records of this run
+    assert (", 21 mp fallbacks, evaluations by depth 672/4/18, 1072 screened out, 0 discharged, "
+            "200 failed, 494 split, 2 decided past the budget, ") in lines[0]
+    by_depth = re.search(r"evaluations by depth ([\d/]+),", lines[0])[1]
+    assert sum(map(int, by_depth.split("/"))) == sv.evaluations == 200 + 494
 
 
 # -- bound -------------------------------------------------------------------

@@ -195,3 +195,20 @@ def test_loads_refuses_an_entry_outside_the_tensor(line):
     text = f"{CoefficientTensor.FORMAT_HEADER}\nN 5 d 11\n0 0 0 1.0\n{line}\n"
     with pytest.raises(ValueError, match=re.escape(repr(line))):
         CoefficientTensor.loads(text)
+
+
+def test_loads_refuses_a_header_only_file_naming_its_line():
+    with pytest.raises(ValueError, match=re.escape(repr(CoefficientTensor.FORMAT_HEADER))):
+        CoefficientTensor.loads(f"{CoefficientTensor.FORMAT_HEADER}\n\n")
+
+
+@pytest.mark.parametrize("header", ["N x d 11", "N 5 d 1.5", "N 5 d"])
+def test_loads_refuses_a_non_integer_header_naming_its_line(header):
+    with pytest.raises(ValueError, match=re.escape(repr(header))):
+        CoefficientTensor.loads(f"{CoefficientTensor.FORMAT_HEADER}\n{header}\n0 0 0 1.0\n")
+
+
+@pytest.mark.parametrize("line", ["0 0 x 1.0", "0.5 0 0 1.0", "0 0 0 one"])
+def test_loads_refuses_a_non_numeric_entry_naming_its_line(line):
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        CoefficientTensor.loads(f"{CoefficientTensor.FORMAT_HEADER}\nN 5 d 11\n0 0 0 1.0\n{line}\n")
