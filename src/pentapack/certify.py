@@ -587,6 +587,12 @@ class VerifySpec:
     grid_n: int
     max_depth: int
 
+    def __post_init__(self):
+        # an empty sweep would certify vacuously
+        for name, least in (("alpha_count", 1), ("grid_n", 1), ("max_depth", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"VerifySpec {name} must be >= {least}, got {getattr(self, name)}")
+
 
 @dataclass
 class SignVerification:
@@ -639,14 +645,6 @@ def _screen(xlo, ylo, h, geo, margin):
     return keep, region, cx, cy
 
 
-def _pad_edges(geo, edges: int):
-    """Append edges that every point satisfies (0.x <= inf)."""
-    extra = edges - geo.shape[1]
-    if not extra:
-        return geo
-    return np.concatenate([geo, np.tile([[[0.0]], [[0.0]], [[math.inf]]], (1, extra, 1))], axis=1)
-
-
 class _Leaders:
     """Candidates for a maximum of values known through enclosures [lo, hi].
 
@@ -678,12 +676,13 @@ class _Leaders:
 
 
 class _Level(NamedTuple):
-    """One depth level of a refinement subtree: 8 child slots per box that split a level up.
+    """The boxes of one `batch`: a stream alpha slice, or a depth level of a refinement subtree.
 
+    A refinement level has 8 child slots per box that split a level up.
     `kept` indexes the slots the screen keeps; the other arrays hold the kept
-    boxes' alphas, centres, enclosures of fc and of the bound, actions (0
-    discharged, 1 failure, 2 split) and whether mp decided them.  a + b is the
-    level's Lipschitz radius.
+    boxes' alphas, centres, region flags, enclosures of fc and of the bound,
+    actions (0 discharged, 1 failure, 2 split) and whether mp decided them.
+    a + b is the boxes' Lipschitz radius.
     """
 
     slots: int
@@ -693,6 +692,7 @@ class _Level(NamedTuple):
     alpha: np.ndarray
     cx: np.ndarray
     cy: np.ndarray
+    region: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     glo: np.ndarray
@@ -769,13 +769,14 @@ def verify_nonpositivity(
     residual is reported separately.
 
     fc is float(f_mp), f_mp the `MpEvaluator` value at `precision_bits`.
-    The stream pass handles one alpha slice per numpy batch.  Refinement
-    takes the split level-0 boxes last-in first-out and decides each one's
-    subtree a depth level at a time, in batches of at most grid_n^2 boxes;
-    the boxes then count, fail and meet the budget in depth-first order,
-    children from the last to the first, with ranks from `_dfs_positions`.
-    Boxes decided past the point where the budget runs out are dropped,
-    so the results do not depend on the batching.  Every value comes
+    The stream pass and the refinement decide their boxes through one
+    `batch`, grid_n^2 boxes at a time: the stream pass one alpha slice per
+    call, the refinement each depth level of a split level-0 box's subtree,
+    taking those boxes last-in first-out.  A subtree's boxes then count,
+    fail and meet the budget in depth-first order, children from the last
+    to the first, with ranks from `_dfs_positions`.  Boxes decided past the
+    point where the budget runs out are dropped, so the results do not
+    depend on the batching.  Every value comes
     first from `FloatEvaluator` as v with a proved radius E, |v - f_mp| <=
     E: Higham's gamma_n bounds for u = x^2 +
     y^2, the angle-addition recurrence, Horner, the pair sum and exp give
@@ -814,6 +815,7 @@ def verify_nonpositivity(
     alpha_lo = -2.0 * math.pi / 10.0
     dalpha = (4.0 * math.pi / 10.0) / sample_spec.alpha_count
     dx0 = 2.0 / sample_spec.grid_n
+    cap = sample_spec.grid_n**2  # boxes per screen and evaluation
 
     failures = []
     n_failures = 0
@@ -824,8 +826,7 @@ def verify_nonpositivity(
     by_depth = [0] * (max_depth + 1)  # evaluations per depth
     outcomes = np.zeros(4, np.int64)  # screened out, discharged, failed, split
     past_budget = wasted_mp = 0  # boxes decided after the budget was spent, and their mp calls
-    sign = _Leaders()  # items (cx, cy, amid, lo, hi)
-    cert = _Leaders()  # items (cx, cy, amid, lo, hi, a, b)
+    sign, cert = _Leaders(), _Leaders()  # items from _Level.item
 
     alpha_cache: dict[float, tuple] = {}
 
@@ -833,6 +834,7 @@ def verify_nonpositivity(
         got = alpha_cache.get(amid)
         if got is None:
             edges = minkowski_difference(amid, enlargement).edges()
+            edges += [((0.0, 0.0), math.inf)] * (10 - len(edges))  # 0.x <= inf; K - A(alpha)K has <= 5 + 5 edges
             geo = np.array([[[n[0]] for n, _ in edges], [[n[1]] for n, _ in edges], [[c] for _, c in edges]])
             cos_t, sin_t = ev.alpha_tables(amid)
             got = (geo, cos_t, sin_t, fe.tables(cos_t, sin_t))
@@ -849,46 +851,67 @@ def verify_nonpositivity(
             mp_values[key] = float(ev.eval(cx, cy, cos_t, sin_t))
         return mp_values[key]
 
-    def value(cx, cy, amid, lo, hi):
-        """fc of a box: hi when the enclosure is a single float, else by mp."""
+    def value(cx, cy, amid, lo, hi, *_):
+        """fc of a box item: hi when the enclosure is a single float, else by mp."""
         return hi if lo == hi else exact(cx, cy, amid)
 
-    def batch(xlo, ylo, h, ha, alphas, geo, cos_s, sin_s, depth):
-        """Screen, evaluate and decide boxes of half-widths (h, ha) at `depth`.
+    def batch(xlo, ylo, alphas, h, ha, depth) -> _Level:
+        """Screen, evaluate and decide the boxes [xlo, xlo+2h] x [ylo, ylo+2h] x [alpha -/+ ha] at `depth`.
 
-        The array alphas, geo and the table rows give each box's alpha; geo
-        and the rows may also be one for all.  Returns, for the boxes kept by the
-        screen, their indices, centres, region flags, enclosures [lo, hi] of
-        fc and [glo, ghi] of the bound, actions (0 discharged, 1 failure,
-        2 split) and which needed mp.  Ambiguous decisions are resolved by
-        mp, collapsing lo and hi to fc.
+        Takes `cap` boxes at a time.  Each box's geometry and table row come
+        from `alpha_data`; with one distinct alpha they broadcast over all
+        boxes.  Ambiguous decisions are resolved by mp, collapsing lo and
+        hi to fc.
         """
-        keep, region, cx, cy = _screen(xlo, ylo, h, geo, rate * ha)
-        idx = np.flatnonzero(keep)
-        cx, cy, region = cx[idx], cy[idx], region[idx]
-        shape = (len(xlo), cos_s.shape[-1])
-        v, E = fe.eval(cx, cy, np.broadcast_to(cos_s, shape)[idx], np.broadcast_to(sin_s, shape)[idx])
-        lo, hi = v - E, v + E
+        uniq, inv = np.unique(alphas, return_inverse=True)
+        one = uniq.size == 1
+        data = [alpha_data(a) for a in uniq.tolist()]
+        geo = np.concatenate([d[0] for d in data], axis=2)
+        cos_u, sin_u = (np.array([d[3][k] for d in data]) for k in (0, 1))
         a, b = L_x * math.sqrt(2.0) * h, L_a * ha
-        glo, ghi = lo + a + b, hi + a + b
-        amb = (glo <= 0.0) & (ghi > 0.0)
         at_cap = depth >= max_depth
-        if not at_cap:
-            amb |= (ghi > 0.0) & region & (lo <= 0.0) & (hi > 0.0)
-        for i in np.flatnonzero(amb).tolist():
-            lo[i] = hi[i] = exact(float(cx[i]), float(cy[i]), float(alphas[idx[i]]))
-        if amb.any():
+        runs = []
+        for i in range(0, xlo.size, cap):
+            s = slice(i, i + cap)
+            u = slice(None) if one else inv[s]
+            keep, region, cx, cy = _screen(xlo[s], ylo[s], h, geo[:, :, u], rate * ha)
+            idx = np.flatnonzero(keep)
+            cx, cy, region = cx[idx], cy[idx], region[idx]
+            w = 0 if one else u[idx]
+            v, E = fe.eval(cx, cy, cos_u[w], sin_u[w])
+            lo, hi = v - E, v + E
             glo, ghi = lo + a + b, hi + a + b
-        discharged = ghi <= 0.0
-        failed = ~discharged & (at_cap | (region & (lo > 0.0)))
-        action = np.where(discharged, 0, np.where(failed, 1, 2))
-        return idx, cx, cy, region, lo, hi, glo, ghi, action, amb
+            amb = (glo <= 0.0) & (ghi > 0.0)
+            if not at_cap:
+                amb |= (ghi > 0.0) & region & (lo <= 0.0) & (hi > 0.0)
+            for j in np.flatnonzero(amb).tolist():
+                lo[j] = hi[j] = exact(float(cx[j]), float(cy[j]), float(alphas[i + idx[j]]))
+            glo, ghi = lo + a + b, hi + a + b
+            action = np.where(ghi <= 0.0, 0, np.where(at_cap | (region & (lo > 0.0)), 1, 2))
+            runs.append((idx + i, cx, cy, region, lo, hi, glo, ghi, action, amb))
+        kept, *rest = map(np.concatenate, zip(*runs))
+        return _Level(xlo.size, a, b, kept, alphas[kept], *rest)
 
-    def fail(cx, cy, amid, lo, hi, a, b):
+    def tally(lv: _Level, depth: int, passed) -> np.ndarray:
+        """Count the kept boxes of `lv` in the `passed` slots and offer them to `cert`; return their failures."""
+        nonlocal evaluations, decided_by_mp, past_budget, wasted_mp, outcomes
+        done = passed[lv.kept]
+        n_done = int(done.sum())
+        evaluations += n_done
+        by_depth[depth] += n_done
+        decided_by_mp += int(lv.amb[done].sum())
+        past_budget += lv.kept.size - n_done
+        wasted_mp += int(lv.amb[~done].sum())
+        outcomes += [int(passed.sum()) - n_done, *np.bincount(lv.action[done], minlength=3)]
+        con = np.flatnonzero(done & (lv.action <= 1))
+        cert.add_many(lv.glo[con], lv.ghi[con], lambda j: lv.item(con[j]))
+        return np.flatnonzero(done & (lv.action == 1))
+
+    def fail(item):
         nonlocal n_failures
         if n_failures < 16:
-            fc = value(cx, cy, amid, lo, hi)
-            failures.append((cx, cy, amid, fc, fc + a + b))
+            fc = value(*item)
+            failures.append((*item[:3], fc, fc + item[5] + item[6]))
         n_failures += 1
 
     # Stream pass: every level-0 box is visited so the reported sign_margin
@@ -897,38 +920,24 @@ def verify_nonpositivity(
     xlo0 = np.tile(edges0, sample_spec.grid_n)  # row-major: iy outer, ix inner
     ylo0 = np.repeat(edges0, sample_spec.grid_n)
     h0, ha0 = 0.5 * dx0, 0.5 * dalpha
-    a0, b0 = L_x * math.sqrt(2.0) * h0, L_a * ha0
     split0: list = []  # level-0 boxes (xlo, ylo, alpha) to refine
     for ia in range(sample_spec.alpha_count):
         amid = alpha_lo + (ia + 0.5) * dalpha
-        geo, _, _, (cos_s, sin_s) = alpha_data(amid)
-        idx, cx, cy, region, lo, hi, glo, ghi, action, amb = batch(
-            xlo0, ylo0, h0, ha0, np.full(xlo0.size, amid), geo, cos_s, sin_s, 0)
-        evaluations += int(idx.size)
-        decided_by_mp += int(amb.sum())
-        stream_points += int(region.sum())
-        by_depth[0] += int(idx.size)
-        outcomes += [xlo0.size - idx.size, *np.bincount(action, minlength=3)]
-        cxl, cyl, lol, hil = cx.tolist(), cy.tolist(), lo.tolist(), hi.tolist()
-        reg = np.flatnonzero(region)
-        sign.add_many(lo[reg], hi[reg], lambda j: (cxl[reg[j]], cyl[reg[j]], amid, lol[reg[j]], hil[reg[j]]))
-        con = np.flatnonzero(action <= 1)
-        cert.add_many(glo[con], ghi[con],
-                      lambda j: (cxl[con[j]], cyl[con[j]], amid, lol[con[j]], hil[con[j]], a0, b0))
-        for i in np.flatnonzero(action == 1).tolist():
-            fail(cxl[i], cyl[i], amid, lol[i], hil[i], a0, b0)
-        split = idx[action == 2]
+        lv = batch(xlo0, ylo0, np.full(xlo0.size, amid), h0, ha0, 0)
+        stream_points += int(lv.region.sum())
+        reg = np.flatnonzero(lv.region)
+        sign.add_many(lv.lo[reg], lv.hi[reg], lambda j: lv.item(reg[j]))
+        for i in tally(lv, 0, np.ones(lv.slots, bool)).tolist():
+            fail(lv.item(i))
+        split = lv.kept[lv.action == 2]
         split0.extend((x, y, amid) for x, y in zip(xlo0[split].tolist(), ylo0[split].tolist()))
-
-    cap = sample_spec.grid_n**2  # boxes per refinement batch, as in the stream pass
 
     def decide(box):
         """Decide the whole subtree below a split level-0 box (xlo, ylo, alpha), a level at a time.
 
         Level k holds the 8 children of each box that split at level k - 1,
         per parent in the order da in (-ha/2, ha/2), then ddx in (0, h),
-        then ddy in (0, h); each level goes through `batch` in runs of at
-        most `cap` boxes.
+        then ddy in (0, h).
         """
         x, y, al = (np.array([v]) for v in box)
         h, ha = h0, ha0
@@ -940,25 +949,11 @@ def verify_nonpositivity(
             ys = (y[:, None] + np.array([0.0, h, 0.0, h] * 2)).ravel()
             h, ha = 0.5 * h, 0.5 * ha
             als = (al[:, None] + np.repeat([-ha, ha], 4)).ravel()
-            uniq, inv = np.unique(als, return_inverse=True)
-            data = [alpha_data(a) for a in uniq.tolist()]
-            edges = max(d[0].shape[1] for d in data)
-            geo = np.concatenate([_pad_edges(d[0], edges) for d in data], axis=2)
-            cos_u, sin_u = (np.array([d[3][k] for d in data]) for k in (0, 1))
-            runs = []
-            for i in range(0, xs.size, cap):
-                s, u = slice(i, i + cap), inv[i: i + cap]
-                idx, *rest = batch(xs[s], ys[s], h, ha, als[s], geo[:, :, u], cos_u[u], sin_u[u], depth)
-                runs.append((idx + i, *rest))
-            idx, cx, cy, _, lo, hi, glo, ghi, action, amb = map(np.concatenate, zip(*runs))
-            levels.append(_Level(xs.size, L_x * math.sqrt(2.0) * h, L_a * ha, idx, als[idx],
-                                 cx, cy, lo, hi, glo, ghi, action, amb))
-            split = idx[action == 2]
+            lv = batch(xs, ys, als, h, ha, depth)
+            levels.append(lv)
+            split = lv.kept[lv.action == 2]
             x, y, al = xs[split], ys[split], als[split]
         return levels
-
-    def over_budget():
-        return n_failures >= max_failures or evaluations >= max_evaluations
 
     # Refinement pass, bounded by the failure and evaluation budgets.  Each
     # split level-0 box, last-in first-out, has its subtree decided first;
@@ -967,7 +962,7 @@ def verify_nonpositivity(
     # would stop; the boxes decided past it are dropped.
     aborted = False
     for box in reversed(split0):
-        if over_budget():
+        if n_failures >= max_failures or evaluations >= max_evaluations:
             aborted = True
             break
         levels = decide(box)
@@ -977,32 +972,20 @@ def verify_nonpositivity(
         found = []  # (rank, item) of the counted failures
         for depth, (lv, p) in enumerate(zip(levels, positions), 1):
             passed = p < q if aborted else np.ones(p.size, bool)
-            done = passed[lv.kept]
-            n_done = int(done.sum())
-            evaluations += n_done
-            by_depth[depth] += n_done
-            decided_by_mp += int(lv.amb[done].sum())
-            past_budget += lv.kept.size - n_done
-            wasted_mp += int(lv.amb[~done].sum())
-            outcomes += [int(passed.sum()) - n_done, *np.bincount(lv.action[done], minlength=3)]
-            con = np.flatnonzero(done & (lv.action <= 1))
-            cert.add_many(lv.glo[con], lv.ghi[con], lambda j: lv.item(con[j]))
-            found += ((int(p[lv.kept[i]]), lv.item(i)) for i in np.flatnonzero(done & (lv.action == 1)))
+            found += ((int(p[lv.kept[i]]), lv.item(i)) for i in tally(lv, depth, passed).tolist())
         for _, item in sorted(found):
-            fail(*item)
+            fail(item)
         if aborted:
             break
 
     sign_margin = -math.inf
     witness = (0.0, 0.0, 0.0)
-    for cx, cy, amid, lo, hi in sign.survivors():
+    for cx, cy, amid, lo, hi, _, _ in sign.survivors():
         fc = value(cx, cy, amid, lo, hi)
         if fc > sign_margin:
             sign_margin = fc
             witness = (math.hypot(cx, cy), math.atan2(cy, cx) % (2 * math.pi), amid % (2 * math.pi))
-    cert_margin = -math.inf
-    for cx, cy, amid, lo, hi, a, b in cert.survivors():
-        cert_margin = max(cert_margin, value(cx, cy, amid, lo, hi) + a + b)
+    cert_margin = max((value(*item) + item[5] + item[6] for item in cert.survivors()), default=-math.inf)
 
     certified = not n_failures and not aborted
     base_radius = math.sqrt(2.0) * 0.5 * dx0 + (L_a / L_x) * 0.5 * dalpha if L_x > 0 else 0.0
@@ -1116,8 +1099,10 @@ def build_report(
     `certified` is true only when the positivity margins dominate the
     residuals (so an exactly feasible nearby solution exists, which also
     discharges the rho >= 1 region through the cylinder identity) and the
-    adaptive sign pass succeeded.
+    adaptive sign pass succeeded.  A safety factor <= 0 is refused.
     """
+    if not safety_factor > 0:
+        raise ValueError(f"safety_factor must be > 0, got {safety_factor}")
     min_eig, max_res = feasibility_margin(sol, problem)
     report = VerificationReport(
         min_block_eigenvalue=min_eig,

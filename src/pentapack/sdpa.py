@@ -80,6 +80,18 @@ def _entry_fields(ln: str) -> tuple[int, int, int, int, float]:
     return matno, bno, i, j, val
 
 
+def _store(mats: dict[str, np.ndarray], blk: Block, i: int, j: int, val: float) -> None:
+    """Set entry (i, j), 1-based, of `blk` in `mats`, and (j, i) of a psd block; a missing matrix starts at zero."""
+    if blk.kind != "psd" and i != j:
+        raise MalformedFileError("off-diagonal entry in diagonal block")
+    if blk.label not in mats:
+        mats[blk.label] = np.zeros((blk.dim, blk.dim) if blk.kind == "psd" else blk.dim)
+    if blk.kind == "psd":
+        mats[blk.label][i - 1, j - 1] = mats[blk.label][j - 1, i - 1] = val
+    else:
+        mats[blk.label][i - 1] = val
+
+
 def parse_sdpa(text: str) -> SdpProblem:
     """Parse SDPA sparse format back into a problem (equalities only)."""
     rows = []
@@ -115,18 +127,7 @@ def parse_sdpa(text: str) -> SdpProblem:
         blk = blocks[bno - 1]
         if not (1 <= i <= j <= blk.dim):
             raise MalformedFileError(f"matrix indices out of range: {ln!r}")
-        store = mats[matno]
-        if blk.label not in store:
-            store[blk.label] = (
-                np.zeros((blk.dim, blk.dim)) if blk.kind == "psd" else np.zeros(blk.dim)
-            )
-        if blk.kind == "psd":
-            store[blk.label][i - 1, j - 1] = val
-            store[blk.label][j - 1, i - 1] = val
-        else:
-            if i != j:
-                raise MalformedFileError("off-diagonal entry in diagonal block")
-            store[blk.label][i - 1] = val
+        _store(mats[matno], blk, i, j, val)
     objective = {lab: -mat for lab, mat in mats[0].items()}
     eqs = [LinearTerm(mats[k], rhs[k - 1], f"row[{k}]") for k in range(1, m + 1)]
     return SdpProblem(blocks, objective, eqs, [])
@@ -182,14 +183,7 @@ def import_solution(text: str, p: SdpProblem) -> SdpSolution:
         blk = blocks[bno - 1]
         if not (1 <= i <= blk.dim and 1 <= j <= blk.dim):
             raise DimensionMismatchError(f"matrix indices out of range: {ln!r}")
-        target = prim if matno == 2 else dual
-        if blk.kind == "psd":
-            target[blk.label][i - 1, j - 1] = val
-            target[blk.label][j - 1, i - 1] = val
-        else:
-            if i != j:
-                raise MalformedFileError("off-diagonal entry in diagonal block")
-            target[blk.label][i - 1] = val
+        _store(prim if matno == 2 else dual, blk, i, j, val)
     # Guard against files with inconsistent (i, j)/(j, i) duplicates.
     for blk in blocks:
         if blk.kind == "psd":

@@ -18,10 +18,12 @@ from pentapack.certify import (
     FloatEvaluator,
     MpEvaluator,
     RankDeficiencyError,
+    SignVerification,
     VerificationReport,
     VerifySpec,
     _lipschitz_pair,
     _proved_positive_definite,
+    build_report,
     feasibility_margin,
     final_bound,
     project_affine,
@@ -491,6 +493,27 @@ def test_verify_rejects_shrinking():
         verify_nonpositivity(scaled_unit_tensor(-1.0), 0.9, VerifySpec(3, 8, 1))
 
 
+@pytest.mark.parametrize("spec, name", [((0, 8, 1), "alpha_count"), ((-3, 8, 1), "alpha_count"),
+                                        ((3, 0, 1), "grid_n"), ((3, -4, 1), "grid_n"), ((3, 8, -1), "max_depth")])
+def test_verify_refuses_an_empty_sweep(spec, name):
+    """A negative grid or alpha count once certified with no stream point; 0 divided by zero."""
+    with pytest.raises(ValueError, match=rf"^VerifySpec {name} must be >= [01], got -?\d+$"):
+        verify_nonpositivity(scaled_unit_tensor(-1.0), 1.02, VerifySpec(*spec), 128)
+
+
+def test_build_report_refuses_a_nonpositive_safety_factor():
+    """At safety_factor -1e12 the test min_eig > safety_factor * residual passes an indefinite block."""
+    p = SdpProblem([Block("X", 2, "psd")], {}, [LinearTerm({"X": np.eye(2)}, 1.0)], [])
+    sol = SdpSolution(blocks={"X": np.diag([1.001 + 1e-9, -1e-3])}, y=np.zeros(1), objective=0.0,
+                      status="optimal", gap=0.0, iterations=0)
+    sv = SignVerification(-0.01, (0.0, 0.0, 0.0), -0.01, True, 1, 1, 1.0, 0.0, 0.0, 0.1, 128, 1.02)
+    t = scaled_unit_tensor(1.0)
+    assert not build_report(t, sol, p, sv).certified
+    for factor in (0.0, -1e12, math.nan):
+        with pytest.raises(ValueError, match="safety_factor must be > 0"):
+            build_report(t, sol, p, sv, safety_factor=factor)
+
+
 def test_verify_precision_consistency():
     """sign_margin agrees between 256-bit and 128-bit evaluation runs."""
     rng = np.random.default_rng(83)
@@ -770,7 +793,7 @@ def test_verify_refines_in_batches_of_at_most_grid_n_squared(monkeypatch):
 
 def _tree(kept_and_actions):
     """Subtree levels from (slots, kept, actions) per level; only the shape is filled in."""
-    return [certify._Level(n, 0.0, 0.0, np.array(k, int), *[None] * 7, np.array(a, int), None)
+    return [certify._Level(n, 0.0, 0.0, np.array(k, int), *[None] * 8, np.array(a, int), None)
             for n, k, a in kept_and_actions]
 
 

@@ -4,10 +4,12 @@ import logging
 import shutil
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from pentapack import pipeline
 from pentapack.cli import main
+from pentapack.fourier import CoefficientTensor, ModelParams
 from pentapack.pipeline import (
     RunConfig,
     build_problem,
@@ -158,6 +160,34 @@ def test_project_without_refine_names_the_missing_file(tiny_run, tmp_path, capsy
     err = capsys.readouterr().err
     assert "refine.sol" in err and "run refine first" in err
     assert not (tmp_path / "projected.sol").exists()
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--verify-alpha-count", "-1", "alpha_count"), ("--verify-alpha-count", "0", "alpha_count"),
+    ("--verify-grid-n", "-4", "grid_n"), ("--verify-grid-n", "0", "grid_n"), ("--verify-max-depth", "-1", "max_depth"),
+])
+def test_verify_refuses_an_empty_sweep(tmp_path, capsys, flag, value, name):
+    """A negative tensor once verified with no stream point and certified_sign=True."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(RunConfig(**TINY).to_json())
+    cfg = RunConfig(**{**TINY, f"verify_{name}": int(value)})
+    e = np.zeros((5, 5, 4))
+    e[2, 2, 0] = -1.0
+    pipeline._write(tmp_path / "tensor.txt", cfg, "tensor", CoefficientTensor(ModelParams(2, 3), e).dumps())
+    assert main(["verify", "--config", str(cfgfile), "--out", str(tmp_path), flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert f"error: VerifySpec {name} must be >=" in err
+    assert "certified" not in out and not (tmp_path / "verify.json").exists()
+
+
+def test_all_refuses_a_negative_verification_grid(tmp_path, capsys):
+    """`pentapack all --verify-grid-n -4` once printed `certified: yes` from zero stream points."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(RunConfig(**TINY).to_json())
+    assert main(["all", "--config", str(cfgfile), "--out", str(tmp_path), "--verify-grid-n", "-4"]) == 1
+    out, err = capsys.readouterr()
+    assert "error: VerifySpec grid_n must be >= 1, got -4" in err
+    assert "certified: yes" not in out and not (tmp_path / "report.json").exists()
 
 
 def test_steps_log_their_time(tmp_path, caplog):

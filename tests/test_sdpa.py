@@ -86,6 +86,22 @@ def test_import_solution_rejects_bad_numbers(bad):
         import_solution("\n".join(lines) + "\n", p)
 
 
+def _move_off_diagonal(text: str, matnos: tuple) -> str:
+    """`text` with its first entry of diagonal block 2 in a matrix of `matnos` moved to (1, 2)."""
+    lines = text.splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.split()[:2] in ([m, "2"] for m in matnos))
+    lines[n] = " ".join(lines[n].split()[:2] + ["1", "2"] + lines[n].split()[4:])
+    return "\n".join(lines) + "\n"
+
+
+def test_off_diagonal_entry_in_diagonal_block_is_refused():
+    p = mixed_problem()
+    with pytest.raises(MalformedFileError, match="off-diagonal entry in diagonal block"):
+        parse_sdpa(_move_off_diagonal(export_sdpa(p), ("0", "1")))
+    with pytest.raises(MalformedFileError, match="off-diagonal entry in diagonal block"):
+        import_solution(_move_off_diagonal(export_solution(solve(p), p), ("1", "2")), p)
+
+
 def test_solution_roundtrip():
     p = mixed_problem()
     sol = solve(p)
