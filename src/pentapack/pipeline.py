@@ -82,6 +82,15 @@ class RunConfig:
     verify_enlargement: float | None = None
     safety_factor: float = 1e3
 
+    def __post_init__(self):
+        # refuse a bad verification setting before any step writes an artifact
+        self.verify_spec()
+        if not self.safety_factor > 0:
+            raise ValueError(f"safety_factor must be > 0, got {self.safety_factor}")
+
+    def verify_spec(self) -> VerifySpec:
+        return VerifySpec(self.verify_alpha_count, self.verify_grid_n, self.verify_max_depth)
+
     @property
     def params(self) -> ModelParams:
         return ModelParams(self.N, self.d)
@@ -291,12 +300,7 @@ def step_project(cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = N
 @_timed
 def step_verify(cfg: RunConfig, outdir: Path) -> SignVerification:
     t = CoefficientTensor.loads(_read(outdir / "tensor.txt", cfg, "tensor"))
-    spec = VerifySpec(
-        alpha_count=cfg.verify_alpha_count,
-        grid_n=cfg.verify_grid_n,
-        max_depth=cfg.verify_max_depth,
-    )
-    verification = verify_nonpositivity(t, cfg.effective_verify_enlargement, spec, cfg.precision_bits)
+    verification = verify_nonpositivity(t, cfg.effective_verify_enlargement, cfg.verify_spec(), cfg.precision_bits)
     body = json.dumps(asdict(verification), indent=2) + "\n"
     _write(outdir / "verify.json", cfg, "verify", body)
     return verification

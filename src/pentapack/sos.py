@@ -314,29 +314,21 @@ class _RowAccumulator:
 def _independent_rows(rows: np.ndarray) -> list[int]:
     """Indices of a maximal set of linearly independent rows, greedily in order.
 
-    A row, of unit norm, is dropped when its residual against the span of
-    the kept rows before it falls below 1e-10.  The rows are split in
-    halves, recursively: the first half's kept rows, orthonormalized, are
-    projected out of the second half by two matrix products (Gram-Schmidt
-    twice), then the second half is split the same way.  A dropped row adds
-    nothing to the basis; a Householder QR of all rows would spend a
-    direction on each one's roundoff and could hide a later independent row.
+    The rows, of unit norm, are orthogonalized in place (modified
+    Gram-Schmidt); a row is dropped when its residual against the span of
+    the kept rows falls below 1e-10.  Deterministic and stable for the row
+    counts that occur here.
     """
-
-    def greedy(part, first):
-        """(kept indices, orthonormal basis) of rows already orthogonal to the earlier kept rows."""
-        if len(part) == 1:
-            nrm = np.linalg.norm(part[0])
-            return ([first], part / nrm) if nrm > 1e-10 else ([], part[:0])
-        half = len(part) // 2
-        keep, basis = greedy(part[:half], first)
-        rest = part[half:]
-        for _ in range(2):
-            rest = rest - (rest @ basis.T) @ basis
-        keep_rest, basis_rest = greedy(rest, first + half)
-        return keep + keep_rest, np.vstack([basis, basis_rest])
-
-    return greedy(rows, 0)[0]
+    basis: list[np.ndarray] = []
+    keep: list[int] = []
+    for idx, v in enumerate(rows):
+        for u in basis:
+            v -= (u @ v) * u
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-10:
+            basis.append(v / nrm)
+            keep.append(idx)
+    return keep
 
 
 def _hp_row_dict(row: _RowAccumulator) -> dict:

@@ -4,12 +4,10 @@ import logging
 import shutil
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from pentapack import pipeline
 from pentapack.cli import main
-from pentapack.fourier import CoefficientTensor, ModelParams
 from pentapack.pipeline import (
     RunConfig,
     build_problem,
@@ -167,27 +165,33 @@ def test_project_without_refine_names_the_missing_file(tiny_run, tmp_path, capsy
     ("--verify-grid-n", "-4", "grid_n"), ("--verify-grid-n", "0", "grid_n"), ("--verify-max-depth", "-1", "max_depth"),
 ])
 def test_verify_refuses_an_empty_sweep(tmp_path, capsys, flag, value, name):
-    """A negative tensor once verified with no stream point and certified_sign=True."""
+    """Such a sweep once verified a negative tensor with no stream point and certified_sign=True."""
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(RunConfig(**TINY).to_json())
-    cfg = RunConfig(**{**TINY, f"verify_{name}": int(value)})
-    e = np.zeros((5, 5, 4))
-    e[2, 2, 0] = -1.0
-    pipeline._write(tmp_path / "tensor.txt", cfg, "tensor", CoefficientTensor(ModelParams(2, 3), e).dumps())
     assert main(["verify", "--config", str(cfgfile), "--out", str(tmp_path), flag, value]) == 1
     out, err = capsys.readouterr()
     assert f"error: VerifySpec {name} must be >=" in err
     assert "certified" not in out and not (tmp_path / "verify.json").exists()
 
 
-def test_all_refuses_a_negative_verification_grid(tmp_path, capsys):
-    """`pentapack all --verify-grid-n -4` once printed `certified: yes` from zero stream points."""
+@pytest.mark.parametrize("flag, value, message", [
+    ("--verify-grid-n", "-4", "VerifySpec grid_n must be >= 1, got -4"),
+    ("--safety-factor", "-1", "safety_factor must be > 0, got -1.0"),
+])
+def test_all_refuses_a_bad_verification_setting_up_front(tmp_path, capsys, flag, value, message):
+    """`pentapack all --verify-grid-n -4` once printed `certified: yes` from zero stream points.
+
+    The setting is refused where the config is built, before any step writes an artifact.
+    """
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(RunConfig(**TINY).to_json())
-    assert main(["all", "--config", str(cfgfile), "--out", str(tmp_path), "--verify-grid-n", "-4"]) == 1
+    out_dir = tmp_path / "out"
+    assert main(["all", "--config", str(cfgfile), "--out", str(out_dir), flag, value]) == 1
     out, err = capsys.readouterr()
-    assert "error: VerifySpec grid_n must be >= 1, got -4" in err
-    assert "certified: yes" not in out and not (tmp_path / "report.json").exists()
+    assert f"error: {message}" in err
+    assert "certified: yes" not in out and not out_dir.exists()
+    with pytest.raises(ValueError, match=message.split(",")[0]):
+        RunConfig.from_json(json.dumps({**TINY, flag[2:].replace("-", "_"): json.loads(value)}))
 
 
 def test_steps_log_their_time(tmp_path, caplog):

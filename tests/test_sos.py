@@ -9,7 +9,6 @@ from pentapack.certify import project_affine
 from pentapack.fourier import ModelParams, evaluate_f, lambda_of
 from pentapack.geometry import constraint_sample
 from pentapack.motion import MotionPoint
-from pentapack import sos
 from pentapack.sdpa import export_sdpa
 from pentapack.sos import (
     _independent_rows,
@@ -188,39 +187,6 @@ def test_independent_rows_keeps_the_first_of_each_dependent_set():
     assert _independent_rows(unit(e1, e1, e2, -3.0 * e1, e1 + e2, e3)) == [0, 2, 5]
     # the kept indices are the earliest independent ones, in input order
     assert _independent_rows(unit(e3, e1 + e2, e1, e2)) == [0, 1, 2]
-
-
-def _gram_schmidt_rows(rows):
-    """The rank test before the recursive one: modified Gram-Schmidt, one kept row at a time."""
-    basis, keep = [], []
-    for idx, v in enumerate(rows.copy()):
-        for u in basis:
-            v -= (u @ v) * u
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-10:
-            basis.append(v / nrm)
-            keep.append(idx)
-    return keep
-
-
-def test_independent_rows_equals_gram_schmidt(monkeypatch):
-    """On the rows Problem A at (N, d) = (5, 5) hands to the rank test, and on interleaved dependent rows."""
-    captured = []
-
-    def record(rows):
-        captured.append(rows.copy())
-        return _independent_rows(rows)
-
-    monkeypatch.setattr(sos, "_independent_rows", record)
-    assemble_problem_A(ModelParams(5, 5), constraint_sample(3, 16, 1.02))
-    (rows,) = captured
-    keep = _independent_rows(rows)
-    assert keep == _gram_schmidt_rows(rows) and 0 < len(keep) < len(rows)
-
-    a, b, c, d, e = np.random.default_rng(5).standard_normal((5, 40))
-    mixed = [a, b, a, c, -2.0 * b, a + c, d, 3.0 * (a - d), 1e-3 * c, e, b + c + e - d, -e]
-    mixed = np.array([r / np.linalg.norm(r) for r in mixed])
-    assert _independent_rows(mixed) == _gram_schmidt_rows(mixed) == [0, 1, 3, 6, 9]
 
 
 @pytest.mark.parametrize("params", [ModelParams(5, 5), ModelParams(11, 3)])
