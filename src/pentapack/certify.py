@@ -128,12 +128,6 @@ def _equality_residual_mp(sol: SdpSolution, p: SdpProblem):
     return worst
 
 
-def equality_residual_hp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) -> float:
-    """Worst normalized equality residual, recomputed in extended precision."""
-    with mp.workprec(precision_bits):
-        return float(_equality_residual_mp(sol, p))
-
-
 def _gamma(n: int, unit: float) -> float:
     """Higham's gamma_n = n u / (1 - n u); infinite once n u reaches 1."""
     return n * unit / (1.0 - n * unit) if n * unit < 1.0 else math.inf
@@ -581,7 +575,7 @@ def tensor_hash(t: CoefficientTensor) -> str:
 
 @dataclass
 class VerifySpec:
-    """Geometry of the verification sweep (matches verification_sample)."""
+    """Geometry of the verification sweep: alpha_count x grid_n^2 cells, refined max_depth times."""
 
     alpha_count: int
     grid_n: int
@@ -1033,9 +1027,9 @@ def final_bound(t: CoefficientTensor, enlargement: float = 1.02) -> float:
     """Density bound 2 pi f(0, I) / lambda * area(enlargement * K).
 
     The 2 pi restores the inversion-formula normalization relative to the
-    literal closed form (see the lambda integration oracle); the enlargement
-    enters through the area because packings rescale freely.  Raises when
-    lambda <= 0.
+    literal closed form (the tests integrate f over the motion group to check
+    it); the enlargement enters through the area because packings rescale
+    freely.  Raises when lambda <= 0.
     """
     lam = lambda_of(t)
     if lam <= 0.0:

@@ -84,13 +84,21 @@ def main(argv=None) -> int:
     p_theta.add_argument("--graph", help="named graph: c5, petersen, k<N>, empty<N>, cycle<N>")
     p_theta.add_argument("--graph-file", help="adjacency-list or DIMACS-like edge file")
 
-    for p in (p_sample, p_generate, p_solve, p_refine, p_project, p_verify, p_bound, p_all, p_theta):
+    for p in (p_sample, p_generate, p_solve, p_refine, p_project, p_verify, p_bound, p_all):
         _add_config_flags(p)
 
     args = parser.parse_args(argv)
     if args.verbose:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(name)s: %(message)s")
     try:
+        if args.command == "theta":
+            g = _resolve_graph(args)
+            bound = theta_mod.theta_prime_bound(g)
+            line = f"theta-prime bound: {bound:.6f}"
+            if g.n <= 30:
+                line = f"alpha = {theta_mod.brute_force_alpha(g)}   " + line
+            print(line)
+            return 0
         cfg, outdir = _config_from_args(args)
         if args.command == "sample":
             n = step_sample(cfg, outdir, plot_data=args.plot_data)
@@ -125,13 +133,6 @@ def main(argv=None) -> int:
         elif args.command == "all":
             report = run_all(cfg, outdir, plot_data=args.plot_data)
             _print_report(report)
-        elif args.command == "theta":
-            g = _resolve_graph(args)
-            bound = theta_mod.theta_prime_bound(g)
-            line = f"theta-prime bound: {bound:.6f}"
-            if g.n <= 30:
-                line = f"alpha = {theta_mod.brute_force_alpha(g)}   " + line
-            print(line)
     except Exception as e:  # noqa: BLE001 - the CLI surfaces module errors
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -7,8 +7,8 @@ fhat(a) = phi(a) e^(-pi a^2).  In closed form,
     f(rho, theta, alpha) = sum_{r,s,k} (-1)^(|r-s|/2) e^(-i(s alpha + (r-s) theta))
                            f[r][s][k] D_{r,s;k}(rho) L_n^{|r-s|}(pi rho^2) e^(-pi rho^2)
 
-with n = k - |r-s|/2.  The inversion-formula quadrature and the matrix
-coefficients u^a_{r,s} are kept as independent oracles for the closed form.
+with n = k - |r-s|/2; the pipeline evaluates f only in this form.  The tests
+check it against the inversion formula over the matrix coefficients u^a_{r,s}.
 The structural zeros (r - s not divisible by 10, or k < |r-s|/2) encode the
 five-fold symmetry and the Laguerre reduction; the symmetries
 f[r][s][k] = f[s][r][k] = f[-r][-s][k] make f real.
@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .motion import MotionPoint
-from .specfun import bessel_j, coeff_D, laguerre
+from .specfun import coeff_D, laguerre
 
 ANGULAR_MODULUS = 10  # r - s must vanish mod this for nonzero coefficients
-A_MAX = 6.0  # quadrature truncation; e^(-pi a^2) < 1e-49 beyond
 
 
 class TensorInvariantError(ValueError):
@@ -160,51 +159,6 @@ def lambda_of(t: CoefficientTensor) -> float:
     return t.get(0, 0, 0)
 
 
-def matrix_coefficient_u(a: float, r: int, s: int, p: MotionPoint) -> complex:
-    """Matrix coefficient u^a_{r,s} = i^(s-r) e^(-i(s alpha + (r-s) theta)) J_{s-r}(2 pi a rho)."""
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    phase = (1j) ** ((s - r) % 4) * np.exp(-1j * (s * p.alpha + (r - s) * p.theta))
-    return complex(phase * bessel_j(s - r, 2.0 * math.pi * a * p.rho))
-
-
-def matrix_coefficient_u_quadrature(a: float, r: int, s: int, p: MotionPoint) -> complex:
-    """Quadrature oracle for u^a_{r,s} from its defining inner product.
-
-    Integrates (1/2pi) int_0^2pi e^(2 pi i a rho cos(xi - theta))
-    e^(i s (xi - alpha)) e^(-i r xi) d xi with the trapezoid rule, which is
-    spectrally accurate for this periodic integrand.
-    """
-    nodes = 4096
-    xi = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
-    vals = np.exp(
-        2j * math.pi * a * p.rho * np.cos(xi - p.theta)
-        + 1j * s * (xi - p.alpha)
-        - 1j * r * xi
-    )
-    return complex(vals.mean())
-
-
-def tau(r: int, s: int, coeffs, p: MotionPoint) -> complex:
-    """Apply the linear operator tau_{r,s} at p to the even polynomial sum_k coeffs[k] a^(2k).
-
-    Each power a^(2k) maps to (-1)^(|r-s|/2) e^(-i(s alpha + (r-s) theta))
-    D_{r,s;k}(rho) L_n^{|r-s|}(pi rho^2) with n = k - |r-s|/2, and to zero
-    when k < |r-s|/2.
-    """
-    if (r - s) % ANGULAR_MODULUS != 0:
-        raise ValueError(f"tau requires r - s divisible by {ANGULAR_MODULUS}")
-    m = abs(r - s)
-    t = math.pi * p.rho * p.rho
-    radial = 0.0
-    for k, c in enumerate(coeffs):
-        if c == 0 or k < m // 2:
-            continue
-        radial += c * coeff_D(r, s, k, p.rho) * laguerre(k - m // 2, m, t)
-    phase = (-1.0) ** (m // 2) * np.exp(-1j * (s * p.alpha + (r - s) * p.theta))
-    return complex(phase * radial)
-
-
 def evaluate_f(t: CoefficientTensor, p: MotionPoint) -> float:
     """Evaluate f at p through the Laguerre closed form.
 
@@ -234,81 +188,6 @@ def evaluate_f(t: CoefficientTensor, p: MotionPoint) -> float:
             f"imaginary residue {total.imag:.3e} exceeds tolerance {tol:.3e}"
         )
     return float(total.real)
-
-
-def evaluate_fhat(t: CoefficientTensor, a: float) -> np.ndarray:
-    """The transform matrix fhat(a)_{r,s} = (sum_k f[r][s][k] a^(2k)) e^(-pi a^2)."""
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    powers = a ** (2.0 * np.arange(t.params.d + 1))
-    return (t.entries @ powers) * math.exp(-math.pi * a * a)
-
-
-class QuadratureError(RuntimeError):
-    """Raised when an oracle quadrature does not converge."""
-
-
-def evaluate_f_quadrature(t: CoefficientTensor, p: MotionPoint) -> float:
-    """Inversion-formula oracle: integrate sum_{r,s} fhat(a)_{r,s} u^a_{r,s} a da.
-
-    Truncates at A_MAX, where the Gaussian factor bounds the tail below the
-    target accuracy.  Test oracle only; the closed form is the production
-    route.
-    """
-    from scipy.integrate import quad  # imported on first use: scipy.integrate is slow to load
-    t.validate()
-    items = list(t.nonzero_items())
-    orders = sorted({s - r for r, s, _k, _v in items})
-    phases = np.array(
-        [
-            (1j) ** ((s - r) % 4) * np.exp(-1j * (s * p.alpha + (r - s) * p.theta))
-            for r, s, _k, _v in items
-        ]
-    )
-    values = np.array([v for _r, _s, _k, v in items])
-    kpow = np.array([2 * k for _r, _s, k, _v in items])
-    order_of = np.array([orders.index(s - r) for r, s, _k, _v in items])
-
-    def integrand(a, part):
-        jvals = np.array([bessel_j(n, 2.0 * math.pi * a * p.rho) for n in orders])
-        total = np.sum(values * a**kpow * phases * jvals[order_of])
-        total *= a * math.exp(-math.pi * a * a)
-        return total.real if part == 0 else total.imag
-
-    re, re_err = quad(integrand, 0.0, A_MAX, args=(0,), epsabs=1e-12, epsrel=1e-12, limit=300)
-    im, im_err = quad(integrand, 0.0, A_MAX, args=(1,), epsabs=1e-12, epsrel=1e-12, limit=300)
-    if re_err > 1e-8 or im_err > 1e-8:
-        raise QuadratureError(f"inversion quadrature error too large ({re_err:.2e}, {im_err:.2e})")
-    tol = 1e-10 * max(1.0, t.l1_norm()) + 4.0 * t.asymmetry()
-    if abs(im) > tol:
-        raise QuadratureError(f"imaginary residue {im:.3e} in inversion quadrature")
-    return re
-
-
-def lambda_integral_oracle(t: CoefficientTensor) -> float:
-    """Integrate f over the motion group as an independent check on lambda.
-
-    Uses the measure 2 pi * (rho drho dtheta) x (dalpha / 2 pi): with that
-    normalization the integral reproduces f[0][0][0] exactly.  Angular
-    averages use trapezoid sums, which are exact for trigonometric
-    polynomials of the occurring degrees.
-    """
-    from scipy.integrate import quad  # imported on first use: scipy.integrate is slow to load
-    n_theta = 8 * t.params.N + 8
-    n_alpha = 4 * t.params.N + 4
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    alphas = np.linspace(0.0, 2.0 * math.pi, n_alpha, endpoint=False)
-
-    def mean_f(rho):
-        vals = [
-            evaluate_f(t, MotionPoint(rho, th, al)) for th in thetas for al in alphas
-        ]
-        return math.fsum(vals) / len(vals)
-
-    val, err = quad(lambda rho: mean_f(rho) * rho, 0.0, A_MAX, epsabs=1e-9, limit=100)
-    if err > 1e-7:
-        raise QuadratureError(f"lambda quadrature error too large ({err:.2e})")
-    return (2.0 * math.pi) ** 2 * val
 
 
 def random_positive_tensor(params: ModelParams, rng: np.random.Generator) -> CoefficientTensor:

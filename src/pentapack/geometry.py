@@ -3,16 +3,15 @@
 The regular pentagon K has circumradius 1/2 and vertices at angles 2 pi k / 5.
 Two congruent copies K and x + A(alpha) K overlap in their interiors exactly
 when x lies in the interior of the Minkowski difference K - A(alpha) K, which
-is the convex hull of the 25 pairwise vertex differences.  The sample
-generators below discretize the complement of that region for the constraint
-and verification stages.
+is the convex hull of the 25 pairwise vertex differences.
+`constraint_sample` discretizes the complement of that region for the
+constraint stage; the verification stage covers it with boxes (`certify`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -134,48 +133,6 @@ def contains_interior(p: ConvexPolygon, x) -> bool:
     return True
 
 
-def point_in_polygon_raycast(p: ConvexPolygon, x) -> bool:
-    """Ray-casting point-in-polygon test; independent oracle for tests."""
-    v = p.vertices
-    x0, y0 = float(x[0]), float(x[1])
-    inside = False
-    n = len(v)
-    for i in range(n):
-        xa, ya = v[i]
-        xb, yb = v[(i + 1) % n]
-        if (ya > y0) != (yb > y0):
-            t = (y0 - ya) / (yb - ya)
-            if x0 < xa + t * (xb - xa):
-                inside = not inside
-    return inside
-
-
-def copies_disjoint(x, alpha: float, scale: float = 1.0) -> bool:
-    """True iff the interiors of scale*K and x + A(alpha) scale*K are disjoint."""
-    return not contains_interior(minkowski_difference(alpha, scale), x)
-
-
-def copies_disjoint_sat(x, alpha: float, scale: float = 1.0) -> bool:
-    """Separating-axis disjointness test between the two pentagon copies.
-
-    Independent oracle: projects both vertex sets on each edge normal and
-    looks for an axis where the projections do not overlap in their
-    interiors.
-    """
-    a = pentagon(scale).vertices
-    b = a @ rotation_matrix(alpha).T + np.asarray(x, dtype=float)
-    for poly in (a, b):
-        n = len(poly)
-        for i in range(n):
-            e = poly[(i + 1) % n] - poly[i]
-            axis = np.array([e[1], -e[0]])
-            pa = a @ axis
-            pb = b @ axis
-            if pa.max() <= pb.min() + _COLLINEAR_TOL or pb.max() <= pa.min() + _COLLINEAR_TOL:
-                return True
-    return False
-
-
 @dataclass(frozen=True)
 class SamplePoint:
     """Sampled motion (rho, theta, alpha) tagged by its role."""
@@ -245,34 +202,3 @@ def constraint_sample(
                 theta = math.atan2(y, x) if rho > 0 else 0.0
                 out.append(SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi), "constraint"))
     return out
-
-
-def verification_sample(alpha_count: int, grid_n: int, scale: float) -> Iterator[SamplePoint]:
-    """Stream the verification sample for the enlarged body.
-
-    Walks alpha over the cell centers of a uniform partition of
-    [-2 pi/10, 2 pi/10] into alpha_count cells and, per slice, the cell
-    centers of a grid_n x grid_n partition of [-1, 1]^2.  A point is emitted
-    when rho <= 1 and it lies outside the open set scale*(K - A(alpha) K).
-    The order is deterministic: alpha ascending, then row-major in (x2, x1).
-    """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    dalpha = (4.0 * math.pi / 10.0) / alpha_count
-    dx = 2.0 / grid_n
-    coords = -1.0 + (np.arange(grid_n) + 0.5) * dx
-    X, Y = np.meshgrid(coords, coords)  # row-major in (y, x)
-    in_disk = X * X + Y * Y <= 1.0
-    for ia in range(alpha_count):
-        alpha = float(-2.0 * math.pi / 10.0 + (ia + 0.5) * dalpha)
-        mink = minkowski_difference(alpha, scale)
-        depth = np.full(X.shape, -np.inf)
-        for n, c in mink.edges():
-            np.maximum(depth, n[0] * X + n[1] * Y - c, out=depth)
-        keep = in_disk & (depth >= -_COLLINEAR_TOL)
-        for iy, ix in zip(*np.nonzero(keep)):
-            x, y = float(X[iy, ix]), float(Y[iy, ix])
-            rho = math.hypot(x, y)
-            theta = math.atan2(y, x) if rho > 0 else 0.0
-            yield SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi), "verification")
-

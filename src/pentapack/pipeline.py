@@ -83,7 +83,8 @@ class RunConfig:
     safety_factor: float = 1e3
 
     def __post_init__(self):
-        # refuse a bad verification setting before any step writes an artifact
+        # refuse a bad model or verification setting before any step writes an artifact
+        self.params
         self.verify_spec()
         if not self.safety_factor > 0:
             raise ValueError(f"safety_factor must be > 0, got {self.safety_factor}")

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams, tau
-from .motion import MotionPoint
+from .fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams
 from .sdp import Block, LinearTerm, SdpProblem, SdpSolution, stack_rows
 from .specfun import coeff_D_mp, laguerre, laguerre_coeffs_exact, tau_radial_coeffs
 
@@ -162,15 +161,7 @@ def _products(bcoefs: list[list]) -> dict[tuple[int, int, int], list]:
 
 
 # ---------------------------------------------------------------------------
-# the F, calF and W matrices (spec surfaces; also used by tests).  calF is
-# defined by `fourier.tau`: calF^{ij}(p)_{(l,r)(l',s)} = tau_{r,s}(a^2i P_l P_l')(p).
-
-
-def _spec(params: ModelParams, family: str, i: int, j: int) -> BlockSpec:
-    return next(
-        bs for bs in block_specs(params, retained=False)
-        if bs.family == family and bs.i == i and bs.j == j
-    )
+# the slots of the F matrices in the Q blocks
 
 
 def _f_entries(specs, r: int, s: int):
@@ -185,74 +176,6 @@ def _f_entries(specs, r: int, s: int):
         for l in range(half + 1):
             for lp in range(half + 1):
                 yield bs.label, pos[(l, r)], pos[(lp, s)], (bs.i, l, lp)
-
-
-def build_F(i: int, r: int, s: int, k: int, d: int, N: int | None = None) -> np.ndarray:
-    """Constraint matrix with (F^i_{r,s;k})_{(l,r)(l',s)} = coeff(a^2k, a^2i P_l P_l')."""
-    if (r - s) % ANGULAR_MODULUS != 0:
-        raise ValueError("r and s must lie in a common residue class mod 10")
-    params = ModelParams(N if N is not None else max(abs(r), abs(s), 1), d)
-    spec = _spec(params, "Q", i, r % ANGULAR_MODULUS)
-    prods = _products(realize_basis(d))
-    mat = np.zeros((spec.dim, spec.dim))
-    for _, a, b_idx, key in _f_entries([spec], r, s):
-        c = prods[key]
-        if k < len(c):
-            mat[a, b_idx] = float(c[k])
-    return mat
-
-
-def build_calF(i: int, j: int, p: MotionPoint, d: int, N: int) -> np.ndarray:
-    """The matrix calF^{ij}(p) with entries tau_{r,s}(a^2i P_l P_l')(p)."""
-    spec = _spec(ModelParams(N, d), "Q", i, j)
-    prods = _products(realize_basis(d))
-    mat = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for a_idx, (l, r) in enumerate(spec.index):
-        for b_idx, (lp, s) in enumerate(spec.index):
-            mat[a_idx, b_idx] = tau(r, s, prods[(i, l, lp)], p)
-    return mat
-
-
-@dataclass(frozen=True)
-class LaurentEntry:
-    """rho-polynomial times z1^m1 z2^m2 (coefficients in rho^2)."""
-
-    m1: int
-    m2: int
-    coeffs: tuple
-
-    def __call__(self, rho: float, theta: float, alpha: float) -> complex:
-        poly = 0.0
-        for c in reversed(self.coeffs):
-            poly = poly * rho * rho + float(c)
-        return poly * np.exp(1j * (self.m1 * theta + self.m2 * (alpha - theta)))
-
-
-@dataclass(frozen=True)
-class LaurentMatrix:
-    """Symbolic matrix over a block index, entry (row, col) -> LaurentEntry."""
-
-    index: tuple
-    entries: dict
-
-    def evaluate(self, rho: float, theta: float, alpha: float) -> np.ndarray:
-        n = len(self.index)
-        out = np.zeros((n, n), dtype=complex)
-        for (a, b), e in self.entries.items():
-            out[a, b] = e(rho, theta, alpha)
-        return out
-
-
-def build_W(i: int, j: int, d: int, N: int) -> LaurentMatrix:
-    """W^{ij} over {0..d/2} x P_j: entry = rho^2i P_l P_l' z1^(u'-u) z2^(v'-v)."""
-    spec = _spec(ModelParams(N, d), "R", i, j)
-    prods = _products(realize_basis(d))
-    entries = {}
-    for a_idx, (l, (u, v)) in enumerate(spec.index):
-        for b_idx, (lp, (up, vp)) in enumerate(spec.index):
-            coeffs = tuple(float(c) for c in prods[(i, l, lp)])
-            entries[(a_idx, b_idx)] = LaurentEntry(up - u, vp - v, coeffs)
-    return LaurentMatrix(spec.index, entries)
 
 
 # ---------------------------------------------------------------------------

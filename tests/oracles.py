@@ -1,0 +1,353 @@
+"""Independent oracles the tests check the pipeline against, by another route.
+
+The pipeline evaluates f only in its Laguerre closed form; the Bessel matrix
+coefficients (`scipy.special.jv`), Kummer's 1F1 (`mpmath.hyp1f1`) and the
+quadratures it is derived from live here.  Nothing under `src/` imports this.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterator
+
+import mpmath
+import numpy as np
+from mpmath import mp
+from scipy.integrate import quad
+from scipy.special import jv
+
+from pentapack.certify import _equality_residual_mp
+from pentapack.fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams, evaluate_f
+from pentapack.geometry import (
+    _COLLINEAR_TOL,
+    ConvexPolygon,
+    SamplePoint,
+    contains_interior,
+    minkowski_difference,
+    pentagon,
+)
+from pentapack.motion import MotionPoint, rotation_matrix
+from pentapack.sdp import SdpProblem, SdpSolution
+from pentapack.sos import BlockSpec, _f_entries, _products, block_specs, realize_basis
+from pentapack.specfun import coeff_D, laguerre
+
+A_MAX = 6.0  # quadrature truncation; e^(-pi a^2) < 1e-49 beyond
+
+
+def coeff_C(r: int, s: int, k: int, rho: float) -> float:
+    """Radial prefactor C_{r,s;k}(rho) of the Hankel closed form.
+
+    Defined as Gamma(k + 1 + |r-s|/2) (rho sqrt(pi))^{|r-s|} /
+    (2 pi^{k+1} Gamma(|r-s| + 1)); requires |r-s| even.
+    """
+    m = abs(r - s)
+    if m % 2 != 0:
+        raise ValueError(f"coeff_C requires |r-s| even, got r={r}, s={s}")
+    num = math.factorial(k + m // 2) * (rho * rho * math.pi) ** (m // 2)
+    return num / (2.0 * math.pi ** (k + 1) * math.factorial(m))
+
+
+def hankel_closed_form(r: int, s: int, k: int, rho: float) -> float:
+    """Closed form of the Hankel-type integral via Kummer's function.
+
+    Equals (-1)^(s-r) C_{r,s;k}(rho) 1F1(|r-s|/2 - k; |r-s|+1; pi rho^2)
+    e^(-pi rho^2); for |r-s| even the sign factor is 1.
+    """
+    m = abs(r - s)
+    if m % 2 != 0:
+        raise ValueError("hankel_closed_form requires |r-s| even")
+    c = coeff_C(r, s, k, rho)
+    f11 = float(mpmath.hyp1f1(m // 2 - k, m + 1, math.pi * rho * rho))
+    return c * f11 * math.exp(-math.pi * rho * rho)
+
+
+def hankel_integral_oracle(r: int, s: int, k: int, rho: float) -> float:
+    """Numerically integrate int_0^inf a^(2k+1) e^(-pi a^2) J_{s-r}(2 pi a rho) da.
+
+    Truncated at a = 10 where the Gaussian tail is below 1e-130; raises if
+    the quadrature does not converge.
+    """
+    m = abs(r - s)
+    if m % 2 != 0:
+        raise ValueError("hankel_integral_oracle requires |r-s| even")
+    if k < 0:
+        raise ValueError("hankel_integral_oracle requires k >= 0")
+
+    def integrand(a):
+        return a ** (2 * k + 1) * math.exp(-math.pi * a * a) * jv(
+            s - r, 2.0 * math.pi * a * rho
+        )
+
+    val, err = quad(integrand, 0.0, 10.0, epsabs=1e-13, epsrel=1e-13, limit=400)
+    if err > 1e-9:
+        raise ValueError(f"hankel quadrature failed to converge (err={err})")
+    return val
+
+
+def matrix_coefficient_u(a: float, r: int, s: int, p: MotionPoint) -> complex:
+    """Matrix coefficient u^a_{r,s} = i^(s-r) e^(-i(s alpha + (r-s) theta)) J_{s-r}(2 pi a rho)."""
+    if a < 0:
+        raise ValueError("a must be nonnegative")
+    phase = (1j) ** ((s - r) % 4) * np.exp(-1j * (s * p.alpha + (r - s) * p.theta))
+    return complex(phase * jv(s - r, 2.0 * math.pi * a * p.rho))
+
+
+def matrix_coefficient_u_quadrature(a: float, r: int, s: int, p: MotionPoint) -> complex:
+    """Quadrature oracle for u^a_{r,s} from its defining inner product.
+
+    Integrates (1/2pi) int_0^2pi e^(2 pi i a rho cos(xi - theta))
+    e^(i s (xi - alpha)) e^(-i r xi) d xi with the trapezoid rule, which is
+    spectrally accurate for this periodic integrand.
+    """
+    nodes = 4096
+    xi = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
+    vals = np.exp(
+        2j * math.pi * a * p.rho * np.cos(xi - p.theta)
+        + 1j * s * (xi - p.alpha)
+        - 1j * r * xi
+    )
+    return complex(vals.mean())
+
+
+def tau(r: int, s: int, coeffs, p: MotionPoint) -> complex:
+    """Apply the linear operator tau_{r,s} at p to the even polynomial sum_k coeffs[k] a^(2k).
+
+    Each power a^(2k) maps to (-1)^(|r-s|/2) e^(-i(s alpha + (r-s) theta))
+    D_{r,s;k}(rho) L_n^{|r-s|}(pi rho^2) with n = k - |r-s|/2, and to zero
+    when k < |r-s|/2.
+    """
+    if (r - s) % ANGULAR_MODULUS != 0:
+        raise ValueError(f"tau requires r - s divisible by {ANGULAR_MODULUS}")
+    m = abs(r - s)
+    t = math.pi * p.rho * p.rho
+    radial = 0.0
+    for k, c in enumerate(coeffs):
+        if c == 0 or k < m // 2:
+            continue
+        radial += c * coeff_D(r, s, k, p.rho) * laguerre(k - m // 2, m, t)
+    phase = (-1.0) ** (m // 2) * np.exp(-1j * (s * p.alpha + (r - s) * p.theta))
+    return complex(phase * radial)
+
+
+def evaluate_fhat(t: CoefficientTensor, a: float) -> np.ndarray:
+    """The transform matrix fhat(a)_{r,s} = (sum_k f[r][s][k] a^(2k)) e^(-pi a^2)."""
+    if a < 0:
+        raise ValueError("a must be nonnegative")
+    powers = a ** (2.0 * np.arange(t.params.d + 1))
+    return (t.entries @ powers) * math.exp(-math.pi * a * a)
+
+
+class QuadratureError(RuntimeError):
+    """Raised when an oracle quadrature does not converge."""
+
+
+def evaluate_f_quadrature(t: CoefficientTensor, p: MotionPoint) -> float:
+    """Inversion-formula oracle: integrate sum_{r,s} fhat(a)_{r,s} u^a_{r,s} a da.
+
+    Truncates at A_MAX, where the Gaussian factor bounds the tail below the
+    target accuracy.
+    """
+    t.validate()
+    items = list(t.nonzero_items())
+    phases = np.array(
+        [
+            (1j) ** ((s - r) % 4) * np.exp(-1j * (s * p.alpha + (r - s) * p.theta))
+            for r, s, _k, _v in items
+        ]
+    )
+    values = np.array([v for _r, _s, _k, v in items])
+    kpow = np.array([2 * k for _r, _s, k, _v in items])
+    orders = np.array([s - r for r, s, _k, _v in items])
+
+    def integrand(a, part):
+        total = np.sum(values * a**kpow * phases * jv(orders, 2.0 * math.pi * a * p.rho))
+        total *= a * math.exp(-math.pi * a * a)
+        return total.real if part == 0 else total.imag
+
+    re, re_err = quad(integrand, 0.0, A_MAX, args=(0,), epsabs=1e-12, epsrel=1e-12, limit=300)
+    im, im_err = quad(integrand, 0.0, A_MAX, args=(1,), epsabs=1e-12, epsrel=1e-12, limit=300)
+    if re_err > 1e-8 or im_err > 1e-8:
+        raise QuadratureError(f"inversion quadrature error too large ({re_err:.2e}, {im_err:.2e})")
+    tol = 1e-10 * max(1.0, t.l1_norm()) + 4.0 * t.asymmetry()
+    if abs(im) > tol:
+        raise QuadratureError(f"imaginary residue {im:.3e} in inversion quadrature")
+    return re
+
+
+def lambda_integral_oracle(t: CoefficientTensor) -> float:
+    """Integrate f over the motion group as an independent check on lambda.
+
+    Uses the measure 2 pi * (rho drho dtheta) x (dalpha / 2 pi): with that
+    normalization the integral reproduces f[0][0][0] exactly.  Angular
+    averages use trapezoid sums, which are exact for trigonometric
+    polynomials of the occurring degrees.
+    """
+    n_theta = 8 * t.params.N + 8
+    n_alpha = 4 * t.params.N + 4
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    alphas = np.linspace(0.0, 2.0 * math.pi, n_alpha, endpoint=False)
+
+    def mean_f(rho):
+        vals = [
+            evaluate_f(t, MotionPoint(rho, th, al)) for th in thetas for al in alphas
+        ]
+        return math.fsum(vals) / len(vals)
+
+    val, err = quad(lambda rho: mean_f(rho) * rho, 0.0, A_MAX, epsabs=1e-9, limit=100)
+    if err > 1e-7:
+        raise QuadratureError(f"lambda quadrature error too large ({err:.2e})")
+    return (2.0 * math.pi) ** 2 * val
+
+
+def _spec(params: ModelParams, family: str, i: int, j: int) -> BlockSpec:
+    return next(
+        bs for bs in block_specs(params, retained=False)
+        if bs.family == family and bs.i == i and bs.j == j
+    )
+
+
+def build_F(i: int, r: int, s: int, k: int, d: int, N: int | None = None) -> np.ndarray:
+    """Constraint matrix with (F^i_{r,s;k})_{(l,r)(l',s)} = coeff(a^2k, a^2i P_l P_l')."""
+    if (r - s) % ANGULAR_MODULUS != 0:
+        raise ValueError("r and s must lie in a common residue class mod 10")
+    params = ModelParams(N if N is not None else max(abs(r), abs(s), 1), d)
+    spec = _spec(params, "Q", i, r % ANGULAR_MODULUS)
+    prods = _products(realize_basis(d))
+    mat = np.zeros((spec.dim, spec.dim))
+    for _, a, b_idx, key in _f_entries([spec], r, s):
+        c = prods[key]
+        if k < len(c):
+            mat[a, b_idx] = float(c[k])
+    return mat
+
+
+def build_calF(i: int, j: int, p: MotionPoint, d: int, N: int) -> np.ndarray:
+    """The matrix calF^{ij}(p) with entries tau_{r,s}(a^2i P_l P_l')(p)."""
+    spec = _spec(ModelParams(N, d), "Q", i, j)
+    prods = _products(realize_basis(d))
+    mat = np.zeros((spec.dim, spec.dim), dtype=complex)
+    for a_idx, (l, r) in enumerate(spec.index):
+        for b_idx, (lp, s) in enumerate(spec.index):
+            mat[a_idx, b_idx] = tau(r, s, prods[(i, l, lp)], p)
+    return mat
+
+
+@dataclass(frozen=True)
+class LaurentEntry:
+    """rho-polynomial times z1^m1 z2^m2 (coefficients in rho^2)."""
+
+    m1: int
+    m2: int
+    coeffs: tuple
+
+    def __call__(self, rho: float, theta: float, alpha: float) -> complex:
+        poly = 0.0
+        for c in reversed(self.coeffs):
+            poly = poly * rho * rho + float(c)
+        return poly * np.exp(1j * (self.m1 * theta + self.m2 * (alpha - theta)))
+
+
+@dataclass(frozen=True)
+class LaurentMatrix:
+    """Symbolic matrix over a block index, entry (row, col) -> LaurentEntry."""
+
+    index: tuple
+    entries: dict
+
+    def evaluate(self, rho: float, theta: float, alpha: float) -> np.ndarray:
+        n = len(self.index)
+        out = np.zeros((n, n), dtype=complex)
+        for (a, b), e in self.entries.items():
+            out[a, b] = e(rho, theta, alpha)
+        return out
+
+
+def build_W(i: int, j: int, d: int, N: int) -> LaurentMatrix:
+    """W^{ij} over {0..d/2} x P_j: entry = rho^2i P_l P_l' z1^(u'-u) z2^(v'-v)."""
+    spec = _spec(ModelParams(N, d), "R", i, j)
+    prods = _products(realize_basis(d))
+    entries = {}
+    for a_idx, (l, (u, v)) in enumerate(spec.index):
+        for b_idx, (lp, (up, vp)) in enumerate(spec.index):
+            coeffs = tuple(float(c) for c in prods[(i, l, lp)])
+            entries[(a_idx, b_idx)] = LaurentEntry(up - u, vp - v, coeffs)
+    return LaurentMatrix(spec.index, entries)
+
+
+def point_in_polygon_raycast(p: ConvexPolygon, x) -> bool:
+    """Ray-casting point-in-polygon test; independent oracle for tests."""
+    v = p.vertices
+    x0, y0 = float(x[0]), float(x[1])
+    inside = False
+    n = len(v)
+    for i in range(n):
+        xa, ya = v[i]
+        xb, yb = v[(i + 1) % n]
+        if (ya > y0) != (yb > y0):
+            t = (y0 - ya) / (yb - ya)
+            if x0 < xa + t * (xb - xa):
+                inside = not inside
+    return inside
+
+
+def copies_disjoint(x, alpha: float, scale: float = 1.0) -> bool:
+    """True iff the interiors of scale*K and x + A(alpha) scale*K are disjoint."""
+    return not contains_interior(minkowski_difference(alpha, scale), x)
+
+
+def copies_disjoint_sat(x, alpha: float, scale: float = 1.0) -> bool:
+    """Separating-axis disjointness test between the two pentagon copies.
+
+    Independent oracle: projects both vertex sets on each edge normal and
+    looks for an axis where the projections do not overlap in their
+    interiors.
+    """
+    a = pentagon(scale).vertices
+    b = a @ rotation_matrix(alpha).T + np.asarray(x, dtype=float)
+    for poly in (a, b):
+        n = len(poly)
+        for i in range(n):
+            e = poly[(i + 1) % n] - poly[i]
+            axis = np.array([e[1], -e[0]])
+            pa = a @ axis
+            pb = b @ axis
+            if pa.max() <= pb.min() + _COLLINEAR_TOL or pb.max() <= pa.min() + _COLLINEAR_TOL:
+                return True
+    return False
+
+
+def verification_sample(alpha_count: int, grid_n: int, scale: float) -> Iterator[SamplePoint]:
+    """Stream the verification sample for the enlarged body.
+
+    Walks alpha over the cell centers of a uniform partition of
+    [-2 pi/10, 2 pi/10] into alpha_count cells and, per slice, the cell
+    centers of a grid_n x grid_n partition of [-1, 1]^2.  A point is emitted
+    when rho <= 1 and it lies outside the open set scale*(K - A(alpha) K).
+    The order is deterministic: alpha ascending, then row-major in (x2, x1).
+    """
+    if scale <= 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    dalpha = (4.0 * math.pi / 10.0) / alpha_count
+    dx = 2.0 / grid_n
+    coords = -1.0 + (np.arange(grid_n) + 0.5) * dx
+    X, Y = np.meshgrid(coords, coords)  # row-major in (y, x)
+    in_disk = X * X + Y * Y <= 1.0
+    for ia in range(alpha_count):
+        alpha = float(-2.0 * math.pi / 10.0 + (ia + 0.5) * dalpha)
+        mink = minkowski_difference(alpha, scale)
+        depth = np.full(X.shape, -np.inf)
+        for n, c in mink.edges():
+            np.maximum(depth, n[0] * X + n[1] * Y - c, out=depth)
+        keep = in_disk & (depth >= -_COLLINEAR_TOL)
+        for iy, ix in zip(*np.nonzero(keep)):
+            x, y = float(X[iy, ix]), float(Y[iy, ix])
+            rho = math.hypot(x, y)
+            theta = math.atan2(y, x) if rho > 0 else 0.0
+            yield SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi), "verification")
+
+
+def equality_residual_hp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) -> float:
+    """Worst normalized equality residual, recomputed in extended precision."""
+    with mp.workprec(precision_bits):
+        return float(_equality_residual_mp(sol, p))

@@ -13,6 +13,7 @@ import pytest
 
 from mpmath import mp
 
+from oracles import verification_sample
 from pentapack import certify
 from pentapack.certify import (
     FloatEvaluator,
@@ -31,7 +32,7 @@ from pentapack.certify import (
     verify_nonpositivity,
 )
 from pentapack.fourier import CoefficientTensor, ModelParams, evaluate_f, random_positive_tensor
-from pentapack.geometry import constraint_sample, pentagon, verification_sample
+from pentapack.geometry import constraint_sample, pentagon
 from pentapack.motion import MotionPoint
 from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution
 from pentapack.sos import assemble_feasibility_variant, assemble_problem_A
@@ -535,24 +536,38 @@ from pentapack.sdp import Block, LinearTerm, SdpProblem
 e = np.zeros((5, 5, 4))
 e[2, 2, 0] = -1.0
 sv = verify_nonpositivity(CoefficientTensor(ModelParams(2, 3), e), 1.02, VerifySpec(3, 8, 1), 128)
-after_verify = sorted(m for m in ("scipy.linalg", "scipy.integrate") if m in sys.modules)
+after_verify = sorted(m for m in ("scipy.linalg", "scipy.integrate", "scipy.special") if m in sys.modules)
 sol = pentapack.solve(SdpProblem([Block("X", 2, "psd")], {"X": np.eye(2)}, [LinearTerm({"X": np.eye(2)}, 1.0)], []))
 print(json.dumps([sv.sign_margin, after_verify, sol.status, "scipy.linalg" in sys.modules]))
 """
 
 
+_SRC = Path(certify.__file__).resolve().parents[1]
+
+
+def _run_fresh(script: str):
+    """The JSON a script prints in a fresh process that imports pentapack from this source tree."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 def test_verify_loads_neither_scipy_linalg_nor_integrate():
     """In a fresh process (this one already holds scipy), verify needs no scipy; a solve loads scipy.linalg."""
-    src = str(Path(certify.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    sign_margin, after_verify, status, linalg_after_solve = json.loads(out)
+    sign_margin, after_verify, status, linalg_after_solve = _run_fresh(_IMPORT_GRAPH_SCRIPT)
     assert sign_margin < 0
     assert after_verify == []
     assert status == "optimal"
     assert linalg_after_solve
+
+
+def test_package_holds_no_test_oracle():
+    """No pentapack module loads tests/oracles.py or the scipy parts only the oracles use."""
+    script = """import importlib, json, pkgutil, sys, pentapack
+for m in pkgutil.iter_modules(pentapack.__path__, "pentapack."): importlib.import_module(m.name)
+print(json.dumps(sorted(m for m in ("oracles", "scipy.integrate", "scipy.special") if m in sys.modules)))"""
+    assert _run_fresh(script) == []
+    assert [p.name for p in (_SRC / "pentapack").glob("*.py") if "oracles" in p.read_text()] == []
 
 
 # -- float64 evaluation with an error radius ---------------------------------

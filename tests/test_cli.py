@@ -174,14 +174,17 @@ def test_verify_refuses_an_empty_sweep(tmp_path, capsys, flag, value, name):
     assert "certified" not in out and not (tmp_path / "verify.json").exists()
 
 
-@pytest.mark.parametrize("flag, value, message", [
-    ("--verify-grid-n", "-4", "VerifySpec grid_n must be >= 1, got -4"),
-    ("--safety-factor", "-1", "safety_factor must be > 0, got -1.0"),
+@pytest.mark.parametrize("flag, value, message, field", [
+    ("--verify-grid-n", "-4", "VerifySpec grid_n must be >= 1, got -4", "verify_grid_n"),
+    ("--safety-factor", "-1", "safety_factor must be > 0, got -1.0", "safety_factor"),
+    ("-N", "0", "N must be >= 1, got 0", "N"),
+    ("-d", "4", "d must be odd and >= 1, got 4", "d"),
 ])
-def test_all_refuses_a_bad_verification_setting_up_front(tmp_path, capsys, flag, value, message):
+def test_all_refuses_a_bad_verification_setting_up_front(tmp_path, capsys, flag, value, message, field):
     """`pentapack all --verify-grid-n -4` once printed `certified: yes` from zero stream points.
 
-    The setting is refused where the config is built, before any step writes an artifact.
+    The setting is refused where the config is built, before any step writes an artifact;
+    a bad N or d was once refused only after `sample` had written its file.
     """
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(RunConfig(**TINY).to_json())
@@ -191,7 +194,7 @@ def test_all_refuses_a_bad_verification_setting_up_front(tmp_path, capsys, flag,
     assert f"error: {message}" in err
     assert "certified: yes" not in out and not out_dir.exists()
     with pytest.raises(ValueError, match=message.split(",")[0]):
-        RunConfig.from_json(json.dumps({**TINY, flag[2:].replace("-", "_"): json.loads(value)}))
+        RunConfig.from_json(json.dumps({**TINY, field: json.loads(value)}))
 
 
 def test_steps_log_their_time(tmp_path, caplog):
@@ -233,6 +236,12 @@ def test_cli_theta_c5(capsys):
     out = capsys.readouterr().out
     assert "alpha = 2" in out
     assert "2.236" in out
+
+
+def test_cli_theta_takes_no_config_flags():
+    """theta once took, and refused a bad value of, the pipeline flags it never used."""
+    with pytest.raises(SystemExit):
+        main(["theta", "--graph", "c5", "--verify-grid-n", "-4"])
 
 
 def test_cli_sample_plot_data(tmp_path, capsys):

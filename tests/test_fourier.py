@@ -4,19 +4,21 @@ import re
 import numpy as np
 import pytest
 
+from oracles import (
+    evaluate_f_quadrature,
+    evaluate_fhat,
+    lambda_integral_oracle,
+    matrix_coefficient_u,
+    matrix_coefficient_u_quadrature,
+    tau,
+)
 from pentapack.fourier import (
     CoefficientTensor,
     ModelParams,
     TensorInvariantError,
     evaluate_f,
-    evaluate_f_quadrature,
-    evaluate_fhat,
-    lambda_integral_oracle,
     lambda_of,
-    matrix_coefficient_u,
-    matrix_coefficient_u_quadrature,
     random_positive_tensor,
-    tau,
 )
 from pentapack.motion import MotionPoint, compose, from_polar, invert, to_polar
 

@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    copies_disjoint,
+    copies_disjoint_sat,
+    point_in_polygon_raycast,
+    verification_sample,
+)
 from pentapack.geometry import (
     constraint_sample,
     contains_interior,
-    copies_disjoint,
-    copies_disjoint_sat,
     minkowski_difference,
     pentagon,
-    point_in_polygon_raycast,
-    verification_sample,
 )
 
 

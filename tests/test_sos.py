@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import build_calF, build_F, build_W, evaluate_fhat
 from pentapack.certify import project_affine
 from pentapack.fourier import ModelParams, evaluate_f, lambda_of
 from pentapack.geometry import constraint_sample
@@ -15,9 +16,6 @@ from pentapack.sos import (
     assemble_feasibility_variant,
     assemble_problem_A,
     block_specs,
-    build_F,
-    build_W,
-    build_calF,
     conv,
     index_sets,
     pair_sets,
@@ -340,7 +338,6 @@ def test_recovered_fhat_psd_for_psd_blocks():
         blocks[bs.label] = G @ G.T
     sol = SdpSolution(blocks=blocks, y=np.zeros(1), objective=0.0, status="optimal", gap=0.0, iterations=0)
     t = recover_tensor(sol, params)
-    from pentapack.fourier import evaluate_fhat
 
     for a in rng.uniform(0, 5, 100):
         assert np.linalg.eigvalsh(evaluate_fhat(t, a)).min() >= -1e-9
