@@ -109,28 +109,79 @@ def _float_row_terms(t: LinearTerm, blocks: dict):
                 yield cv, x[idx]
 
 
-def _equality_residual_mp(sol: SdpSolution, p: SdpProblem):
-    """Worst normalized equality residual as an mpf at the working precision.
-
-    Uses the assembly's high-precision rows when the problem carries them and
-    lifts the float rows exactly otherwise.
-    """
+def _equality_rows(sol: SdpSolution, p: SdpProblem) -> list:
+    """(weights, values, rhs) of each equality row, weights and rhs mpf: the assembly's
+    high-precision rows when the problem carries them, else the float rows lifted."""
     if p.meta.get("hp_rows"):
-        rows = [
-            _residual_mp(rhs, ((w, sol.blocks[lab][i, j]) for (lab, i, j), w in coeffs.items()))
-            for coeffs, rhs, _label in p.meta["hp_rows"]
-        ]
-    else:
-        rows = [_residual_mp(t.rhs, _float_row_terms(t, sol.blocks)) for t in p.eq_constraints]
-    worst = mp.mpf(0)
-    for acc, nrm in rows:
-        worst = max(worst, abs(acc) / mp.sqrt(nrm))
-    return worst
+        return [(list(c.values()), [sol.blocks[lab][i, j] for lab, i, j in c], rhs) for c, rhs, _ in p.meta["hp_rows"]]
+    rows = [(t.rhs, list(_float_row_terms(t, sol.blocks))) for t in p.eq_constraints]
+    return [([mp.mpf(float(w)) for w, _ in terms], [x for _, x in terms], mp.mpf(rhs)) for rhs, terms in rows]
 
 
 def _gamma(n: int, unit: float) -> float:
     """Higham's gamma_n = n u / (1 - n u); infinite once n u reaches 1."""
     return n * unit / (1.0 - n * unit) if n * unit < 1.0 else math.inf
+
+
+def _dyadic(a) -> tuple[np.ndarray, int]:
+    """(m, e) with a == m 2^e exactly, m an object array of Python ints; a finite floats."""
+    frac, e = np.frexp(np.asarray(a, dtype=float))
+    nonzero, e = frac != 0.0, e - 53
+    lo = int(e.min(where=nonzero, initial=0))
+    m = (frac * 2.0**53).astype(np.int64).astype(object)
+    return m << np.where(nonzero, e - lo, 0).astype(object), lo
+
+
+def _row_bounds(rows: list, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Floats lo <= V <= hi for each row's V = abs(acc) / sqrt(nrm) of `_residual_mp`.
+
+    A = sum w x - rhs is summed exactly in integers (w = +-man 2^exp from
+    `_mpf_`), so its float a errs by at most 2^-52 |A|, and f = |a| /
+    sqrt(N^), N^ = sum w^2 in float, by gamma_(n+8)(2^-53) f, n the row's
+    terms plus one (Higham, ch. 3).  `_residual_mp` rounds w, rhs, each
+    product and sum at `bits`: its acc is within gamma_(n+3) S of A, S = sum
+    |w x| + |rhs|, its nrm within gamma_(n+3) N, so with the sqrt and the
+    division V is within gamma_(2n+8)(2^-bits) (f + S / sqrt N) of A / sqrt
+    N.  Doubling both radii covers the rounding of S^ (formed like N^) and
+    of the radius.  Rows with a non-finite or over 1000-bit weight, a
+    non-finite value, or N^, a nonzero S^ or a nonzero f below 2^-1022
+    (rounding no longer relative) get (-inf, inf).
+    """
+    lo, hi = np.full(len(rows), -math.inf), np.full(len(rows), math.inf)
+    for k, (weights, values, rhs) in enumerate(rows):
+        sign, man, exp, bc = (np.array(v, dtype=object) for v in zip(*(w._mpf_ for w in (*weights, rhs))))
+        x = np.array([*values, -1.0], dtype=float)
+        if not (np.isfinite(x).all() and ((man != 0) | (exp == 0)).all() and bc.max() <= 1000):
+            continue  # inf and nan have man 0 and exp != 0; float() of a longer man overflows
+        man, e0, (xm, xe) = np.where(sign.astype(bool), -man, man), exp.min(), _dyadic(x)
+        A = (man << (exp - e0)).dot(xm)  # sum w x - rhs = A 2^(e0 + xe)
+        s = max(A.bit_length() - 64, 0)
+        with np.errstate(all="ignore"):
+            w = np.ldexp(man.astype(float), exp.astype(np.int64))
+            N, S = np.dot(w[:-1], w[:-1]), np.dot(np.abs(w), np.abs(x))
+            f = abs(np.ldexp(float(A >> s), e0 + xe + s)) / np.sqrt(N)
+            r = 2.0 * (_gamma(len(x) + 8, 2.0**-53) * f + _gamma(2 * len(x) + 8, 2.0**-bits) * (f + S / np.sqrt(N)))
+        if min(N, S or 1.0, f or 1.0) >= np.finfo(float).tiny and np.isfinite(r):
+            lo[k], hi[k] = f - r, f + r
+    return lo, hi
+
+
+def _worst_residual_mp(rows: list) -> tuple[object, int]:
+    """Largest abs(acc) / sqrt(nrm) of `_residual_mp` over the rows, and how many rows went to mp:
+    those whose `_row_bounds` hi reaches the largest lo (one left out has value <= hi < max lo)."""
+    lo, hi = _row_bounds(rows, mp.prec)
+    keep = np.flatnonzero(hi >= lo.max(initial=-math.inf)).tolist()
+    worst = mp.mpf(0)
+    for k in keep:
+        weights, values, rhs = rows[k]
+        acc, nrm = _residual_mp(rhs, zip(weights, values))
+        worst = max(worst, abs(acc) / mp.sqrt(nrm))
+    return worst, len(keep)
+
+
+def _equality_residual_mp(sol: SdpSolution, p: SdpProblem):
+    """Worst normalized equality residual as an mpf at the working precision."""
+    return _worst_residual_mp(_equality_rows(sol, p))[0]
 
 
 def _ineq_proved_satisfied(t: LinearTerm, blocks: dict, precision_bits: int) -> bool:
@@ -184,6 +235,55 @@ def _proved_positive_definite(b: np.ndarray, tau: float = 0.0) -> bool:
         return False
 
 
+def _min_eig_enclosure(b: np.ndarray, precision_bits: int):
+    """mpfs lo <= hi around min(mp.eigsy(b)) with float(lo) == float(hi), or None.
+
+    Exact in rationals (floats are dyadic), with w, Q = eigh(b), u = Q[:, 0]:
+    C = fl(b + t u u^T), t = 2 ||b||_F, is symmetric, and if C - tau I is
+    proved positive definite, tau >= mu + ||C - (b + t u u^T)||_F, mu = (w_0
+    + w_1) / 2, then lambda_2(b) >= lambda_1(b + t u u^T) > mu (interlacing).
+    From v = u, refined by v += -sum_(i>=1) q_i q_i^T r / (w_i - rho) in
+    float, r = b v - rho v, Temple's bound (Parlett, ch. 10) puts lambda_1
+    in [rho - eps^2 / (mu - rho), rho], rho = v^T b v / v^T v < mu, eps^2 =
+    ||r||^2 / v^T v.  Widened by eigsy's assumed accuracy 2^-(bits-20)
+    ||b||_F and rounded outward, it decides when both ends round to one
+    float.  None for a 1x1, non-finite or asymmetric b, a failed gap proof,
+    rho >= mu, or no decision after three Rayleigh quotients.
+    """
+    from fractions import Fraction
+    norm = float(np.linalg.norm(b)) if len(b) > 1 else math.inf
+    if not (norm < 2.0**500 and np.array_equal(b, b.T)):  # refuses non-finite b; keeps C, ||D||^2 finite
+        return None
+    w, Q = np.linalg.eigh(b)
+    mu, u, t = Fraction(0.5 * (w[0] + w[1])), Q[:, 0], 2.0 * norm
+    c = b + t * np.outer(u, u)
+    (cm, ce), (bm, be), (um, ue), ((tm,), te) = (_dyadic(a) for a in (c, b, u, [t]))
+    e = min(ce, be, te + 2 * ue)
+    d = (cm << ce - e) - (bm << be - e) - ((tm * np.outer(um, um)) << te + 2 * ue - e)  # D = C - (b + t u u^T)
+    d2 = math.nextafter(float(Fraction(int(np.sum(d * d))) * Fraction(2) ** (2 * e)), math.inf)  # >= ||D||_F^2
+    tau = float(mu) + math.nextafter(math.sqrt(d2), math.inf)
+    if not _proved_positive_definite(c, math.nextafter(tau, math.inf)):
+        return None
+    delta, vm, ve = mp.ldexp(norm, 20 - precision_bits), um, ue
+    for _ in range(3):
+        bv = bm.dot(vm)  # b v = bv 2^(be + ve)
+        num, den = int(vm.dot(bv)), int(vm.dot(vm))
+        r = den * bv - num * vm  # b v - rho v = r 2^(be + ve) / den
+        rho = Fraction(num, den) * Fraction(2) ** be
+        gaps = w[1:] - float(rho)
+        if not (rho < mu and (gaps > 0.0).all()):
+            return None
+        lo = rho - Fraction(int(r.dot(r)), den**3) * Fraction(2) ** (2 * be) / (mu - rho)  # rho - eps^2 / (mu - rho)
+        lo = mp.fsub(mp.fdiv(lo.numerator, lo.denominator, rounding="d"), delta, rounding="d")
+        hi = mp.fadd(mp.fdiv(rho.numerator, rho.denominator, rounding="u"), delta, rounding="u")
+        if float(lo) == float(hi):
+            return lo, hi
+        scale = Fraction(2) ** (be + ve) / den
+        dm, de = _dyadic(-Q[:, 1:] @ ((Q[:, 1:].T @ np.array([float(ri * scale) for ri in r])) / gaps))
+        vm, ve = (vm << ve - min(ve, de)) + (dm << de - min(ve, de)), min(ve, de)
+    return None
+
+
 def feasibility_margin(
     sol: SdpSolution, p: SdpProblem, precision_bits: int = 128
 ) -> tuple[float, float]:
@@ -196,20 +296,23 @@ def feasibility_margin(
     perturbation argument compares against the eigenvalues; inequality rows
     count only their violation.  The eigenvalues are `mp.eigsy`'s.
 
-    float64 only skips work that provably cannot change either result.  An
-    inequality row proved not violated (`_ineq_proved_satisfied`) is
-    skipped; every other row, NaN ones included, goes through
-    `_residual_mp`.  Blocks go in order of their float `eigvalsh` minimum, a
-    heuristic only; a block B skips `mp.eigsy` when B - tau I is proved
-    positive definite (`_proved_positive_definite`), tau the current
-    minimum plus 2^-(bits-20) ||B||_F rounded up.  That rests on one
-    assumption: `mp.eigsy` at `precision_bits` is accurate to 2^-(bits-20)
-    ||B||_F (the norm computed in float), so all it would return exceeds
-    the current minimum.
+    Exact sums and float64 only skip work that provably cannot change either
+    result.  `_worst_residual_mp` sends to `_residual_mp` only the equality
+    rows that can hold the worst; an inequality row proved not violated
+    (`_ineq_proved_satisfied`) is skipped, every other goes.  The minimum is
+    kept as an enclosure [lo, hi] of what eigsy on every block would give.
+    Blocks go in order of their float `eigvalsh` minimum, a heuristic only;
+    a block B is skipped when B - tau I is proved positive definite
+    (`_proved_positive_definite`), tau = hi + 2^-(bits-20) ||B||_F rounded
+    up, else enclosed by `_min_eig_enclosure`, else sent to `mp.eigsy`.  Each
+    enclosure rounds to one float, so float(hi) is eigsy's.  That rests on
+    one assumption: `mp.eigsy` at `precision_bits` is accurate to
+    2^-(bits-20) ||B||_F (the norm computed in float).
     """
     started = time.perf_counter()
     with mp.workprec(precision_bits):
-        worst = _equality_residual_mp(sol, p)
+        eq_rows = _equality_rows(sol, p)
+        worst, eq_to_mp = _worst_residual_mp(eq_rows)
         to_mp = 0
         for t in p.ineq_constraints:
             if _ineq_proved_satisfied(t, sol.blocks, precision_bits):
@@ -218,25 +321,31 @@ def feasibility_margin(
             acc, nrm = _residual_mp(t.rhs, _float_row_terms(t, sol.blocks))
             if nrm > 0 and acc / mp.sqrt(nrm) > worst:
                 worst = acc / mp.sqrt(nrm)
-        min_eig, dense = mp.inf, []
+        lo_eig, hi_eig, dense = mp.inf, mp.inf, []
         for b in p.blocks:
             x = np.asarray(sol.blocks[b.label])
             if b.kind == "diag" or x.ndim == 1:
-                min_eig = min(min_eig, mp.mpf(float(x.min())))
+                lo_eig, hi_eig = (min(m, mp.mpf(float(x.min()))) for m in (lo_eig, hi_eig))
             else:
                 dense.append(x)
         dense.sort(key=lambda x: np.linalg.eigvalsh(x)[0] if np.isfinite(x).all() else -math.inf)
-        eigsy_calls = 0
+        enclosed = eigsy_calls = 0
         for x in dense:
-            shift = mp.fadd(min_eig, mp.ldexp(np.linalg.norm(x), 20 - precision_bits), rounding="u")
+            shift = mp.fadd(hi_eig, mp.ldexp(np.linalg.norm(x), 20 - precision_bits), rounding="u")
             if _proved_positive_definite(x, math.nextafter(float(shift), math.inf)):
                 continue
-            min_eig = min(min_eig, min(mp.eigsy(mp.matrix(x.tolist()), eigvals_only=True)))
-            eigsy_calls += 1
-        log.info("margins: %d inequality rows decided in float, %d sent to mp, %d blocks proved above "
-                 "the minimum, %d eigsy calls, %.2f s", len(p.ineq_constraints) - to_mp, to_mp,
-                 len(dense) - eigsy_calls, eigsy_calls, time.perf_counter() - started)
-        return float(min_eig), float(worst)
+            box = _min_eig_enclosure(x, precision_bits)
+            enclosed += box is not None
+            if box is None:
+                box = (min(mp.eigsy(mp.matrix(x.tolist()), eigvals_only=True)),) * 2
+                eigsy_calls += 1
+            lo_eig, hi_eig = min(lo_eig, box[0]), min(hi_eig, box[1])
+        log.info("margins: %d inequality rows decided in float, %d sent to mp, %d of %d equality rows sent to mp, "
+                 "%d blocks proved above the minimum, %d decided by enclosure, %d eigsy calls, minimum eigenvalue "
+                 "in [%s, %s], %.2f s", len(p.ineq_constraints) - to_mp, to_mp, eq_to_mp, len(eq_rows),
+                 len(dense) - enclosed - eigsy_calls, enclosed, eigsy_calls, mp.nstr(lo_eig, 25),
+                 mp.nstr(hi_eig, 25), time.perf_counter() - started)
+        return float(hi_eig), float(worst)
 
 
 # ---------------------------------------------------------------------------

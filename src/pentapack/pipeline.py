@@ -86,8 +86,16 @@ class RunConfig:
         # refuse a bad model or verification setting before any step writes an artifact
         self.params
         self.verify_spec()
-        if not self.safety_factor > 0:
-            raise ValueError(f"safety_factor must be > 0, got {self.safety_factor}")
+        for name, ok, need in (
+            ("safety_factor", self.safety_factor > 0, "> 0"),
+            ("precision_bits", self.precision_bits >= 53, ">= 53"),  # at 0 bits mp.pi is 4.0
+            ("verify_enlargement", self.verify_enlargement is None or self.verify_enlargement >= 1, ">= 1"),
+            ("gap_tol", 0 < self.gap_tol < math.inf, "finite and > 0"),
+            ("feas_tol", 0 < self.feas_tol < math.inf, "finite and > 0"),
+            ("refine_margin", self.refine_margin >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
 
     def verify_spec(self) -> VerifySpec:
         return VerifySpec(self.verify_alpha_count, self.verify_grid_n, self.verify_max_depth)

@@ -41,28 +41,30 @@ def export_sdpa(p: SdpProblem) -> str:
     lines.append(f"{len(blocks)}")
     lines.append(" ".join(str(b.dim if b.kind == "psd" else -b.dim) for b in blocks))
     lines.append(" ".join(repr(float(t.rhs)) for t in eqs))
-    lines += _entry_lines(blocks, 0, objective, sign=-1.0)
-    for idx, t in enumerate(eqs, start=1):
-        lines += _entry_lines(blocks, idx, t.coeffs)
+    negated = {lab: -np.asarray(c, dtype=float) for lab, c in objective.items()}
+    lines += _entry_lines(blocks, [negated] + [t.coeffs for t in eqs])
     return "\n".join(lines) + "\n"
 
 
-def _entry_lines(blocks: list[Block], matno: int, mats: dict | None, sign: float = 1.0) -> list[str]:
-    """The lines "matno blockno i j value" of the nonzero upper-triangle entries, 1-based."""
-    out = []
+def _entry_lines(blocks: list[Block], mats: list[dict | None], first: int = 0) -> list[str]:
+    """The lines "matno blockno i j value" of the nonzero upper-triangle entries, 1-based, in that
+    order; mats[k] (None for no entries) is matrix first + k.  Each block's matrices are stacked."""
+    keys, lines = [np.zeros(0, dtype=int)], []
     for bno, blk in enumerate(blocks, start=1):
-        if mats is None or blk.label not in mats:
+        have = np.array([k for k, m in enumerate(mats) if m is not None and blk.label in m], dtype=int)
+        if not have.size:
             continue
-        mat = np.asarray(mats[blk.label], dtype=float)
+        stack = np.array([np.asarray(mats[k][blk.label], dtype=float) for k in have])
         if blk.kind == "psd":
-            idx = [(i, j) for i in range(blk.dim) for j in range(i, blk.dim)]
+            k, i, j = np.nonzero((stack != 0.0) & np.triu(np.ones((blk.dim, blk.dim), dtype=bool)))
+            vals = stack[k, i, j]
         else:
-            idx = [(i, i) for i in range(blk.dim)]
-        for i, j in idx:
-            v = float(mat[i, j]) if blk.kind == "psd" else float(mat[i])
-            if v != 0.0:
-                out.append(f"{matno} {bno} {i + 1} {j + 1} {sign * v!r}")
-    return out
+            k, i = np.nonzero(stack != 0.0)
+            j, vals = i, stack[k, i]
+        keys.append(have[k])
+        lines += [f"{m} {bno} {a} {b} {v!r}" for m, a, b, v in
+                  zip((have[k] + first).tolist(), (i + 1).tolist(), (j + 1).tolist(), vals.tolist())]
+    return [lines[n] for n in np.argsort(np.concatenate(keys), kind="stable")]  # blocks stay in order
 
 
 def _entry_fields(ln: str) -> tuple[int, int, int, int, float]:
@@ -139,8 +141,7 @@ def export_solution(sol: SdpSolution, p: SdpProblem) -> str:
     if len(sol.y) != len(eqs):
         raise DimensionMismatchError("dual vector length does not match problem")
     lines = ['"pentapack solution v1', " ".join(repr(float(v)) for v in sol.y)]
-    lines += _entry_lines(blocks, 1, sol.dual_blocks)
-    lines += _entry_lines(blocks, 2, sol.blocks)
+    lines += _entry_lines(blocks, [sol.dual_blocks, sol.blocks], first=1)
     lines.append('"end')
     return "\n".join(lines) + "\n"
 

@@ -17,7 +17,7 @@ from mpmath import mp
 from scipy.integrate import quad
 from scipy.special import jv
 
-from pentapack.certify import _equality_residual_mp
+from pentapack.certify import _equality_residual_mp, _float_row_terms, _residual_mp
 from pentapack.fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams, evaluate_f
 from pentapack.geometry import (
     _COLLINEAR_TOL,
@@ -351,3 +351,29 @@ def equality_residual_hp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 
     """Worst normalized equality residual, recomputed in extended precision."""
     with mp.workprec(precision_bits):
         return float(_equality_residual_mp(sol, p))
+
+
+def margin_all_mp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) -> tuple[float, float]:
+    """`feasibility_margin`'s results with every row through `_residual_mp` and every block through eigsy."""
+    with mp.workprec(precision_bits):
+        if p.meta.get("hp_rows"):
+            rows = [_residual_mp(rhs, ((w, sol.blocks[lab][i, j]) for (lab, i, j), w in coeffs.items()))
+                    for coeffs, rhs, _label in p.meta["hp_rows"]]
+        else:
+            rows = [_residual_mp(t.rhs, _float_row_terms(t, sol.blocks)) for t in p.eq_constraints]
+        worst = mp.mpf(0)
+        for acc, nrm in rows:
+            worst = max(worst, abs(acc) / mp.sqrt(nrm))
+        for t in p.ineq_constraints:
+            acc, nrm = _residual_mp(t.rhs, _float_row_terms(t, sol.blocks))
+            if nrm > 0 and acc / mp.sqrt(nrm) > worst:
+                worst = acc / mp.sqrt(nrm)
+        min_eig = mp.inf
+        for b in p.blocks:
+            x = np.asarray(sol.blocks[b.label])
+            if x.ndim == 1:
+                min_eig = min(min_eig, mp.mpf(float(x.min())))
+            else:
+                A = mp.matrix([[mp.mpf(float(v)) for v in row] for row in x.tolist()])
+                min_eig = min(min_eig, min(mp.eigsy(A, eigvals_only=True)))
+        return float(min_eig), float(worst)

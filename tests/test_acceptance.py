@@ -6,7 +6,9 @@ facet-line relaxation must prove that no bound this ansatz can certify at
 enlargement 1.02 lies in the bound corridor, and the run must therefore
 refuse to certify, with a witness at which f is genuinely positive.  The
 others check the supporting machinery at their stated tolerances.  Run with
-`pytest tests/test_acceptance.py -v -s` to see every line.
+`pytest tests/test_acceptance.py -v -s` to see every line.  The last test
+checks, at the published configuration, how little of the margin
+recomputation still needs mp.
 """
 
 import math
@@ -25,9 +27,12 @@ from oracles import (
     evaluate_f_quadrature,
     hankel_closed_form,
     hankel_integral_oracle,
+    margin_all_mp,
 )
+from pentapack import certify, pipeline
 from pentapack.certify import (
     VerifySpec,
+    feasibility_margin,
     project_affine,
     verify_nonpositivity,
 )
@@ -565,3 +570,21 @@ def test_criterion_9_desk_scale_verification(paper_run):
     )
     assert hi.stream_points >= 1e5
     assert abs(hi.sign_margin - lo.sign_margin) <= 1e-10
+
+
+def test_feasibility_margin_at_the_published_configuration(paper_run, monkeypatch):
+    """The report's margins come from one equality row in mp and no eigsy call, and equal the all-mp route."""
+    cfg, outdir, report = paper_run
+    problem = pipeline.build_problem(cfg)
+    variant = pipeline._feasibility_variant(cfg, outdir, problem)
+    projected = import_solution(pipeline._read(outdir / "projected.sol", cfg, "solution"), variant)
+    lifted, eigsy_calls = [], []
+    residual_mp, eigsy = certify._residual_mp, mp.eigsy
+    monkeypatch.setattr(certify, "_residual_mp", lambda rhs, terms: lifted.append(rhs) or residual_mp(rhs, terms))
+    monkeypatch.setattr(mp, "eigsy", lambda A, **kw: eigsy_calls.append(1) or eigsy(A, **kw))
+    got = feasibility_margin(projected, problem)
+    monkeypatch.undo()
+    assert got == (report.min_block_eigenvalue, report.max_constraint_residual)
+    assert not eigsy_calls
+    assert len(lifted) == 1 and isinstance(lifted[0], mp.mpf)  # an equality row's rhs
+    assert got == margin_all_mp(projected, problem)

@@ -13,7 +13,7 @@ import pytest
 
 from mpmath import mp
 
-from oracles import verification_sample
+from oracles import margin_all_mp, verification_sample
 from pentapack import certify
 from pentapack.certify import (
     FloatEvaluator,
@@ -133,52 +133,40 @@ def test_feasibility_margin_on_refined_problem(refined_small):
     assert mineig > 1e3 * res
 
 
-def _margin_all_mp(sol, p, precision_bits=128):
-    """feasibility_margin's results with every row through _residual_mp and every block through eigsy."""
-    with mp.workprec(precision_bits):
-        worst = certify._equality_residual_mp(sol, p)
-        for t in p.ineq_constraints:
-            acc, nrm = certify._residual_mp(t.rhs, certify._float_row_terms(t, sol.blocks))
-            if nrm > 0 and acc / mp.sqrt(nrm) > worst:
-                worst = acc / mp.sqrt(nrm)
-        min_eig = mp.inf
-        for b in p.blocks:
-            x = np.asarray(sol.blocks[b.label])
-            if x.ndim == 1:
-                min_eig = min(min_eig, mp.mpf(float(x.min())))
-            else:
-                A = mp.matrix([[mp.mpf(float(v)) for v in row] for row in x.tolist()])
-                min_eig = min(min_eig, min(mp.eigsy(A, eigvals_only=True)))
-        return float(min_eig), float(worst)
-
-
 def _traced_margin(sol, p, monkeypatch):
-    """feasibility_margin, with the rhs of each row it lifts and each matrix it hands to eigsy."""
-    rows, mats = [], []
-    residual_mp, eigsy = certify._residual_mp, mp.eigsy
+    """feasibility_margin, with the rhs of each row it lifts and each matrix it hands to the
+    eigenvalue enclosure and to eigsy."""
+    rows, enclosed, eigsy_mats = [], [], []
+    residual_mp, enclosure, eigsy = certify._residual_mp, certify._min_eig_enclosure, mp.eigsy
 
     def lifted(rhs, terms):
         rows.append(rhs)
         return residual_mp(rhs, terms)
 
+    def enclosing(x, precision_bits):
+        enclosed.append(np.array(x))
+        return enclosure(x, precision_bits)
+
     def counted(A, **kwargs):
-        mats.append(np.array(A.tolist(), dtype=float))
+        eigsy_mats.append(np.array(A.tolist(), dtype=float))
         return eigsy(A, **kwargs)
 
     monkeypatch.setattr(certify, "_residual_mp", lifted)
+    monkeypatch.setattr(certify, "_min_eig_enclosure", enclosing)
     monkeypatch.setattr(mp, "eigsy", counted)
     got = feasibility_margin(sol, p)
     monkeypatch.undo()
-    return got, rows, mats
+    return got, rows, enclosed, eigsy_mats
 
 
 def test_feasibility_margin_equals_all_mp_reference(solved_small, monkeypatch):
     params, problem, sol = solved_small
     projected, _ = project_affine(sol, problem)
-    got, rows, _ = _traced_margin(projected, problem, monkeypatch)
-    assert got == _margin_all_mp(projected, problem)
+    got, rows, _, _ = _traced_margin(projected, problem, monkeypatch)
+    assert got == margin_all_mp(projected, problem)
     # the unrefined projection violates some inequality rows; they reach mp
-    assert len(rows) > len(problem.eq_constraints)
+    # (the high-precision equality rows carry an mpf rhs, inequality rows a float one)
+    assert any(not isinstance(rhs, mp.mpf) for rhs in rows)
 
 
 def test_feasibility_margin_sends_a_violated_row_to_mp(refined_small, monkeypatch):
@@ -190,13 +178,14 @@ def test_feasibility_margin_sends_a_violated_row_to_mp(refined_small, monkeypatc
     rows = list(problem.ineq_constraints)
     rows[7] = violated
     p = SdpProblem(problem.blocks, problem.objective, problem.eq_constraints, rows, problem.meta)
-    got, lifted, _ = _traced_margin(projected, p, monkeypatch)
-    assert got == _margin_all_mp(projected, p)
+    got, lifted, _, _ = _traced_margin(projected, p, monkeypatch)
+    assert got == margin_all_mp(projected, p)
     assert lifted.count(violated.rhs) == 1
     assert got[1] == pytest.approx(1e-9, rel=1e-4)
 
 
 def test_feasibility_margin_tied_blocks_both_reach_eigsy(refined_small, monkeypatch):
+    """Neither of two blocks with one spectrum is skipped: each reaches the enclosure or eigsy."""
     problem, projected = refined_small
     # S0 holds the smallest eigenvalue; R00 becomes S0 reversed, the same spectrum
     s0 = np.asarray(projected.blocks["S0"])
@@ -205,10 +194,10 @@ def test_feasibility_margin_tied_blocks_both_reach_eigsy(refined_small, monkeypa
                        iterations=projected.iterations)
     lows = sorted(np.linalg.eigvalsh(tied.blocks[lab])[0] for lab in ("S0", "R00"))
     assert lows[1] - lows[0] < 1e-13
-    got, _, mats = _traced_margin(tied, problem, monkeypatch)
-    assert got == _margin_all_mp(tied, problem)
-    assert any(np.array_equal(m, s0) for m in mats)
-    assert any(np.array_equal(m, s0[::-1, ::-1]) for m in mats)
+    got, _, enclosed, eigsy_mats = _traced_margin(tied, problem, monkeypatch)
+    assert got == margin_all_mp(tied, problem)
+    assert any(np.array_equal(m, s0) for m in enclosed + eigsy_mats)
+    assert any(np.array_equal(m, s0[::-1, ::-1]) for m in enclosed + eigsy_mats)
 
 
 def test_feasibility_margin_logs_one_summary_line(refined_small, caplog):
@@ -217,8 +206,10 @@ def test_feasibility_margin_logs_one_summary_line(refined_small, caplog):
         feasibility_margin(projected, problem)
     lines = [r.getMessage() for r in caplog.records if r.name == "pentapack.certify"]
     assert len(lines) == 1
-    assert "margins: 26 inequality rows decided in float, 0 sent to mp, " in lines[0]
-    assert "blocks proved above the minimum, 1 eigsy calls" in lines[0]
+    assert "margins: 26 inequality rows decided in float, 0 sent to mp, 1 of 54 equality rows sent to mp, " in lines[0]
+    assert "7 blocks proved above the minimum, 1 decided by enclosure, 0 eigsy calls, " in lines[0]
+    lo, hi = re.search(r"minimum eigenvalue in \[(\S+), (\S+)\]", lines[0]).groups()
+    assert float(lo) <= float(hi)
 
 
 def _spd(n, seed):
@@ -248,6 +239,75 @@ def _gram_rank_deficient():
 ])
 def test_proved_positive_definite(b, tau, expected):
     assert _proved_positive_definite(b, tau) is expected
+
+
+def _block_margin(monkeypatch, x, diag=None):
+    """feasibility_margin of one dense block (and a diag block), with two float equality rows,
+    checked against the all-mp route; the matrices handed to the enclosure and to eigsy."""
+    blocks, values = [Block("X", len(x), "psd")], {"X": x}
+    if diag is not None:
+        blocks.append(Block("D", len(diag), "diag"))
+        values["D"] = diag
+    rows = [LinearTerm({"X": np.eye(len(x))}, float(np.trace(x)) + 1e-9), LinearTerm({"X": x}, 1.0)]
+    p = SdpProblem(blocks, {}, rows, [])
+    sol = SdpSolution(blocks=values, y=np.zeros(0), objective=0.0, status="optimal", gap=0.0, iterations=0)
+    got, _, enclosed, eigsy_mats = _traced_margin(sol, p, monkeypatch)
+    assert got == margin_all_mp(sol, p)
+    return got, enclosed, eigsy_mats
+
+
+def _planted(lams, seed):
+    """Q diag(lams) Q^T for a random orthogonal Q, symmetrized."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(lams), len(lams))))
+    b = (q * np.asarray(lams)) @ q.T
+    return 0.5 * (b + b.T)
+
+
+@pytest.mark.parametrize("x", [
+    *(_spd(n, seed) for n, seed in ((2, 20), (12, 21), (36, 22))),
+    _planted([1e-6, 2e-6, 0.5, 3.0, 110.0], 23),
+    _planted(np.geomspace(1e-9, 1e3, 20), 24),
+    _planted([1.0, 1.0 + 1e-12, 2.0, 3.0, 4.0, 5.0], 25),  # a planted gap of 1e-12 is still proved
+])
+def test_min_eig_enclosure_decides_random_spd(x, monkeypatch):
+    got, enclosed, eigsy_mats = _block_margin(monkeypatch, x)
+    assert len(enclosed) == 1 and not eigsy_mats
+
+
+@pytest.mark.parametrize("x", [
+    _planted([1.0, 1.0 + 1e-15, 2.0, 3.0, 4.0, 5.0], 25),  # a gap below float resolution
+    np.kron(np.eye(2), _spd(6, 26)),  # every eigenvalue exactly twice
+])
+def test_min_eig_enclosure_falls_back_to_eigsy(x, monkeypatch):
+    got, enclosed, eigsy_mats = _block_margin(monkeypatch, x)
+    assert len(enclosed) == 1 and len(eigsy_mats) == 1
+    with mp.workprec(128):
+        assert certify._min_eig_enclosure(x, 128) is None
+
+
+def test_feasibility_margin_diag_minimum_ties_a_block_minimum(monkeypatch):
+    x = _spd(10, 27)
+    (low, _), _, _ = _block_margin(monkeypatch, x)
+    got, enclosed, eigsy_mats = _block_margin(monkeypatch, x, diag=np.array([2.0 * low, low]))
+    assert got[0] == low
+    assert len(enclosed) + len(eigsy_mats) >= 1  # the block is not proved above the tie
+
+
+def test_feasibility_margin_sends_both_near_tied_equality_rows_to_mp(monkeypatch):
+    """Two rows whose residuals differ by 1e-30 both reach mp; a row far below them does not."""
+    x = np.array([[0.75, 0.125], [0.125, 2.5]])
+    with mp.workdps(50):
+        w = {("X", 0, 0): mp.mpf(1) / 3, ("X", 0, 1): mp.mpf(2) / 7, ("X", 1, 1): mp.sqrt(2)}
+        value = sum(c * mp.mpf(float(x[i, j])) for (_, i, j), c in w.items())
+        rhs = [value - mp.mpf("1e-12"), value - mp.mpf("1e-12") - mp.mpf("1e-30"), value - mp.mpf("1e-14")]
+    p = SdpProblem([Block("X", 2, "psd")], {}, [], [], {"hp_rows": [(w, r, f"row{k}") for k, r in enumerate(rhs)]})
+    sol = SdpSolution(blocks={"X": x}, y=np.zeros(0), objective=0.0, status="optimal", gap=0.0, iterations=0)
+    got, lifted, _, _ = _traced_margin(sol, p, monkeypatch)
+    assert got == margin_all_mp(sol, p)
+    assert lifted == rhs[:2]
+    with mp.workprec(128):
+        norm = mp.sqrt(sum(c * c for c in w.values()))
+        assert got[1] == float((mp.mpf("1e-12") + mp.mpf("1e-30")) / norm)
 
 
 # -- Lipschitz ---------------------------------------------------------------

@@ -179,12 +179,19 @@ def test_verify_refuses_an_empty_sweep(tmp_path, capsys, flag, value, name):
     ("--safety-factor", "-1", "safety_factor must be > 0, got -1.0", "safety_factor"),
     ("-N", "0", "N must be >= 1, got 0", "N"),
     ("-d", "4", "d must be odd and >= 1, got 4", "d"),
+    ("--precision-bits", "0", "precision_bits must be >= 53, got 0", "precision_bits"),
+    ("--verify-enlargement", "0.5", "verify_enlargement must be >= 1, got 0.5", "verify_enlargement"),
+    ("--gap-tol", "-1", "gap_tol must be finite and > 0, got -1.0", "gap_tol"),
+    ("--feas-tol", "0", "feas_tol must be finite and > 0, got 0.0", "feas_tol"),
+    ("--refine-margin", "-1", "refine_margin must be >= 0, got -1.0", "refine_margin"),
 ])
 def test_all_refuses_a_bad_verification_setting_up_front(tmp_path, capsys, flag, value, message, field):
     """`pentapack all --verify-grid-n -4` once printed `certified: yes` from zero stream points.
 
     The setting is refused where the config is built, before any step writes an artifact;
-    a bad N or d was once refused only after `sample` had written its file.
+    a bad N or d was once refused only after `sample` had written its file,
+    `--verify-enlargement 0.5` only after ten artifacts, and `--precision-bits 0`
+    not at all (all 13 artifacts, with mp.pi = 4.0 in the sign margin).
     """
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(RunConfig(**TINY).to_json())
