@@ -28,6 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import (
+    fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sqrt,
+    mpf_sub, round_nearest,
+)
 
 from .fourier import CoefficientTensor, evaluate_f, lambda_of
 from .geometry import minkowski_difference, pentagon
@@ -175,8 +179,13 @@ def _worst_residual_mp(rows: list) -> tuple[object, int]:
     for k in keep:
         weights, values, rhs = rows[k]
         acc, nrm = _residual_mp(rhs, zip(weights, values))
-        worst = max(worst, abs(acc) / mp.sqrt(nrm))
+        worst = _nan_sticky(max, worst, abs(acc) / mp.sqrt(nrm))
     return worst, len(keep)
+
+
+def _nan_sticky(f, a, b):
+    """f(a, b) for f min or max of mpfs, NaN if either is (both keep a when b is NaN)."""
+    return b if mp.isnan(b) else f(a, b)
 
 
 def _equality_residual_mp(sol: SdpSolution, p: SdpProblem):
@@ -307,7 +316,8 @@ def feasibility_margin(
     up, else enclosed by `_min_eig_enclosure`, else sent to `mp.eigsy`.  Each
     enclosure rounds to one float, so float(hi) is eigsy's.  That rests on
     one assumption: `mp.eigsy` at `precision_bits` is accurate to
-    2^-(bits-20) ||B||_F (the norm computed in float).
+    2^-(bits-20) ||B||_F (the norm computed in float).  A non-finite block
+    entry, or a NaN residual, makes that margin NaN, so no report certifies.
     """
     started = time.perf_counter()
     with mp.workprec(precision_bits):
@@ -319,32 +329,35 @@ def feasibility_margin(
                 continue
             to_mp += 1
             acc, nrm = _residual_mp(t.rhs, _float_row_terms(t, sol.blocks))
-            if nrm > 0 and acc / mp.sqrt(nrm) > worst:
-                worst = acc / mp.sqrt(nrm)
+            if nrm > 0:
+                worst = _nan_sticky(max, worst, acc / mp.sqrt(nrm))
         lo_eig, hi_eig, dense = mp.inf, mp.inf, []
         for b in p.blocks:
             x = np.asarray(sol.blocks[b.label])
             if b.kind == "diag" or x.ndim == 1:
-                lo_eig, hi_eig = (min(m, mp.mpf(float(x.min()))) for m in (lo_eig, hi_eig))
+                low = mp.mpf(float(x.min()) if np.isfinite(x).all() else math.nan)
+                lo_eig, hi_eig = (_nan_sticky(min, m, low) for m in (lo_eig, hi_eig))
             else:
                 dense.append(x)
         dense.sort(key=lambda x: np.linalg.eigvalsh(x)[0] if np.isfinite(x).all() else -math.inf)
-        enclosed = eigsy_calls = 0
+        proved = enclosed = eigsy_calls = 0
         for x in dense:
             shift = mp.fadd(hi_eig, mp.ldexp(np.linalg.norm(x), 20 - precision_bits), rounding="u")
             if _proved_positive_definite(x, math.nextafter(float(shift), math.inf)):
+                proved += 1
                 continue
             box = _min_eig_enclosure(x, precision_bits)
             enclosed += box is not None
-            if box is None:
+            if box is None and not np.isfinite(x).all():
+                box = (mp.nan, mp.nan)  # eigsy does not converge on a NaN
+            elif box is None:
                 box = (min(mp.eigsy(mp.matrix(x.tolist()), eigvals_only=True)),) * 2
                 eigsy_calls += 1
-            lo_eig, hi_eig = min(lo_eig, box[0]), min(hi_eig, box[1])
+            lo_eig, hi_eig = _nan_sticky(min, lo_eig, box[0]), _nan_sticky(min, hi_eig, box[1])
         log.info("margins: %d inequality rows decided in float, %d sent to mp, %d of %d equality rows sent to mp, "
                  "%d blocks proved above the minimum, %d decided by enclosure, %d eigsy calls, minimum eigenvalue "
                  "in [%s, %s], %.2f s", len(p.ineq_constraints) - to_mp, to_mp, eq_to_mp, len(eq_rows),
-                 len(dense) - enclosed - eigsy_calls, enclosed, eigsy_calls, mp.nstr(lo_eig, 25),
-                 mp.nstr(hi_eig, 25), time.perf_counter() - started)
+                 proved, enclosed, eigsy_calls, mp.nstr(lo_eig, 25), mp.nstr(hi_eig, 25), time.perf_counter() - started)
         return float(hi_eig), float(worst)
 
 
@@ -353,26 +366,35 @@ def feasibility_margin(
 
 
 def _bernstein_max(coeffs: list, a, b) -> object:
-    """Certified bound on max |p(u)| over [a, b] via Bernstein coefficients."""
+    """Certified bound on max |p(u)| over [a, b] via Bernstein coefficients.
+
+    Each power of a and of w = b - a is computed once, and the sums run on
+    libmp calls that equal the mpf operators (see `MpEvaluator`).
+    """
     n = len(coeffs) - 1
     if n < 0:
         return mp.mpf(0)
+    prec, rnd = mp.prec, round_nearest
     # shift to [0, 1]: p(a + (b - a) tau) = sum ct_k tau^k
     w = b - a
-    ct = [mp.mpf(0)] * (n + 1)
+    apow, wpow = ([mpf_pow_int(v._mpf_, e, prec, rnd) for e in range(n + 1)] for v in (a, w))
+    ct = [fzero] * (n + 1)
     for j, c in enumerate(coeffs):
         if c == 0:
             continue
         # (a + w tau)^j expanded
         for k in range(j + 1):
-            ct[k] += c * math.comb(j, k) * a ** (j - k) * w**k
-    best = mp.mpf(0)
+            term = mpf_mul(mpf_mul_int(c._mpf_, math.comb(j, k), prec, rnd), apow[j - k], prec, rnd)
+            ct[k] = mpf_add(ct[k], mpf_mul(term, wpow[k], prec, rnd), prec, rnd)
+    best = fzero
     for i in range(n + 1):
-        beta = mp.mpf(0)
+        beta = fzero
         for k in range(i + 1):
-            beta += ct[k] * math.comb(i, k) / math.comb(n, k)
-        best = max(best, abs(beta))
-    return best
+            term = mpf_div(mpf_mul_int(ct[k], math.comb(i, k), prec, rnd), from_int(math.comb(n, k)), prec, rnd)
+            beta = mpf_add(beta, term, prec, rnd)
+        beta = mpf_abs(beta, prec, rnd)
+        best = beta if mpf_gt(beta, best) else best
+    return mp.make_mpf(best)
 
 
 def _panel_bounds(coeffs: list, starts: list, step):
@@ -479,7 +501,9 @@ def _compiled_pairs(t: CoefficientTensor):
     return out
 
 
-def _lipschitz_pair(t: CoefficientTensor, rho_max: float, precision_bits: int) -> tuple[float, float]:
+def _lipschitz_pair(
+    t: CoefficientTensor, rho_max: float, precision_bits: int, ev: MpEvaluator | None = None
+) -> tuple[float, float]:
     """Certified bounds (L_x, L_alpha) on the gradient components of f.
 
     Works on the compiled per-pair radial polynomials P(u), u = rho^2, with
@@ -489,15 +513,19 @@ def _lipschitz_pair(t: CoefficientTensor, rho_max: float, precision_bits: int) -
     both are polynomials (times a bounded sqrt(u)), and each factor is
     bounded by panelled Bernstein enclosures over [0, rho_max^2]; float64
     bounds send only the panels that can hold each maximum to mp
-    (`_weighted_sup`).
+    (`_weighted_sup`).  The pairs are those of `ev` when it works at this
+    function's precision, max(precision_bits, 128), else compiled here.
     """
-    with mp.workprec(max(precision_bits, 128)):
+    bits = max(precision_bits, 128)
+    if ev is None or ev.prec != bits:
+        ev = MpEvaluator(t, bits)
+    with mp.workprec(bits):
         U = mp.mpf(rho_max) ** 2
         sqrtU = mp.sqrt(U)
         Lx = mp.mpf(0)
         La = mp.mpf(0)
-        for r, s, ucoeffs in _compiled_pairs(t):
-            m = abs(r - s)
+        for s, md, ucoeffs in ev.pairs:
+            m = abs(md)
             # d/drho: 2 sqrt(u) (P' - pi P)
             dcoef = [
                 (i + 1) * ucoeffs[i + 1] if i + 1 < len(ucoeffs) else mp.mpf(0)
@@ -527,6 +555,14 @@ class MpEvaluator:
     where P collects the Laguerre and D-coefficient data.  Trigonometry in
     theta is generated from (x / rho, y / rho) by angle-addition, so a point
     evaluation costs a handful of multiplications per pair.
+
+    `eval`, like `_bernstein_max`, works on the `_mpf_` tuples with
+    mpmath.libmp's mpf_* functions and makes the calls the mpf operators
+    make on the same operands: the working precision, round-to-nearest,
+    mpf_mul_int for an int factor and mpf_div of from_int(n) for a division
+    by an int n.  So each result is the mp number of the operator form,
+    which the tests keep as the reference; only the object layer goes,
+    which costs about as much as the arithmetic on mpmath's python backend.
     """
 
     def __init__(self, t: CoefficientTensor, precision_bits: int):
@@ -534,40 +570,37 @@ class MpEvaluator:
         with mp.workprec(precision_bits):
             # (s, r - s, radial coefficients in u = rho^2)
             self.pairs = [(s, r - s, ucoeffs) for r, s, ucoeffs in _compiled_pairs(t)]
+        self.maxn = max((abs(md) for _, md, _ in self.pairs), default=0)
 
     def eval(self, x, y, cos_table, sin_table):
         """f at (x, y) given per-alpha tables cos(s alpha), sin(s alpha)."""
-        with mp.workprec(self.prec):
-            x = mp.mpf(x)
-            y = mp.mpf(y)
-            u = x * x + y * y
-            rho = mp.sqrt(u)
-            if rho > 0:
-                c1, s1 = x / rho, y / rho
-            else:
-                c1, s1 = mp.mpf(1), mp.mpf(0)
+        p, rnd = self.prec, round_nearest
+        with mp.workprec(p):
+            x, y = mp.mpf(x)._mpf_, mp.mpf(y)._mpf_
+            u = mpf_add(mpf_mul(x, x, p, rnd), mpf_mul(y, y, p, rnd), p, rnd)
+            rho = mpf_sqrt(u, p, rnd)
+            c1, s1 = (mpf_div(x, rho, p, rnd), mpf_div(y, rho, p, rnd)) if mpf_gt(rho, fzero) else (fone, fzero)
             # cos/sin of n*theta for the angular differences we need
-            trig = {0: (mp.mpf(1), mp.mpf(0))}
-            cn, sn = mp.mpf(1), mp.mpf(0)
-            maxn = max((abs(md) for _, md, _ in self.pairs), default=0)
-            for n in range(1, maxn + 1):
-                cn, sn = cn * c1 - sn * s1, sn * c1 + cn * s1
-                trig[n] = (cn, sn)
-            total = mp.mpf(0)
+            trig = [(fone, fzero)]
+            for _ in range(self.maxn):
+                cn, sn = trig[-1]
+                trig.append((mpf_sub(mpf_mul(cn, c1, p, rnd), mpf_mul(sn, s1, p, rnd), p, rnd),
+                             mpf_add(mpf_mul(sn, c1, p, rnd), mpf_mul(cn, s1, p, rnd), p, rnd)))
+            total = fzero
             for s, md, ucoeffs in self.pairs:
-                poly = mp.mpf(0)
+                poly = fzero
                 for c in reversed(ucoeffs):
-                    poly = poly * u + c
-                if poly == 0:
+                    poly = mpf_add(mpf_mul(poly, u, p, rnd), c._mpf_, p, rnd)
+                if poly == fzero:
                     continue
                 ct, st = trig[abs(md)]
                 if md < 0:
-                    st = -st
-                ca, sa = cos_table[s], sin_table[s]
+                    st = mpf_neg(st, p, rnd)
+                ca, sa = cos_table[s]._mpf_, sin_table[s]._mpf_
                 # cos(s alpha + md theta)
-                phase = ca * ct - sa * st
-                total += poly * phase
-            return total * mp.e ** (-mp.pi * u)
+                phase = mpf_sub(mpf_mul(ca, ct, p, rnd), mpf_mul(sa, st, p, rnd), p, rnd)
+                total = mpf_add(total, mpf_mul(poly, phase, p, rnd), p, rnd)
+            return mp.make_mpf(total) * mp.e ** (-mp.pi * mp.make_mpf(u))
 
     def alpha_tables(self, alpha: float):
         with mp.workprec(self.prec):
@@ -575,8 +608,7 @@ class MpEvaluator:
             cos_table, sin_table = {}, {}
             for s, _, _ in self.pairs:
                 if s not in cos_table:
-                    cos_table[s] = mp.cos(s * a)
-                    sin_table[s] = mp.sin(s * a)
+                    cos_table[s], sin_table[s] = mp.cos_sin(s * a)
             return cos_table, sin_table
 
 
@@ -900,18 +932,22 @@ def verify_nonpositivity(
     out has fc <= hi < the largest lo, below the maximum, so the results
     equal those of evaluating every box at `precision_bits`.  L_x and L_a
     come from `_lipschitz_pair`, whose panels are screened the same way
-    (`_weighted_sup`).
+    (`_weighted_sup`).  The tensor is compiled once, for the `MpEvaluator`,
+    whose pairs `_lipschitz_pair` reuses when precision_bits >= 128.  The
+    evaluator and `_bernstein_max` make the libmp calls that the mpf
+    operators make, at the working precision and round-to-nearest (see
+    `MpEvaluator`), so each mp number is the one the operators give.
     """
-    if enlargement < 1.0:
-        raise ValueError(f"enlargement must be >= 1, got {enlargement}")
+    if not 1.0 <= enlargement < math.inf:  # false for NaN too
+        raise ValueError(f"enlargement must be finite and >= 1, got {enlargement}")
     started = time.perf_counter()
     rho_max = math.sqrt(2.0) + 0.01  # boxes live in [-1,1]^2
-    panels_before = dict(_panel_counts)
-    L_x, L_a = _lipschitz_pair(t, rho_max, max(precision_bits, 128))
-    lipschitz_s = time.perf_counter() - started
-    lip_all, lip_mp = (_panel_counts[k] - panels_before[k] for k in ("all", "mp"))
-    ev = MpEvaluator(t, precision_bits)
+    ev = MpEvaluator(t, precision_bits)  # the one compile of t when precision_bits >= 128
     fe = FloatEvaluator(ev)
+    panels_before, lip_started = dict(_panel_counts), time.perf_counter()
+    L_x, L_a = _lipschitz_pair(t, rho_max, max(precision_bits, 128), ev)
+    lipschitz_s = time.perf_counter() - lip_started
+    lip_all, lip_mp = (_panel_counts[k] - panels_before[k] for k in ("all", "mp"))
     rate = 0.5 * enlargement + 1e-12  # Hausdorff speed of the difference in alpha
     max_depth = sample_spec.max_depth
 

@@ -106,8 +106,8 @@ class ConvexPolygon:
 
 def pentagon(scale: float) -> ConvexPolygon:
     """Regular pentagon with vertices scale * (1/2)(cos(2 pi k/5), sin(2 pi k/5))."""
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:  # false for NaN too
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     ang = 2.0 * math.pi / 5.0
     verts = [
         (0.5 * scale * math.cos(k * ang), 0.5 * scale * math.sin(k * ang))
@@ -184,7 +184,7 @@ def constraint_sample(
     """
     if alpha_count < 2 or grid_n < 2:
         raise ValueError("alpha_count and grid_n must both be >= 2")
-    if enlargement < 1.0:
+    if not enlargement >= 1.0:  # false for NaN too
         raise ValueError(f"enlargement must be >= 1, got {enlargement}")
     alphas = np.linspace(-2.0 * math.pi / 10.0, 0.0, alpha_count)
     coords = -1.0 + np.arange(grid_n) * (2.0 / grid_n)

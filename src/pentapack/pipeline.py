@@ -89,7 +89,9 @@ class RunConfig:
         for name, ok, need in (
             ("safety_factor", self.safety_factor > 0, "> 0"),
             ("precision_bits", self.precision_bits >= 53, ">= 53"),  # at 0 bits mp.pi is 4.0
+            ("enlargement", 1 <= self.enlargement < math.inf, "finite and >= 1"),  # constraint_sample needs >= 1
             ("verify_enlargement", self.verify_enlargement is None or self.verify_enlargement >= 1, ">= 1"),
+            ("verify_enlargement", self.verify_enlargement is None or self.verify_enlargement < math.inf, "finite"),
             ("gap_tol", 0 < self.gap_tol < math.inf, "finite and > 0"),
             ("feas_tol", 0 < self.feas_tol < math.inf, "finite and > 0"),
             ("refine_margin", self.refine_margin >= 0, ">= 0"),

@@ -399,9 +399,9 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
             # Predictor (affine) direction: Uc = -V, i.e. Rc = -X.
             Rc_aff = {lab: -X[lab] for lab in X}
             dy_a, dX_a, dZ_a = newton(Rc_aff)
-            ap_a, ad_a = step_lengths(dX_a, dZ_a)
 
             if mehrotra:
+                ap_a, ad_a = step_lengths(dX_a, dZ_a)
                 gap_aff = 0.0
                 for lab in X:
                     gap_aff += float(

@@ -2,7 +2,9 @@
 
 The pipeline evaluates f only in its Laguerre closed form; the Bessel matrix
 coefficients (`scipy.special.jv`), Kummer's 1F1 (`mpmath.hyp1f1`) and the
-quadratures it is derived from live here.  Nothing under `src/` imports this.
+quadratures it is derived from live here, and so do the mpf-operator forms
+of the verifier's high-precision kernels, which run on mpmath.libmp calls.
+Nothing under `src/` imports this.
 """
 
 from __future__ import annotations
@@ -377,3 +379,55 @@ def margin_all_mp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) ->
                 A = mp.matrix([[mp.mpf(float(v)) for v in row] for row in x.tolist()])
                 min_eig = min(min_eig, min(mp.eigsy(A, eigvals_only=True)))
         return float(min_eig), float(worst)
+
+
+def bernstein_max_operators(coeffs: list, a, b):
+    """`certify._bernstein_max` in mpf operators, each power recomputed per term."""
+    n = len(coeffs) - 1
+    if n < 0:
+        return mp.mpf(0)
+    w = b - a
+    ct = [mp.mpf(0)] * (n + 1)
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        for k in range(j + 1):
+            ct[k] += c * math.comb(j, k) * a ** (j - k) * w**k
+    best = mp.mpf(0)
+    for i in range(n + 1):
+        beta = mp.mpf(0)
+        for k in range(i + 1):
+            beta += ct[k] * math.comb(i, k) / math.comb(n, k)
+        best = max(best, abs(beta))
+    return best
+
+
+def mp_eval_operators(ev, x, y, cos_table, sin_table):
+    """`MpEvaluator.eval` in mpf operators, at the evaluator's precision."""
+    with mp.workprec(ev.prec):
+        x = mp.mpf(x)
+        y = mp.mpf(y)
+        u = x * x + y * y
+        rho = mp.sqrt(u)
+        if rho > 0:
+            c1, s1 = x / rho, y / rho
+        else:
+            c1, s1 = mp.mpf(1), mp.mpf(0)
+        trig = {0: (mp.mpf(1), mp.mpf(0))}
+        cn, sn = mp.mpf(1), mp.mpf(0)
+        maxn = max((abs(md) for _, md, _ in ev.pairs), default=0)
+        for n in range(1, maxn + 1):
+            cn, sn = cn * c1 - sn * s1, sn * c1 + cn * s1
+            trig[n] = (cn, sn)
+        total = mp.mpf(0)
+        for s, md, ucoeffs in ev.pairs:
+            poly = mp.mpf(0)
+            for c in reversed(ucoeffs):
+                poly = poly * u + c
+            if poly == 0:
+                continue
+            ct, st = trig[abs(md)]
+            if md < 0:
+                st = -st
+            total += poly * (cos_table[s] * ct - sin_table[s] * st)
+        return total * mp.e ** (-mp.pi * u)

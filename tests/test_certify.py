@@ -13,7 +13,7 @@ import pytest
 
 from mpmath import mp
 
-from oracles import margin_all_mp, verification_sample
+from oracles import bernstein_max_operators, margin_all_mp, mp_eval_operators, verification_sample
 from pentapack import certify
 from pentapack.certify import (
     FloatEvaluator,
@@ -112,6 +112,28 @@ def test_feasibility_margin_trivial_cases():
     mineig, res = feasibility_margin(ident, q)
     assert mineig == pytest.approx(1.0, abs=1e-30)
     assert res == 0.0
+
+
+def _margin_solution(blocks: dict) -> SdpSolution:
+    return SdpSolution(blocks=blocks, y=np.zeros(0), objective=0.0, status="optimal", gap=0.0, iterations=0)
+
+
+def test_feasibility_margin_keeps_a_nan_diag_entry():
+    """min and max once dropped the NaN: X = I, D = [nan, 1] gave (1.0, 0.0), so the margins looked met."""
+    p = SdpProblem([Block("X", 2, "psd"), Block("D", 2, "diag")], {},
+                   [LinearTerm({"X": np.eye(2)}, 2.0), LinearTerm({"D": np.ones(2)}, 1.0)], [])
+    sol = _margin_solution({"X": np.eye(2), "D": np.array([math.nan, 1.0])})
+    mineig, res = feasibility_margin(sol, p)
+    assert math.isnan(mineig) and math.isnan(res)
+    sv = SignVerification(-0.01, (0.0, 0.0, 0.0), -0.01, True, 1, 1, 1.0, 0.0, 0.0, 0.1, 128, 1.02)
+    assert not build_report(scaled_unit_tensor(1.0), sol, p, sv).certified
+
+
+def test_feasibility_margin_of_a_psd_block_with_a_nan_entry_is_nan():
+    """Such a block once reached mp.eigsy, which raised `tridiag_eigen: no convergence`."""
+    p = SdpProblem([Block("X", 2, "psd")], {}, [LinearTerm({"X": np.diag([1.0, 0.0])}, 1.0)], [])
+    mineig, res = feasibility_margin(_margin_solution({"X": np.array([[1.0, math.nan], [math.nan, 1.0]])}), p)
+    assert math.isnan(mineig) and res == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -490,6 +512,38 @@ def test_mp_evaluator_matches_closed_form():
         assert got == pytest.approx(want, abs=1e-13 * max(1, t.l1_norm()))
 
 
+KERNEL_BITS = [53, 64, 128, 192, 256]
+
+
+@pytest.mark.parametrize("bits", KERNEL_BITS)
+def test_mp_evaluator_equals_its_operator_form(bits):
+    """The libmp calls of `MpEvaluator.eval` give the mpf operators' number, the origin included."""
+    rng = np.random.default_rng(85)
+    tensors = [random_positive_tensor(ModelParams(*nd), rng) for nd in ((2, 3), (5, 5), (3, 7))]
+    tensors += [scaled_unit_tensor(0.0), CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text())]
+    for t in tensors:
+        ev = MpEvaluator(t, bits)
+        for x, y in [(0.0, 0.0), (0.0, -0.5), *rng.uniform(-1.2, 1.2, (20, 2)).tolist()]:
+            alpha = float(rng.uniform(-math.pi, math.pi))
+            ct, st = ev.alpha_tables(alpha)
+            assert ev.eval(x, y, ct, st)._mpf_ == mp_eval_operators(ev, x, y, ct, st)._mpf_
+            with mp.workprec(bits):
+                a = mp.mpf(alpha)
+                assert all(ct[s] == mp.cos(s * a) and st[s] == mp.sin(s * a) for s in ct)
+
+
+@pytest.mark.parametrize("bits", KERNEL_BITS)
+def test_bernstein_max_equals_its_operator_form(bits):
+    """`_bernstein_max`, with each power once and libmp sums, gives the mpf operators' number."""
+    with mp.workprec(bits):
+        degenerate = [([mp.mpf(c) for c in cs], mp.mpf(2)) for cs in ([], [0.0, 0.0, 1e-310])]
+        for coeffs, u_max in _cancelling_polynomials() + degenerate:
+            step = u_max / 24
+            for a in (mp.mpf(0), 7 * step, 23 * step):
+                got = certify._bernstein_max(coeffs, a, a + step)
+                assert got._mpf_ == bernstein_max_operators(coeffs, a, a + step)._mpf_
+
+
 # -- sign verification -------------------------------------------------------
 
 
@@ -552,6 +606,26 @@ def test_verify_alpha_restriction():
 def test_verify_rejects_shrinking():
     with pytest.raises(ValueError):
         verify_nonpositivity(scaled_unit_tensor(-1.0), 0.9, VerifySpec(3, 8, 1))
+
+
+@pytest.mark.parametrize("enlargement", [math.nan, math.inf])
+def test_verify_refuses_a_non_finite_enlargement(enlargement):
+    """`enlargement < 1.0` once let NaN through: the verifier ran to completion and final_bound gave nan."""
+    t = scaled_unit_tensor(1.0)
+    with pytest.raises(ValueError, match="enlargement must be finite and >= 1"):
+        verify_nonpositivity(t, enlargement, VerifySpec(3, 8, 1), 128)
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        final_bound(t, enlargement)
+
+
+@pytest.mark.parametrize("bits, compiles", [(128, 1), (256, 1), (64, 2)])
+def test_verify_compiles_the_tensor_once(bits, compiles, monkeypatch):
+    """The evaluator and the Lipschitz bound share one compile when both work at the same precision."""
+    calls = []
+    compiled_pairs = certify._compiled_pairs
+    monkeypatch.setattr(certify, "_compiled_pairs", lambda t: calls.append(t) or compiled_pairs(t))
+    verify_nonpositivity(scaled_unit_tensor(-1.0), 1.02, VerifySpec(3, 8, 1), bits)
+    assert len(calls) == compiles
 
 
 @pytest.mark.parametrize("spec, name", [((0, 8, 1), "alpha_count"), ((-3, 8, 1), "alpha_count"),

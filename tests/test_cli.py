@@ -181,6 +181,11 @@ def test_verify_refuses_an_empty_sweep(tmp_path, capsys, flag, value, name):
     ("-d", "4", "d must be odd and >= 1, got 4", "d"),
     ("--precision-bits", "0", "precision_bits must be >= 53, got 0", "precision_bits"),
     ("--verify-enlargement", "0.5", "verify_enlargement must be >= 1, got 0.5", "verify_enlargement"),
+    ("--verify-enlargement", "NaN", "verify_enlargement must be >= 1, got nan", "verify_enlargement"),
+    ("--verify-enlargement", "Infinity", "verify_enlargement must be finite, got inf", "verify_enlargement"),
+    ("--enlargement", "0.5", "enlargement must be finite and >= 1, got 0.5", "enlargement"),
+    ("--enlargement", "NaN", "enlargement must be finite and >= 1, got nan", "enlargement"),
+    ("--enlargement", "Infinity", "enlargement must be finite and >= 1, got inf", "enlargement"),
     ("--gap-tol", "-1", "gap_tol must be finite and > 0, got -1.0", "gap_tol"),
     ("--feas-tol", "0", "feas_tol must be finite and > 0, got 0.0", "feas_tol"),
     ("--refine-margin", "-1", "refine_margin must be >= 0, got -1.0", "refine_margin"),

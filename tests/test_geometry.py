@@ -23,6 +23,15 @@ def test_pentagon_vertices_and_area():
     assert K.area() == pytest.approx(5 / 8 * math.sin(2 * math.pi / 5), rel=1e-14)
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+def test_pentagon_refuses_a_non_finite_or_nonpositive_scale(scale):
+    """`scale <= 0` once let NaN through: `minkowski_difference(0.1, nan)` gave NaN vertices."""
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        pentagon(scale)
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        minkowski_difference(0.1, scale)
+
+
 def test_pentagon_scaling():
     big = pentagon(1.02)
     small = pentagon(1.0)
