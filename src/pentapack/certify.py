@@ -188,11 +188,6 @@ def _nan_sticky(f, a, b):
     return b if mp.isnan(b) else f(a, b)
 
 
-def _equality_residual_mp(sol: SdpSolution, p: SdpProblem):
-    """Worst normalized equality residual as an mpf at the working precision."""
-    return _worst_residual_mp(_equality_rows(sol, p))[0]
-
-
 def _ineq_proved_satisfied(t: LinearTerm, blocks: dict, precision_bits: int) -> bool:
     """True only if `_residual_mp` of the row, sum <c, x> - rhs, is negative.
 

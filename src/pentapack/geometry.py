@@ -2,8 +2,9 @@
 
 The regular pentagon K has circumradius 1/2 and vertices at angles 2 pi k / 5.
 Two congruent copies K and x + A(alpha) K overlap in their interiors exactly
-when x lies in the interior of the Minkowski difference K - A(alpha) K, which
-is the convex hull of the 25 pairwise vertex differences.
+when x lies in the interior of the Minkowski difference K - A(alpha) K.  Its
+edges are those of K and -A(alpha) K sorted by direction, so its vertices are
+pairwise vertex differences k_i - A(alpha) k_j, found by one walk over 10 edges.
 `constraint_sample` discretizes the complement of that region for the
 constraint stage; the verification stage covers it with boxes (`certify`).
 """
@@ -18,55 +19,17 @@ import numpy as np
 from .motion import rotation_matrix
 
 _COLLINEAR_TOL = 1e-12
-# When a vertex of the hull protrudes less than this distance beyond the
-# chord of its neighbors it is treated as collinear and merged away.  At the
-# degenerate rotation angles the 25 vertex differences collapse onto a
-# pentagon up to roundoff (~1e-16), while genuine short edges near those
-# angles still protrude far more than 1e-9.
+# When a vertex of the edge walk in `minkowski_difference` protrudes less
+# than this distance beyond the chord of its neighbors it is treated as
+# collinear and merged away.  At the degenerate rotation angles (alpha = pi/5
+# mod 2 pi/5) edges of K and -A(alpha) K are parallel and the difference is a
+# pentagon: the vertices between them protrude by roundoff (~1e-16), or by
+# less than 1e-9 a few 1e-9 away from them, where they are merged too.
 _VERTEX_MERGE_TOL = 1e-9
 
 
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Convex hull in counter-clockwise order (monotone chain).
-
-    Duplicate points, near-duplicates and vertices that deviate from their
-    neighbors' chord by less than a hair are dropped, so the result is
-    strictly convex even for degenerate inputs.
-    """
-    pts = sorted({(float(p[0]), float(p[1])) for p in points})
-    if len(pts) < 3:
-        raise ValueError("hull needs at least 3 distinct points")
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    verts = lower[:-1] + upper[:-1]
-    # Simplification pass: drop vertices whose protrusion over the chord of
-    # their neighbors is below the merge tolerance (distance-based, so
-    # clusters of near-duplicate points cannot defeat it).
-    changed = True
-    while changed and len(verts) > 3:
-        changed = False
-        for i in range(len(verts)):
-            a = verts[(i - 1) % len(verts)]
-            b = verts[i]
-            c = verts[(i + 1) % len(verts)]
-            chord = math.hypot(c[0] - a[0], c[1] - a[1])
-            if chord == 0.0 or _cross(a, b, c) / chord < _VERTEX_MERGE_TOL:
-                verts.pop(i)
-                changed = True
-                break
-    return np.array(verts)
 
 
 @dataclass(frozen=True)
@@ -117,11 +80,39 @@ def pentagon(scale: float) -> ConvexPolygon:
 
 
 def minkowski_difference(alpha: float, scale: float = 1.0) -> ConvexPolygon:
-    """Minkowski difference scale*(K - A(alpha) K) as a convex polygon."""
+    """Minkowski difference scale*(K - A(alpha) K) as a convex polygon.
+
+    Walks the 10 edges of K and -A(alpha) K in order of direction: every
+    vertex is a difference k_i - A(alpha) k_j, and an edge of K advances i,
+    one of -A(alpha) K advances j.  The walk starts at its lexicographically
+    smallest vertex before vertices between (near-)parallel edges are merged.
+    """
     k = pentagon(scale).vertices
-    rk = k @ rotation_matrix(alpha).T
-    diffs = (k[:, None, :] - rk[None, :, :]).reshape(-1, 2)
-    return ConvexPolygon(convex_hull(diffs))
+    kl, rl = k.tolist(), (k @ rotation_matrix(alpha).T).tolist()
+    edges = []  # (direction, 0 for K or 1 for -A(alpha)K, index of the edge's first vertex)
+    for side, pts, sign in ((0, kl, 1.0), (1, rl, -1.0)):
+        for i in range(5):
+            (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % 5]
+            edges.append((math.atan2(sign * (y1 - y0), sign * (x1 - x0)), side, i))
+    edges.sort()
+    # Each polygon's first edge by direction leaves the vertex where its walk starts.
+    at = [next(i for _, s, i in edges if s == side) for side in (0, 1)]
+    verts = []
+    for _, side, _ in edges:
+        verts.append((kl[at[0]][0] - rl[at[1]][0], kl[at[0]][1] - rl[at[1]][1]))
+        at[side] = (at[side] + 1) % 5
+    first = verts.index(min(verts))  # rotate before merging: the start must not depend on the merge
+    verts = verts[first:] + verts[:first]
+    merged = True
+    while merged and len(verts) > 3:
+        merged = False
+        for m, b in enumerate(verts):
+            a, c = verts[m - 1], verts[(m + 1) % len(verts)]
+            if _cross(a, b, c) / math.hypot(c[0] - a[0], c[1] - a[1]) < _VERTEX_MERGE_TOL:
+                verts.pop(m)
+                merged = True
+                break
+    return ConvexPolygon(np.array(verts))
 
 
 def contains_interior(p: ConvexPolygon, x) -> bool:

@@ -19,7 +19,7 @@ from mpmath import mp
 from scipy.integrate import quad
 from scipy.special import jv
 
-from pentapack.certify import _equality_residual_mp, _float_row_terms, _residual_mp
+from pentapack.certify import _equality_rows, _float_row_terms, _residual_mp, _worst_residual_mp
 from pentapack.fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams, evaluate_f
 from pentapack.geometry import (
     _COLLINEAR_TOL,
@@ -352,7 +352,7 @@ def verification_sample(alpha_count: int, grid_n: int, scale: float) -> Iterator
 def equality_residual_hp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) -> float:
     """Worst normalized equality residual, recomputed in extended precision."""
     with mp.workprec(precision_bits):
-        return float(_equality_residual_mp(sol, p))
+        return float(_worst_residual_mp(_equality_rows(sol, p))[0])
 
 
 def margin_all_mp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import ast
 import json
 import logging
 import math
@@ -696,12 +697,24 @@ def test_verify_loads_neither_scipy_linalg_nor_integrate():
 
 
 def test_package_holds_no_test_oracle():
-    """No pentapack module loads tests/oracles.py or the scipy parts only the oracles use."""
+    """No pentapack module imports or loads tests/oracles.py, or loads the scipy parts only the oracles use."""
     script = """import importlib, json, pkgutil, sys, pentapack
 for m in pkgutil.iter_modules(pentapack.__path__, "pentapack."): importlib.import_module(m.name)
 print(json.dumps(sorted(m for m in ("oracles", "scipy.integrate", "scipy.special") if m in sys.modules)))"""
     assert _run_fresh(script) == []
-    assert [p.name for p in (_SRC / "pentapack").glob("*.py") if "oracles" in p.read_text()] == []
+    assert [p.name for p in sorted((_SRC / "pentapack").glob("*.py")) if {"oracles", "tests"} & _imported_names(p)] == []
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Every dotted part of every module an import statement in the file names, nested ones included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)  # `from . import oracles`
+    return names
 
 
 # -- float64 evaluation with an error radius ---------------------------------

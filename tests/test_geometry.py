@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,11 +11,13 @@ from oracles import (
     verification_sample,
 )
 from pentapack.geometry import (
+    _VERTEX_MERGE_TOL,
     constraint_sample,
     contains_interior,
     minkowski_difference,
     pentagon,
 )
+from pentapack.motion import rotation_matrix
 
 
 def test_pentagon_vertices_and_area():
@@ -81,6 +84,69 @@ def test_minkowski_c5_symmetry():
         b = minkowski_difference(alpha + 2 * math.pi / 5, 1.0).vertices
         for v in a:
             assert min(np.linalg.norm(b - v, axis=1)) < 1e-12
+
+
+_DALPHA = (4.0 * math.pi / 10.0) / 33  # the default verify slice width
+# sha256 of `minkowski_difference(alpha, scale).vertices.tobytes()`: the
+# sample, the plot CSVs and the verify records depend on these floats and
+# their order, near the degenerate angles alpha = pi/5 mod 2 pi/5 too.
+_MINKOWSKI_GOLDEN = {
+    ("-2pi/10", 1.0): "1a49ec455dcd470e9e9de334823738145cefc5364b5ab23a0515882581bca203",
+    ("-2pi/10", 1.02): "67d8a77073238256692964f6d6d5db1b86e729eec618529adc4721b42f7c2f46",
+    ("pi/5", 1.0): "b77e017daa2aab1d503b191fc97121bb59e063ec0a87347cc65946f40e4bfbfa",
+    ("pi/5", 1.02): "09c4d17a3dac59ba81037df7077f216fcdd01333184408b2f5e11b8167f517ca",
+    ("-pi/5", 1.0): "1a49ec455dcd470e9e9de334823738145cefc5364b5ab23a0515882581bca203",
+    ("-pi/5", 1.02): "67d8a77073238256692964f6d6d5db1b86e729eec618529adc4721b42f7c2f46",
+    ("-pi/5+2e-16", 1.0): "d60b3ca443597eaf0d70ec0a935bc0c28b044625b81f20caf705041754fdd352",
+    ("-pi/5+2e-16", 1.02): "49499725814440173d5b674e4551a3a78b378348d0ecf7773120c05252e05ca6",
+    ("-pi/5+1e-12", 1.0): "a3db98ad28692e5df695167d9391dc9b3503d2d040c09fad84b541fd50ba9cd7",
+    ("-pi/5+1e-12", 1.02): "e23714434cee204efdd307d42d747c496d5bda431a226cc4f928e9b01f8f989f",
+    ("-pi/5+3e-9", 1.0): "4a3a61797bafda012bf686f6bfcf63d5228ea27140686b1bd10edabecd933854",
+    ("-pi/5+3e-9", 1.02): "3f3f421b82b4c60cc9b15ff7ae7cbb8f02b72cd2c96cdcf90e9dbfaa31f1a112",
+    ("0", 1.0): "90e66a0236b531fddd31e69ca47082fb715fd185f769c2cf5e4e9309f16fca58",
+    ("0", 1.02): "bc30b52d45a604d14ed1874531876197b1e49b4d7a6a588c3987e9664ec74790",
+    ("0.37", 1.0): "cdd0d0396f260a0602ab6669741f479bb35ada4bd7bd801529fd827c076c15f3",
+    ("0.37", 1.02): "7ac9bd62716fa19cdde0b65a600d5145be5ba407a7091fe1f888da0af3a6c01b",
+    ("verify slice 0", 1.0): "c0b470d2069d77857a7934a2902962a60773fb6437591f1a180b128dfd40949c",
+    ("verify slice 0", 1.02): "1b30c507baa9808b7dc12e292c8a35092aab79f4cfbe1febe94956d1f626b9fc",
+    ("verify slice 20", 1.0): "5dc3913a61afd664577bde30c4fede516d649e1c56f2872c32c47f154b6a3bcc",
+    ("verify slice 20", 1.02): "d949db71ceeebd2908ffbd0d160ab11887218edb263012bc8288e273bb98e7ed",
+}
+_GOLDEN_ALPHAS = {
+    "-2pi/10": -2.0 * math.pi / 10.0,
+    "pi/5": math.pi / 5,
+    "-pi/5": -math.pi / 5,
+    "-pi/5+2e-16": -math.pi / 5 + 2e-16,
+    "-pi/5+1e-12": -math.pi / 5 + 1e-12,
+    "-pi/5+3e-9": -math.pi / 5 + 3e-9,
+    "0": 0.0,
+    "0.37": 0.37,
+    "verify slice 0": -2.0 * math.pi / 10.0 + 0.5 * _DALPHA,
+    "verify slice 20": -2.0 * math.pi / 10.0 + 20.5 * _DALPHA,
+}
+
+
+@pytest.mark.parametrize("name, scale", list(_MINKOWSKI_GOLDEN))
+def test_minkowski_vertices_golden_bits(name, scale):
+    M = minkowski_difference(_GOLDEN_ALPHAS[name], scale)
+    assert hashlib.sha256(M.vertices.tobytes()).hexdigest() == _MINKOWSKI_GOLDEN[name, scale]
+
+
+@pytest.mark.parametrize("name, scale", list(_MINKOWSKI_GOLDEN))
+def test_minkowski_vertices_are_differences_and_enclose_all(name, scale):
+    """Every vertex is one of the 25 differences bit for bit; every difference lies in the closed polygon.
+
+    3e-9 from a degenerate angle the walk merges away vertices that protrude
+    8.8e-10 (scale 1) beyond their neighbors' chord, so there the differences
+    lie within the merge tolerance of the polygon, not within 1e-12.
+    """
+    alpha = _GOLDEN_ALPHAS[name]
+    k = pentagon(scale).vertices
+    diffs = (k[:, None, :] - (k @ rotation_matrix(alpha).T)[None, :, :]).reshape(-1, 2)
+    M = minkowski_difference(alpha, scale)
+    assert {tuple(v) for v in M.vertices.tolist()} <= {tuple(d) for d in diffs.tolist()}
+    outside = max(float(n @ d) - c for n, c in M.edges() for d in diffs)
+    assert outside <= (_VERTEX_MERGE_TOL if name == "-pi/5+3e-9" else 1e-12)
 
 
 def test_contains_interior_examples():
