@@ -835,50 +835,6 @@ class _Level(NamedTuple):
         return (*(float(v[i]) for v in (self.cx, self.cy, self.alpha, self.lo, self.hi)), self.a, self.b)
 
 
-def _dfs_positions(levels: list[_Level]) -> list[np.ndarray]:
-    """Per level, the depth-first position of each slot of a refinement subtree.
-
-    The depth-first traversal counts a box, then visits its child slots from
-    the last to the first, and checks the budget before every slot.  A slot's
-    position is the number of boxes counted before it, so a kept slot's
-    position is its box's rank.  With size(box) = 1 + the sizes of its
-    children, computed bottom-up, rank(child) = rank(parent) + 1 + the sizes
-    of the later slots of the same parent, computed top-down from the
-    level-0 box at rank -1.
-    """
-    sizes, below = [], None
-    for lv in reversed(levels):
-        size = np.zeros(lv.slots, np.int64)
-        size[lv.kept] = 1
-        if below is not None:
-            size[lv.kept[lv.action == 2]] += below.reshape(-1, 8).sum(axis=1)
-        sizes.append(size)
-        below = size
-    positions, top = [], np.array([-1])
-    for lv, size in zip(levels, reversed(sizes)):
-        s = size.reshape(-1, 8)
-        later = s[:, ::-1].cumsum(axis=1)[:, ::-1] - s
-        pos = (top[:, None] + 1 + later).ravel()
-        positions.append(pos)
-        top = pos[lv.kept[lv.action == 2]]
-    return positions
-
-
-def _budget_cut(levels: list[_Level], positions: list[np.ndarray], evaluations_left: int, failures_left: int):
-    """The position at which the depth-first traversal of a subtree stops, or None.
-
-    The traversal checks the budget before every slot, so it stops at the
-    first slot position q with `evaluations_left` boxes, or with
-    `failures_left` failures, among the q boxes before it; with no slot at
-    or after q it passes the whole subtree.  Both counts are at least 1.
-    """
-    q = evaluations_left
-    fail_ranks = np.sort(np.concatenate([p[lv.kept[lv.action == 1]] for lv, p in zip(levels, positions)]))
-    if fail_ranks.size >= failures_left:
-        q = min(q, int(fail_ranks[failures_left - 1]) + 1)
-    return q if q <= max(int(p.max()) for p in positions) else None
-
-
 def verify_nonpositivity(
     t: CoefficientTensor,
     enlargement: float,
@@ -902,11 +858,11 @@ def verify_nonpositivity(
     The stream pass and the refinement decide their boxes through one
     `batch`, grid_n^2 boxes at a time: the stream pass one alpha slice per
     call, the refinement each depth level of a split level-0 box's subtree,
-    taking those boxes last-in first-out.  A subtree's boxes then count,
-    fail and meet the budget in depth-first order, children from the last
-    to the first, with ranks from `_dfs_positions`.  Boxes decided past the
-    point where the budget runs out are dropped, so the results do not
-    depend on the batching.  Every value comes
+    taking those boxes last-in first-out.  The failure and evaluation
+    budgets are checked before each such subtree, so a run that exhausts
+    them stops after the subtree in which it does, and every box decided is
+    counted.  Failures count in stream order, then subtree by subtree, each
+    level by level in slot order.  Every value comes
     first from `FloatEvaluator` as v with a proved radius E, |v - f_mp| <=
     E: Higham's gamma_n bounds for u = x^2 +
     y^2, the angle-addition recurrence, Horner, the pair sum and exp give
@@ -959,7 +915,6 @@ def verify_nonpositivity(
     max_failures, max_evaluations = 200, 20_000_000  # the refinement budget
     by_depth = [0] * (max_depth + 1)  # evaluations per depth
     outcomes = np.zeros(4, np.int64)  # screened out, discharged, failed, split
-    past_budget = wasted_mp = 0  # boxes decided after the budget was spent, and their mp calls
     sign, cert = _Leaders(), _Leaders()  # items from _Level.item
 
     alpha_cache: dict[float, tuple] = {}
@@ -1026,27 +981,24 @@ def verify_nonpositivity(
         kept, *rest = map(np.concatenate, zip(*runs))
         return _Level(xlo.size, a, b, kept, alphas[kept], *rest)
 
-    def tally(lv: _Level, depth: int, passed) -> np.ndarray:
-        """Count the kept boxes of `lv` in the `passed` slots and offer them to `cert`; return their failures."""
-        nonlocal evaluations, decided_by_mp, past_budget, wasted_mp, outcomes
-        done = passed[lv.kept]
-        n_done = int(done.sum())
-        evaluations += n_done
-        by_depth[depth] += n_done
-        decided_by_mp += int(lv.amb[done].sum())
-        past_budget += lv.kept.size - n_done
-        wasted_mp += int(lv.amb[~done].sum())
-        outcomes += [int(passed.sum()) - n_done, *np.bincount(lv.action[done], minlength=3)]
-        con = np.flatnonzero(done & (lv.action <= 1))
-        cert.add_many(lv.glo[con], lv.ghi[con], lambda j: lv.item(con[j]))
-        return np.flatnonzero(done & (lv.action == 1))
-
     def fail(item):
         nonlocal n_failures
         if n_failures < 16:
             fc = value(*item)
             failures.append((*item[:3], fc, fc + item[5] + item[6]))
         n_failures += 1
+
+    def tally(lv: _Level, depth: int):
+        """Count the kept boxes of `lv`, offer them to `cert` and pass their failures to `fail`."""
+        nonlocal evaluations, decided_by_mp, outcomes
+        evaluations += lv.kept.size
+        by_depth[depth] += lv.kept.size
+        decided_by_mp += int(lv.amb.sum())
+        outcomes += [lv.slots - lv.kept.size, *np.bincount(lv.action, minlength=3)]
+        con = np.flatnonzero(lv.action <= 1)
+        cert.add_many(lv.glo[con], lv.ghi[con], lambda j: lv.item(con[j]))
+        for i in np.flatnonzero(lv.action == 1).tolist():
+            fail(lv.item(i))
 
     # Stream pass: every level-0 box is visited so the reported sign_margin
     # covers the full verification sample even when certification fails early.
@@ -1061,8 +1013,7 @@ def verify_nonpositivity(
         stream_points += int(lv.region.sum())
         reg = np.flatnonzero(lv.region)
         sign.add_many(lv.lo[reg], lv.hi[reg], lambda j: lv.item(reg[j]))
-        for i in tally(lv, 0, np.ones(lv.slots, bool)).tolist():
-            fail(lv.item(i))
+        tally(lv, 0)
         split = lv.kept[lv.action == 2]
         split0.extend((x, y, amid) for x, y in zip(xlo0[split].tolist(), ylo0[split].tolist()))
 
@@ -1089,28 +1040,16 @@ def verify_nonpositivity(
             x, y, al = xs[split], ys[split], als[split]
         return levels
 
-    # Refinement pass, bounded by the failure and evaluation budgets.  Each
-    # split level-0 box, last-in first-out, has its subtree decided first;
-    # then its boxes count as the depth-first traversal, children from last
-    # to first, would count them, up to the position where that traversal
-    # would stop; the boxes decided past it are dropped.
+    # Refinement pass, bounded by the failure and evaluation budgets, which
+    # are checked before each split level-0 box (last-in first-out): a
+    # subtree once begun is decided and counted in full.
     aborted = False
     for box in reversed(split0):
         if n_failures >= max_failures or evaluations >= max_evaluations:
             aborted = True
             break
-        levels = decide(box)
-        positions = _dfs_positions(levels)
-        q = _budget_cut(levels, positions, max_evaluations - evaluations, max_failures - n_failures)
-        aborted = q is not None
-        found = []  # (rank, item) of the counted failures
-        for depth, (lv, p) in enumerate(zip(levels, positions), 1):
-            passed = p < q if aborted else np.ones(p.size, bool)
-            found += ((int(p[lv.kept[i]]), lv.item(i)) for i in tally(lv, depth, passed).tolist())
-        for _, item in sorted(found):
-            fail(item)
-        if aborted:
-            break
+        for depth, lv in enumerate(decide(box), 1):
+            tally(lv, depth)
 
     sign_margin = -math.inf
     witness = (0.0, 0.0, 0.0)
@@ -1136,9 +1075,9 @@ def verify_nonpositivity(
     log.info(
         "verify: %d level-0 boxes, %d evaluations, %d decisions settled in float, "
         "%d mp fallbacks, evaluations by depth %s, %d screened out, %d discharged, %d failed, "
-        "%d split, %d decided past the budget, %d of %d Lipschitz panels by mp in %.2f s, %.2f s",
+        "%d split, %d of %d Lipschitz panels by mp in %.2f s, %.2f s",
         sample_spec.alpha_count * sample_spec.grid_n**2, evaluations, evaluations - decided_by_mp,
-        len(mp_values) - wasted_mp, "/".join(map(str, by_depth)), *outcomes.tolist(), past_budget,
+        len(mp_values), "/".join(map(str, by_depth)), *outcomes.tolist(),
         lip_mp, lip_all, lipschitz_s, time.perf_counter() - started,
     )
     return SignVerification(

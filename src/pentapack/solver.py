@@ -128,17 +128,13 @@ class _Workspace:
         self.data: dict[str, _BlockData] = {}
         for blk in blocks:
             rows = [i for i, t in enumerate(eqs) if blk.label in t.coeffs]
+            shape = (blk.dim, blk.dim) if blk.kind == "psd" else (blk.dim,)
+            A = np.zeros((len(rows), *shape))
+            for k, i in enumerate(rows):
+                A[k] = np.asarray(eqs[i].coeffs[blk.label]) / norms[i]
+            C = np.array(objective.get(blk.label, np.zeros(shape)), dtype=float)
             if blk.kind == "psd":
-                A = np.zeros((len(rows), blk.dim, blk.dim))
-                for k, i in enumerate(rows):
-                    A[k] = np.asarray(eqs[i].coeffs[blk.label]) / norms[i]
-                C = np.asarray(objective.get(blk.label, np.zeros((blk.dim, blk.dim))), dtype=float)
-                C = _sym(C.copy())
-            else:
-                A = np.zeros((len(rows), blk.dim))
-                for k, i in enumerate(rows):
-                    A[k] = np.asarray(eqs[i].coeffs[blk.label]) / norms[i]
-                C = np.asarray(objective.get(blk.label, np.zeros(blk.dim)), dtype=float).copy()
+                C = _sym(C)
             self.data[blk.label] = _BlockData(blk.kind, blk.dim, np.array(rows, dtype=int), A, C)
         self.total_dim = sum(blk.dim for blk in blocks)
 

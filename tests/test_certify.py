@@ -752,8 +752,8 @@ def _tensor(N, d, entries):
 PAPER_DEFAULT_TENSOR = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "paper_default_tensor.txt"
 
 # (tensor, enlargement, spec, precision_bits): one run certifies, one stops at
-# the failure budget, one has a positive witness, and one stops at the failure
-# budget among depth-5 boxes of a paper-default tensor
+# the failure budget, one has a positive witness, and one spends the failure
+# budget inside a subtree reaching depth 5 of a paper-default tensor
 GOLDEN_CASES = {
     "certifies": (
         lambda: _tensor(2, 3, {(0, 0, 0): -25.0, (0, 0, 1): 118.0, (0, 0, 2): -124.0,
@@ -777,8 +777,9 @@ NOTES = (
 )
 ABORTED = "; refinement aborted at the failure/evaluation budget"
 
-# Recorded from the verifier that evaluated every box at precision_bits, and
-# 'deep' from the float-filtered verifier with the explicit refinement stack.
+# 'certifies' recorded from the verifier that evaluated every box at
+# precision_bits; 'aborts', 'positive' and 'deep' from the verifier that counts
+# every box it decides, run with FLOAT_ERROR_RADIUS = inf (every decision by mp).
 GOLDEN = {
     'certifies': dict(
         sign_margin=-0.6259127883779854,
@@ -803,7 +804,7 @@ GOLDEN = {
         cert_margin=0.09759676308922942,
         certified_sign=False,
         stream_points=182,
-        evaluations=694,
+        evaluations=696,
         lipschitz_x=1.4242135623745193,
         lipschitz_alpha=0.0,
         covering_radius=0.05892556509887896,
@@ -836,7 +837,7 @@ GOLDEN = {
         cert_margin=3024.6599056642945,
         certified_sign=False,
         stream_points=46,
-        evaluations=433,
+        evaluations=455,
         lipschitz_x=24031.39947460307,
         lipschitz_alpha=848.5470330301692,
         covering_radius=0.12524642464162433,
@@ -866,10 +867,10 @@ GOLDEN = {
     'deep': dict(
         sign_margin=-0.00038964481974729226,
         witness=(0.9395810236483068, 3.208160817365617, 0.0),
-        cert_margin=0.0017481111028321927,
+        cert_margin=0.004664251479410828,
         certified_sign=False,
         stream_points=112,
-        evaluations=3316,
+        evaluations=5812,
         lipschitz_x=2.626546471299487,
         lipschitz_alpha=0.0704477702920862,
         covering_radius=0.09400581783917587,
@@ -877,22 +878,22 @@ GOLDEN = {
         precision_bits=256,
         enlargement=1.02,
         failures=[
-            (0.482421875, 0.876953125, 0.4254240051736178, -0.007603872144841282, 0.00011208564038089663),
-            (0.478515625, 0.880859375, 0.4254240051736178, -0.007620208557388402, 9.57492278337773e-05),
-            (0.478515625, 0.876953125, 0.4254240051736178, -0.007582802860668819, 0.00013315492455336027),
-            (0.470703125, 0.884765625, 0.4254240051736178, -0.007617584231476666, 9.837355374551295e-05),
-            (0.470703125, 0.876953125, 0.4385139745635752, -0.007708891007029207, 7.066778192972155e-06),
-            (0.474609375, 0.880859375, 0.4254240051736178, -0.007600575156465586, 0.00011538262875659288),
-            (0.474609375, 0.876953125, 0.4254240051736178, -0.007560370674178582, 0.0001555871110435969),
-            (0.470703125, 0.880859375, 0.4254240051736178, -0.007579614976839162, 0.00013634280838301728),
-            (0.470703125, 0.876953125, 0.4254240051736178, -0.007536587353539319, 0.00017937043168285975),
-            (0.455078125, 0.892578125, 0.4254240051736178, -0.007614631682767813, 0.00010132610245436612),
-            (0.466796875, 0.884765625, 0.4254240051736178, -0.007598080533774525, 0.00011787725144765437),
-            (0.462890625, 0.888671875, 0.4254240051736178, -0.007615719412901789, 0.00010023837232038996),
-            (0.462890625, 0.884765625, 0.4254240051736178, -0.007577297207047748, 0.000138660578174431),
-            (0.466796875, 0.876953125, 0.4385139745635752, -0.007684696747717513, 3.126103750466575e-05),
-            (0.462890625, 0.880859375, 0.4385139745635752, -0.007706175647679615, 9.782137542564261e-06),
-            (0.462890625, 0.876953125, 0.4385139745635752, -0.007659172837281498, 5.678494794068091e-05),
+            (0.376953125, 0.876953125, 0.2159844949342982, -0.0030517063058113506, 0.004664251479410828),
+            (0.376953125, 0.880859375, 0.2159844949342982, -0.0032023810952659867, 0.004513576689956192),
+            (0.380859375, 0.876953125, 0.2159844949342982, -0.003117645897152985, 0.004598311888069194),
+            (0.380859375, 0.880859375, 0.2159844949342982, -0.0032650357652105858, 0.0044509220200115935),
+            (0.376953125, 0.876953125, 0.22907446432425568, -0.0032602496728237093, 0.004455708112398469),
+            (0.376953125, 0.880859375, 0.22907446432425568, -0.0034088948629943487, 0.00430706292222783),
+            (0.380859375, 0.876953125, 0.22907446432425568, -0.0033253111258254395, 0.004390646659396739),
+            (0.380859375, 0.880859375, 0.22907446432425568, -0.0034706776747444107, 0.004245280110477768),
+            (0.376953125, 0.884765625, 0.2159844949342982, -0.003346118332149807, 0.004369839453072372),
+            (0.376953125, 0.888671875, 0.2159844949342982, -0.003483021349566902, 0.004232936435655277),
+            (0.380859375, 0.884765625, 0.2159844949342982, -0.003405560931127423, 0.004310396854094756),
+            (0.380859375, 0.888671875, 0.2159844949342982, -0.0035393243887343944, 0.004176633396487784),
+            (0.376953125, 0.884765625, 0.22907446432425568, -0.0035506078319333186, 0.004165349953288861),
+            (0.376953125, 0.888671875, 0.22907446432425568, -0.003685492018337705, 0.004030465766884474),
+            (0.380859375, 0.884765625, 0.22907446432425568, -0.003609184837227432, 0.004106772947994747),
+            (0.380859375, 0.888671875, 0.22907446432425568, -0.0037409357128765698, 0.0039750220723456095),
         ],
         notes=NOTES + ABORTED,
     ),
@@ -926,14 +927,13 @@ def test_verify_mp_fallback_golden_record(name, monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="pentapack.certify"):
         sv = _run_golden(name)
     assert asdict(sv) == GOLDEN[name]
-    assert len(calls) >= sv.evaluations
     assert len(panels) == certify._panel_counts["all"] - before["all"] > 0
     assert certify._panel_counts["mp"] - before["mp"] == len(panels)
-    # the mp fallbacks are those of the counted boxes, not of boxes decided past the budget
+    # every mp call belongs to a counted box
     (line,) = [r.getMessage() for r in caplog.records if r.name == "pentapack.certify"]
     n = sv.evaluations
     assert f" {n} evaluations, 0 decisions settled in float, {n} mp fallbacks, " in line
-    assert len(calls) == n + int(re.search(r"(\d+) decided past the budget", line)[1])
+    assert len(calls) == sv.evaluations
 
 
 def test_verify_refines_in_batches_of_at_most_grid_n_squared(monkeypatch):
@@ -953,87 +953,6 @@ def test_verify_refines_in_batches_of_at_most_grid_n_squared(monkeypatch):
     assert sum(sizes) >= sv.evaluations and len(sizes) > GOLDEN_CASES["deep"][2].alpha_count
 
 
-def _tree(kept_and_actions):
-    """Subtree levels from (slots, kept, actions) per level; only the shape is filled in."""
-    return [certify._Level(n, 0.0, 0.0, np.array(k, int), *[None] * 8, np.array(a, int), None)
-            for n, k, a in kept_and_actions]
-
-
-def _walk(levels, evaluations_left=math.inf, failures_left=math.inf):
-    """Walk the tree box by box: a box, then its slots from the last to the first, depth first.
-
-    Checks the budget before every slot.  Returns the positions of the slots
-    and the number of boxes counted when the walk stopped, or None.
-    """
-    pos = [np.full(lv.slots, -1) for lv in levels]
-    counted = failed = 0
-
-    def visit(k, parent):
-        nonlocal counted, failed
-        lv = levels[k]
-        action = dict(zip(lv.kept.tolist(), lv.action.tolist()))
-        below = {s: j for j, s in enumerate(lv.kept[lv.action == 2].tolist())}
-        for slot in reversed(range(8 * parent, 8 * parent + 8)):
-            if counted >= evaluations_left or failed >= failures_left:
-                return False
-            pos[k][slot] = counted
-            if slot in action:
-                counted += 1
-                failed += action[slot] == 1
-                if action[slot] == 2 and not visit(k + 1, below[slot]):
-                    return False
-        return True
-
-    return pos, None if visit(0, 0) else counted
-
-
-def test_dfs_positions_by_hand():
-    levels = _tree([(8, [0, 3, 7], [2, 0, 2]), (16, [1, 9, 15], [0, 1, 0])])
-    got = certify._dfs_positions(levels)
-    assert got[0].tolist() == [4, 4, 4, 3, 3, 3, 3, 0]
-    assert got[1].tolist() == [6, 5, 5, 5, 5, 5, 5, 5, 3, 2, 2, 2, 2, 2, 2, 1]
-
-
-def _random_tree(rng):
-    rows, parents, depth = [], 1, int(rng.integers(1, 6))
-    for k in range(depth):
-        kept = np.flatnonzero(rng.random(8 * parents) < rng.uniform(0.1, 0.9))
-        action = rng.integers(0, 3 if k < depth - 1 else 2, kept.size)
-        rows.append((8 * parents, kept, action))
-        parents = int((action == 2).sum())
-        if not parents:
-            break
-    return _tree(rows)
-
-
-def test_dfs_positions_equal_a_depth_first_walk():
-    rng = np.random.default_rng(85)
-    for _ in range(200):
-        levels = _random_tree(rng)
-        for got, want in zip(certify._dfs_positions(levels), _walk(levels)[0]):
-            assert got.tolist() == want.tolist()
-
-
-def test_budget_cut_equals_a_depth_first_walk():
-    """Where the walk stops; a budget spent by the last box stops it only where a slot follows that box."""
-    rng = np.random.default_rng(86)
-    stops, last_box = set(), set()
-    for _ in range(300):
-        levels = _random_tree(rng)
-        positions = certify._dfs_positions(levels)
-        boxes = sum(lv.kept.size for lv in levels)
-        fails = sum(int((lv.action == 1).sum()) for lv in levels)
-        for e, f in [(max(boxes, 1), math.inf), (math.inf, max(fails, 1)), (boxes + 1, fails + 1)] + [
-                (int(rng.integers(1, boxes + 2)), int(rng.integers(1, fails + 2))) for _ in range(3)]:
-            want = _walk(levels, e, f)[1]
-            assert certify._budget_cut(levels, positions, e, f) == want
-            stops.add((want is None, want == boxes))
-            if e == boxes:
-                last_box.add(want)
-    assert stops == {(True, False), (False, True), (False, False)}
-    assert None in last_box and len(last_box) > 1
-
-
 def test_verify_logs_one_summary_line(caplog):
     with caplog.at_level(logging.INFO, logger="pentapack.certify"):
         sv = _run_golden("aborts")
@@ -1043,10 +962,10 @@ def test_verify_logs_one_summary_line(caplog):
     assert "decisions settled in float" in lines[0] and "mp fallbacks" in lines[0]
     assert re.search(r", 2 of 48 Lipschitz panels by mp in \d+\.\d\d s, ", lines[0])
     # per depth and per outcome, from the subtree records of this run
-    assert (", 21 mp fallbacks, evaluations by depth 672/4/18, 1072 screened out, 0 discharged, "
-            "200 failed, 494 split, 2 decided past the budget, ") in lines[0]
+    assert (", 21 mp fallbacks, evaluations by depth 672/4/20, 1072 screened out, 0 discharged, "
+            "202 failed, 494 split, 2 of 48 ") in lines[0]
     by_depth = re.search(r"evaluations by depth ([\d/]+),", lines[0])[1]
-    assert sum(map(int, by_depth.split("/"))) == sv.evaluations == 200 + 494
+    assert sum(map(int, by_depth.split("/"))) == sv.evaluations == 202 + 494
 
 
 # -- bound -------------------------------------------------------------------

@@ -87,9 +87,9 @@ GOLDEN_SHA256 = {
     "projected.sol": "e13fe7645acb84deb78f856271e4550fa65867439950f02078fd0dd4c198949f",
     "projected.meta.json": "3422f68d9663b5f6269cefe18aa50bce377f40503a4c1323189ba74ddb816d70",
     "tensor.txt": "6ca736558b7a94b5d9d78faa3dc772ffd394bd58086f615816e28f868f5584a6",
-    "verify.json": "193ee948e7cd185835c9a8cc67c2ca1b9dd4814d1017936eae0e59f6dab4ad33",
-    "report.txt": "efc5e5194377bc692614979659e6c93086c2390a90503090b51070c80595fe5c",
-    "report.json": "733b9aefcfd0c92ab4e3f9f00b8da4a18cf4a3f15a438dbc79216cd9676c68f4",
+    "verify.json": "3ecd3e1c027ae1e61acc7b3634f3e2bcc59c5387b4bb1bf844adc1962b0e37a3",
+    "report.txt": "1bf2c0944dbc6a3280f20c204ce89bdacb1cf57227b3425b0233cdd23bfdf5eb",
+    "report.json": "3c1c7a87bf85279928c804fcbea97ec623e9ab10cb14476bde2ada6cd3cc46cf",
 }
 
 
