@@ -37,7 +37,7 @@ from .fourier import CoefficientTensor, evaluate_f, lambda_of
 from .geometry import minkowski_difference, pentagon
 from .motion import ORIGIN
 from .sdp import LinearTerm, SdpProblem, SdpSolution, stack_rows
-from .specfun import tau_radial_coeffs
+from .specfun import tau_radial_expansion
 
 log = logging.getLogger("pentapack.certify")
 
@@ -392,12 +392,32 @@ def _bernstein_max(coeffs: list, a, b) -> object:
     return mp.make_mpf(best)
 
 
-def _panel_bounds(coeffs: list, starts: list, step):
+class _Panels(NamedTuple):
+    """The 24 panels [a, a + step] of [0, u_max] that `_weighted_sup` bounds on.
+
+    starts and step are mp numbers at the working precision; a and w hold
+    each start and (a + step) - a rounded to float, for `_panel_bounds`.
+    """
+
+    starts: list
+    step: object
+    a: np.ndarray
+    w: np.ndarray
+
+
+def _panels(u_max) -> _Panels:
+    step = mp.mpf(u_max) / 24
+    starts = [i * step for i in range(24)]
+    a, w = (np.array([float(x) for x in xs]) for xs in (starts, [x + step - x for x in starts]))
+    return _Panels(starts, step, a, w)
+
+
+def _panel_bounds(coeffs: list, panels: _Panels):
     """Floats lo <= V <= hi for each panel value V of `_weighted_sup`, or None.
 
-    V = `_bernstein_max` on [a, a + w] times mp's e^(-pi a), a in `starts`,
-    w = (a + step) - a, at the working precision p.  With K coefficients,
-    n = K - 1, numpy forms for all panels the Bernstein coefficients
+    V = `_bernstein_max` on [a, a + w] times mp's e^(-pi a), a in
+    `panels.starts`, w = (a + step) - a, at the working precision p.  With
+    K coefficients, n = K - 1, numpy forms for all panels the Bernstein coefficients
     b = B T c, T_kj = C(j,k) a^(j-k) w^k (powers by cumulative products),
     B_ik = C(i,k)/C(n,k), from mp's a, w, c rounded to float, and S by the
     same contraction on |c|.  A term of b passes at most 2j + 2K + 7 <= m =
@@ -426,8 +446,7 @@ def _panel_bounds(coeffs: list, starts: list, step):
     if not K or mp.prec < 128:
         return None
     comb = np.array([[math.comb(j, k) for j in range(K)] for k in range(K)], dtype=float)
-    a = np.array([float(x) for x in starts])
-    w = np.array([float(x + step - x) for x in starts])
+    a, w = panels.a, panels.w
     c = np.array([float(x) for x in coeffs])
     j = np.arange(K)
     apow = np.cumprod(np.where(j > 0, a[:, None], 1.0), axis=1)  # a^j
@@ -451,7 +470,7 @@ def _panel_bounds(coeffs: list, starts: list, step):
 _panel_counts = {"all": 0, "mp": 0}
 
 
-def _weighted_sup(coeffs: list, u_max) -> object:
+def _weighted_sup(coeffs: list, u_max, panels: _Panels | None = None) -> object:
     """Certified sup over [0, u_max] of |p(u)| e^(-pi u), by Bernstein on 24 panels.
 
     The largest panel value, `_bernstein_max` times e^(-pi a) on [a, a +
@@ -459,17 +478,17 @@ def _weighted_sup(coeffs: list, u_max) -> object:
     largest lo of `_panel_bounds`: a panel left out has value <= hi < max lo
     <= the maximum, so the result is the same mp number as over all panels.
     Without float bounds (non-finite, underflow) every panel goes to mp.
+    `panels` is `_panels(u_max)`, built here unless the caller shares one.
     """
-    step = mp.mpf(u_max) / 24
-    starts = [i * step for i in range(24)]
-    bounds = _panel_bounds(coeffs, starts, step)
+    panels = _panels(u_max) if panels is None else panels
+    bounds = _panel_bounds(coeffs, panels)
     keep = range(24) if bounds is None else np.flatnonzero(bounds[1] >= bounds[0].max()).tolist()
     _panel_counts["all"] += 24
     _panel_counts["mp"] += len(keep)
     total = mp.mpf(0)
     for i in keep:
-        a = starts[i]
-        total = max(total, _bernstein_max(coeffs, a, a + step) * mp.e ** (-mp.pi * a))
+        a = panels.starts[i]
+        total = max(total, _bernstein_max(coeffs, a, a + panels.step) * mp.e ** (-mp.pi * a))
     return total
 
 
@@ -477,7 +496,8 @@ def _compiled_pairs(t: CoefficientTensor):
     """Per negation-orbit radial polynomials in u = rho^2 (weights folded in).
 
     Returns (r, s, coefficients of P_{r,s}) at the working precision, so that
-    f = sum cos(s alpha + (r-s) theta) P_{r,s}(rho^2) e^(-pi rho^2).
+    f = sum cos(s alpha + (r-s) theta) P_{r,s}(rho^2) e^(-pi rho^2).  Pairs
+    with one |r - s| share one `tau_radial_expansion`.
     """
     seen = set()
     for r, s, k, v in t.nonzero_items():
@@ -488,11 +508,14 @@ def _compiled_pairs(t: CoefficientTensor):
             continue
         seen.add((r, s))
     d = t.params.d
-    out = []
+    out, expansions = [], {}
     for (r, s) in sorted(seen):
         weight = 1 if (r, s) == (-r, -s) else 2
         c = [mp.mpf(t.get(r, s, k)) * weight for k in range(d + 1)]
-        out.append((r, s, tau_radial_coeffs(c, abs(r - s))))
+        m = abs(r - s)
+        if m not in expansions:
+            expansions[m] = tau_radial_expansion(m, d + 1)
+        out.append((r, s, expansions[m](c)))
     return out
 
 
@@ -508,8 +531,10 @@ def _lipschitz_pair(
     both are polynomials (times a bounded sqrt(u)), and each factor is
     bounded by panelled Bernstein enclosures over [0, rho_max^2]; float64
     bounds send only the panels that can hold each maximum to mp
-    (`_weighted_sup`).  The pairs are those of `ev` when it works at this
-    function's precision, max(precision_bits, 128), else compiled here.
+    (`_weighted_sup`), all on one grid of panels.  A pair with s = 0 adds
+    0 times a finite sup to L_alpha, exactly 0, so that sup is not taken.
+    The pairs are those of `ev` when it works at this function's precision,
+    max(precision_bits, 128), else compiled here.
     """
     bits = max(precision_bits, 128)
     if ev is None or ev.prec != bits:
@@ -517,6 +542,7 @@ def _lipschitz_pair(
     with mp.workprec(bits):
         U = mp.mpf(rho_max) ** 2
         sqrtU = mp.sqrt(U)
+        panels = _panels(U)
         Lx = mp.mpf(0)
         La = mp.mpf(0)
         for s, md, ucoeffs in ev.pairs:
@@ -527,14 +553,15 @@ def _lipschitz_pair(
                 for i in range(len(ucoeffs))
             ]
             q = [dcoef[i] - mp.pi * ucoeffs[i] for i in range(len(ucoeffs))]
-            sup_radial = 2 * sqrtU * _weighted_sup(q, U)
+            sup_radial = 2 * sqrtU * _weighted_sup(q, U, panels)
             sup_angular = mp.mpf(0)
             if m > 0:
                 # |r-s| P(u) / rho = |r-s| sqrt(u) * (P(u)/u); P divisible by u
                 shifted = ucoeffs[1:]
-                sup_angular = m * sqrtU * _weighted_sup(shifted, U)
+                sup_angular = m * sqrtU * _weighted_sup(shifted, U, panels)
             Lx += sup_radial + sup_angular
-            La += abs(s) * _weighted_sup(ucoeffs, U)
+            if s:
+                La += abs(s) * _weighted_sup(ucoeffs, U, panels)
         return float(Lx * (1 + mp.mpf(1e-12))), float(La * (1 + mp.mpf(1e-12)))
 
 
@@ -598,13 +625,32 @@ class MpEvaluator:
             return mp.make_mpf(total) * mp.e ** (-mp.pi * mp.make_mpf(u))
 
     def alpha_tables(self, alpha: float):
+        """cos(s alpha) and sin(s alpha) by s, from one `mp.cos_sin` per |s|.
+
+        The entry of -s is (cos, -sin) of the entry of s, the numbers
+        cos_sin(-s alpha) gives ((-s) alpha = -(s alpha) exactly).
+        """
         with mp.workprec(self.prec):
             a = mp.mpf(alpha)
-            cos_table, sin_table = {}, {}
-            for s, _, _ in self.pairs:
-                if s not in cos_table:
-                    cos_table[s], sin_table[s] = mp.cos_sin(s * a)
+            trig = {k: mp.cos_sin(k * a) for k in {abs(s) for s, _, _ in self.pairs}}
+            cos_table = {s: trig[abs(s)][0] for s, _, _ in self.pairs}
+            sin_table = {s: trig[abs(s)][1] if s >= 0 else -trig[abs(s)][1] for s, _, _ in self.pairs}
             return cos_table, sin_table
+
+
+class _Radial(NamedTuple):
+    """Per point: cos and sin of |r-s| theta and the signed Horner sum of each pair,
+    e^(-pi u) and the radius E (`FloatEvaluator.radial`)."""
+
+    cos_m: np.ndarray
+    sin_m: np.ndarray
+    poly: np.ndarray
+    g: np.ndarray
+    E: np.ndarray
+
+    def take(self, idx) -> _Radial:
+        """The rows of the points idx; each value keeps its bits."""
+        return _Radial(*(a[idx] for a in self))
 
 
 # Error radius of FloatEvaluator, relative to S (see its docstring).
@@ -621,6 +667,11 @@ class FloatEvaluator:
     u, phase = cos(s alpha) cos(m theta) - sin(s alpha) sin(m theta), the sum
     over pairs, and the factor exp(-pi u).  `eval` returns v and a radius E
     with |v - f_mp| <= E, where f_mp is `MpEvaluator.eval` at the same point.
+    It is `radial`, the alpha-free part (u, the z_n, the Horner sums, exp(-pi
+    u) and E), then `pair_sum`, the phases and the sum over pairs.  Every
+    operation acts on one point at a time, so rows taken from a `radial` of
+    many points give each point the same v and E bits as `eval` on it alone,
+    and the bound below holds for each of them.
 
     The bound (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3
     and 5) uses the unit roundoff ur = 2^-53, gamma_n = n ur/(1 - n ur) and
@@ -680,8 +731,8 @@ class FloatEvaluator:
         return (np.array([float(cos_table[s]) for s in self.s]),
                 np.array([float(sin_table[s]) for s in self.s]) * self.sign)
 
-    def eval(self, x, y, cos_s, sin_s):
-        """v and E at the points (x, y); cos_s, sin_s: one row of `tables`, or one per point."""
+    def radial(self, x, y) -> _Radial:
+        """The alpha-free part of `eval` at the points (x, y), E included."""
         u = x * x + y * y
         rho = np.sqrt(u)
         nz = rho > 0
@@ -689,16 +740,25 @@ class FloatEvaluator:
         z[..., 1:] = (np.divide(x, rho, out=np.ones_like(u), where=nz)
                       + 1j * np.divide(y, rho, out=np.zeros_like(u), where=nz))[..., None]
         z = np.cumprod(z, axis=-1)[..., self.m]  # z_n = z_(n-1) z_1 ~ e^(i n theta)
-        phase = cos_s * z.real - sin_s * z.imag
         uu = u[..., None]
         acc = np.zeros(u.shape + (2 * self.n_pairs,))
         for c in self.horner:
             acc *= uu
             acc += c
         g = np.exp(-np.pi * u)
-        v = (acc[..., : self.n_pairs] * phase).sum(axis=-1) * g
         S = acc[..., self.n_pairs:].sum(axis=-1) * g
-        return v, np.multiply(self.rel, S, out=np.zeros_like(S), where=S > 0)
+        E = np.multiply(self.rel, S, out=np.zeros_like(S), where=S > 0)
+        return _Radial(z.real, z.imag, acc[..., : self.n_pairs], g, E)
+
+    def pair_sum(self, part: _Radial, cos_s, sin_s):
+        """v from a `radial` part (or rows taken from one); cos_s, sin_s as in `eval`."""
+        phase = cos_s * part.cos_m - sin_s * part.sin_m
+        return (part.poly * phase).sum(axis=-1) * part.g
+
+    def eval(self, x, y, cos_s, sin_s):
+        """v and E at the points (x, y); cos_s, sin_s: one row of `tables`, or one per point."""
+        part = self.radial(x, y)
+        return self.pair_sum(part, cos_s, sin_s), part.E
 
 
 def tensor_hash(t: CoefficientTensor) -> str:
@@ -862,10 +922,12 @@ def verify_nonpositivity(
     budgets are checked before each such subtree, so a run that exhausts
     them stops after the subtree in which it does, and every box decided is
     counted.  Failures count in stream order, then subtree by subtree, each
-    level by level in slot order.  Every value comes
-    first from `FloatEvaluator` as v with a proved radius E, |v - f_mp| <=
-    E: Higham's gamma_n bounds for u = x^2 +
-    y^2, the angle-addition recurrence, Horner, the pair sum and exp give
+    level by level in slot order.  The stream pass computes the alpha-free
+    part of f (`FloatEvaluator.radial`) once for the grid_n^2 box centres
+    and takes each slice's kept boxes from it.  Every value comes first from
+    `FloatEvaluator` as v with a proved radius E, |v - f_mp| <= E: Higham's
+    gamma_n bounds for u = x^2 + y^2, the angle-addition recurrence, Horner,
+    the pair sum and exp give
     |v - f| <= gamma_n S with n = 4d + 7M + J + 42 (163 at N=5, d=11) and
     S = e^(-pi u) sum |c_k| u^k, and E = 2^-40 S is 50 times that (the
     steps are in its docstring).  The computed ends give floats lo <= f_mp
@@ -944,12 +1006,14 @@ def verify_nonpositivity(
         """fc of a box item: hi when the enclosure is a single float, else by mp."""
         return hi if lo == hi else exact(cx, cy, amid)
 
-    def batch(xlo, ylo, alphas, h, ha, depth) -> _Level:
+    def batch(xlo, ylo, alphas, h, ha, depth, centres: _Radial | None = None) -> _Level:
         """Screen, evaluate and decide the boxes [xlo, xlo+2h] x [ylo, ylo+2h] x [alpha -/+ ha] at `depth`.
 
         Takes `cap` boxes at a time.  Each box's geometry and table row come
         from `alpha_data`; with one distinct alpha they broadcast over all
         boxes (a copy per box made the paper-default verifier 1.8x slower).
+        The stream pass passes `centres`, the `FloatEvaluator.radial` part
+        of every box centre, and the kept boxes' rows are taken from it.
         Ambiguous decisions are resolved by mp, collapsing lo and hi to fc.
         """
         uniq, inv = np.unique(alphas, return_inverse=True)
@@ -967,7 +1031,11 @@ def verify_nonpositivity(
             idx = np.flatnonzero(keep)
             cx, cy, region = cx[idx], cy[idx], region[idx]
             w = 0 if one else u[idx]
-            v, E = fe.eval(cx, cy, cos_u[w], sin_u[w])
+            if centres is None:
+                v, E = fe.eval(cx, cy, cos_u[w], sin_u[w])
+            else:
+                part = centres.take(idx + i)
+                v, E = fe.pair_sum(part, cos_u[w], sin_u[w]), part.E
             lo, hi = v - E, v + E
             glo, ghi = lo + a + b, hi + a + b
             amb = (glo <= 0.0) & (ghi > 0.0)
@@ -1006,10 +1074,11 @@ def verify_nonpositivity(
     xlo0 = np.tile(edges0, sample_spec.grid_n)  # row-major: iy outer, ix inner
     ylo0 = np.repeat(edges0, sample_spec.grid_n)
     h0, ha0 = 0.5 * dx0, 0.5 * dalpha
+    centres0 = fe.radial(xlo0 + h0, ylo0 + h0)  # the centres as `_screen` forms them
     split0: list = []  # level-0 boxes (xlo, ylo, alpha) to refine
     for ia in range(sample_spec.alpha_count):
         amid = alpha_lo + (ia + 0.5) * dalpha
-        lv = batch(xlo0, ylo0, np.full(xlo0.size, amid), h0, ha0, 0)
+        lv = batch(xlo0, ylo0, np.full(xlo0.size, amid), h0, ha0, 0, centres0)
         stream_points += int(lv.region.sum())
         reg = np.flatnonzero(lv.region)
         sign.add_many(lv.lo[reg], lv.hi[reg], lambda j: lv.item(reg[j]))

@@ -106,11 +106,14 @@ class CoefficientTensor:
             raise TensorInvariantError("tensor symmetry invariants violated")
 
     def nonzero_items(self):
-        """Yield (r, s, k, value) over entries that are exactly nonzero."""
+        """Yield (r, s, k, value) over entries that are exactly nonzero, in C order.
+
+        `np.nonzero` keeps what `v != 0.0` keeps: NaN, not -0.0.
+        """
         N = self.params.N
-        for (i, j, k), v in np.ndenumerate(self.entries):
-            if v != 0.0:
-                yield (i - N, j - N, k, float(v))
+        idx = np.nonzero(self.entries)
+        for i, j, k, v in zip(*(a.tolist() for a in idx), self.entries[idx].tolist()):
+            yield (i - N, j - N, k, v)
 
     # -- text serialization ------------------------------------------------
 

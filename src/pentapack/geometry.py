@@ -50,15 +50,20 @@ class ConvexPolygon:
         object.__setattr__(self, "vertices", v)
 
     def edges(self) -> list[tuple[np.ndarray, float]]:
-        """Outward unit normal n and offset c per edge, with n.x <= c inside."""
+        """Outward unit normal n and offset c per edge, with n.x <= c inside.
+
+        The lengths are math.hypot's (np.hypot rounds some differently) and
+        the offsets n.v_i come from one batched np.matmul, bit for bit the
+        BLAS dot `n @ v[i]`.  Do not write them as n0*x + n1*y in Python
+        floats: BLAS's dot may fuse the multiply and add, and most polygons
+        would get an offset one ulp off.
+        """
         v = self.vertices
-        out = []
-        for i in range(len(v)):
-            e = v[(i + 1) % len(v)] - v[i]
-            n = np.array([e[1], -e[0]])
-            n /= math.hypot(*n)
-            out.append((n, float(n @ v[i])))
-        return out
+        e = np.roll(v, -1, axis=0) - v
+        n = np.stack([e[:, 1], -e[:, 0]], axis=1)
+        n /= np.array([math.hypot(a, b) for a, b in n.tolist()])[:, None]
+        c = np.matmul(n[:, None, :], v[:, :, None])[:, 0, 0]
+        return list(zip(n, c.tolist()))
 
     def area(self) -> float:
         v = self.vertices

@@ -71,20 +71,42 @@ def coeff_D(r: int, s: int, k: int, rho: float) -> float:
     return float(q) * math.pi**e * rho**m
 
 
+def tau_radial_expansion(m: int, K: int):
+    """The map c -> `tau_radial_coeffs`(c, m) for K coefficients c, at the working precision.
+
+    pi^j is computed once, and D_{r,s;k} and the Laguerre coefficients of each
+    k, as mpf, on the first c with c_k nonzero; the map makes the operations
+    of the per-term form ((base * lambda) * pi^j) on the same numbers, so its
+    values are that form's.  Call it at the precision it was made at.
+    """
+    h, sign = m // 2, (-1) ** (m // 2)
+    pis = [mp.pi**j for j in range(K - h)]
+    terms: dict[int, tuple] = {}
+
+    def expand(c) -> list:
+        out = [mp.mpf(0)] * K
+        for k in range(h, K):
+            if c[k] == 0:
+                continue
+            if k not in terms:
+                lams = laguerre_coeffs_exact(k - h, m)
+                terms[k] = coeff_D_mp(m, k), [mp.mpf(lam.numerator) / lam.denominator for lam in lams]
+            dmk, lams = terms[k]
+            base = sign * c[k] * dmk
+            for j, lam in enumerate(lams):
+                out[h + j] += base * lam * pis[j]
+        return out
+
+    return expand
+
+
 def tau_radial_coeffs(c, m: int) -> list:
     """Coefficients in u = rho^2 of the radial part of tau_{r,s}(sum_k c_k a^(2k)).
 
     That part is (-1)^(m/2) sum_k c_k D_{r,s;k}(rho) L^m_{k-m/2}(pi rho^2)
     with m = |r - s| even, a polynomial in u divisible by u^(m/2); the phase
     e^(-i(s alpha + (r-s) theta)) is left out.  The values are mpmath numbers
-    at the working precision, one per entry of c.
+    at the working precision, one per entry of c.  Expanding several c with
+    one m, `tau_radial_expansion` builds the constants once.
     """
-    out = [mp.mpf(0)] * len(c)
-    sign = (-1) ** (m // 2)
-    for k in range(m // 2, len(c)):
-        if c[k] == 0:
-            continue
-        base = sign * c[k] * coeff_D_mp(m, k)
-        for j, lam in enumerate(laguerre_coeffs_exact(k - m // 2, m)):
-            out[m // 2 + j] += base * (mp.mpf(lam.numerator) / lam.denominator) * mp.pi**j
-    return out
+    return tau_radial_expansion(m, len(c))(c)

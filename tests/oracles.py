@@ -3,8 +3,10 @@
 The pipeline evaluates f only in its Laguerre closed form; the Bessel matrix
 coefficients (`scipy.special.jv`), Kummer's 1F1 (`mpmath.hyp1f1`) and the
 quadratures it is derived from live here, and so do the mpf-operator forms
-of the verifier's high-precision kernels, which run on mpmath.libmp calls.
-Nothing under `src/` imports this.
+of the verifier's high-precision kernels, which run on mpmath.libmp calls,
+and the one-at-a-time forms of what the pipeline batches (tensor entries,
+radial constants, alpha tables, polygon edges), which the tests hold its
+results to bit for bit.  Nothing under `src/` imports this.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pentapack.geometry import (
 from pentapack.motion import MotionPoint, rotation_matrix
 from pentapack.sdp import SdpProblem, SdpSolution
 from pentapack.sos import BlockSpec, _f_entries, _products, block_specs, realize_basis
-from pentapack.specfun import coeff_D, laguerre
+from pentapack.specfun import coeff_D, coeff_D_mp, laguerre, laguerre_coeffs_exact
 
 A_MAX = 6.0  # quadrature truncation; e^(-pi a^2) < 1e-49 beyond
 
@@ -431,3 +433,63 @@ def mp_eval_operators(ev, x, y, cos_table, sin_table):
                 st = -st
             total += poly * (cos_table[s] * ct - sin_table[s] * st)
         return total * mp.e ** (-mp.pi * u)
+
+
+def nonzero_items_ndenumerate(t: CoefficientTensor):
+    """`CoefficientTensor.nonzero_items` by `np.ndenumerate` over every entry."""
+    N = t.params.N
+    for (i, j, k), v in np.ndenumerate(t.entries):
+        if v != 0.0:
+            yield (i - N, j - N, k, float(v))
+
+
+def tau_radial_coeffs_per_term(c, m: int) -> list:
+    """`specfun.tau_radial_coeffs` with D, the Laguerre coefficient and pi^j made for every term."""
+    out = [mp.mpf(0)] * len(c)
+    sign = (-1) ** (m // 2)
+    for k in range(m // 2, len(c)):
+        if c[k] == 0:
+            continue
+        base = sign * c[k] * coeff_D_mp(m, k)
+        for j, lam in enumerate(laguerre_coeffs_exact(k - m // 2, m)):
+            out[m // 2 + j] += base * (mp.mpf(lam.numerator) / lam.denominator) * mp.pi**j
+    return out
+
+
+def compiled_pairs_per_term(t: CoefficientTensor, precision_bits: int) -> list:
+    """`MpEvaluator.pairs` at precision_bits, each pair by `tau_radial_coeffs_per_term`."""
+    with mp.workprec(precision_bits):
+        seen = set()
+        for r, s, k, _ in nonzero_items_ndenumerate(t):
+            m = abs(r - s)
+            if (r - s) % ANGULAR_MODULUS == 0 and k >= m // 2 and (-r, -s) not in seen:
+                seen.add((r, s))
+        out = []
+        for r, s in sorted(seen):
+            weight = 1 if (r, s) == (-r, -s) else 2
+            c = [mp.mpf(t.get(r, s, k)) * weight for k in range(t.params.d + 1)]
+            out.append((s, r - s, tau_radial_coeffs_per_term(c, abs(r - s))))
+        return out
+
+
+def alpha_tables_per_s(ev, alpha: float):
+    """`MpEvaluator.alpha_tables` with one `mp.cos_sin(s alpha)` per s."""
+    with mp.workprec(ev.prec):
+        a = mp.mpf(alpha)
+        cos_table, sin_table = {}, {}
+        for s, _, _ in ev.pairs:
+            if s not in cos_table:
+                cos_table[s], sin_table[s] = mp.cos_sin(s * a)
+        return cos_table, sin_table
+
+
+def polygon_edges_per_edge(p: ConvexPolygon) -> list:
+    """`ConvexPolygon.edges` one edge at a time, each offset by the dot `n @ v[i]`."""
+    v = p.vertices
+    out = []
+    for i in range(len(v)):
+        e = v[(i + 1) % len(v)] - v[i]
+        n = np.array([e[1], -e[0]])
+        n /= math.hypot(*n)
+        out.append((n, float(n @ v[i])))
+    return out

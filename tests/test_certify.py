@@ -14,7 +14,14 @@ import pytest
 
 from mpmath import mp
 
-from oracles import bernstein_max_operators, margin_all_mp, mp_eval_operators, verification_sample
+from oracles import (
+    alpha_tables_per_s,
+    bernstein_max_operators,
+    compiled_pairs_per_term,
+    margin_all_mp,
+    mp_eval_operators,
+    verification_sample,
+)
 from pentapack import certify
 from pentapack.certify import (
     FloatEvaluator,
@@ -377,12 +384,18 @@ def test_lipschitz_dominates_sampled_gradients():
         assert La >= amax * 0.999  # alpha bound is near-tight by construction
 
 
-def weighted_sup_all_panels(coeffs, u_max, panels=24):
-    """Reference: `_weighted_sup` by mp on every panel, without the float screen."""
+def weighted_sup_all_panels(coeffs, u_max, panels=None):
+    """Reference: `_weighted_sup` by mp on every panel, without the float screen.
+
+    On the shared grid `panels` when given, else on its own 24 panels of [0, u_max].
+    """
+    if panels is None:
+        step = mp.mpf(u_max) / 24
+        starts = [i * step for i in range(24)]
+    else:
+        step, starts = panels.step, panels.starts
     total = mp.mpf(0)
-    step = mp.mpf(u_max) / panels
-    for i in range(panels):
-        a = i * step
+    for a in starts:
         bound = certify._bernstein_max(coeffs, a, a + step) * mp.e ** (-mp.pi * a)
         total = max(total, bound)
     return total
@@ -404,13 +417,13 @@ def test_weighted_sup_equals_all_panels_on_paper_default_polynomials(monkeypatch
     seen = []
     weighted_sup = certify._weighted_sup
 
-    def recorded(coeffs, u_max):
-        seen.append((coeffs, u_max, weighted_sup(coeffs, u_max)))
+    def recorded(coeffs, u_max, panels):
+        seen.append((coeffs, u_max, weighted_sup(coeffs, u_max, panels)))
         return seen[-1][2]
 
     monkeypatch.setattr(certify, "_weighted_sup", recorded)
     _lipschitz_pair(CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text()), math.sqrt(2.0) + 0.01, 256)
-    assert len(seen) == 7
+    assert len(seen) == 6  # the alpha term of the s = 0 pair is not taken
     with mp.workprec(256):
         for coeffs, u_max, value in seen:
             assert value == weighted_sup_all_panels(coeffs, u_max)
@@ -442,7 +455,7 @@ def test_panel_bounds_enclose_every_panel_value():
         for coeffs, u_max in _cancelling_polynomials():
             step = u_max / 24
             starts = [i * step for i in range(24)]
-            lo, hi = certify._panel_bounds(coeffs, starts, step)
+            lo, hi = certify._panel_bounds(coeffs, certify._panels(u_max))
             for a, low, high in zip(starts, lo.tolist(), hi.tolist()):
                 value = certify._bernstein_max(coeffs, a, a + step) * mp.e ** (-mp.pi * a)
                 assert low <= value <= high
@@ -473,14 +486,14 @@ def test_weighted_sup_beyond_float_range_sends_every_panel_to_mp(monkeypatch):
     assert len(calls) == 24 + 24  # the screened call, then the reference
 
 
-def test_lipschitz_pair_on_paper_default_sends_seven_panels_to_mp(monkeypatch):
+def test_lipschitz_pair_on_paper_default_sends_six_panels_to_mp(monkeypatch):
     calls = _count_bernstein_calls(monkeypatch)
     before = dict(certify._panel_counts)
     t = CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text())
     assert _lipschitz_pair(t, math.sqrt(2.0) + 0.01, 256) == (2.626546471299487, 0.0704477702920862)
-    assert len(calls) == 7
-    assert certify._panel_counts["all"] - before["all"] == 168
-    assert certify._panel_counts["mp"] - before["mp"] == 7
+    assert len(calls) == 6
+    assert certify._panel_counts["all"] - before["all"] == 144
+    assert certify._panel_counts["mp"] - before["mp"] == 6
 
 
 def test_lipschitz_pair_equals_all_panels_reference(monkeypatch):
@@ -742,6 +755,54 @@ def test_float_evaluator_encloses_mp_value():
         assert checked >= 10_000
 
 
+def test_split_float_evaluator_equals_eval_bit_for_bit():
+    """`pair_sum` on rows taken from one `radial` call gives `eval`'s v and E, bits and all.
+
+    As in the stream pass: the alpha-free part of a grid is computed once,
+    and subsets of its points are gathered, each with one table row for all
+    or one per point.
+    """
+    rng = np.random.default_rng(85)
+    paper_default = CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text())
+    for t in (paper_default, random_positive_tensor(ModelParams(5, 11), rng)):
+        ev = MpEvaluator(t, 256)
+        fe = FloatEvaluator(ev)
+        x, y = rng.uniform(-1.0, 1.0, (2, 2000))
+        x[:3], y[:3] = [0.0, 1.0, -1.0], [0.0, 1.0, 0.0]
+        grid = fe.radial(x, y)
+        tables = [fe.tables(*ev.alpha_tables(a)) for a in rng.uniform(-0.7, 0.7, 40)]
+        cos_rows, sin_rows = np.array(tables).swapaxes(0, 1)  # (alpha, pair) each
+        for size in (0, 1, 2, 7, 100, 1000, 2000):
+            idx = np.sort(rng.choice(x.size, size, replace=False))
+            per_box = rng.integers(0, len(cos_rows), size)
+            for cos_s, sin_s in [(cos_rows[0], sin_rows[0]), (cos_rows[per_box], sin_rows[per_box])]:
+                part = grid.take(idx)
+                v, E = fe.eval(x[idx], y[idx], cos_s, sin_s)
+                assert fe.pair_sum(part, cos_s, sin_s).tobytes() == v.tobytes()
+                assert part.E.tobytes() == E.tobytes()
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_mp_evaluator_pairs_equal_the_per_term_form(bits):
+    rng = np.random.default_rng(86)
+    tensors = [random_positive_tensor(ModelParams(N, 11), rng) for N in (5, 10)]
+    for t in [CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text()), *tensors]:
+        want = [(s, md, [c._mpf_ for c in u]) for s, md, u in compiled_pairs_per_term(t, bits)]
+        assert [(s, md, [c._mpf_ for c in u]) for s, md, u in MpEvaluator(t, bits).pairs] == want
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128, 192, 256, 300])
+def test_alpha_tables_equal_one_cos_sin_per_s(bits):
+    """The -s entries, (cos, -sin) of the s entries, are what `mp.cos_sin(-s alpha)` gives."""
+    rng = np.random.default_rng(87)
+    ev = MpEvaluator(random_positive_tensor(ModelParams(15, 15), rng), bits)
+    assert {-15, -10, -5, 0, 5, 10, 15} <= {s for s, _, _ in ev.pairs}
+    for alpha in [0.0, math.pi / 5, -math.pi / 5, *rng.uniform(-4.0, 4.0, 150).tolist()]:
+        got, want = ev.alpha_tables(alpha), alpha_tables_per_s(ev, alpha)
+        for table, ref in zip(got, want):
+            assert {s: v._mpf_ for s, v in table.items()} == {s: v._mpf_ for s, v in ref.items()}
+
+
 def _tensor(N, d, entries):
     e = np.zeros((2 * N + 1, 2 * N + 1, d + 1))
     for (r, s, k), v in entries.items():
@@ -937,20 +998,32 @@ def test_verify_mp_fallback_golden_record(name, monkeypatch, caplog):
 
 
 def test_verify_refines_in_batches_of_at_most_grid_n_squared(monkeypatch):
-    """Each level of a subtree is decided in runs of at most grid_n^2 boxes, the stream pass's batch size."""
-    sizes = []
-    float_eval = FloatEvaluator.eval
+    """Each level of a subtree is decided in runs of at most grid_n^2 boxes, the stream pass's batch size.
 
-    def recorded(self, x, *args):
-        sizes.append(x.size)
-        return float_eval(self, x, *args)
+    The refinement evaluates by `eval`; the stream pass takes the alpha-free
+    part of its grid_n^2 centres from one `radial` call and sums each slice's
+    pairs by `pair_sum`, which `eval` calls too.
+    """
+    sizes = {"eval": [], "radial": [], "pair_sum": []}
 
-    monkeypatch.setattr(FloatEvaluator, "eval", recorded)
+    def recording(name, size):
+        method = getattr(FloatEvaluator, name)
+
+        def recorded(self, first, *args):
+            sizes[name].append(size(first))
+            return method(self, first, *args)
+
+        return recorded
+
+    for name, size in [("eval", np.size), ("radial", np.size), ("pair_sum", lambda part: part.E.size)]:
+        monkeypatch.setattr(FloatEvaluator, name, recording(name, size))
     sv = _run_golden("deep")
     assert asdict(sv) == GOLDEN["deep"]
-    grid_n = GOLDEN_CASES["deep"][2].grid_n
-    assert max(sizes) <= grid_n**2
-    assert sum(sizes) >= sv.evaluations and len(sizes) > GOLDEN_CASES["deep"][2].alpha_count
+    grid_n, alpha_count = GOLDEN_CASES["deep"][2].grid_n, GOLDEN_CASES["deep"][2].alpha_count
+    assert max(max(v) for v in sizes.values()) <= grid_n**2
+    # one radial call for the stream's centres, then one per refinement eval
+    assert sizes["radial"][0] == grid_n**2 and len(sizes["radial"]) == len(sizes["eval"]) + 1
+    assert sum(sizes["pair_sum"]) >= sv.evaluations and len(sizes["pair_sum"]) > alpha_count
 
 
 def test_verify_logs_one_summary_line(caplog):
@@ -960,10 +1033,10 @@ def test_verify_logs_one_summary_line(caplog):
     assert len(lines) == 1
     assert f"1728 level-0 boxes, {sv.evaluations} evaluations" in lines[0]
     assert "decisions settled in float" in lines[0] and "mp fallbacks" in lines[0]
-    assert re.search(r", 2 of 48 Lipschitz panels by mp in \d+\.\d\d s, ", lines[0])
+    assert re.search(r", 1 of 24 Lipschitz panels by mp in \d+\.\d\d s, ", lines[0])
     # per depth and per outcome, from the subtree records of this run
     assert (", 21 mp fallbacks, evaluations by depth 672/4/20, 1072 screened out, 0 discharged, "
-            "202 failed, 494 split, 2 of 48 ") in lines[0]
+            "202 failed, 494 split, 1 of 24 ") in lines[0]
     by_depth = re.search(r"evaluations by depth ([\d/]+),", lines[0])[1]
     assert sum(map(int, by_depth.split("/"))) == sv.evaluations == 202 + 494
 

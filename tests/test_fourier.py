@@ -10,6 +10,7 @@ from oracles import (
     lambda_integral_oracle,
     matrix_coefficient_u,
     matrix_coefficient_u_quadrature,
+    nonzero_items_ndenumerate,
     tau,
 )
 from pentapack.fourier import (
@@ -133,6 +134,19 @@ def test_tau_reassembles_f():
     total *= math.exp(-math.pi * p.rho**2)
     assert total.imag == pytest.approx(0.0, abs=1e-12 * max(1, t.l1_norm()))
     assert total.real == pytest.approx(evaluate_f(t, p), abs=1e-12 * max(1, t.l1_norm()))
+
+
+def test_nonzero_items_equal_the_ndenumerate_form():
+    """Same entries, order, types and bits; -0.0 is left out, NaN and inf kept."""
+    rng = np.random.default_rng(36)
+    tensors = [random_positive_tensor(ModelParams(5, 11), rng), CoefficientTensor.zeros(ModelParams(1, 1))]
+    e = rng.standard_normal((7, 7, 4)) * (rng.uniform(size=(7, 7, 4)) < 0.3)
+    e[0, 0, 0], e[1, 2, 3], e[6, 6, 3], e[3, 3, 0], e[2, 5, 1] = -0.0, math.nan, -math.inf, 5e-324, 0.0
+    tensors.append(CoefficientTensor(ModelParams(3, 3), e))
+    for t in tensors:
+        got, want = list(t.nonzero_items()), list(nonzero_items_ndenumerate(t))
+        assert repr(got) == repr(want)
+        assert all(type(v) is float and all(type(i) is int for i in item) for *item, v in got)
 
 
 def test_lambda_of_and_oracle():

@@ -8,6 +8,7 @@ from oracles import (
     copies_disjoint,
     copies_disjoint_sat,
     point_in_polygon_raycast,
+    polygon_edges_per_edge,
     verification_sample,
 )
 from pentapack.geometry import (
@@ -147,6 +148,18 @@ def test_minkowski_vertices_are_differences_and_enclose_all(name, scale):
     assert {tuple(v) for v in M.vertices.tolist()} <= {tuple(d) for d in diffs.tolist()}
     outside = max(float(n @ d) - c for n, c in M.edges() for d in diffs)
     assert outside <= (_VERTEX_MERGE_TOL if name == "-pi/5+3e-9" else 1e-12)
+
+
+def test_edges_equal_the_per_edge_form_bit_for_bit():
+    """Normals and offsets of the batched `edges` are those of `n @ v[i]` edge by edge."""
+    alphas = list(_GOLDEN_ALPHAS.values()) + np.random.default_rng(22).uniform(-4.0, 4.0, 300).tolist()
+    for alpha in alphas:
+        for scale in (1.0, 1.02):
+            for poly in (minkowski_difference(alpha, scale), pentagon(scale)):
+                got, want = poly.edges(), polygon_edges_per_edge(poly)
+                assert len(got) == len(want)
+                for (n, c), (n0, c0) in zip(got, want):
+                    assert n.tobytes() == n0.tobytes() and type(c) is float and c.hex() == c0.hex()
 
 
 def test_contains_interior_examples():

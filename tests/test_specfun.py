@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from oracles import coeff_C, hankel_closed_form, hankel_integral_oracle, tau
+from oracles import coeff_C, hankel_closed_form, hankel_integral_oracle, tau, tau_radial_coeffs_per_term
 from pentapack.motion import MotionPoint
 from pentapack.specfun import (
     coeff_D,
     laguerre,
     laguerre_coeffs_exact,
     tau_radial_coeffs,
+    tau_radial_expansion,
 )
+from pentapack.sos import ASSEMBLY_DPS
 
 
 def test_laguerre_at_zero_binomial():
@@ -124,3 +126,18 @@ def test_tau_radial_coeffs_match_float_tau(m):
                 for k, ck in enumerate(c) if k >= m // 2
             )
             assert got == pytest.approx(_tau_radial_float(m, c, rho), rel=0, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("m", [0, 2, 10])
+@pytest.mark.parametrize("bits", [53, 128, 256, "assembly"])
+def test_tau_radial_coeffs_equal_the_per_term_form(m, bits):
+    """Bit for bit, with zero entries, and for several c through one shared expansion."""
+    rng = np.random.default_rng(51 + m)
+    with mp.workprec(bits) if bits != "assembly" else mp.workdps(ASSEMBLY_DPS):
+        cs = [[mp.mpf(float(x)) * mp.pi for x in rng.standard_normal(12) * (rng.uniform(size=12) < 0.8)]
+              for _ in range(4)]
+        expand = tau_radial_expansion(m, 12)
+        for c in cs:
+            want = [v._mpf_ for v in tau_radial_coeffs_per_term(c, m)]
+            assert [v._mpf_ for v in tau_radial_coeffs(c, m)] == want
+            assert [v._mpf_ for v in expand(c)] == want
