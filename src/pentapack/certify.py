@@ -665,13 +665,13 @@ class FloatEvaluator:
     (cos theta, sin theta) = (x, y)/sqrt(u), cos/sin(n theta) by the
     angle-addition recurrence (complex products z_n = z_(n-1) z_1), Horner in
     u, phase = cos(s alpha) cos(m theta) - sin(s alpha) sin(m theta), the sum
-    over pairs, and the factor exp(-pi u).  `eval` returns v and a radius E
-    with |v - f_mp| <= E, where f_mp is `MpEvaluator.eval` at the same point.
-    It is `radial`, the alpha-free part (u, the z_n, the Horner sums, exp(-pi
-    u) and E), then `pair_sum`, the phases and the sum over pairs.  Every
-    operation acts on one point at a time, so rows taken from a `radial` of
-    many points give each point the same v and E bits as `eval` on it alone,
-    and the bound below holds for each of them.
+    over pairs, and the factor exp(-pi u).  `radial` computes the alpha-free
+    part (u, the z_n, the Horner sums, exp(-pi u) and a radius E) and
+    `pair_sum` the phases and the sum over pairs, v; |v - f_mp| <= E, where
+    f_mp is `MpEvaluator.eval` at the same point.  Every operation acts on
+    one point at a time, so rows taken from a `radial` of many points give
+    each point the same v and E bits as a `radial` of it alone, and the
+    bound below holds for each of them.
 
     The bound (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3
     and 5) uses the unit roundoff ur = 2^-53, gamma_n = n ur/(1 - n ur) and
@@ -732,7 +732,7 @@ class FloatEvaluator:
                 np.array([float(sin_table[s]) for s in self.s]) * self.sign)
 
     def radial(self, x, y) -> _Radial:
-        """The alpha-free part of `eval` at the points (x, y), E included."""
+        """The alpha-free part of f at the points (x, y), E included."""
         u = x * x + y * y
         rho = np.sqrt(u)
         nz = rho > 0
@@ -751,14 +751,9 @@ class FloatEvaluator:
         return _Radial(z.real, z.imag, acc[..., : self.n_pairs], g, E)
 
     def pair_sum(self, part: _Radial, cos_s, sin_s):
-        """v from a `radial` part (or rows taken from one); cos_s, sin_s as in `eval`."""
+        """v from a `radial` part (or rows taken from one); cos_s, sin_s: one row of `tables`, or one per point."""
         phase = cos_s * part.cos_m - sin_s * part.sin_m
         return (part.poly * phase).sum(axis=-1) * part.g
-
-    def eval(self, x, y, cos_s, sin_s):
-        """v and E at the points (x, y); cos_s, sin_s: one row of `tables`, or one per point."""
-        part = self.radial(x, y)
-        return self.pair_sum(part, cos_s, sin_s), part.E
 
 
 def tensor_hash(t: CoefficientTensor) -> str:
@@ -807,32 +802,49 @@ class SignVerification:
         self.failures = [tuple(f) for f in self.failures]
 
 
-def _screen(xlo, ylo, h, geo, margin):
-    """Disk, erosion and region tests of the boxes [xlo, xlo+2h] x [ylo, ylo+2h].
+class _Boxes(NamedTuple):
+    """Boxes [xlo, xhi] x [ylo, yhi] with centres (cx, cy); disk: meets the unit disk,
+    centre_disk: the centre lies in it (`_boxes`)."""
 
-    `geo` stacks the normal components and offsets (n.x <= c inside) of the
-    Minkowski difference, shape (3, edges, 1) for one alpha or (3, edges,
-    boxes) for one alpha per box.  Returns (keep, region, cx, cy): keep marks
-    boxes that meet the unit disk and are not inside the difference for
-    every alpha within `margin`; region marks box centres in the region.
-    Per edge the erosion test takes the corner maximizing n.p; rounding is
-    monotone, so that corner's rounded value is the largest of the four and
-    the test equals the one over all corners.
-    """
-    n0, n1, off = geo
+    xlo: np.ndarray
+    xhi: np.ndarray
+    ylo: np.ndarray
+    yhi: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    disk: np.ndarray
+    centre_disk: np.ndarray
+
+
+def _boxes(xlo, ylo, h) -> _Boxes:
+    """The alpha-free part of the screen of the boxes [xlo, xlo+2h] x [ylo, ylo+2h]."""
     xhi = xlo + 2 * h
     yhi = ylo + 2 * h
     nx = np.where((xlo > 0) | (xhi < 0), np.minimum(np.abs(xlo), np.abs(xhi)), 0.0)
     ny = np.where((ylo > 0) | (yhi < 0), np.minimum(np.abs(ylo), np.abs(yhi)), 0.0)
-    px = np.where(n0 >= 0, xhi, xlo)
-    py = np.where(n1 >= 0, yhi, ylo)
-    inside = (n0 * px + n1 * py <= off - margin - 1e-12).all(axis=0)
     cx = xlo + h
     cy = ylo + h
-    centre_inside = (n0 * cx + n1 * cy <= off - 1e-12).all(axis=0)
-    keep = ~(nx * nx + ny * ny > 1.0) & ~inside
-    region = (cx * cx + cy * cy <= 1.0) & ~centre_inside
-    return keep, region, cx, cy
+    return _Boxes(xlo, xhi, ylo, yhi, cx, cy, ~(nx * nx + ny * ny > 1.0), cx * cx + cy * cy <= 1.0)
+
+
+def _screen(boxes: _Boxes, pos, geo, margin):
+    """Erosion and region tests of the boxes at the positions pos of `boxes`, one per slot.
+
+    `geo` stacks the normal components and offsets (n.x <= c inside) of the
+    Minkowski difference, shape (3, edges, 1) for one alpha or (3, edges,
+    slots) for one alpha per slot.  Returns (keep, region): keep marks
+    slots whose box meets the unit disk and is not inside the difference
+    for every alpha within `margin`; region marks slots whose box centre is
+    in the region.  Per edge the erosion test takes the corner maximizing
+    n.p; rounding is monotone, so that corner's rounded value is the
+    largest of the four and the test equals the one over all corners.
+    """
+    n0, n1, off = geo
+    px = np.where(n0 >= 0, boxes.xhi[pos], boxes.xlo[pos])
+    py = np.where(n1 >= 0, boxes.yhi[pos], boxes.ylo[pos])
+    inside = (n0 * px + n1 * py <= off - margin - 1e-12).all(axis=0)
+    centre_inside = (n0 * boxes.cx[pos] + n1 * boxes.cy[pos] <= off - 1e-12).all(axis=0)
+    return boxes.disk[pos] & ~inside, boxes.centre_disk[pos] & ~centre_inside
 
 
 class _Leaders:
@@ -922,9 +934,12 @@ def verify_nonpositivity(
     budgets are checked before each such subtree, so a run that exhausts
     them stops after the subtree in which it does, and every box decided is
     counted.  Failures count in stream order, then subtree by subtree, each
-    level by level in slot order.  The stream pass computes the alpha-free
-    part of f (`FloatEvaluator.radial`) once for the grid_n^2 box centres
-    and takes each slice's kept boxes from it.  Every value comes first from
+    level by level in slot order.  A `batch` holds its boxes as slots into
+    distinct positions and distinct alphas, known from how the level is
+    built, so the alpha-free work runs per position: the disk test and the
+    centres (once for the stream grid), and `FloatEvaluator.radial` (once
+    for the stream grid; per run of the refinement, on the positions its
+    kept boxes use).  Every value comes first from
     `FloatEvaluator` as v with a proved radius E, |v - f_mp| <= E: Higham's
     gamma_n bounds for u = x^2 + y^2, the angle-addition recurrence, Horner,
     the pair sum and exp give
@@ -993,6 +1008,7 @@ def verify_nonpositivity(
         return got
 
     mp_values: dict[tuple, float] = {}
+    radial_rows = 0  # positions the refinement's `radial` calls evaluate
 
     def exact(cx, cy, amid):
         """fc by MpEvaluator, once per box."""
@@ -1006,48 +1022,54 @@ def verify_nonpositivity(
         """fc of a box item: hi when the enclosure is a single float, else by mp."""
         return hi if lo == hi else exact(cx, cy, amid)
 
-    def batch(xlo, ylo, alphas, h, ha, depth, centres: _Radial | None = None) -> _Level:
-        """Screen, evaluate and decide the boxes [xlo, xlo+2h] x [ylo, ylo+2h] x [alpha -/+ ha] at `depth`.
+    def batch(boxes: _Boxes, alphas, pos, aix, h, ha, depth, centres: _Radial | None = None) -> _Level:
+        """Screen, evaluate and decide the slots (pos, aix) of one level at `depth`.
 
-        Takes `cap` boxes at a time.  Each box's geometry and table row come
-        from `alpha_data`; with one distinct alpha they broadcast over all
-        boxes (a copy per box made the paper-default verifier 1.8x slower).
-        The stream pass passes `centres`, the `FloatEvaluator.radial` part
-        of every box centre, and the kept boxes' rows are taken from it.
-        Ambiguous decisions are resolved by mp, collapsing lo and hi to fc.
+        Slot i is the box at position pos[i] of `boxes` times [alpha -/+ ha],
+        alpha = alphas[aix[i]], for distinct positions and alphas.  Takes
+        `cap` slots at a time.  Each alpha's geometry and table row come
+        from `alpha_data`; with one alpha they broadcast over all slots (a
+        copy per slot made the paper-default verifier 1.8x slower).  The
+        kept slots take their positions' rows of `centres` (the stream's
+        `FloatEvaluator.radial`), or else of one `radial` per run on the
+        positions they use.  Ambiguous decisions are resolved by mp,
+        collapsing lo and hi to fc.
         """
-        uniq, inv = np.unique(alphas, return_inverse=True)
-        one = uniq.size == 1
-        data = [alpha_data(a) for a in uniq.tolist()]
+        nonlocal radial_rows
+        data = [alpha_data(a) for a in alphas.tolist()]
+        one = len(data) == 1
         geo = np.concatenate([d[0] for d in data], axis=2)
         cos_u, sin_u = (np.array([d[3][k] for d in data]) for k in (0, 1))
         a, b = L_x * math.sqrt(2.0) * h, L_a * ha
         at_cap = depth >= max_depth
         runs = []
-        for i in range(0, xlo.size, cap):
-            s = slice(i, i + cap)
-            u = slice(None) if one else inv[s]
-            keep, region, cx, cy = _screen(xlo[s], ylo[s], h, geo[:, :, u], rate * ha)
+        for i in range(0, pos.size, cap):
+            p, u = pos[i : i + cap], aix[i : i + cap]
+            keep, region = _screen(boxes, p, geo if one else geo[:, :, u], rate * ha)
             idx = np.flatnonzero(keep)
-            cx, cy, region = cx[idx], cy[idx], region[idx]
-            w = 0 if one else u[idx]
+            p, u, region = p[idx], u[idx], region[idx]
+            cx, cy = boxes.cx[p], boxes.cy[p]
             if centres is None:
-                v, E = fe.eval(cx, cy, cos_u[w], sin_u[w])
+                used = np.zeros(boxes.cx.size, bool)
+                used[p] = True
+                sel = np.flatnonzero(used)
+                part = fe.radial(boxes.cx[sel], boxes.cy[sel]).take((np.cumsum(used) - 1)[p])
+                radial_rows += sel.size
             else:
-                part = centres.take(idx + i)
-                v, E = fe.pair_sum(part, cos_u[w], sin_u[w]), part.E
+                part = centres.take(p)
+            w = 0 if one else u
+            v, E = fe.pair_sum(part, cos_u[w], sin_u[w]), part.E
             lo, hi = v - E, v + E
             glo, ghi = lo + a + b, hi + a + b
             amb = (glo <= 0.0) & (ghi > 0.0)
             if not at_cap:
                 amb |= (ghi > 0.0) & region & (lo <= 0.0) & (hi > 0.0)
             for j in np.flatnonzero(amb).tolist():
-                lo[j] = hi[j] = exact(float(cx[j]), float(cy[j]), float(alphas[i + idx[j]]))
+                lo[j] = hi[j] = exact(float(cx[j]), float(cy[j]), float(alphas[u[j]]))
             glo, ghi = lo + a + b, hi + a + b
             action = np.where(ghi <= 0.0, 0, np.where(at_cap | (region & (lo > 0.0)), 1, 2))
-            runs.append((idx + i, cx, cy, region, lo, hi, glo, ghi, action, amb))
-        kept, *rest = map(np.concatenate, zip(*runs))
-        return _Level(xlo.size, a, b, kept, alphas[kept], *rest)
+            runs.append((idx + i, alphas[u], cx, cy, region, lo, hi, glo, ghi, action, amb))
+        return _Level(pos.size, a, b, *map(np.concatenate, zip(*runs)))
 
     def fail(item):
         nonlocal n_failures
@@ -1074,11 +1096,13 @@ def verify_nonpositivity(
     xlo0 = np.tile(edges0, sample_spec.grid_n)  # row-major: iy outer, ix inner
     ylo0 = np.repeat(edges0, sample_spec.grid_n)
     h0, ha0 = 0.5 * dx0, 0.5 * dalpha
-    centres0 = fe.radial(xlo0 + h0, ylo0 + h0)  # the centres as `_screen` forms them
+    boxes0 = _boxes(xlo0, ylo0, h0)  # the grid's disk tests and centres, for every slice
+    centres0 = fe.radial(boxes0.cx, boxes0.cy)
+    pos0, aix0 = np.arange(cap), np.zeros(cap, np.intp)
     split0: list = []  # level-0 boxes (xlo, ylo, alpha) to refine
     for ia in range(sample_spec.alpha_count):
         amid = alpha_lo + (ia + 0.5) * dalpha
-        lv = batch(xlo0, ylo0, np.full(xlo0.size, amid), h0, ha0, 0, centres0)
+        lv = batch(boxes0, np.array([amid]), pos0, aix0, h0, ha0, 0, centres0)
         stream_points += int(lv.region.sum())
         reg = np.flatnonzero(lv.region)
         sign.add_many(lv.lo[reg], lv.hi[reg], lambda j: lv.item(reg[j]))
@@ -1091,22 +1115,32 @@ def verify_nonpositivity(
 
         Level k holds the 8 children of each box that split at level k - 1,
         per parent in the order da in (-ha/2, ha/2), then ddx in (0, h),
-        then ddy in (0, h).
+        then ddy in (0, h).  Its distinct positions are the 4 corners of
+        each parent position that splits, its distinct alphas the 2 halves
+        of each such parent alpha (the same float sums as per box); a mask
+        and `cumsum` over the parents' indices give the children's.
         """
         x, y, al = (np.array([v]) for v in box)
+        pos = aix = np.zeros(1, np.intp)  # the split boxes' position and alpha
+        child = np.arange(8)  # child j: corner j % 4 of its parent's position, alpha half j // 4
         h, ha = h0, ha0
         levels = []
         for depth in range(1, max_depth + 1):
-            if not x.size:
+            if not pos.size:
                 break
-            xs = (x[:, None] + np.array([0.0, 0.0, h, h] * 2)).ravel()
-            ys = (y[:, None] + np.array([0.0, h, 0.0, h] * 2)).ravel()
+            at_pos, at_alpha = np.zeros(x.size, bool), np.zeros(al.size, bool)
+            at_pos[pos] = True
+            at_alpha[aix] = True
+            xs = (x[at_pos][:, None] + np.array([0.0, 0.0, h, h])).ravel()
+            ys = (y[at_pos][:, None] + np.array([0.0, h, 0.0, h])).ravel()
             h, ha = 0.5 * h, 0.5 * ha
-            als = (al[:, None] + np.repeat([-ha, ha], 4)).ravel()
-            lv = batch(xs, ys, als, h, ha, depth)
+            als = (al[at_alpha][:, None] + np.array([-ha, ha])).ravel()
+            pos = ((np.cumsum(at_pos) - 1)[pos, None] * 4 + child % 4).ravel()
+            aix = ((np.cumsum(at_alpha) - 1)[aix, None] * 2 + child // 4).ravel()
+            lv = batch(_boxes(xs, ys, h), als, pos, aix, h, ha, depth)
             levels.append(lv)
             split = lv.kept[lv.action == 2]
-            x, y, al = xs[split], ys[split], als[split]
+            x, y, al, pos, aix = xs, ys, als, pos[split], aix[split]
         return levels
 
     # Refinement pass, bounded by the failure and evaluation budgets, which
@@ -1143,10 +1177,11 @@ def verify_nonpositivity(
         notes += "; refinement aborted at the failure/evaluation budget"
     log.info(
         "verify: %d level-0 boxes, %d evaluations, %d decisions settled in float, "
-        "%d mp fallbacks, evaluations by depth %s, %d screened out, %d discharged, %d failed, "
-        "%d split, %d of %d Lipschitz panels by mp in %.2f s, %.2f s",
+        "%d mp fallbacks, evaluations by depth %s, %d positions evaluated for %d refinement slots, "
+        "%d screened out, %d discharged, %d failed, %d split, %d of %d Lipschitz panels by mp in %.2f s, %.2f s",
         sample_spec.alpha_count * sample_spec.grid_n**2, evaluations, evaluations - decided_by_mp,
-        len(mp_values), "/".join(map(str, by_depth)), *outcomes.tolist(),
+        len(mp_values), "/".join(map(str, by_depth)), radial_rows, evaluations - by_depth[0],
+        *outcomes.tolist(),
         lip_mp, lip_all, lipschitz_s, time.perf_counter() - started,
     )
     return SignVerification(

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import logging
 import math
@@ -748,7 +749,8 @@ def test_float_evaluator_encloses_mp_value():
             x, y = rng.uniform(-1.0, 1.0, (2, 300))
             x[:6] = [0.0, 1.0, -1.0, 1.0, 1.0 - 1e-9, -1.0]
             y[:6] = [0.0, 1.0, 1.0, -1.0, 1.0, -1.0 + 1e-9]
-            v, E = fe.eval(x, y, *fe.tables(cos_t, sin_t))
+            part = fe.radial(x, y)
+            v, E = fe.pair_sum(part, *fe.tables(cos_t, sin_t)), part.E
             f = np.array([float(ev.eval(a, b, cos_t, sin_t)) for a, b in zip(x.tolist(), y.tolist())])
             assert np.all(np.abs(v - f) <= E)
             checked += x.size
@@ -756,11 +758,11 @@ def test_float_evaluator_encloses_mp_value():
 
 
 def test_split_float_evaluator_equals_eval_bit_for_bit():
-    """`pair_sum` on rows taken from one `radial` call gives `eval`'s v and E, bits and all.
+    """`pair_sum` on rows taken from one `radial` call equals it on a `radial` of those points alone, bits and all.
 
-    As in the stream pass: the alpha-free part of a grid is computed once,
-    and subsets of its points are gathered, each with one table row for all
-    or one per point.
+    As in the verifier: the alpha-free part of a set of points is computed
+    once, and subsets of its points are gathered, each with one table row
+    for all or one per point.
     """
     rng = np.random.default_rng(85)
     paper_default = CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text())
@@ -777,7 +779,8 @@ def test_split_float_evaluator_equals_eval_bit_for_bit():
             per_box = rng.integers(0, len(cos_rows), size)
             for cos_s, sin_s in [(cos_rows[0], sin_rows[0]), (cos_rows[per_box], sin_rows[per_box])]:
                 part = grid.take(idx)
-                v, E = fe.eval(x[idx], y[idx], cos_s, sin_s)
+                alone = fe.radial(x[idx], y[idx])
+                v, E = fe.pair_sum(alone, cos_s, sin_s), alone.E
                 assert fe.pair_sum(part, cos_s, sin_s).tobytes() == v.tobytes()
                 assert part.E.tobytes() == E.tobytes()
 
@@ -971,6 +974,35 @@ def test_verify_golden_record(name):
     assert asdict(_run_golden(name)) == GOLDEN[name]
 
 
+# sha256 of repr(asdict(sv)) for the paper-default fixture at 256 bits, recorded
+# from the verifier that evaluated each refinement box's centre on its own;
+# unlike the GOLDEN cases these reach depth 6 with several alphas per level
+FIXTURE_SHA256 = {
+    (1.0, (9, 32, 4)): "45f37ae6cce986234601131d906746d47ab5799821c2c210652a345eabc3566f",
+    (1.0, (5, 24, 6)): "7fffee30b74f3272c7c9fcee8efb7b785627345ba51b45cd5d123b4c2bb6ad9a",
+    (1.0, (3, 16, 2)): "436213f9b84159dfc444dbd6348f81b457f08a3015e4355294a7e66ac9f176a3",
+    (1.02, (9, 32, 4)): "546936e3e47673ee2d9043e72ed0cd664210cf821c96754a751a991ddb2b6135",
+    (1.02, (5, 24, 6)): "a4b1a990e1e24deb9bc815e449344779e1b3002893de8aa7280e6b1e6152ccaf",
+    (1.02, (3, 16, 2)): "18ccff9e1bd129b394329e7947940ffd682e7e85b2088a078849e5518b8f8364",
+    (1.04, (9, 32, 4)): "2bf1824713d27e5cf22e4b7c8203b422a96a94fa6d7c17511433507fdd6f65c0",
+    (1.04, (5, 24, 6)): "936d85fe6df18b75c9c5256c419e7d875f355ac84ccff05e5eec17aaa765d8ac",
+    (1.04, (3, 16, 2)): "79d8da6ecb130731aff98d3a65e63f44d4fb9f1c90b64f171428565c9ffcef45",
+    (1.05, (9, 32, 4)): "0f07a82157a3c6f2777cd2e2af0050ccae068119302df898031a6a90326ff2fb",
+    (1.05, (5, 24, 6)): "da11171c133ff66c9afe72098748cdd8de0cb48ebe5cd8df1f4b5f4630249948",
+    (1.05, (3, 16, 2)): "a98f33d1328213f7f8369fa1fc9d4b8f78ca7d25da7d9558f5ae9bcfce6769ff",
+    (1.06, (9, 32, 4)): "d6338891e69d4468d381e09fddf200898c019e02f25501bcad0effaa2b189c60",
+    (1.06, (5, 24, 6)): "c138a6538b4d064cc5a167292ecf971e7267d229f0f895b9a1bfb7727a76f4ac",
+    (1.06, (3, 16, 2)): "18993c5f7daef57eeb8db1d9893efe5a3eacfeac021d1df8c928944414c5fb28",
+}
+
+
+@pytest.mark.parametrize("enlargement, spec", list(FIXTURE_SHA256))
+def test_verify_fixture_golden_sha256(enlargement, spec):
+    t = CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text())
+    sv = verify_nonpositivity(t, enlargement, VerifySpec(*spec), 256)
+    assert hashlib.sha256(repr(asdict(sv)).encode()).hexdigest() == FIXTURE_SHA256[enlargement, spec]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_verify_mp_fallback_golden_record(name, monkeypatch, caplog):
     """With an infinite error radius every decision goes to mp; nothing changes."""
@@ -1000,30 +1032,33 @@ def test_verify_mp_fallback_golden_record(name, monkeypatch, caplog):
 def test_verify_refines_in_batches_of_at_most_grid_n_squared(monkeypatch):
     """Each level of a subtree is decided in runs of at most grid_n^2 boxes, the stream pass's batch size.
 
-    The refinement evaluates by `eval`; the stream pass takes the alpha-free
-    part of its grid_n^2 centres from one `radial` call and sums each slice's
-    pairs by `pair_sum`, which `eval` calls too.
+    The stream pass takes the alpha-free part of its grid_n^2 centres from
+    one `radial` call and sums each slice's pairs by `pair_sum`.  The
+    refinement's `radial` calls get the distinct positions its kept boxes
+    use, fewer in all than those boxes.
     """
-    sizes = {"eval": [], "radial": [], "pair_sum": []}
+    rows, sums = [], []  # the (x, y) rows of each `radial` call; the size of each `pair_sum`
+    radial, pair_sum = FloatEvaluator.radial, FloatEvaluator.pair_sum
 
-    def recording(name, size):
-        method = getattr(FloatEvaluator, name)
+    def radial_recorded(self, x, y):
+        rows.append(list(zip(x.tolist(), y.tolist())))
+        return radial(self, x, y)
 
-        def recorded(self, first, *args):
-            sizes[name].append(size(first))
-            return method(self, first, *args)
+    def pair_sum_recorded(self, part, *args):
+        sums.append(part.E.size)
+        return pair_sum(self, part, *args)
 
-        return recorded
-
-    for name, size in [("eval", np.size), ("radial", np.size), ("pair_sum", lambda part: part.E.size)]:
-        monkeypatch.setattr(FloatEvaluator, name, recording(name, size))
+    monkeypatch.setattr(FloatEvaluator, "radial", radial_recorded)
+    monkeypatch.setattr(FloatEvaluator, "pair_sum", pair_sum_recorded)
     sv = _run_golden("deep")
     assert asdict(sv) == GOLDEN["deep"]
     grid_n, alpha_count = GOLDEN_CASES["deep"][2].grid_n, GOLDEN_CASES["deep"][2].alpha_count
-    assert max(max(v) for v in sizes.values()) <= grid_n**2
-    # one radial call for the stream's centres, then one per refinement eval
-    assert sizes["radial"][0] == grid_n**2 and len(sizes["radial"]) == len(sizes["eval"]) + 1
-    assert sum(sizes["pair_sum"]) >= sv.evaluations and len(sizes["pair_sum"]) > alpha_count
+    assert max(max(map(len, rows)), max(sums)) <= grid_n**2
+    assert len(rows[0]) == grid_n**2
+    # the refinement's radial rows are pairwise-distinct positions, fewer than its kept boxes
+    assert all(len(set(r)) == len(r) for r in rows[1:])
+    assert 0 < sum(map(len, rows[1:])) < sum(sums[alpha_count:])
+    assert sum(sums) >= sv.evaluations and len(sums) > alpha_count
 
 
 def test_verify_logs_one_summary_line(caplog):
@@ -1035,8 +1070,8 @@ def test_verify_logs_one_summary_line(caplog):
     assert "decisions settled in float" in lines[0] and "mp fallbacks" in lines[0]
     assert re.search(r", 1 of 24 Lipschitz panels by mp in \d+\.\d\d s, ", lines[0])
     # per depth and per outcome, from the subtree records of this run
-    assert (", 21 mp fallbacks, evaluations by depth 672/4/20, 1072 screened out, 0 discharged, "
-            "202 failed, 494 split, 1 of 24 ") in lines[0]
+    assert (", 21 mp fallbacks, evaluations by depth 672/4/20, 7 positions evaluated for 24 "
+            "refinement slots, 1072 screened out, 0 discharged, 202 failed, 494 split, 1 of 24 ") in lines[0]
     by_depth = re.search(r"evaluations by depth ([\d/]+),", lines[0])[1]
     assert sum(map(int, by_depth.split("/"))) == sv.evaluations == 202 + 494
 
