@@ -2,7 +2,7 @@
 
 from .fourier import CoefficientTensor, ModelParams, evaluate_f, lambda_of
 from .geometry import ConvexPolygon, constraint_sample, minkowski_difference, pentagon
-from .motion import Motion, MotionPoint, compose, from_polar, invert, to_polar
+from .motion import MotionPoint
 from .pipeline import RunConfig, run_all
 from .sdp import Block, LinearTerm, SdpProblem, SdpSolution
 from .solver import solve
@@ -15,19 +15,15 @@ __all__ = [
     "ConvexPolygon",
     "LinearTerm",
     "ModelParams",
-    "Motion",
     "MotionPoint",
     "RunConfig",
     "SdpProblem",
     "SdpSolution",
     "assemble_feasibility_variant",
     "assemble_problem_A",
-    "compose",
     "constraint_sample",
     "evaluate_f",
     "final_bound",
-    "from_polar",
-    "invert",
     "lambda_of",
     "minkowski_difference",
     "pentagon",
@@ -35,7 +31,6 @@ __all__ = [
     "recover_tensor",
     "run_all",
     "solve",
-    "to_polar",
     "verify_nonpositivity",
 ]
 

@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 from mpmath import mp
 from mpmath.libmp import (
-    fone, from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow_int, mpf_sqrt,
-    mpf_sub, round_nearest,
+    fone, from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_mul_int, mpf_neg,
+    mpf_pow_int, mpf_sqrt, mpf_sub, round_nearest,
 )
 
 from .fourier import CoefficientTensor, evaluate_f, lambda_of
@@ -90,36 +90,22 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     return out, info
 
 
-def _residual_mp(rhs, terms):
-    """(sum w x - rhs, sum w^2) over the (weight, value) pairs, at the working precision.
-
-    Weights are rounded to the working precision, values lifted exactly.
-    """
-    acc = -mp.mpf(rhs)
-    nrm = mp.mpf(0)
-    for w, x in terms:
-        w = mp.mpf(w)
-        acc += w * mp.mpf(float(x))
-        nrm += w * w
-    return acc, nrm
-
-
-def _float_row_terms(t: LinearTerm, blocks: dict):
-    """(coefficient, block entry) over the nonzero coefficients of a float row."""
+def _float_row(t: LinearTerm, blocks: dict) -> tuple[np.ndarray, np.ndarray, float]:
+    """(weights, values, rhs) of a float row over its nonzero coefficients, in C order per block."""
+    weights, values = [np.zeros(0)], [np.zeros(0)]
     for lab, c in t.coeffs.items():
-        x = np.asarray(blocks[lab])
-        for idx, cv in np.ndenumerate(np.asarray(c)):
-            if cv != 0.0:
-                yield cv, x[idx]
+        c = np.asarray(c)
+        weights.append(c[c != 0.0])
+        values.append(np.asarray(blocks[lab])[c != 0.0])
+    return np.concatenate(weights), np.concatenate(values), t.rhs
 
 
 def _equality_rows(sol: SdpSolution, p: SdpProblem) -> list:
-    """(weights, values, rhs) of each equality row, weights and rhs mpf: the assembly's
-    high-precision rows when the problem carries them, else the float rows lifted."""
+    """(weights, values, rhs) of each equality row: the assembly's high-precision rows (mpf weights
+    and rhs) when the problem carries them, else the float rows."""
     if p.meta.get("hp_rows"):
         return [(list(c.values()), [sol.blocks[lab][i, j] for lab, i, j in c], rhs) for c, rhs, _ in p.meta["hp_rows"]]
-    rows = [(t.rhs, list(_float_row_terms(t, sol.blocks))) for t in p.eq_constraints]
-    return [([mp.mpf(float(w)) for w, _ in terms], [x for _, x in terms], mp.mpf(rhs)) for rhs, terms in rows]
+    return [_float_row(t, sol.blocks) for t in p.eq_constraints]
 
 
 def _gamma(n: int, unit: float) -> float:
@@ -136,51 +122,30 @@ def _dyadic(a) -> tuple[np.ndarray, int]:
     return m << np.where(nonzero, e - lo, 0).astype(object), lo
 
 
-def _row_bounds(rows: list, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Floats lo <= V <= hi for each row's V = abs(acc) / sqrt(nrm) of `_residual_mp`.
+def _residual(weights, values, rhs):
+    """(sum w x - rhs) / sqrt(sum w^2), an mpf, for float values and mpf or float weights and rhs.
 
-    A = sum w x - rhs is summed exactly in integers (w = +-man 2^exp from
-    `_mpf_`), so its float a errs by at most 2^-52 |A|, and f = |a| /
-    sqrt(N^), N^ = sum w^2 in float, by gamma_(n+8)(2^-53) f, n the row's
-    terms plus one (Higham, ch. 3).  `_residual_mp` rounds w, rhs, each
-    product and sum at `bits`: its acc is within gamma_(n+3) S of A, S = sum
-    |w x| + |rhs|, its nrm within gamma_(n+3) N, so with the sqrt and the
-    division V is within gamma_(2n+8)(2^-bits) (f + S / sqrt N) of A / sqrt
-    N.  Doubling both radii covers the rounding of S^ (formed like N^) and
-    of the radius.  Rows with a non-finite or over 1000-bit weight, a
-    non-finite value, or N^, a nonzero S^ or a nonzero f below 2^-1022
-    (rounding no longer relative) get (-inf, inf).
+    Each number is m 2^e exactly (the `_mpf_` of an mpf, `_dyadic` of a
+    float), so both sums are exact in Python integers; only the sqrt and the
+    division round, to nearest at the working precision.  NaN if a number is
+    not finite.
     """
-    lo, hi = np.full(len(rows), -math.inf), np.full(len(rows), math.inf)
-    for k, (weights, values, rhs) in enumerate(rows):
-        sign, man, exp, bc = (np.array(v, dtype=object) for v in zip(*(w._mpf_ for w in (*weights, rhs))))
-        x = np.array([*values, -1.0], dtype=float)
-        if not (np.isfinite(x).all() and ((man != 0) | (exp == 0)).all() and bc.max() <= 1000):
-            continue  # inf and nan have man 0 and exp != 0; float() of a longer man overflows
-        man, e0, (xm, xe) = np.where(sign.astype(bool), -man, man), exp.min(), _dyadic(x)
-        A = (man << (exp - e0)).dot(xm)  # sum w x - rhs = A 2^(e0 + xe)
-        s = max(A.bit_length() - 64, 0)
-        with np.errstate(all="ignore"):
-            w = np.ldexp(man.astype(float), exp.astype(np.int64))
-            N, S = np.dot(w[:-1], w[:-1]), np.dot(np.abs(w), np.abs(x))
-            f = abs(np.ldexp(float(A >> s), e0 + xe + s)) / np.sqrt(N)
-            r = 2.0 * (_gamma(len(x) + 8, 2.0**-53) * f + _gamma(2 * len(x) + 8, 2.0**-bits) * (f + S / np.sqrt(N)))
-        if min(N, S or 1.0, f or 1.0) >= np.finfo(float).tiny and np.isfinite(r):
-            lo[k], hi[k] = f - r, f + r
-    return lo, hi
-
-
-def _worst_residual_mp(rows: list) -> tuple[object, int]:
-    """Largest abs(acc) / sqrt(nrm) of `_residual_mp` over the rows, and how many rows went to mp:
-    those whose `_row_bounds` hi reaches the largest lo (one left out has value <= hi < max lo)."""
-    lo, hi = _row_bounds(rows, mp.prec)
-    keep = np.flatnonzero(hi >= lo.max(initial=-math.inf)).tolist()
-    worst = mp.mpf(0)
-    for k in keep:
-        weights, values, rhs = rows[k]
-        acc, nrm = _residual_mp(rhs, zip(weights, values))
-        worst = _nan_sticky(max, worst, abs(acc) / mp.sqrt(nrm))
-    return worst, len(keep)
+    x = np.array([*values, -1.0], dtype=float)  # the rhs is the weight of the value -1
+    if not np.isfinite(x).all():
+        return mp.nan
+    if isinstance(rhs, mp.mpf):
+        sign, man, exp, _ = (np.array(v, dtype=object) for v in zip(*(w._mpf_ for w in (*weights, rhs))))
+        if not ((man != 0) | (exp == 0)).all():  # inf and nan have man 0 and exp != 0
+            return mp.nan
+        wm, we = np.where(sign.astype(bool), -man, man) << (exp - exp.min()), int(exp.min())
+    else:
+        w = np.array([*weights, rhs], dtype=float)
+        if not np.isfinite(w).all():
+            return mp.nan
+        wm, we = _dyadic(w)
+    (xm, xe), prec, rnd = _dyadic(x), mp.prec, round_nearest
+    norm = mpf_sqrt(from_man_exp(wm[:-1].dot(wm[:-1]), 2 * we), prec, rnd)
+    return mp.make_mpf(mpf_div(from_man_exp(wm.dot(xm), we + xe), norm, prec, rnd))
 
 
 def _nan_sticky(f, a, b):
@@ -188,15 +153,14 @@ def _nan_sticky(f, a, b):
     return b if mp.isnan(b) else f(a, b)
 
 
-def _ineq_proved_satisfied(t: LinearTerm, blocks: dict, precision_bits: int) -> bool:
-    """True only if `_residual_mp` of the row, sum <c, x> - rhs, is negative.
+def _ineq_proved_satisfied(t: LinearTerm, blocks: dict) -> bool:
+    """True only if the row's exact residual, sum <c, x> - rhs, is negative.
 
     In float64, acc = sum vdot(c, x) - rhs is within gamma_n(2^-53) S of the
     exact residual for any summation order (Higham, ch. 3), S = sum
-    vdot(|c|, |x|) + |rhs| and n = 1 + sum (size + 1) over the blocks; the
-    mp value (lifted c, x, rhs, a rounded product and sum per term) is within
-    gamma_(3n)(2^-bits) S of it.  Doubling the radii covers the rounding of
-    S, the radius and the sum, so acc + radius < 0 as computed proves it.
+    vdot(|c|, |x|) + |rhs| and n = 1 + sum (size + 1) over the blocks.
+    Doubling the radius covers the rounding of S, the radius and the sum, so
+    acc + radius < 0 as computed proves it.
     """
     acc, S, n = -t.rhs, abs(t.rhs), 1
     for lab, c in t.coeffs.items():
@@ -204,7 +168,7 @@ def _ineq_proved_satisfied(t: LinearTerm, blocks: dict, precision_bits: int) -> 
         acc += np.vdot(c, x)
         S += np.vdot(np.abs(c), np.abs(x))
         n += c.size + 1
-    return bool(acc + 2.0 * (_gamma(n, 2.0**-53) + _gamma(3 * n, 2.0**-precision_bits)) * S < 0.0)
+    return bool(acc + 2.0 * _gamma(n, 2.0**-53) * S < 0.0)
 
 
 def _proved_positive_definite(b: np.ndarray, tau: float = 0.0) -> bool:
@@ -293,18 +257,18 @@ def feasibility_margin(
 ) -> tuple[float, float]:
     """Minimum block eigenvalue and worst constraint residual, recomputed.
 
-    Residuals are evaluated in extended precision against the assembly's
-    high-precision rows when the problem carries them (float rows are lifted
-    exactly otherwise), each normalized by its coefficient norm so the value
-    is the distance to the constraint hyperplane, which is the scale the
-    perturbation argument compares against the eigenvalues; inequality rows
-    count only their violation.  The eigenvalues are `mp.eigsy`'s.
+    Residuals are summed exactly (`_residual`) against the assembly's
+    high-precision rows when the problem carries them, else against the
+    float rows, each normalized by its coefficient norm so the value is the
+    distance to the constraint hyperplane, which is the scale the
+    perturbation argument compares against the eigenvalues; only that sqrt
+    and division round, at `precision_bits`.  Inequality rows count only
+    their violation, and one proved not violated in float64
+    (`_ineq_proved_satisfied`) is skipped.  The eigenvalues are `mp.eigsy`'s.
 
-    Exact sums and float64 only skip work that provably cannot change either
-    result.  `_worst_residual_mp` sends to `_residual_mp` only the equality
-    rows that can hold the worst; an inequality row proved not violated
-    (`_ineq_proved_satisfied`) is skipped, every other goes.  The minimum is
-    kept as an enclosure [lo, hi] of what eigsy on every block would give.
+    Float64 only skips eigenvalue work that provably cannot change the
+    minimum, which is kept as an enclosure [lo, hi] of what eigsy on every
+    block would give.
     Blocks go in order of their float `eigvalsh` minimum, a heuristic only;
     a block B is skipped when B - tau I is proved positive definite
     (`_proved_positive_definite`), tau = hi + 2^-(bits-20) ||B||_F rounded
@@ -312,20 +276,19 @@ def feasibility_margin(
     enclosure rounds to one float, so float(hi) is eigsy's.  That rests on
     one assumption: `mp.eigsy` at `precision_bits` is accurate to
     2^-(bits-20) ||B||_F (the norm computed in float).  A non-finite block
-    entry, or a NaN residual, makes that margin NaN, so no report certifies.
+    entry makes the eigenvalue margin NaN, and a non-finite number in a row
+    its residual, so no report certifies.
     """
     started = time.perf_counter()
     with mp.workprec(precision_bits):
         eq_rows = _equality_rows(sol, p)
-        worst, eq_to_mp = _worst_residual_mp(eq_rows)
-        to_mp = 0
-        for t in p.ineq_constraints:
-            if _ineq_proved_satisfied(t, sol.blocks, precision_bits):
-                continue
-            to_mp += 1
-            acc, nrm = _residual_mp(t.rhs, _float_row_terms(t, sol.blocks))
-            if nrm > 0:
-                worst = _nan_sticky(max, worst, acc / mp.sqrt(nrm))
+        ineq_rows = [_float_row(t, sol.blocks) for t in p.ineq_constraints if not _ineq_proved_satisfied(t, sol.blocks)]
+        worst = mp.mpf(0)
+        for row in eq_rows:
+            worst = _nan_sticky(max, worst, abs(_residual(*row)))
+        for row in ineq_rows:
+            if len(row[0]):  # a row with no nonzero weight has no hyperplane
+                worst = _nan_sticky(max, worst, _residual(*row))
         lo_eig, hi_eig, dense = mp.inf, mp.inf, []
         for b in p.blocks:
             x = np.asarray(sol.blocks[b.label])
@@ -349,9 +312,9 @@ def feasibility_margin(
                 box = (min(mp.eigsy(mp.matrix(x.tolist()), eigvals_only=True)),) * 2
                 eigsy_calls += 1
             lo_eig, hi_eig = _nan_sticky(min, lo_eig, box[0]), _nan_sticky(min, hi_eig, box[1])
-        log.info("margins: %d inequality rows decided in float, %d sent to mp, %d of %d equality rows sent to mp, "
+        log.info("margins: %d inequality rows decided in float, %d summed exactly, %d equality rows summed exactly, "
                  "%d blocks proved above the minimum, %d decided by enclosure, %d eigsy calls, minimum eigenvalue "
-                 "in [%s, %s], %.2f s", len(p.ineq_constraints) - to_mp, to_mp, eq_to_mp, len(eq_rows),
+                 "in [%s, %s], %.2f s", len(p.ineq_constraints) - len(ineq_rows), len(ineq_rows), len(eq_rows),
                  proved, enclosed, eigsy_calls, mp.nstr(lo_eig, 25), mp.nstr(hi_eig, 25), time.perf_counter() - started)
         return float(hi_eig), float(worst)
 

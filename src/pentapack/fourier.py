@@ -141,7 +141,7 @@ class CoefficientTensor:
             raise ValueError(f"malformed tensor header: {lines[1]!r}") from None
         params = ModelParams(N, d)
         n = 2 * params.N + 1
-        entries = np.zeros((n, n, params.d + 1))
+        entries, seen = np.zeros((n, n, params.d + 1)), set()
         for ln in lines[2:]:
             parts = ln.split()
             try:
@@ -152,6 +152,9 @@ class CoefficientTensor:
                 raise ValueError(f"tensor entry is not 'r s k value': {ln!r}") from None
             if max(abs(r), abs(s)) > params.N or not 0 <= k <= params.d or not math.isfinite(v):
                 raise ValueError(f"tensor entry out of range for N {params.N} d {params.d}: {ln!r}")
+            if (r, s, k) in seen:
+                raise ValueError(f"tensor entry repeats the slot of an earlier line: {ln!r}")
+            seen.add((r, s, k))
             entries[r + params.N, s + params.N, k] = v
         return cls(params, entries)
 

@@ -1,10 +1,9 @@
-"""Planar Euclidean motions.
+"""Planar Euclidean motions in polar form.
 
 A motion is a pair (x, A) acting on the plane as y -> x + A y, where A is a
-rotation.  Rotations are stored as angles so that composition stays exact
-modulo 2*pi; the 2x2 matrix is materialized on demand.  Points of the motion
-group are also used in a polar parametrization (rho, theta, alpha) with
-x = rho * (cos theta, sin theta) and A = A(alpha).
+rotation.  The package uses motions in the polar parametrization (rho,
+theta, alpha) with x = rho * (cos theta, sin theta) and A = A(alpha),
+rotations stored as angles; the 2x2 matrix is materialized on demand.
 """
 
 from __future__ import annotations
@@ -32,22 +31,6 @@ def rotation_matrix(alpha: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Motion:
-    """Euclidean motion (x, A(alpha)) in Cartesian form."""
-
-    x: tuple[float, float]
-    alpha: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", (float(self.x[0]), float(self.x[1])))
-        object.__setattr__(self, "alpha", wrap_angle(self.alpha))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return rotation_matrix(self.alpha)
-
-
-@dataclass(frozen=True)
 class MotionPoint:
     """Polar parametrization (rho, theta, alpha) of a motion.
 
@@ -69,36 +52,4 @@ class MotionPoint:
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
 
 
-IDENTITY = Motion((0.0, 0.0), 0.0)
 ORIGIN = MotionPoint(0.0, 0.0, 0.0)
-
-
-def compose(g: Motion, h: Motion) -> Motion:
-    """Group product (g.x + A(g.alpha) h.x, g.alpha + h.alpha)."""
-    c, s = math.cos(g.alpha), math.sin(g.alpha)
-    hx, hy = h.x
-    return Motion(
-        (g.x[0] + c * hx - s * hy, g.x[1] + s * hx + c * hy),
-        g.alpha + h.alpha,
-    )
-
-
-def invert(g: Motion) -> Motion:
-    """Group inverse (-A(alpha)^(-1) x, -alpha)."""
-    c, s = math.cos(-g.alpha), math.sin(-g.alpha)
-    gx, gy = g.x
-    return Motion((-(c * gx - s * gy), -(s * gx + c * gy)), -g.alpha)
-
-
-def from_polar(p: MotionPoint) -> Motion:
-    """Cartesian motion with x = rho (cos theta, sin theta)."""
-    return Motion(
-        (p.rho * math.cos(p.theta), p.rho * math.sin(p.theta)), p.alpha
-    )
-
-
-def to_polar(g: Motion) -> MotionPoint:
-    """Polar parametrization of g; theta is 0 when the translation vanishes."""
-    rho = math.hypot(g.x[0], g.x[1])
-    theta = math.atan2(g.x[1], g.x[0]) if rho > 0.0 else 0.0
-    return MotionPoint(rho, theta, g.alpha)

@@ -6,7 +6,9 @@ quadratures it is derived from live here, and so do the mpf-operator forms
 of the verifier's high-precision kernels, which run on mpmath.libmp calls,
 and the one-at-a-time forms of what the pipeline batches (tensor entries,
 radial constants, alpha tables, polygon edges), which the tests hold its
-results to bit for bit.  Nothing under `src/` imports this.
+results to bit for bit.  The motion group's Cartesian form (`Motion`,
+`compose`, `invert` and the polar maps) is here too: the package needs only
+the polar `MotionPoint`.  Nothing under `src/` imports this.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from mpmath import mp
 from scipy.integrate import quad
 from scipy.special import jv
 
-from pentapack.certify import _equality_rows, _float_row_terms, _residual_mp, _worst_residual_mp
+from pentapack.certify import _equality_rows, _float_row
 from pentapack.fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams, evaluate_f
 from pentapack.geometry import (
     _COLLINEAR_TOL,
@@ -31,12 +33,62 @@ from pentapack.geometry import (
     minkowski_difference,
     pentagon,
 )
-from pentapack.motion import MotionPoint, rotation_matrix
+from pentapack.motion import MotionPoint, rotation_matrix, wrap_angle
 from pentapack.sdp import SdpProblem, SdpSolution
 from pentapack.sos import BlockSpec, _f_entries, _products, block_specs, realize_basis
 from pentapack.specfun import coeff_D, coeff_D_mp, laguerre, laguerre_coeffs_exact
 
 A_MAX = 6.0  # quadrature truncation; e^(-pi a^2) < 1e-49 beyond
+
+
+@dataclass(frozen=True)
+class Motion:
+    """Euclidean motion (x, A(alpha)) in Cartesian form."""
+
+    x: tuple[float, float]
+    alpha: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", (float(self.x[0]), float(self.x[1])))
+        object.__setattr__(self, "alpha", wrap_angle(self.alpha))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return rotation_matrix(self.alpha)
+
+
+IDENTITY = Motion((0.0, 0.0), 0.0)
+
+
+def compose(g: Motion, h: Motion) -> Motion:
+    """Group product (g.x + A(g.alpha) h.x, g.alpha + h.alpha)."""
+    c, s = math.cos(g.alpha), math.sin(g.alpha)
+    hx, hy = h.x
+    return Motion(
+        (g.x[0] + c * hx - s * hy, g.x[1] + s * hx + c * hy),
+        g.alpha + h.alpha,
+    )
+
+
+def invert(g: Motion) -> Motion:
+    """Group inverse (-A(alpha)^(-1) x, -alpha)."""
+    c, s = math.cos(-g.alpha), math.sin(-g.alpha)
+    gx, gy = g.x
+    return Motion((-(c * gx - s * gy), -(s * gx + c * gy)), -g.alpha)
+
+
+def from_polar(p: MotionPoint) -> Motion:
+    """Cartesian motion with x = rho (cos theta, sin theta)."""
+    return Motion(
+        (p.rho * math.cos(p.theta), p.rho * math.sin(p.theta)), p.alpha
+    )
+
+
+def to_polar(g: Motion) -> MotionPoint:
+    """Polar parametrization of g; theta is 0 when the translation vanishes."""
+    rho = math.hypot(g.x[0], g.x[1])
+    theta = math.atan2(g.x[1], g.x[0]) if rho > 0.0 else 0.0
+    return MotionPoint(rho, theta, g.alpha)
 
 
 def coeff_C(r: int, s: int, k: int, rho: float) -> float:
@@ -351,10 +403,28 @@ def verification_sample(alpha_count: int, grid_n: int, scale: float) -> Iterator
             yield SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi), "verification")
 
 
+def _residual_mp(rhs, terms):
+    """(sum w x - rhs, sum w^2) over the (weight, value) pairs, at the working precision.
+
+    Weights are rounded to the working precision, values lifted exactly.
+    """
+    acc = -mp.mpf(rhs)
+    nrm = mp.mpf(0)
+    for w, x in terms:
+        w = mp.mpf(w)
+        acc += w * mp.mpf(float(x))
+        nrm += w * w
+    return acc, nrm
+
+
 def equality_residual_hp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) -> float:
-    """Worst normalized equality residual, recomputed in extended precision."""
+    """Worst normalized equality residual, recomputed in extended precision by `_residual_mp`."""
     with mp.workprec(precision_bits):
-        return float(_worst_residual_mp(_equality_rows(sol, p))[0])
+        worst = mp.mpf(0)
+        for weights, values, rhs in _equality_rows(sol, p):
+            acc, nrm = _residual_mp(rhs, zip(weights, values))
+            worst = max(worst, abs(acc) / mp.sqrt(nrm))
+        return float(worst)
 
 
 def margin_all_mp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) -> tuple[float, float]:
@@ -364,12 +434,13 @@ def margin_all_mp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) ->
             rows = [_residual_mp(rhs, ((w, sol.blocks[lab][i, j]) for (lab, i, j), w in coeffs.items()))
                     for coeffs, rhs, _label in p.meta["hp_rows"]]
         else:
-            rows = [_residual_mp(t.rhs, _float_row_terms(t, sol.blocks)) for t in p.eq_constraints]
+            rows = [_residual_mp(rhs, zip(w, x)) for w, x, rhs in (_float_row(t, sol.blocks) for t in p.eq_constraints)]
         worst = mp.mpf(0)
         for acc, nrm in rows:
             worst = max(worst, abs(acc) / mp.sqrt(nrm))
         for t in p.ineq_constraints:
-            acc, nrm = _residual_mp(t.rhs, _float_row_terms(t, sol.blocks))
+            w, x, rhs = _float_row(t, sol.blocks)
+            acc, nrm = _residual_mp(rhs, zip(w, x))
             if nrm > 0 and acc / mp.sqrt(nrm) > worst:
                 worst = acc / mp.sqrt(nrm)
         min_eig = mp.inf

@@ -21,13 +21,17 @@ from mpmath import mp
 from mpmath.ctx_iv import MPIntervalContext
 
 from oracles import (
+    compose,
     copies_disjoint,
     copies_disjoint_sat,
     equality_residual_hp,
     evaluate_f_quadrature,
+    from_polar,
     hankel_closed_form,
     hankel_integral_oracle,
+    invert,
     margin_all_mp,
+    to_polar,
 )
 from pentapack import certify, pipeline
 from pentapack.certify import (
@@ -47,7 +51,7 @@ from pentapack.geometry import (
     minkowski_difference,
     pentagon,
 )
-from pentapack.motion import MotionPoint, compose, from_polar, invert, to_polar
+from pentapack.motion import MotionPoint
 from pentapack.pipeline import RunConfig, build_sample, run_all
 from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution
 from pentapack.sdpa import export_sdpa, import_solution, parse_sdpa
@@ -573,18 +577,19 @@ def test_criterion_9_desk_scale_verification(paper_run):
 
 
 def test_feasibility_margin_at_the_published_configuration(paper_run, monkeypatch):
-    """The report's margins come from one equality row in mp and no eigsy call, and equal the all-mp route."""
+    """The report's margins come from the equality rows' exact sums alone and no eigsy call, and equal the
+    all-mp route."""
     cfg, outdir, report = paper_run
     problem = pipeline.build_problem(cfg)
     variant = pipeline._feasibility_variant(cfg, outdir, problem)
     projected = import_solution(pipeline._read(outdir / "projected.sol", cfg, "solution"), variant)
-    lifted, eigsy_calls = [], []
-    residual_mp, eigsy = certify._residual_mp, mp.eigsy
-    monkeypatch.setattr(certify, "_residual_mp", lambda rhs, terms: lifted.append(rhs) or residual_mp(rhs, terms))
+    summed, eigsy_calls = [], []
+    residual, eigsy = certify._residual, mp.eigsy
+    monkeypatch.setattr(certify, "_residual", lambda w, x, rhs: summed.append(rhs) or residual(w, x, rhs))
     monkeypatch.setattr(mp, "eigsy", lambda A, **kw: eigsy_calls.append(1) or eigsy(A, **kw))
     got = feasibility_margin(projected, problem)
     monkeypatch.undo()
     assert got == (report.min_block_eigenvalue, report.max_constraint_residual)
     assert not eigsy_calls
-    assert len(lifted) == 1 and isinstance(lifted[0], mp.mpf)  # an equality row's rhs
+    assert summed == [rhs for _, rhs, _ in problem.meta["hp_rows"]]  # every inequality row is decided in float
     assert got == margin_all_mp(projected, problem)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -165,14 +166,14 @@ def test_feasibility_margin_on_refined_problem(refined_small):
 
 
 def _traced_margin(sol, p, monkeypatch):
-    """feasibility_margin, with the rhs of each row it lifts and each matrix it hands to the
+    """feasibility_margin, with the rhs of each row it sums exactly and each matrix it hands to the
     eigenvalue enclosure and to eigsy."""
     rows, enclosed, eigsy_mats = [], [], []
-    residual_mp, enclosure, eigsy = certify._residual_mp, certify._min_eig_enclosure, mp.eigsy
+    residual, enclosure, eigsy = certify._residual, certify._min_eig_enclosure, mp.eigsy
 
-    def lifted(rhs, terms):
+    def summed(weights, values, rhs):
         rows.append(rhs)
-        return residual_mp(rhs, terms)
+        return residual(weights, values, rhs)
 
     def enclosing(x, precision_bits):
         enclosed.append(np.array(x))
@@ -182,7 +183,7 @@ def _traced_margin(sol, p, monkeypatch):
         eigsy_mats.append(np.array(A.tolist(), dtype=float))
         return eigsy(A, **kwargs)
 
-    monkeypatch.setattr(certify, "_residual_mp", lifted)
+    monkeypatch.setattr(certify, "_residual", summed)
     monkeypatch.setattr(certify, "_min_eig_enclosure", enclosing)
     monkeypatch.setattr(mp, "eigsy", counted)
     got = feasibility_margin(sol, p)
@@ -195,9 +196,12 @@ def test_feasibility_margin_equals_all_mp_reference(solved_small, monkeypatch):
     projected, _ = project_affine(sol, problem)
     got, rows, _, _ = _traced_margin(projected, problem, monkeypatch)
     assert got == margin_all_mp(projected, problem)
-    # the unrefined projection violates some inequality rows; they reach mp
-    # (the high-precision equality rows carry an mpf rhs, inequality rows a float one)
-    assert any(not isinstance(rhs, mp.mpf) for rhs in rows)
+    # every equality row is summed exactly, and so are the inequality rows the
+    # unrefined projection violates (the high-precision equality rows carry an
+    # mpf rhs, inequality rows a float one)
+    eq = [rhs for _, rhs, _ in problem.meta["hp_rows"]]
+    assert rows[: len(eq)] == eq
+    assert rows[len(eq):] and not any(isinstance(rhs, mp.mpf) for rhs in rows[len(eq):])
 
 
 def test_feasibility_margin_sends_a_violated_row_to_mp(refined_small, monkeypatch):
@@ -237,7 +241,7 @@ def test_feasibility_margin_logs_one_summary_line(refined_small, caplog):
         feasibility_margin(projected, problem)
     lines = [r.getMessage() for r in caplog.records if r.name == "pentapack.certify"]
     assert len(lines) == 1
-    assert "margins: 26 inequality rows decided in float, 0 sent to mp, 1 of 54 equality rows sent to mp, " in lines[0]
+    assert "margins: 26 inequality rows decided in float, 0 summed exactly, 54 equality rows summed exactly, " in lines[0]
     assert "7 blocks proved above the minimum, 1 decided by enclosure, 0 eigsy calls, " in lines[0]
     lo, hi = re.search(r"minimum eigenvalue in \[(\S+), (\S+)\]", lines[0]).groups()
     assert float(lo) <= float(hi)
@@ -325,7 +329,8 @@ def test_feasibility_margin_diag_minimum_ties_a_block_minimum(monkeypatch):
 
 
 def test_feasibility_margin_sends_both_near_tied_equality_rows_to_mp(monkeypatch):
-    """Two rows whose residuals differ by 1e-30 both reach mp; a row far below them does not."""
+    """Two rows whose residuals differ by 1e-30 keep that difference; every row, the one far below them too,
+    is summed exactly."""
     x = np.array([[0.75, 0.125], [0.125, 2.5]])
     with mp.workdps(50):
         w = {("X", 0, 0): mp.mpf(1) / 3, ("X", 0, 1): mp.mpf(2) / 7, ("X", 1, 1): mp.sqrt(2)}
@@ -333,12 +338,29 @@ def test_feasibility_margin_sends_both_near_tied_equality_rows_to_mp(monkeypatch
         rhs = [value - mp.mpf("1e-12"), value - mp.mpf("1e-12") - mp.mpf("1e-30"), value - mp.mpf("1e-14")]
     p = SdpProblem([Block("X", 2, "psd")], {}, [], [], {"hp_rows": [(w, r, f"row{k}") for k, r in enumerate(rhs)]})
     sol = SdpSolution(blocks={"X": x}, y=np.zeros(0), objective=0.0, status="optimal", gap=0.0, iterations=0)
-    got, lifted, _, _ = _traced_margin(sol, p, monkeypatch)
+    got, summed, _, _ = _traced_margin(sol, p, monkeypatch)
     assert got == margin_all_mp(sol, p)
-    assert lifted == rhs[:2]
+    assert summed == rhs
     with mp.workprec(128):
         norm = mp.sqrt(sum(c * c for c in w.values()))
         assert got[1] == float((mp.mpf("1e-12") + mp.mpf("1e-30")) / norm)
+
+
+@pytest.mark.parametrize("hp_rows", [True, False])
+def test_feasibility_margin_sums_a_cancelling_row_exactly(hp_rows):
+    """x_00 - x_11 = -2^-100 at X = diag(2^100, 2^100): the residual 2^-100 / sqrt(2) once read 0.0,
+    lost to cancellation in a 128-bit sum; here as a high-precision row and as a float row."""
+    weights, x = (1, -1), 2.0**100
+    if hp_rows:
+        row = ({("X", 0, 0): mp.mpf(weights[0]), ("X", 1, 1): mp.mpf(weights[1])}, -mp.mpf(2) ** -100, "row")
+        p = SdpProblem([Block("X", 2, "psd")], {}, [], [], {"hp_rows": [row]})
+    else:
+        p = SdpProblem([Block("X", 2, "psd")], {}, [LinearTerm({"X": np.diag(weights)}, -(2.0**-100))], [])
+    _, res = feasibility_margin(_margin_solution({"X": np.diag([x, x])}), p)
+    A = sum(w * Fraction(x) for w in weights) - Fraction(-(2.0**-100))
+    N = sum(w * w for w in weights)
+    assert Fraction(math.nextafter(res, 0.0)) ** 2 * N < A**2 < Fraction(math.nextafter(res, math.inf)) ** 2 * N
+    assert res == 5.578088954947358e-31
 
 
 # -- Lipschitz ---------------------------------------------------------------

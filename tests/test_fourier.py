@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from oracles import (
+    compose,
     evaluate_f_quadrature,
     evaluate_fhat,
+    from_polar,
+    invert,
     lambda_integral_oracle,
     matrix_coefficient_u,
     matrix_coefficient_u_quadrature,
     nonzero_items_ndenumerate,
     tau,
+    to_polar,
 )
 from pentapack.fourier import (
     CoefficientTensor,
@@ -21,7 +25,7 @@ from pentapack.fourier import (
     lambda_of,
     random_positive_tensor,
 )
-from pentapack.motion import MotionPoint, compose, from_polar, invert, to_polar
+from pentapack.motion import MotionPoint
 
 
 def unit_tensor(N=2, d=3):
@@ -204,10 +208,12 @@ def test_serialization_rejects_garbage():
 
 
 @pytest.mark.parametrize(
-    "line", ["-8 0 2 0.5", "0 6 0 1.0", "0 0 -1 0.25", "0 0 12 0.25", "0 0 0 nan", "0 0 0 inf", "0 0 0", "0 0 0 1 2"]
+    "line",
+    ["-8 0 2 0.5", "0 6 0 1.0", "0 0 -1 0.25", "0 0 12 0.25", "0 0 0 nan", "0 0 0 inf", "0 0 0", "0 0 0 1 2", "0 0 0 2.0"],
 )
 def test_loads_refuses_an_entry_outside_the_tensor(line):
-    """At N=5, d=11 each line names a slot outside the tensor, a non-finite value or the wrong field count."""
+    """At N=5, d=11 each line names a slot outside the tensor, a non-finite value, the wrong field count
+    or the slot of the line "0 0 0 1.0" before it, which a second value once silently replaced."""
     text = f"{CoefficientTensor.FORMAT_HEADER}\nN 5 d 11\n0 0 0 1.0\n{line}\n"
     with pytest.raises(ValueError, match=re.escape(repr(line))):
         CoefficientTensor.loads(text)

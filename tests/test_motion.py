@@ -3,16 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pentapack.motion import (
-    IDENTITY,
-    Motion,
-    MotionPoint,
-    compose,
-    from_polar,
-    invert,
-    rotation_matrix,
-    to_polar,
-)
+from oracles import IDENTITY, Motion, compose, from_polar, invert, to_polar
+from pentapack.motion import MotionPoint, rotation_matrix
 
 
 def random_motion(rng):
