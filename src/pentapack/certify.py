@@ -18,6 +18,7 @@ enlarged Minkowski difference is covered by the adaptive box pass below.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -102,10 +103,16 @@ def _float_row(t: LinearTerm, blocks: dict) -> tuple[np.ndarray, np.ndarray, flo
 
 def _equality_rows(sol: SdpSolution, p: SdpProblem) -> list:
     """(weights, values, rhs) of each equality row: the assembly's high-precision rows (mpf weights
-    and rhs) when the problem carries them, else the float rows."""
+    and rhs) when the problem carries them, else the float rows.  Refuses a row with no nonzero weight."""
     if p.meta.get("hp_rows"):
-        return [(list(c.values()), [sol.blocks[lab][i, j] for lab, i, j in c], rhs) for c, rhs, _ in p.meta["hp_rows"]]
-    return [_float_row(t, sol.blocks) for t in p.eq_constraints]
+        rows = [(list(c.values()), [sol.blocks[lab][i, j] for lab, i, j in c], rhs, label)
+                for c, rhs, label in p.meta["hp_rows"]]
+    else:
+        rows = [(*_float_row(t, sol.blocks), t.label) for t in p.eq_constraints]
+    for k, (weights, *_, label) in enumerate(rows):
+        if not any(w != 0 for w in weights):
+            raise ValueError(f"equality row {k} ({label!r}) has no nonzero weight, so no distance to its hyperplane")
+    return [row[:3] for row in rows]
 
 
 def _gamma(n: int, unit: float) -> float:
@@ -264,7 +271,8 @@ def feasibility_margin(
     perturbation argument compares against the eigenvalues; only that sqrt
     and division round, at `precision_bits`.  Inequality rows count only
     their violation, and one proved not violated in float64
-    (`_ineq_proved_satisfied`) is skipped.  The eigenvalues are `mp.eigsy`'s.
+    (`_ineq_proved_satisfied`) is skipped.  An equality row with no nonzero
+    weight raises ValueError.  The eigenvalues are `mp.eigsy`'s.
 
     Float64 only skips eigenvalue work that provably cannot change the
     minimum, which is kept as an enclosure [lo, hi] of what eigsy on every
@@ -767,7 +775,7 @@ class SignVerification:
 
 class _Boxes(NamedTuple):
     """Boxes [xlo, xhi] x [ylo, yhi] with centres (cx, cy); disk: meets the unit disk,
-    centre_disk: the centre lies in it (`_boxes`)."""
+    centre_disk: the centre lies in it; radial: `FloatEvaluator.radial` at the centres (`_boxes`)."""
 
     xlo: np.ndarray
     xhi: np.ndarray
@@ -777,17 +785,18 @@ class _Boxes(NamedTuple):
     cy: np.ndarray
     disk: np.ndarray
     centre_disk: np.ndarray
+    radial: _Radial
 
 
-def _boxes(xlo, ylo, h) -> _Boxes:
-    """The alpha-free part of the screen of the boxes [xlo, xlo+2h] x [ylo, ylo+2h]."""
+def _boxes(xlo, ylo, h, fe: FloatEvaluator) -> _Boxes:
+    """The alpha-free part of the screen and of f for the boxes [xlo, xlo+2h] x [ylo, ylo+2h]."""
     xhi = xlo + 2 * h
     yhi = ylo + 2 * h
     nx = np.where((xlo > 0) | (xhi < 0), np.minimum(np.abs(xlo), np.abs(xhi)), 0.0)
     ny = np.where((ylo > 0) | (yhi < 0), np.minimum(np.abs(ylo), np.abs(yhi)), 0.0)
     cx = xlo + h
     cy = ylo + h
-    return _Boxes(xlo, xhi, ylo, yhi, cx, cy, ~(nx * nx + ny * ny > 1.0), cx * cx + cy * cy <= 1.0)
+    return _Boxes(xlo, xhi, ylo, yhi, cx, cy, ~(nx * nx + ny * ny > 1.0), cx * cx + cy * cy <= 1.0, fe.radial(cx, cy))
 
 
 def _screen(boxes: _Boxes, pos, geo, margin):
@@ -899,10 +908,9 @@ def verify_nonpositivity(
     counted.  Failures count in stream order, then subtree by subtree, each
     level by level in slot order.  A `batch` holds its boxes as slots into
     distinct positions and distinct alphas, known from how the level is
-    built, so the alpha-free work runs per position: the disk test and the
-    centres (once for the stream grid), and `FloatEvaluator.radial` (once
-    for the stream grid; per run of the refinement, on the positions its
-    kept boxes use).  Every value comes first from
+    built, so the alpha-free work runs once per position, in the `_boxes`
+    of the level: the disk test, the centres and `FloatEvaluator.radial`
+    (for the stream grid once, for all its slices).  Every value comes first from
     `FloatEvaluator` as v with a proved radius E, |v - f_mp| <= E: Higham's
     gamma_n bounds for u = x^2 + y^2, the angle-addition recurrence, Horner,
     the pair sum and exp give
@@ -957,35 +965,25 @@ def verify_nonpositivity(
     outcomes = np.zeros(4, np.int64)  # screened out, discharged, failed, split
     sign, cert = _Leaders(), _Leaders()  # items from _Level.item
 
-    alpha_cache: dict[float, tuple] = {}
-
+    @functools.cache
     def alpha_data(amid):
-        got = alpha_cache.get(amid)
-        if got is None:
-            edges = minkowski_difference(amid, enlargement).edges()
-            edges += [((0.0, 0.0), math.inf)] * (10 - len(edges))  # 0.x <= inf; K - A(alpha)K has <= 5 + 5 edges
-            geo = np.array([[[n[0]] for n, _ in edges], [[n[1]] for n, _ in edges], [[c] for _, c in edges]])
-            cos_t, sin_t = ev.alpha_tables(amid)
-            got = (geo, cos_t, sin_t, fe.tables(cos_t, sin_t))
-            alpha_cache[amid] = got
-        return got
+        edges = minkowski_difference(amid, enlargement).edges()
+        edges += [((0.0, 0.0), math.inf)] * (10 - len(edges))  # 0.x <= inf; K - A(alpha)K has <= 5 + 5 edges
+        geo = np.array([[[n[0]] for n, _ in edges], [[n[1]] for n, _ in edges], [[c] for _, c in edges]])
+        cos_t, sin_t = ev.alpha_tables(amid)
+        return geo, cos_t, sin_t, fe.tables(cos_t, sin_t)
 
-    mp_values: dict[tuple, float] = {}
-    radial_rows = 0  # positions the refinement's `radial` calls evaluate
-
+    @functools.cache
     def exact(cx, cy, amid):
         """fc by MpEvaluator, once per box."""
-        key = (cx, cy, amid)
-        if key not in mp_values:
-            _, cos_t, sin_t, _ = alpha_data(amid)
-            mp_values[key] = float(ev.eval(cx, cy, cos_t, sin_t))
-        return mp_values[key]
+        _, cos_t, sin_t, _ = alpha_data(amid)
+        return float(ev.eval(cx, cy, cos_t, sin_t))
 
     def value(cx, cy, amid, lo, hi, *_):
         """fc of a box item: hi when the enclosure is a single float, else by mp."""
         return hi if lo == hi else exact(cx, cy, amid)
 
-    def batch(boxes: _Boxes, alphas, pos, aix, h, ha, depth, centres: _Radial | None = None) -> _Level:
+    def batch(boxes: _Boxes, alphas, pos, aix, h, ha, depth) -> _Level:
         """Screen, evaluate and decide the slots (pos, aix) of one level at `depth`.
 
         Slot i is the box at position pos[i] of `boxes` times [alpha -/+ ha],
@@ -993,12 +991,9 @@ def verify_nonpositivity(
         `cap` slots at a time.  Each alpha's geometry and table row come
         from `alpha_data`; with one alpha they broadcast over all slots (a
         copy per slot made the paper-default verifier 1.8x slower).  The
-        kept slots take their positions' rows of `centres` (the stream's
-        `FloatEvaluator.radial`), or else of one `radial` per run on the
-        positions they use.  Ambiguous decisions are resolved by mp,
-        collapsing lo and hi to fc.
+        kept slots take their positions' rows of `boxes.radial`.  Ambiguous
+        decisions are resolved by mp, collapsing lo and hi to fc.
         """
-        nonlocal radial_rows
         data = [alpha_data(a) for a in alphas.tolist()]
         one = len(data) == 1
         geo = np.concatenate([d[0] for d in data], axis=2)
@@ -1011,15 +1006,7 @@ def verify_nonpositivity(
             keep, region = _screen(boxes, p, geo if one else geo[:, :, u], rate * ha)
             idx = np.flatnonzero(keep)
             p, u, region = p[idx], u[idx], region[idx]
-            cx, cy = boxes.cx[p], boxes.cy[p]
-            if centres is None:
-                used = np.zeros(boxes.cx.size, bool)
-                used[p] = True
-                sel = np.flatnonzero(used)
-                part = fe.radial(boxes.cx[sel], boxes.cy[sel]).take((np.cumsum(used) - 1)[p])
-                radial_rows += sel.size
-            else:
-                part = centres.take(p)
+            cx, cy, part = boxes.cx[p], boxes.cy[p], boxes.radial.take(p)
             w = 0 if one else u
             v, E = fe.pair_sum(part, cos_u[w], sin_u[w]), part.E
             lo, hi = v - E, v + E
@@ -1059,13 +1046,12 @@ def verify_nonpositivity(
     xlo0 = np.tile(edges0, sample_spec.grid_n)  # row-major: iy outer, ix inner
     ylo0 = np.repeat(edges0, sample_spec.grid_n)
     h0, ha0 = 0.5 * dx0, 0.5 * dalpha
-    boxes0 = _boxes(xlo0, ylo0, h0)  # the grid's disk tests and centres, for every slice
-    centres0 = fe.radial(boxes0.cx, boxes0.cy)
+    boxes0 = _boxes(xlo0, ylo0, h0, fe)  # the grid's alpha-free part, for every slice
     pos0, aix0 = np.arange(cap), np.zeros(cap, np.intp)
     split0: list = []  # level-0 boxes (xlo, ylo, alpha) to refine
     for ia in range(sample_spec.alpha_count):
         amid = alpha_lo + (ia + 0.5) * dalpha
-        lv = batch(boxes0, np.array([amid]), pos0, aix0, h0, ha0, 0, centres0)
+        lv = batch(boxes0, np.array([amid]), pos0, aix0, h0, ha0, 0)
         stream_points += int(lv.region.sum())
         reg = np.flatnonzero(lv.region)
         sign.add_many(lv.lo[reg], lv.hi[reg], lambda j: lv.item(reg[j]))
@@ -1073,8 +1059,10 @@ def verify_nonpositivity(
         split = lv.kept[lv.action == 2]
         split0.extend((x, y, amid) for x, y in zip(xlo0[split].tolist(), ylo0[split].tolist()))
 
+    radial_positions = 0  # positions of the refinement levels, each given the alpha-free part once
+
     def decide(box):
-        """Decide the whole subtree below a split level-0 box (xlo, ylo, alpha), a level at a time.
+        """Decide and tally the whole subtree below a split level-0 box (xlo, ylo, alpha), a level at a time.
 
         Level k holds the 8 children of each box that split at level k - 1,
         per parent in the order da in (-ha/2, ha/2), then ddx in (0, h),
@@ -1083,11 +1071,11 @@ def verify_nonpositivity(
         of each such parent alpha (the same float sums as per box); a mask
         and `cumsum` over the parents' indices give the children's.
         """
+        nonlocal radial_positions
         x, y, al = (np.array([v]) for v in box)
         pos = aix = np.zeros(1, np.intp)  # the split boxes' position and alpha
         child = np.arange(8)  # child j: corner j % 4 of its parent's position, alpha half j // 4
         h, ha = h0, ha0
-        levels = []
         for depth in range(1, max_depth + 1):
             if not pos.size:
                 break
@@ -1100,11 +1088,11 @@ def verify_nonpositivity(
             als = (al[at_alpha][:, None] + np.array([-ha, ha])).ravel()
             pos = ((np.cumsum(at_pos) - 1)[pos, None] * 4 + child % 4).ravel()
             aix = ((np.cumsum(at_alpha) - 1)[aix, None] * 2 + child // 4).ravel()
-            lv = batch(_boxes(xs, ys, h), als, pos, aix, h, ha, depth)
-            levels.append(lv)
+            lv = batch(_boxes(xs, ys, h, fe), als, pos, aix, h, ha, depth)
+            tally(lv, depth)
+            radial_positions += xs.size
             split = lv.kept[lv.action == 2]
             x, y, al, pos, aix = xs, ys, als, pos[split], aix[split]
-        return levels
 
     # Refinement pass, bounded by the failure and evaluation budgets, which
     # are checked before each split level-0 box (last-in first-out): a
@@ -1114,8 +1102,7 @@ def verify_nonpositivity(
         if n_failures >= max_failures or evaluations >= max_evaluations:
             aborted = True
             break
-        for depth, lv in enumerate(decide(box), 1):
-            tally(lv, depth)
+        decide(box)
 
     sign_margin = -math.inf
     witness = (0.0, 0.0, 0.0)
@@ -1143,7 +1130,7 @@ def verify_nonpositivity(
         "%d mp fallbacks, evaluations by depth %s, %d positions evaluated for %d refinement slots, "
         "%d screened out, %d discharged, %d failed, %d split, %d of %d Lipschitz panels by mp in %.2f s, %.2f s",
         sample_spec.alpha_count * sample_spec.grid_n**2, evaluations, evaluations - decided_by_mp,
-        len(mp_values), "/".join(map(str, by_depth)), radial_rows, evaluations - by_depth[0],
+        exact.cache_info().currsize, "/".join(map(str, by_depth)), radial_positions, evaluations - by_depth[0],
         *outcomes.tolist(),
         lip_mp, lip_all, lipschitz_s, time.perf_counter() - started,
     )

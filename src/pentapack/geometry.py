@@ -131,12 +131,11 @@ def contains_interior(p: ConvexPolygon, x) -> bool:
 
 @dataclass(frozen=True)
 class SamplePoint:
-    """Sampled motion (rho, theta, alpha) tagged by its role."""
+    """Sampled motion (rho, theta, alpha)."""
 
     rho: float
     theta: float
     alpha: float
-    tag: str  # "constraint" or "verification"
 
     @property
     def xy(self) -> tuple[float, float]:
@@ -196,5 +195,5 @@ def constraint_sample(
                     continue
                 rho = math.hypot(x, y)
                 theta = math.atan2(y, x) if rho > 0 else 0.0
-                out.append(SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi), "constraint"))
+                out.append(SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi)))
     return out

@@ -157,9 +157,7 @@ def build_sample(cfg: RunConfig) -> list[SamplePoint]:
                 if rho > 1.0 + 1e-12:
                     continue
                 theta = math.atan2(y, x) if rho > 0 else 0.0
-                extra.append(
-                    SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi), "constraint")
-                )
+                extra.append(SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi)))
     return pts + extra
 
 

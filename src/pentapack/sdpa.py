@@ -149,8 +149,9 @@ def export_solution(sol: SdpSolution, p: SdpProblem) -> str:
 def import_solution(text: str, p: SdpProblem) -> SdpSolution:
     """Parse a solution file and map blocks back onto the problem's labels.
 
-    Matrices are symmetrized as (M + M^T)/2; the objective is recomputed
-    from the imported primal blocks.
+    An entry line sets (i, j) and (j, i) of a psd block, so the matrices
+    are symmetric, and a later line for the same pair wins; the objective is
+    recomputed from the imported primal blocks.
     """
     blocks, _, eqs = standard_form(p)
     raw = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -185,11 +186,6 @@ def import_solution(text: str, p: SdpProblem) -> SdpSolution:
         if not (1 <= i <= blk.dim and 1 <= j <= blk.dim):
             raise DimensionMismatchError(f"matrix indices out of range: {ln!r}")
         _store(prim if matno == 2 else dual, blk, i, j, val)
-    # Guard against files with inconsistent (i, j)/(j, i) duplicates.
-    for blk in blocks:
-        if blk.kind == "psd":
-            prim[blk.label] = 0.5 * (prim[blk.label] + prim[blk.label].T)
-            dual[blk.label] = 0.5 * (dual[blk.label] + dual[blk.label].T)
     return SdpSolution(
         blocks=prim, y=y, objective=p.value(p.objective, prim), status="imported", gap=float("nan"),
         iterations=0, dual_blocks=dual, stop_reason="imported",

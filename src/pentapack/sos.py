@@ -23,6 +23,7 @@ certification stage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from mpmath import mp
 
 from .fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams
 from .sdp import Block, LinearTerm, SdpProblem, SdpSolution, stack_rows
-from .specfun import coeff_D_mp, laguerre, laguerre_coeffs_exact, tau_radial_coeffs
+from .specfun import coeff_D_mp, laguerre, laguerre_coeffs_exact, tau_radial_expansion
 
 RETAINED_LABELS = ("Q00", "Q05", "Q10", "Q15", "R00", "R05", "S0", "S5")
 ASSEMBLY_DPS = 50  # working precision (decimal digits) for row generation
@@ -73,8 +74,8 @@ class BlockSpec:
         return len(self.index)
 
 
-def block_specs(params: ModelParams, retained: bool = True) -> list[BlockSpec]:
-    """Variable blocks of the program, optionally restricted to the retained set."""
+def block_specs(params: ModelParams) -> list[BlockSpec]:
+    """Variable blocks of the program: the retained set, `RETAINED_LABELS`."""
     N, d = params.N, params.d
     half = d // 2
     isets = index_sets(N)
@@ -94,9 +95,7 @@ def block_specs(params: ModelParams, retained: bool = True) -> list[BlockSpec]:
         if psets[j]:
             idx = tuple((l, p) for l in range(half + 1) for p in psets[j])
             specs.append(BlockSpec(f"S{j}", "S", 0, j, idx))
-    if retained:
-        specs = [b for b in specs if b.label in RETAINED_LABELS]
-    return specs
+    return [b for b in specs if b.label in RETAINED_LABELS]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     (-m1, -m2) minus the Q part at (-r, -s), written in the triangular
     Laguerre basis: T_m(g_{r,s} - g_{-r,-s}) with m = |r - s|, g_{r,s}(a^2) =
     sum_k f_{r,s;k} a^2k and T_m the radial part of tau
-    (`specfun.tau_radial_coeffs`).  T_m sends a^2k to zero for k < m/2 and
+    (`specfun.tau_radial_expansion`).  T_m sends a^2k to zero for k < m/2 and
     to a polynomial of degree exactly k in rho^2 for k >= m/2, so the
     difference vanishes exactly when f_{r,s;k} = f_{-r,-s;k} for every
     k >= |r - s|/2; for k < |r - s|/2 the low-k rows set both sides to zero.
@@ -321,6 +320,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     with mp.workdps(ASSEMBLY_DPS):
         bco = realize_basis(d, high_precision=True)
         prods = _products(bco)  # bco[k]: the coefficients of P_k in u = rho^2, lower triangular
+        expansion = functools.cache(tau_radial_expansion)  # one per (|r - s|, length), made at ASSEMBLY_DPS
 
         # ------------------------------------------------------------------
         # cylinder identity rows, one per raw class z1^m1 z2^m2; classes whose
@@ -339,7 +339,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                 family, i, l, lp = key[:4]
                 base = prods[(i, l, lp)]
                 if family == "Q":
-                    upoly = tau_radial_coeffs(base, key[4])
+                    upoly = expansion(key[4], len(base))(base)
                 else:  # R, or S multiplied by (rho^2 - 1)
                     upoly = base if family == "R" else conv(base, [-1, 1])
                 gamma = _basis_coords(upoly, bco, d)

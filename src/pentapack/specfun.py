@@ -6,8 +6,8 @@ give the Hankel-type integral
     int_0^inf a^(2k+1) e^(-pi a^2) J_{s-r}(2 pi a rho) da
 
 in closed form as D_{r,s;k}(rho) L_n^{|r-s|}(pi rho^2) e^(-pi rho^2) with
-n = k - |r-s|/2, and `tau_radial_coeffs`, the one high-precision expansion of
-the radial part of tau_{r,s} in u = rho^2.  The pipeline evaluates only this
+n = k - |r-s|/2, and `tau_radial_expansion`, the one high-precision expansion
+of the radial part of tau_{r,s} in u = rho^2.  The pipeline evaluates only this
 closed form; the Bessel integral and the Kummer 1F1 form it is derived from
 are evaluated in the tests alone.  All gamma values appearing here have
 positive integer arguments, so plain factorials suffice.
@@ -72,12 +72,18 @@ def coeff_D(r: int, s: int, k: int, rho: float) -> float:
 
 
 def tau_radial_expansion(m: int, K: int):
-    """The map c -> `tau_radial_coeffs`(c, m) for K coefficients c, at the working precision.
+    """The map c -> the coefficients in u = rho^2 of the radial part of tau_{r,s}(sum_k c_k a^(2k)).
 
-    pi^j is computed once, and D_{r,s;k} and the Laguerre coefficients of each
-    k, as mpf, on the first c with c_k nonzero; the map makes the operations
-    of the per-term form ((base * lambda) * pi^j) on the same numbers, so its
-    values are that form's.  Call it at the precision it was made at.
+    That part is (-1)^(m/2) sum_k c_k D_{r,s;k}(rho) L^m_{k-m/2}(pi rho^2)
+    with m = |r - s| even, a polynomial in u divisible by u^(m/2); the phase
+    e^(-i(s alpha + (r-s) theta)) is left out.  c has K entries, and the
+    values are mpmath numbers at the working precision, one per entry of c.
+    pi^j is computed once, and D_{r,s;k} and the Laguerre coefficients of
+    each k, as mpf, on the first c with c_k nonzero; the map makes the
+    operations of the per-term form ((base * lambda) * pi^j) on the same
+    numbers, so its values are that form's.  Expanding several c with one m
+    through one map builds the constants once.  Call it at the precision it
+    was made at.
     """
     h, sign = m // 2, (-1) ** (m // 2)
     pis = [mp.pi**j for j in range(K - h)]
@@ -98,15 +104,3 @@ def tau_radial_expansion(m: int, K: int):
         return out
 
     return expand
-
-
-def tau_radial_coeffs(c, m: int) -> list:
-    """Coefficients in u = rho^2 of the radial part of tau_{r,s}(sum_k c_k a^(2k)).
-
-    That part is (-1)^(m/2) sum_k c_k D_{r,s;k}(rho) L^m_{k-m/2}(pi rho^2)
-    with m = |r - s| even, a polynomial in u divisible by u^(m/2); the phase
-    e^(-i(s alpha + (r-s) theta)) is left out.  The values are mpmath numbers
-    at the working precision, one per entry of c.  Expanding several c with
-    one m, `tau_radial_expansion` builds the constants once.
-    """
-    return tau_radial_expansion(m, len(c))(c)

@@ -258,7 +258,7 @@ def lambda_integral_oracle(t: CoefficientTensor) -> float:
 
 def _spec(params: ModelParams, family: str, i: int, j: int) -> BlockSpec:
     return next(
-        bs for bs in block_specs(params, retained=False)
+        bs for bs in block_specs(params)
         if bs.family == family and bs.i == i and bs.j == j
     )
 
@@ -400,7 +400,7 @@ def verification_sample(alpha_count: int, grid_n: int, scale: float) -> Iterator
             x, y = float(X[iy, ix]), float(Y[iy, ix])
             rho = math.hypot(x, y)
             theta = math.atan2(y, x) if rho > 0 else 0.0
-            yield SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi), "verification")
+            yield SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi))
 
 
 def _residual_mp(rhs, terms):
@@ -515,7 +515,7 @@ def nonzero_items_ndenumerate(t: CoefficientTensor):
 
 
 def tau_radial_coeffs_per_term(c, m: int) -> list:
-    """`specfun.tau_radial_coeffs` with D, the Laguerre coefficient and pi^j made for every term."""
+    """`specfun.tau_radial_expansion(m, len(c))(c)` with D, the Laguerre coefficient and pi^j made for every term."""
     out = [mp.mpf(0)] * len(c)
     sign = (-1) ** (m // 2)
     for k in range(m // 2, len(c)):

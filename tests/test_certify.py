@@ -363,6 +363,21 @@ def test_feasibility_margin_sums_a_cancelling_row_exactly(hp_rows):
     assert res == 5.578088954947358e-31
 
 
+@pytest.mark.parametrize("hp_rows", [True, False])
+def test_feasibility_margin_refuses_an_equality_row_with_no_nonzero_weight(hp_rows):
+    """Its sum of squared weights is 0, so the normalizing division once died with a bare ZeroDivisionError;
+    here next to a normal row on X = I, as a high-precision row and as a float row."""
+    if hp_rows:
+        rows = [({("X", 0, 0): mp.mpf(1), ("X", 1, 1): mp.mpf(1)}, mp.mpf(2), "trace"),
+                ({("X", 0, 1): mp.mpf(0)}, mp.mpf(1), "zero")]
+        p = SdpProblem([Block("X", 2, "psd")], {}, [], [], {"hp_rows": rows})
+    else:
+        rows = [LinearTerm({"X": np.eye(2)}, 2.0, "trace"), LinearTerm({"X": np.zeros((2, 2))}, 1.0, "zero")]
+        p = SdpProblem([Block("X", 2, "psd")], {}, rows, [])
+    with pytest.raises(ValueError, match=r"equality row 1 \('zero'\) has no nonzero weight"):
+        feasibility_margin(_margin_solution({"X": np.eye(2)}), p)
+
+
 # -- Lipschitz ---------------------------------------------------------------
 
 
@@ -1056,8 +1071,8 @@ def test_verify_refines_in_batches_of_at_most_grid_n_squared(monkeypatch):
 
     The stream pass takes the alpha-free part of its grid_n^2 centres from
     one `radial` call and sums each slice's pairs by `pair_sum`.  The
-    refinement's `radial` calls get the distinct positions its kept boxes
-    use, fewer in all than those boxes.
+    refinement makes one `radial` call per level, on the level's distinct
+    positions, fewer in all than its kept boxes.
     """
     rows, sums = [], []  # the (x, y) rows of each `radial` call; the size of each `pair_sum`
     radial, pair_sum = FloatEvaluator.radial, FloatEvaluator.pair_sum
@@ -1092,7 +1107,7 @@ def test_verify_logs_one_summary_line(caplog):
     assert "decisions settled in float" in lines[0] and "mp fallbacks" in lines[0]
     assert re.search(r", 1 of 24 Lipschitz panels by mp in \d+\.\d\d s, ", lines[0])
     # per depth and per outcome, from the subtree records of this run
-    assert (", 21 mp fallbacks, evaluations by depth 672/4/20, 7 positions evaluated for 24 "
+    assert (", 21 mp fallbacks, evaluations by depth 672/4/20, 12 positions evaluated for 24 "
             "refinement slots, 1072 screened out, 0 discharged, 202 failed, 494 split, 1 of 24 ") in lines[0]
     by_depth = re.search(r"evaluations by depth ([\d/]+),", lines[0])[1]
     assert sum(map(int, by_depth.split("/"))) == sv.evaluations == 202 + 494

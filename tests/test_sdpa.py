@@ -113,6 +113,13 @@ def test_solution_roundtrip():
     assert np.array_equal(back.y, sol.y)
 
 
+def test_import_solution_keeps_each_entry_as_read():
+    """1e308 once read back as inf, through a symmetrizing (M + M^T)/2; a later line for a pair wins."""
+    p = SdpProblem([Block("X", 2, "psd")], {}, [LinearTerm({"X": np.eye(2)}, 1.0)], [])
+    text = '"pentapack solution v1\n0.0\n2 1 1 1 1e308\n2 1 1 2 1.0\n2 1 2 1 3.0\n"end\n'
+    assert np.array_equal(import_solution(text, p).blocks["X"], [[1e308, 3.0], [3.0, 0.0]])
+
+
 def test_imported_objective_matches_reported():
     p = mixed_problem()
     sol = solve(p)

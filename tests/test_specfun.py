@@ -12,7 +12,6 @@ from pentapack.specfun import (
     coeff_D,
     laguerre,
     laguerre_coeffs_exact,
-    tau_radial_coeffs,
     tau_radial_expansion,
 )
 from pentapack.sos import ASSEMBLY_DPS
@@ -117,7 +116,7 @@ def test_tau_radial_coeffs_match_float_tau(m):
     rng = np.random.default_rng(50 + m)
     c = rng.standard_normal(13)
     with mp.workprec(128):
-        u = tau_radial_coeffs([mp.mpf(float(ck)) for ck in c], m)
+        u = tau_radial_expansion(m, len(c))([mp.mpf(float(ck)) for ck in c])
         assert len(u) == len(c) and all(v == 0 for v in u[: m // 2])
         for rho in np.linspace(0.0, 1.5, 16):
             got = float(mp.polyval(u[::-1], mp.mpf(float(rho)) ** 2))
@@ -139,5 +138,5 @@ def test_tau_radial_coeffs_equal_the_per_term_form(m, bits):
         expand = tau_radial_expansion(m, 12)
         for c in cs:
             want = [v._mpf_ for v in tau_radial_coeffs_per_term(c, m)]
-            assert [v._mpf_ for v in tau_radial_coeffs(c, m)] == want
+            assert [v._mpf_ for v in tau_radial_expansion(m, len(c))(c)] == want
             assert [v._mpf_ for v in expand(c)] == want
