@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             return 0
         cfg, outdir = _config_from_args(args)
         if args.command == "sample":
-            n = step_sample(cfg, outdir, plot_data=args.plot_data)
+            n = len(step_sample(cfg, outdir, plot_data=args.plot_data))
             print(f"sample: {n} points -> {outdir / 'sample.txt'}")
         elif args.command == "generate":
             problem = step_generate(cfg, outdir)

@@ -5,10 +5,11 @@ configuration hash, so any step can be re-run in isolation and mismatched
 inputs are rejected rather than silently combined.  Artifacts carry no
 timestamps; identical configurations produce byte-identical files.
 
-Problem A is assembled once per `run_all`, by `step_generate`, and handed to
-every later step that needs it; a step run on its own (`pentapack solve`,
-...) assembles it again.  Each step logs its wall time on the
-`pentapack.pipeline` logger (`pentapack -v`).
+The constraint sample is built once per `run_all`, by `step_sample`, and
+handed to `step_generate`; Problem A is assembled once, by `step_generate`,
+and handed to every later step that needs it.  A step run on its own
+(`pentapack generate`, `pentapack solve`, ...) builds them again.  Each
+step logs its wall time on the `pentapack.pipeline` logger (`pentapack -v`).
 """
 
 from __future__ import annotations
@@ -161,8 +162,9 @@ def build_sample(cfg: RunConfig) -> list[SamplePoint]:
     return pts + extra
 
 
-def build_problem(cfg: RunConfig) -> SdpProblem:
-    problem = assemble_problem_A(cfg.params, build_sample(cfg))
+def build_problem(cfg: RunConfig, sample: list[SamplePoint] | None = None) -> SdpProblem:
+    """Problem A on the given constraint sample of `cfg`, or on a new one."""
+    problem = assemble_problem_A(cfg.params, build_sample(cfg) if sample is None else sample)
     problem.meta["config"] = cfg.config_hash()
     return problem
 
@@ -223,7 +225,7 @@ def _timed(step):
 
 
 @_timed
-def step_sample(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> int:
+def step_sample(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> list[SamplePoint]:
     pts = build_sample(cfg)
     body = "\n".join(f"{p.rho!r} {p.theta!r} {p.alpha!r}" for p in pts) + "\n"
     _write(outdir / "sample.txt", cfg, "constraint-sample", body)
@@ -237,12 +239,12 @@ def step_sample(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> int:
         _write(outdir / "minkowski_vertices.csv", cfg, "plot-minkowski", "\n".join(rows) + "\n")
         rows = ["x1,x2,alpha"] + [f"{vx},{vy},{alpha!r}" for alpha, vx, vy in verts]
         _write(outdir / "fig1_set.csv", cfg, "plot-3dset", "\n".join(rows) + "\n")
-    return len(pts)
+    return pts
 
 
 @_timed
-def step_generate(cfg: RunConfig, outdir: Path) -> SdpProblem:
-    problem = build_problem(cfg)
+def step_generate(cfg: RunConfig, outdir: Path, *, sample: list[SamplePoint] | None = None) -> SdpProblem:
+    problem = build_problem(cfg, sample)
     _write(outdir / "problem.dat-s", cfg, "sdpa-problem", export_sdpa(problem))
     manifest = "\n".join(problem.meta["manifest"]) + "\n"
     _write(outdir / "problem.manifest.txt", cfg, "problem-manifest", manifest)
@@ -334,8 +336,8 @@ def step_bound(
 
 def run_all(cfg: RunConfig, outdir: Path | str, plot_data: bool = False) -> VerificationReport:
     outdir = Path(outdir)
-    step_sample(cfg, outdir, plot_data=plot_data)
-    problem = step_generate(cfg, outdir)
+    sample = step_sample(cfg, outdir, plot_data=plot_data)
+    problem = step_generate(cfg, outdir, sample=sample)
     step_solve(cfg, outdir, problem=problem)
     step_refine(cfg, outdir, problem=problem)
     step_project(cfg, outdir, problem=problem)

@@ -48,7 +48,8 @@ def export_sdpa(p: SdpProblem) -> str:
 
 def _entry_lines(blocks: list[Block], mats: list[dict | None], first: int = 0) -> list[str]:
     """The lines "matno blockno i j value" of the nonzero upper-triangle entries, 1-based, in that
-    order; mats[k] (None for no entries) is matrix first + k.  Each block's matrices are stacked."""
+    order; mats[k] (None for no entries) is matrix first + k.  Each block's matrices are stacked,
+    and each distinct value of a block is formatted once."""
     keys, lines = [np.zeros(0, dtype=int)], []
     for bno, blk in enumerate(blocks, start=1):
         have = np.array([k for k, m in enumerate(mats) if m is not None and blk.label in m], dtype=int)
@@ -61,9 +62,11 @@ def _entry_lines(blocks: list[Block], mats: list[dict | None], first: int = 0) -
         else:
             k, i = np.nonzero(stack != 0.0)
             j, vals = i, stack[k, i]
+        distinct, which = np.unique(vals, return_inverse=True)  # no zeros, so no -0.0 beside 0.0
+        texts = [repr(v) for v in distinct.tolist()]
         keys.append(have[k])
-        lines += [f"{m} {bno} {a} {b} {v!r}" for m, a, b, v in
-                  zip((have[k] + first).tolist(), (i + 1).tolist(), (j + 1).tolist(), vals.tolist())]
+        lines += [f"{m} {bno} {a} {b} {texts[u]}" for m, a, b, u in
+                  zip((have[k] + first).tolist(), (i + 1).tolist(), (j + 1).tolist(), which.tolist())]
     return [lines[n] for n in np.argsort(np.concatenate(keys), kind="stable")]  # blocks stay in order
 
 

@@ -115,27 +115,34 @@ class _Workspace:
         if self.m == 0:
             raise ValueError("problem has no constraints")
         b = np.array([t.rhs for t in eqs])
-        # Row scaling: normalize each constraint to unit Frobenius norm.
-        norms = np.zeros(self.m)
+        rows = {blk.label: [] for blk in blocks}  # the constraints touching each block, ascending
         for i, t in enumerate(eqs):
-            norms[i] = math.sqrt(
-                sum(float(np.sum(np.asarray(c) ** 2)) for c in t.coeffs.values())
-            )
+            for lab in t.coeffs:
+                rows[lab].append(i)
+        shapes = {blk.label: (blk.dim, blk.dim) if blk.kind == "psd" else (blk.dim,) for blk in blocks}
+        stacks = {lab: np.array([eqs[i].coeffs[lab] for i in rows[lab]], dtype=float).reshape(-1, *shape)
+                  for lab, shape in shapes.items()}
+        # Row scaling: normalize each constraint to unit Frobenius norm, its
+        # blocks' squared norms (each one sum over the flattened entries)
+        # added in the constraint's own block order.
+        squares = [{} for _ in eqs]
+        for lab, stack in stacks.items():
+            flat = stack.reshape(len(stack), math.prod(shapes[lab]))
+            for i, sq in zip(rows[lab], (flat**2).sum(axis=1).tolist()):
+                squares[i][lab] = sq
+        norms = np.array([math.sqrt(sum(squares[i][lab] for lab in t.coeffs)) for i, t in enumerate(eqs)])
         if (norms == 0).any():
             raise ValueError("constraint with identically zero coefficients")
         self.row_scale = norms
         self.b = b / norms
         self.data: dict[str, _BlockData] = {}
         for blk in blocks:
-            rows = [i for i, t in enumerate(eqs) if blk.label in t.coeffs]
-            shape = (blk.dim, blk.dim) if blk.kind == "psd" else (blk.dim,)
-            A = np.zeros((len(rows), *shape))
-            for k, i in enumerate(rows):
-                A[k] = np.asarray(eqs[i].coeffs[blk.label]) / norms[i]
+            shape = shapes[blk.label]
+            A = stacks[blk.label] / norms[rows[blk.label]].reshape(-1, *(1 for _ in shape))
             C = np.array(objective.get(blk.label, np.zeros(shape)), dtype=float)
             if blk.kind == "psd":
                 C = _sym(C)
-            self.data[blk.label] = _BlockData(blk.kind, blk.dim, np.array(rows, dtype=int), A, C)
+            self.data[blk.label] = _BlockData(blk.kind, blk.dim, np.array(rows[blk.label], dtype=int), A, C)
         self.total_dim = sum(blk.dim for blk in blocks)
 
     def apply_A(self, X):

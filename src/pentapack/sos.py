@@ -201,26 +201,25 @@ class _RowAccumulator:
         self.entries: dict[tuple[str, int, int], object] = {}
 
     def add(self, block: str, a: int, b: int, value) -> None:
+        """Add value at (block, a, b); a key's first value is stored as is (it is already rounded)."""
         key = (block, a, b)
-        self.entries[key] = self.entries.get(key, 0) + value
-
-    def max_abs(self) -> float:
-        return max((abs(float(v)) for v in self.entries.values()), default=0.0)
+        self.entries[key] = self.entries[key] + value if key in self.entries else value
 
     def to_term(self, dims: dict[str, int], rhs: float) -> LinearTerm:
         """Round to a float LinearTerm with symmetrized coefficient matrices.
 
-        Entries below 1e-35 times the row's `max_abs()` are dropped.  A row
-        whose `max_abs()` is below 1e-30 is zero up to the assembly
-        precision and rounds to a term without coefficients.
+        Each entry is rounded to float once.  Entries below 1e-35 times the
+        row's largest rounded magnitude are dropped.  A row whose largest
+        magnitude is below 1e-30 is zero up to the assembly precision and
+        rounds to a term without coefficients.
         """
         mats: dict[str, np.ndarray] = {}
-        max_abs = self.max_abs()
+        rounded = [(key, float(v)) for key, v in self.entries.items()]
+        max_abs = max((abs(fv) for _, fv in rounded), default=0.0)
         if max_abs < 1e-30:
             return LinearTerm(mats, rhs, self.label)
         cutoff = 1e-35 * max_abs
-        for (blk, a, b), v in self.entries.items():
-            fv = float(v)
+        for (blk, a, b), fv in rounded:
             if abs(fv) < cutoff:
                 continue
             if blk not in mats:
@@ -233,6 +232,24 @@ class _RowAccumulator:
         return LinearTerm(mats, rhs, self.label)
 
 
+def _support_groups(rows: np.ndarray) -> list[int]:
+    """A group root per row: rows that share a nonzero column, directly or through others, share a root."""
+    parent = list(range(len(rows)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    nonzero = rows != 0.0
+    first = nonzero.argmax(axis=0)  # the first row holding each column
+    for i, mask in enumerate(nonzero):
+        for j in np.unique(first[mask]).tolist():
+            parent[root(i)] = root(j)
+    return [root(i) for i in range(len(rows))]
+
+
 def _independent_rows(rows: np.ndarray) -> list[int]:
     """Indices of a maximal set of linearly independent rows, greedily in order.
 
@@ -240,15 +257,25 @@ def _independent_rows(rows: np.ndarray) -> list[int]:
     Gram-Schmidt); a row is dropped when its residual against the span of
     the kept rows falls below 1e-10.  Deterministic and stable for the row
     counts that occur here.
+
+    Rows split into groups of connected support (`_support_groups`), and a
+    row is orthogonalized only against the kept rows of its own group, in
+    row order.  That is the plain loop over all kept rows, bit for bit: a
+    kept row of another group is a combination of that group's rows, so its
+    support is disjoint from every vector this group forms; their dot
+    product is exactly 0, and subtracting 0 times it leaves each entry as it
+    was, since no entry here is -0.0 (the rows hold no -0.0, and x - y
+    rounds to -0.0 only for x = -0.0).
     """
-    basis: list[np.ndarray] = []
+    groups = _support_groups(rows)
+    basis: dict[int, list[np.ndarray]] = {g: [] for g in groups}
     keep: list[int] = []
-    for idx, v in enumerate(rows):
-        for u in basis:
+    for idx, (v, g) in enumerate(zip(rows, groups)):
+        for u in basis[g]:
             v -= (u @ v) * u
         nrm = np.linalg.norm(v)
         if nrm > 1e-10:
-            basis.append(v / nrm)
+            basis[g].append(v / nrm)
             keep.append(idx)
     return keep
 
@@ -263,7 +290,7 @@ def _hp_row_dict(row: _RowAccumulator) -> dict:
     out: dict[tuple[str, int, int], object] = {}
     for (blk, a, b), v in row.entries.items():
         key = (blk, a, b) if a <= b else (blk, b, a)
-        out[key] = out.get(key, 0) + v
+        out[key] = out[key] + v if key in out else v
     return out
 
 
@@ -279,12 +306,15 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     (from its entry polynomial, expanded once per distinct polynomial); for
     Q entries with r = s, the objective term, that polynomial's constant
     coefficient; and for Q entries, the entry of every sample row, a radial
-    vector over the points times a phase vector.  The sample rows round as a
+    vector over the points times a phase vector.  Each Q block holds its
+    sample rows as one (points, dim, dim) stack.  The sample rows round as a
     scalar evaluation per point would: rho**m is Python's float power point
     by point (numpy's array power rounds differently), the phase is
-    math.cos, each entry is added into a zero matrix, and each matrix is
-    symmetrized as (M + M^T)/2.  The insertion orders of rows, blocks and
-    entries set the summation order of later residuals, so they are kept.
+    math.cos, each entry is added into the zero stack, and the stack is
+    symmetrized as (M + M^T)/2 in one pass; a point's row holds the block
+    when its matrix has a nonzero entry.  The insertion orders of rows,
+    blocks and entries set the summation order of later residuals, so they
+    are kept.
 
     A row that rounds to no coefficients is pruned as zero.  Every other row
     that is a linear combination of earlier rows is pruned by
@@ -390,22 +420,18 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                         key = (bs.family, bs.i, l, lp)
                         add_identity(up - u, vp - v, key, bs.label, a_idx, b_idx)
                 continue
-            mats = [np.zeros((bs.dim, bs.dim)) for _ in sample]
+            stack = np.zeros((len(sample), bs.dim, bs.dim))  # stack[n]: point n's matrix
             for a_idx, (l, r) in enumerate(bs.index):
-                row_a = np.zeros((len(sample), bs.dim))  # row a_idx of every point's matrix
                 for b_idx, (lp, s) in enumerate(bs.index):
                     key = ("Q", bs.i, l, lp, abs(r - s))
                     const = add_identity(-r, -s, key, bs.label, a_idx, b_idx)
                     if r == s and const != 0:  # f at the identity
                         obj_row.add(bs.label, a_idx, b_idx, const)
-                    row_a[:, b_idx] = radial(key) * phase(r, s)
-                for mat, vals in zip(mats, row_a):
-                    mat[a_idx] += vals
-            for point_mats, mat in zip(sample_mats, mats):
-                # (M + M^T)/2 in place (numpy buffers the overlapping transpose):
-                # a fresh copy per point would leave the heap fragmented
-                mat += mat.T
-                mat *= 0.5
+                    stack[:, a_idx, b_idx] += radial(key) * phase(r, s)
+            # (M + M^T)/2 in place, numpy buffering the overlapping transpose
+            stack += stack.transpose(0, 2, 1)
+            stack *= 0.5
+            for point_mats, mat in zip(sample_mats, stack):
                 if mat.any():
                     point_mats[bs.label] = mat
         ineq_terms = [

@@ -5,8 +5,9 @@ coefficients (`scipy.special.jv`), Kummer's 1F1 (`mpmath.hyp1f1`) and the
 quadratures it is derived from live here, and so do the mpf-operator forms
 of the verifier's high-precision kernels, which run on mpmath.libmp calls,
 and the one-at-a-time forms of what the pipeline batches (tensor entries,
-radial constants, alpha tables, polygon edges), which the tests hold its
-results to bit for bit.  The motion group's Cartesian form (`Motion`,
+radial constants, alpha tables, polygon edges, the rank test over every
+kept row, SDPA entry lines and the solver's constraint data), which the
+tests hold its results to bit for bit.  The motion group's Cartesian form (`Motion`,
 `compose`, `invert` and the polar maps) is here too: the package needs only
 the polar `MotionPoint`.  Nothing under `src/` imports this.
 """
@@ -34,7 +35,7 @@ from pentapack.geometry import (
     pentagon,
 )
 from pentapack.motion import MotionPoint, rotation_matrix, wrap_angle
-from pentapack.sdp import SdpProblem, SdpSolution
+from pentapack.sdp import Block, SdpProblem, SdpSolution, standard_form
 from pentapack.sos import BlockSpec, _f_entries, _products, block_specs, realize_basis
 from pentapack.specfun import coeff_D, coeff_D_mp, laguerre, laguerre_coeffs_exact
 
@@ -564,3 +565,57 @@ def polygon_edges_per_edge(p: ConvexPolygon) -> list:
         n /= math.hypot(*n)
         out.append((n, float(n @ v[i])))
     return out
+
+
+def independent_rows_all_kept(rows: np.ndarray) -> list[int]:
+    """`sos._independent_rows` with each row orthogonalized against every kept row, of any group."""
+    basis: list[np.ndarray] = []
+    keep: list[int] = []
+    for idx, v in enumerate(rows):
+        for u in basis:
+            v -= (u @ v) * u
+        nrm = np.linalg.norm(v)
+        if nrm > 1e-10:
+            basis.append(v / nrm)
+            keep.append(idx)
+    return keep
+
+
+def entry_lines_per_line(blocks: list[Block], mats: list[dict | None], first: int = 0) -> list[str]:
+    """`sdpa._entry_lines` with one `repr` per entry line."""
+    keys, lines = [np.zeros(0, dtype=int)], []
+    for bno, blk in enumerate(blocks, start=1):
+        have = np.array([k for k, m in enumerate(mats) if m is not None and blk.label in m], dtype=int)
+        if not have.size:
+            continue
+        stack = np.array([np.asarray(mats[k][blk.label], dtype=float) for k in have])
+        if blk.kind == "psd":
+            k, i, j = np.nonzero((stack != 0.0) & np.triu(np.ones((blk.dim, blk.dim), dtype=bool)))
+            vals = stack[k, i, j]
+        else:
+            k, i = np.nonzero(stack != 0.0)
+            j, vals = i, stack[k, i]
+        keys.append(have[k])
+        lines += [f"{m} {bno} {a} {b} {v!r}" for m, a, b, v in
+                  zip((have[k] + first).tolist(), (i + 1).tolist(), (j + 1).tolist(), vals.tolist())]
+    return [lines[n] for n in np.argsort(np.concatenate(keys), kind="stable")]  # blocks stay in order
+
+
+def workspace_data_per_row(p: SdpProblem) -> tuple[dict, np.ndarray, np.ndarray]:
+    """`solver._Workspace`'s (rows, A) per block label, row_scale and b, filled one constraint at a time."""
+    blocks, _, eqs = standard_form(p)
+    b = np.array([t.rhs for t in eqs])
+    norms = np.zeros(len(eqs))
+    for i, t in enumerate(eqs):
+        norms[i] = math.sqrt(
+            sum(float(np.sum(np.asarray(c) ** 2)) for c in t.coeffs.values())
+        )
+    data = {}
+    for blk in blocks:
+        rows = [i for i, t in enumerate(eqs) if blk.label in t.coeffs]
+        shape = (blk.dim, blk.dim) if blk.kind == "psd" else (blk.dim,)
+        A = np.zeros((len(rows), *shape))
+        for k, i in enumerate(rows):
+            A[k] = np.asarray(eqs[i].coeffs[blk.label]) / norms[i]
+        data[blk.label] = (np.array(rows, dtype=int), A)
+    return data, norms, b / norms

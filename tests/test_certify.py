@@ -747,6 +747,17 @@ def test_verify_loads_neither_scipy_linalg_nor_integrate():
     assert linalg_after_solve
 
 
+def test_generate_path_loads_no_scipy_submodule():
+    """In a fresh process, building and exporting Problem A loads no scipy submodule."""
+    script = """import json, sys
+from pentapack.pipeline import RunConfig, build_problem
+from pentapack.sdpa import export_sdpa
+tiny = dict(d=5, alpha_count=3, grid_n=16, verify_alpha_count=5, verify_grid_n=24, verify_max_depth=3, precision_bits=192)
+export_sdpa(build_problem(RunConfig(**tiny)))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))"""
+    assert _run_fresh(script) == []
+
+
 def test_package_holds_no_test_oracle():
     """No pentapack module imports or loads tests/oracles.py, or loads the scipy parts only the oracles use."""
     script = """import importlib, json, pkgutil, sys, pentapack

@@ -131,11 +131,20 @@ def test_each_run_assembles_once(tmp_path, monkeypatch):
         calls.append(1)
         return assemble(*args, **kwargs)
 
+    samples = []
+    sample = pipeline.constraint_sample
+
+    def counted_sample(*args, **kwargs):
+        samples.append(1)
+        return sample(*args, **kwargs)
+
     monkeypatch.setattr(pipeline, "assemble_problem_A", counted)
+    monkeypatch.setattr(pipeline, "constraint_sample", counted_sample)
     cfg = RunConfig(**TINY)
     for run in range(2):
         run_all(cfg, str(tmp_path / str(run)))  # a str outdir works too
         assert len(calls) == run + 1
+        assert len(samples) == run + 1  # step_generate assembles on step_sample's points
 
 
 @pytest.mark.parametrize("step", [step_solve, step_refine, step_project, step_bound])

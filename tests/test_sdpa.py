@@ -1,12 +1,15 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pentapack.sdp import Block, LinearTerm, SdpProblem
+from oracles import entry_lines_per_line
+from pentapack.sdp import Block, LinearTerm, SdpProblem, standard_form
 from pentapack.sdpa import (
     DimensionMismatchError,
     MalformedFileError,
+    _entry_lines,
     export_sdpa,
     export_solution,
     import_solution,
@@ -173,3 +176,32 @@ def test_problem_A_export_parses_cleanly():
     dims = [b.dim if b.kind == "psd" else -b.dim for b in q.blocks]
     assert dims[:8] == [3, 6, 3, 6, 18, 6, 18, 6]
     assert dims[-1] == -len(problem.ineq_constraints)
+
+
+def test_entry_lines_match_one_repr_per_line():
+    """Repeated values, +/- pairs and the extremes 5e-324 and 1e308, over psd and diag blocks."""
+    values = [0.1, -0.1, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, 0.1, 2.0**-1074 * 3, -1.0 / 3.0]
+    rng = np.random.default_rng(29)
+    blocks = [Block("X", 4, "psd"), Block("u", 3, "diag"), Block("Y", 2, "psd")]
+    mats = []
+    for n in range(6):
+        X = rng.choice(values + [0.0] * 4, size=(4, 4))
+        mats.append({"X": np.triu(X) + np.triu(X, 1).T, "u": rng.choice(values + [0.0], size=3)})
+    mats[2] = None
+    del mats[3]["X"]
+    mats[4]["Y"] = np.array([[1e308, -5e-324], [-5e-324, 0.1]])
+    for first in (0, 1):
+        lines = _entry_lines(blocks, mats, first)
+        assert lines == entry_lines_per_line(blocks, mats, first)
+        assert len(set(ln.split()[-1] for ln in lines)) < len(lines)  # values repeat
+
+
+def test_exported_solution_matches_one_repr_per_line():
+    p = mixed_problem()
+    sol = solve(p)
+    blocks, _, _ = standard_form(p)
+    # repeated values, and -/+ pairs against the primal blocks
+    sol = replace(sol, blocks={**sol.blocks, "X": sol.blocks["X"].round(3)},
+                  dual_blocks={k: -v for k, v in sol.blocks.items()})
+    lines = export_solution(sol, p).splitlines()
+    assert lines[2:-1] == entry_lines_per_line(blocks, [sol.dual_blocks, sol.blocks], first=1)

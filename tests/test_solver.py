@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from oracles import workspace_data_per_row
 from pentapack import solver
 from pentapack.pipeline import RunConfig, build_problem
+from pentapack.sos import assemble_feasibility_variant
 from pentapack.sdp import Block, LinearTerm, SdpProblem
 from pentapack.solver import solve
 
@@ -152,6 +154,20 @@ def test_schur_matches_dense_reference_on_problem_A(monkeypatch):
     ws, W = calls[0]
     assert max(len(d.runs) for d in ws.data.values()) > 1
     assert np.array_equal(ws.schur(W), reference_schur(ws, W))
+
+
+def test_workspace_matches_the_per_row_fill_on_problem_A():
+    """A, row_scale and b, bit for bit, for Problem A at the published size and its feasibility variant."""
+    problem = build_problem(RunConfig())
+    for p in (problem, assemble_feasibility_variant(problem, -0.25, 1e-4)):
+        ws = solver._Workspace(p)
+        data, row_scale, b = workspace_data_per_row(p)
+        assert ws.row_scale.tobytes() == row_scale.tobytes()
+        assert ws.b.tobytes() == b.tobytes()
+        assert list(ws.data) == list(data)
+        for lab, (rows, A) in data.items():
+            assert ws.data[lab].rows.tobytes() == rows.tobytes()
+            assert ws.data[lab].A.shape == A.shape and ws.data[lab].A.tobytes() == A.tobytes()
 
 
 def test_schur_matches_dense_reference_over_many_runs():

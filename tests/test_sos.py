@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from oracles import build_calF, build_F, build_W, evaluate_fhat
+from oracles import build_calF, build_F, build_W, evaluate_fhat, independent_rows_all_kept
+from pentapack import sos
 from pentapack.certify import project_affine
 from pentapack.fourier import ModelParams, evaluate_f, lambda_of
 from pentapack.geometry import constraint_sample
@@ -13,6 +14,7 @@ from pentapack.motion import MotionPoint
 from pentapack.sdpa import export_sdpa
 from pentapack.sos import (
     _independent_rows,
+    _support_groups,
     assemble_feasibility_variant,
     assemble_problem_A,
     block_specs,
@@ -143,36 +145,44 @@ def _assembly_fingerprint(problem) -> dict:
     return out
 
 
-# Fingerprints of `assemble_problem_A(ModelParams(5, 5), constraint_sample(alpha_count,
-# grid_n, 1.02))`, keyed by (alpha_count, grid_n).  The 3 x 32 sample reaches
+# Fingerprints of `assemble_problem_A(ModelParams(N, d), constraint_sample(alpha_count,
+# grid_n, 1.02))`, keyed by (N, d, alpha_count, grid_n).  The 3 x 32 sample reaches
 # radial terms whose rounding the 3 x 16 sample does not exercise (rho**m taken
-# through numpy's array power instead of Python's float power changes it).
+# through numpy's array power instead of Python's float power changes it).  At
+# (11, 7) the rank test sees 464 rows of 14,880 columns in several support groups.
 ASSEMBLY_SHA256 = {
-    (3, 16): {
+    (5, 5, 3, 16): {
         "sdpa": "f6b9814a4f68baee111d499ce8617c99b441d6fbc785e44d3f3ee584f312f63f",
         "hp_rows": "0d37c8e1a72654659ccbae548daa01c0c77cc1a0a7ce03c4f47130a73de75fe7",
         "hp_rows_stored": "9ff00df0edfa3b628a9d04930356de1ae57664a20ef5fe7def901f61520369ee",
         "manifest": "b35da3a0e8982de40b7a4e5dc1669ab79de37280065e975e73a421bdefde352a",
         "terms": "b8792558306b74d2a8a02773bfc1b8caf1cdac1144901157c1feccdf29d7d5bd",
     },
-    (3, 32): {
+    (5, 5, 3, 32): {
         "sdpa": "afb6efe4fc4e9a733766cee195998f5815e4ea87d29bcc5fedf1cf9ea6d536a5",
         "hp_rows": "0d37c8e1a72654659ccbae548daa01c0c77cc1a0a7ce03c4f47130a73de75fe7",
         "hp_rows_stored": "9ff00df0edfa3b628a9d04930356de1ae57664a20ef5fe7def901f61520369ee",
         "manifest": "2c9b417c7a6c10966ed79beff5807a500ae716ee57d99b16fea7eb13af7c0077",
         "terms": "df6338a67ba2a330d8d005a257ce2f362cbb46c9356f250960019219eda391aa",
     },
+    (11, 7, 5, 50): {
+        "sdpa": "e17fdba4e82a3b64c3db484a49f5a774c6bd75f6aa1fc08c0bb9e0de960c3598",
+        "hp_rows": "088824af72e1032fe7f0a2b04c113e3e59fc534da3731223d085bed36ac3959b",
+        "hp_rows_stored": "c60aa61d40e8cdd193c5f024bafbd1b6b7fee67d4c25e32f77f7fc663dfa615d",
+        "manifest": "c152b40838b1381e29e87e3925a741e0947d3eb873b457c0a19d14b73fcd9fe7",
+        "terms": "e4e916525ca5c5b3356e19b66d96f35d982832d489696c124897675b33f193a7",
+    },
 }
 
 
 def test_assembly_is_bit_stable(small_problem):
-    for (alpha_count, grid_n), want in ASSEMBLY_SHA256.items():
-        if grid_n == 16:
+    for (N, d, alpha_count, grid_n), want in ASSEMBLY_SHA256.items():
+        if (N, d, alpha_count, grid_n) == (5, 5, 3, 16):
             problem = small_problem
         else:
-            problem = assemble_problem_A(ModelParams(5, 5), constraint_sample(alpha_count, grid_n, 1.02))
+            problem = assemble_problem_A(ModelParams(N, d), constraint_sample(alpha_count, grid_n, 1.02))
         got = _assembly_fingerprint(problem)
-        assert got == want, (alpha_count, grid_n)
+        assert got == want, (N, d, alpha_count, grid_n)
 
 
 def test_independent_rows_keeps_the_first_of_each_dependent_set():
@@ -185,6 +195,50 @@ def test_independent_rows_keeps_the_first_of_each_dependent_set():
     assert _independent_rows(unit(e1, e1, e2, -3.0 * e1, e1 + e2, e3)) == [0, 2, 5]
     # the kept indices are the earliest independent ones, in input order
     assert _independent_rows(unit(e3, e1 + e2, e1, e2)) == [0, 1, 2]
+
+
+def _check_against_all_kept_rows(rows):
+    """The grouped rank test keeps the rows, and leaves the residuals, of the loop over every kept row."""
+    grouped, plain = rows.copy(), rows.copy()
+    keep = _independent_rows(grouped)
+    assert keep == independent_rows_all_kept(plain)
+    assert grouped.tobytes() == plain.tobytes()
+    return keep
+
+
+@pytest.mark.parametrize("params", [ModelParams(5, 5), ModelParams(5, 11)])
+def test_independent_rows_match_the_loop_over_all_kept_rows_on_problem_A(monkeypatch, params):
+    seen = []
+    monkeypatch.setattr(sos, "_independent_rows", lambda rows: seen.append(rows.copy()) or _independent_rows(rows))
+    problem = assemble_problem_A(params, constraint_sample(3, 16, 1.02))
+    (rows,) = seen
+    assert len(set(_support_groups(rows))) > 1
+    assert len(_check_against_all_kept_rows(rows)) == len(problem.eq_constraints) < len(rows)
+
+
+def test_independent_rows_match_the_loop_over_all_kept_rows_on_block_sparse_rows():
+    """Random rows over 4 column groups, dependent rows inside a group, and a late row bridging two groups."""
+    rng = np.random.default_rng(28)
+    width = 12
+    rows, group = [], []
+    for _ in range(40):
+        g = int(rng.integers(4))
+        v = np.zeros(4 * width)
+        cols = g * width + rng.choice(width, size=int(rng.integers(1, 5)), replace=False)
+        v[cols] = rng.standard_normal(len(cols))
+        rows.append(v)
+        group.append(g)
+    in_0 = [n for n, g in enumerate(group) if g == 0]
+    in_1 = [n for n, g in enumerate(group) if g == 1]
+    rows += [rows[in_0[0]], 0.0 - 3.0 * rows[in_0[1]], rows[in_0[0]] + 2.0 * rows[in_0[2]]]  # dependent in group 0
+    bridge = rows[in_0[0]] + rows[in_1[0]]
+    rows += [bridge, bridge + rows[in_1[1]], rows[in_1[1]]]  # the bridge joins groups 0 and 1
+    rows = np.array([r / np.linalg.norm(r) for r in rows])
+    assert not np.signbit(rows[rows == 0.0]).any()  # as in the assembled rows: no -0.0
+    groups = _support_groups(rows)
+    assert groups[in_0[0]] == groups[in_1[0]] != groups[group.index(2)]
+    keep = _check_against_all_kept_rows(rows)
+    assert {40, 41, 42, 45} & set(keep) == set()
 
 
 @pytest.mark.parametrize("params", [ModelParams(5, 5), ModelParams(11, 3)])
