@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 
@@ -168,6 +169,32 @@ def test_workspace_matches_the_per_row_fill_on_problem_A():
         for lab, (rows, A) in data.items():
             assert ws.data[lab].rows.tobytes() == rows.tobytes()
             assert ws.data[lab].A.shape == A.shape and ws.data[lab].A.tobytes() == A.tobytes()
+
+
+def solution_sha256(sol):
+    """sha256 over a solution's blocks, then its dual blocks, in label order, then y."""
+    h = hashlib.sha256()
+    for blocks in (sol.blocks, sol.dual_blocks):
+        for lab, x in blocks.items():
+            h.update(lab.encode() + x.tobytes())
+    h.update(sol.y.tobytes())
+    return h.hexdigest()
+
+
+def test_published_solves_golden_sha256():
+    """Problem A at the published size and its feasibility variant, bit for bit.
+
+    Their psd blocks have sizes 6, 12 and 36, which TINY's golden artifacts
+    do not reach.  Recorded with 2 OpenBLAS threads, like the TINY goldens.
+    """
+    problem = build_problem(RunConfig())
+    sol = solve(problem)
+    variant = assemble_feasibility_variant(problem, sol.objective, 1e-4)
+    ref = solve(variant, gap_tol=1e-7, feas_tol=1e-9, mehrotra=False)
+    assert sorted({x.shape[0] for x in sol.blocks.values() if x.ndim == 2}) == [6, 12, 36]
+    assert (sol.iterations, sol.stop_reason, ref.iterations, ref.stop_reason) == (35, "stalled", 44, "converged")
+    assert solution_sha256(sol) == "c357fd0460e1abc32d294e3805cde51379c53d0ad8af917153410f41faf2ae62"
+    assert solution_sha256(ref) == "7c0616188235ebe4284bb9864cb2bce39160462274fa1b15204a55d3ff99e99e"
 
 
 def test_schur_matches_dense_reference_over_many_runs():
