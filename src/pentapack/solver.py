@@ -14,6 +14,26 @@ slack block of the inequalities adds only its diagonal.  Within one
 iteration the factors of X and Z, W Rd W and the Cholesky factor of M serve
 both the predictor and the corrector.
 
+Every float of a solve is fixed, since one ulp in M moves the paper's bound
+by about 2e-6; three things make the iteration cheaper without moving one:
+
+- The psd blocks of one size live in one (k, n, n) stack (a group), and
+  each per-matrix kernel (eigh, cholesky, solve, eigvalsh, matmul) runs
+  once per stack.  numpy's linalg gufuncs and matmul call the same LAPACK
+  or BLAS routine on each matrix of a stack as on that matrix alone.  What
+  sums across entries of a block or across blocks (inner products, norms,
+  A(X), A*(y), the Newton right-hand side, M itself) still runs block by
+  block in label order, because its summation order fixes the bits.
+- The step test factors sym(X + a dX) for every block to see that the step
+  stays interior.  The update of an accepted step is that same expression,
+  so its factors are the next X's and the next step-length computation
+  takes them instead of factoring X again; likewise for Z and for a
+  restored X.
+- W A_j W replays the two gemms that np.einsum("ij,kjl,lm->kim", W, A, W)
+  makes on its optimized path, with A's transpose copied once per block
+  instead of once per call.  The plain stacked W @ A @ W multiplies in
+  another order and differs in the last bit at n = 36.
+
 The search direction solves
     A(dX) = rp,   A*(dy) + dZ = Rd,   dX + W dZ W = R Uc R
 where W is the NT scaling point (W Z W = X), R = W^(1/2), and Uc comes from
@@ -53,8 +73,11 @@ class _BlockData:
         cuts = [0, *(np.flatnonzero(np.diff(rows) != 1) + 1).tolist(), len(rows)]
         self.runs = [(slice(rows[a], rows[b - 1] + 1), slice(a, b)) for a, b in zip(cuts, cuts[1:]) if b > a]
         if kind == "psd":
-            # the contraction path depends only on the shapes; C stands in for W
-            self.path = np.einsum_path("ij,kjl,lm->kim", C, A, C, optimize=True)[0]
+            # The A_k transposed, rows (k, l) and columns j: the left operand of the first gemm
+            # of W A_k W.  When every A_k is symmetric bit for bit, as the assembly's are,
+            # A itself has those bytes, and no copy is kept.
+            At = A.transpose(0, 2, 1)
+            self.At = (A if np.array_equal(A.view(np.uint64), At.view(np.uint64)) else At).reshape(-1, dim)
         else:
             # rows of M, column j and entries a_rj, a_sj of each pair (r, s) sharing a nonzero column
             nz = [np.flatnonzero(A[:, j]) for j in range(dim)]
@@ -72,40 +95,70 @@ def _add_runs(M, runs, sub):
 
 
 def _sym(m):
-    return 0.5 * (m + m.T)
+    """The symmetric part of a matrix or of each matrix of a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def _eig_psd_sqrt(mat):
-    """Return (sqrt, inv sqrt) of a symmetric positive definite matrix."""
+    """Return (sqrt, inv sqrt) of each symmetric positive definite matrix of a stack."""
     w, q = np.linalg.eigh(mat)
-    if w.min() <= 0:
+    if (w.min(axis=-1) <= 0).any():
         raise FloatingPointError("matrix lost positive definiteness")
-    rw = np.sqrt(w)
-    return (q * rw) @ q.T, (q / rw) @ q.T
+    rw = np.sqrt(w)[..., None, :]
+    qt = q.swapaxes(-1, -2)
+    return (q * rw) @ qt, (q / rw) @ qt
+
+
+def _nt_scaling(X, Z):
+    """(W, R, R^-1, eigenvalues and eigenvectors of V) for stacks of psd X and Z."""
+    xs, _ = _eig_psd_sqrt(X)
+    _, s_isqrt = _eig_psd_sqrt(_sym(xs @ Z @ xs))
+    W = _sym(xs @ s_isqrt @ xs)
+    R, Rinv = _eig_psd_sqrt(W)
+    lamV, QV = np.linalg.eigh(_sym(Rinv @ X @ Rinv))
+    return W, R, Rinv, lamV, QV
+
+
+def _corrector(scal, dX_a, dZ_a, target):
+    """R U R for a psd stack, U solving the scaled Lyapunov equation of the corrector."""
+    W, R, Rinv, lamV, QV = scal
+    Ea = _sym(Rinv @ dX_a @ Rinv)
+    Fa = _sym(R @ dZ_a @ R)
+    n = lamV.shape[-1]
+    lam2 = np.zeros(QV.shape)  # diag(lamV^2) per block, multiplied as a matrix
+    lam2[:, range(n), range(n)] = lamV**2
+    QVt = QV.swapaxes(-1, -2)
+    Wmat = target * np.eye(n) - QV @ lam2 @ QVt - _sym(Ea @ Fa)
+    Uh = 2.0 * (QVt @ Wmat @ QV) / (lamV[:, :, None] + lamV[:, None, :])
+    return _sym(R @ (QV @ Uh @ QVt) @ R)
 
 
 def _max_step(x_chol, direction, frac):
-    """Largest alpha <= 1 with X + alpha*dX staying in the cone (PSD block)."""
+    """Largest alpha <= 1 with X + alpha*dX staying in the cone, per block of a psd stack."""
     # Kept as general solves: scipy's triangular solve with a matrix
     # right-hand side wakes scipy's own BLAS thread pool, which then competes
     # with numpy's, and the default solve's stopping point is sensitive to
     # the rounding of these step lengths.
-    s = np.linalg.solve(x_chol, np.linalg.solve(x_chol, direction).T)
-    lam = np.linalg.eigvalsh(_sym(s)).min()
-    if lam >= 0:
-        return 1.0
-    return min(1.0, frac / (-lam))
+    s = np.linalg.solve(x_chol, np.linalg.solve(x_chol, direction).swapaxes(-1, -2))
+    lams = np.linalg.eigvalsh(_sym(s)).min(axis=-1).tolist()
+    return [1.0 if lam >= 0 else min(1.0, frac / -lam) for lam in lams]
 
 
 def _max_step_diag(x, dx, frac):
     neg = dx < 0
     if not neg.any():
-        return 1.0
-    return min(1.0, frac * float((x[neg] / -dx[neg]).min()))
+        return [1.0]
+    return [min(1.0, frac * float((x[neg] / -dx[neg]).min()))]
 
 
 class _Workspace:
-    """Per-solve state: problem data in standard form plus iterates."""
+    """Per-solve state: problem data in standard form.
+
+    The iteration holds each block variable (X, Z, their steps, W, ...) as a
+    list over `groups`: a (k, n, n) stack for the k psd blocks of size n, in
+    label order, and a vector for each diag block.  `by_label` views such a
+    list block by block in label order.
+    """
 
     def __init__(self, p: SdpProblem):
         p.validate()
@@ -144,12 +197,29 @@ class _Workspace:
                 C = _sym(C)
             self.data[blk.label] = _BlockData(blk.kind, blk.dim, np.array(rows[blk.label], dtype=int), A, C)
         self.total_dim = sum(blk.dim for blk in blocks)
-
-    def apply_A(self, X):
-        """A(X) over all blocks."""
-        out = np.zeros(self.m)
+        members = {}  # the psd labels of each size, each diag label alone
         for lab, d in self.data.items():
-            x = X[lab]
+            members.setdefault(d.dim if d.kind == "psd" else lab, []).append(lab)
+        self.groups = [(self.data[labs[0]].kind, labs) for labs in members.values()]
+        place = {lab: (g, i if kind == "psd" else None)
+                 for g, (kind, labs) in enumerate(self.groups) for i, lab in enumerate(labs)}
+        self.where = {lab: place[lab] for lab in self.data}  # label -> (group, index in its stack), label order
+        self.C = self.stacked({lab: d.C for lab, d in self.data.items()})
+
+    def by_label(self, G):
+        """Label -> block of the group list G, in label order; a psd block is a view into its stack."""
+        return {lab: G[g] if i is None else G[g][i] for lab, (g, i) in self.where.items()}
+
+    def stacked(self, blocks):
+        """The group list of a label -> block mapping."""
+        return [np.stack([blocks[lab] for lab in labs]) if kind == "psd" else blocks[labs[0]]
+                for kind, labs in self.groups]
+
+    def apply_A(self, X, out=None):
+        """A(X) over all blocks, added block by block in label order into `out` (zeros by default)."""
+        out = np.zeros(self.m) if out is None else out
+        for lab, x in self.by_label(X).items():
+            d = self.data[lab]
             if d.kind == "psd":
                 out[d.rows] += np.einsum("kij,ij->k", d.A, x)
             else:
@@ -173,11 +243,16 @@ class _Workspace:
         """M[i,j] = <A_i, W A_j W>; W maps a psd label to its W, a diag label to w with W = diag(w)."""
         M = np.zeros((self.m, self.m))
         for lab, d in self.data.items():
-            if len(d.rows) == 0:
+            mb, n = len(d.rows), d.dim
+            if mb == 0:
                 continue
             if d.kind == "psd":
-                B = np.einsum("ij,kjl,lm->kim", W[lab], d.A, W[lab], optimize=d.path)
-                _add_runs(M, d.runs, d.A.reshape(len(d.rows), -1) @ B.reshape(len(d.rows), -1).T)
+                w = W[lab]
+                # B[k] = W A_k W by the gemms of np.einsum("ij,kjl,lm->kim", w, d.A, w, optimize=True):
+                # T[k, l, i] = sum_j A[k, j, l] W[i, j], then B[k, i, m] = sum_l T[k, l, i] W[l, m]
+                T = (d.At @ w.T).reshape(mb, n, n)
+                B = (T.transpose(2, 0, 1).reshape(n * mb, n) @ w).reshape(n, mb, n).transpose(1, 0, 2)
+                _add_runs(M, d.runs, d.A.reshape(mb, -1) @ B.reshape(mb, -1).T)
             else:
                 i, j, col, a_i, a_j = d.outer
                 np.add.at(M, (i, j), a_i * W[lab][col] ** 2 * a_j)
@@ -187,18 +262,10 @@ class _Workspace:
         """Minimum-norm correction moving X onto the affine constraint set."""
         from scipy.linalg import cho_solve  # imported on first use: scipy.linalg takes longer to load than pentapack
         lam = cho_solve((gram_chol, True), rp, check_finite=False)
-        out = {}
-        for lab, d in self.data.items():
-            corr = (
-                np.einsum("k,kij->ij", lam[d.rows], d.A)
-                if d.kind == "psd"
-                else lam[d.rows] @ d.A
-            )
-            out[lab] = X[lab] + corr
-        return out
+        return [x + c for x, c in zip(X, self.apply_At(lam))]
 
     def apply_At(self, y):
-        """A*(y) per block."""
+        """A*(y) as a group list."""
         out = {}
         for lab, d in self.data.items():
             yb = y[d.rows]
@@ -206,34 +273,37 @@ class _Workspace:
                 out[lab] = np.einsum("k,kij->ij", yb, d.A)
             else:
                 out[lab] = yb @ d.A
-        return out
+        return self.stacked(out)
 
     def inner(self, X, Y):
-        return sum(float(np.sum(X[lab] * Y[lab])) for lab in X)
+        """sum over blocks of <X, Y>, in label order."""
+        return sum(float(np.sum(x * y)) for x, y in zip(self.by_label(X).values(), self.by_label(Y).values()))
 
-    def interior(self, blocks) -> bool:
-        """Whether every psd block, symmetrized, has a Cholesky factor and every diag entry is positive."""
+    def factors(self, G):
+        """Cholesky factors of each symmetrized psd stack of G (None for a diag block); LinAlgError if one has none."""
+        return [np.linalg.cholesky(_sym(v)) if kind == "psd" else None for (kind, _), v in zip(self.groups, G)]
+
+    def interior(self, G):
+        """G's `factors` if every psd block has a Cholesky factor and every diag entry is positive, else None."""
+        if any((v <= 0).any() for (kind, _), v in zip(self.groups, G) if kind == "diag"):
+            return None
         try:
-            for lab, v in blocks.items():
-                if self.data[lab].kind == "psd":
-                    np.linalg.cholesky(_sym(v))
-                elif (v <= 0).any():
-                    return False
-            return True
+            return self.factors(G)
         except np.linalg.LinAlgError:
-            return False
+            return None
 
-    def backtrack(self, V, dV, step: float) -> float:
-        """step * 0.7^k for the least k < 40 keeping V + step dV interior, else 0.
+    def backtrack(self, V, dV, step: float):
+        """(step * 0.7^k, factors of sym(V + that step dV)) for the least k < 40 keeping it interior, else (0.0, None).
 
         The boundary fraction comes from eigenvalues and can overshoot by
         rounding when V is very ill-conditioned.
         """
         for _ in range(40):
-            if self.interior({lab: V[lab] + step * dV[lab] for lab in V}):
-                return step
+            factors = self.interior([v + step * d for v, d in zip(V, dV)])
+            if factors is not None:
+                return step, factors
             step *= 0.7
-        return 0.0
+        return 0.0, None
 
 
 def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra: bool = True) -> SdpSolution:
@@ -261,38 +331,34 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
     )
     xi_p = max(10.0, math.sqrt(ws.total_dim), 10.0 * bnorm)
     xi_d = max(10.0, math.sqrt(ws.total_dim), 10.0 * cnorm)
-    X, Z = {}, {}
-    for lab, d in ws.data.items():
-        if d.kind == "psd":
-            X[lab] = xi_p * np.eye(d.dim)
-            Z[lab] = xi_d * np.eye(d.dim)
-        else:
-            X[lab] = xi_p * np.ones(d.dim)
-            Z[lab] = xi_d * np.ones(d.dim)
+    unit = [np.broadcast_to(np.eye(c.shape[-1]), c.shape) if kind == "psd" else np.ones(c.shape)
+            for (kind, _), c in zip(ws.groups, ws.C)]
+    X = [xi_p * u for u in unit]
+    Z = [xi_d * u for u in unit]
     y = np.zeros(m)
+    psd = [kind == "psd" for kind, _ in ws.groups]
 
     status = "numerical-failure"
     stop_reason = "max-iter"
     it = 0
     ap = ad = sigma = math.nan  # the step that reached the current iterate
     stall = 0
-    best = None  # (score, X, Z, y, metrics)
+    best = None  # (score, X, Z, y, metrics); iterates are replaced, never modified in place
     no_improve = 0
+    fx = fz = None  # `factors` of X and Z, known from the step test that accepted them
+    schur_s = 0.0  # forming and factoring the Schur matrix
     gram_chol = ws.gram_factor()
     for it in range(1, MAX_ITER + 1):
         rp = ws.b - ws.apply_A(X)
-        Aty = ws.apply_At(y)
-        Rd = {}
-        for lab, d in ws.data.items():
-            Rd[lab] = d.C - Z[lab] - Aty[lab]
+        Rd = [c - z - a for c, z, a in zip(ws.C, Z, ws.apply_At(y))]
         gap = ws.inner(X, Z)
         mu = gap / ws.total_dim
-        pobj = sum(float(np.sum(ws.data[lab].C * X[lab])) for lab in X)
+        pobj = ws.inner(ws.C, X)
         dobj = float(ws.b @ y)
         pinf = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(ws.b)))
         dinf = max(
-            float(np.linalg.norm(Rd[lab])) / (1.0 + float(np.linalg.norm(ws.data[lab].C)))
-            for lab in Rd
+            float(np.linalg.norm(rd)) / (1.0 + float(np.linalg.norm(ws.data[lab].C)))
+            for lab, rd in ws.by_label(Rd).items()
         )
         relgap = gap / (1.0 + abs(pobj) + abs(dobj))
         log.debug(
@@ -301,7 +367,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
         )
         score = max(pinf / feas_tol, dinf / feas_tol, relgap / gap_tol)
         if best is None or score < best[0] * 0.98:
-            best = (score, {k: v.copy() for k, v in X.items()}, {k: v.copy() for k, v in Z.items()}, y.copy(), (pobj, relgap, pinf, dinf))
+            best = (score, X, Z, y, (pobj, relgap, pinf, dinf))
             no_improve = 0
         else:
             no_improve += 1
@@ -317,35 +383,24 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
             stop_reason = "y-divergence"
             break
 
-        # NT scaling per block.
+        # NT scaling per group.
         try:
-            scal = {}
-            for lab, d in ws.data.items():
-                if d.kind == "psd":
-                    xs, _ = _eig_psd_sqrt(X[lab])
-                    s_mat = _sym(xs @ Z[lab] @ xs)
-                    _, s_isqrt = _eig_psd_sqrt(s_mat)
-                    W = _sym(xs @ s_isqrt @ xs)
-                    R, Rinv = _eig_psd_sqrt(W)
-                    V = _sym(Rinv @ X[lab] @ Rinv)
-                    lamV, QV = np.linalg.eigh(V)
-                    scal[lab] = (W, R, Rinv, lamV, QV)
-                else:
-                    w = np.sqrt(X[lab] / Z[lab])
-                    v = np.sqrt(X[lab] * Z[lab])
-                    scal[lab] = (w, v)
+            scal = [_nt_scaling(x, z) if p else (np.sqrt(x / z), np.sqrt(x * z)) for p, x, z in zip(psd, X, Z)]
+            W = [sc[0] for sc in scal]
 
-            M = ws.schur({lab: sc[0] for lab, sc in scal.items()})
-
+            schur_started = time.perf_counter()
+            M = ws.schur(ws.by_label(W))
             L = None
             shift = 0.0
-            mnorm = float(np.abs(M).max())
             for attempt in range(4):
                 try:
                     L = np.linalg.cholesky(M + shift * np.eye(m) if shift else M)
                     break
                 except np.linalg.LinAlgError:
+                    if attempt == 0:
+                        mnorm = float(np.abs(M).max())
                     shift = mnorm * (1e-13 if attempt == 0 else shift / mnorm * 1e3)
+            schur_s += time.perf_counter() - schur_started
             if L is None:
                 status = "numerical-failure"
                 stop_reason = "cholesky-failure"
@@ -353,12 +408,9 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
             L = np.asfortranarray(L)  # cho_solve would copy a C-ordered factor on every call
 
             # Unchanged between the predictor and the corrector.
-            psd = [lab for lab, d in ws.data.items() if d.kind == "psd"]
-            chol = {lab: (np.linalg.cholesky(X[lab]), np.linalg.cholesky(Z[lab])) for lab in psd}
-            WRW = {}
-            for lab, d in ws.data.items():
-                W = scal[lab][0]
-                WRW[lab] = _sym(W @ Rd[lab] @ W) if d.kind == "psd" else W**2 * Rd[lab]
+            fx = ws.factors(X) if fx is None else fx
+            fz = ws.factors(Z) if fz is None else fz
+            WRW = [_sym(w @ rd @ w) if p else w**2 * rd for p, w, rd in zip(psd, W, Rd)]
 
             def schur_solve(rhs):
                 x = cho_solve((L, True), rhs, check_finite=False)
@@ -369,67 +421,36 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
 
             def newton(Rc):
                 """Solve the Newton system for a given centrality target."""
-                rhs = rp.copy()
-                for lab, d in ws.data.items():
-                    x = WRW[lab] - Rc[lab]
-                    if d.kind == "psd":
-                        rhs[d.rows] += np.einsum("kij,ij->k", d.A, x)
-                    else:
-                        rhs[d.rows] += d.A @ x
-                dy = schur_solve(rhs)
-                dZ, dX = {}, {}
-                Atdy = ws.apply_At(dy)
-                for lab, d in ws.data.items():
-                    dZ[lab] = Rd[lab] - Atdy[lab]
-                    if d.kind == "psd":
-                        W = scal[lab][0]
-                        dX[lab] = _sym(Rc[lab] - W @ dZ[lab] @ W)
-                    else:
-                        dX[lab] = Rc[lab] - scal[lab][0] ** 2 * dZ[lab]
+                dy = schur_solve(ws.apply_A([v - rc for v, rc in zip(WRW, Rc)], rp.copy()))
+                dZ = [rd - a for rd, a in zip(Rd, ws.apply_At(dy))]
+                dX = [_sym(rc - w @ dz @ w) if p else rc - w**2 * dz for p, w, rc, dz in zip(psd, W, Rc, dZ)]
                 return dy, dX, dZ
 
             def step_lengths(dX, dZ):
                 ap = ad = 1.0
-                for lab, d in ws.data.items():
-                    if d.kind == "psd":
-                        ap = min(ap, _max_step(chol[lab][0], dX[lab], STEP_FRAC))
-                        ad = min(ad, _max_step(chol[lab][1], dZ[lab], STEP_FRAC))
-                    else:
-                        ap = min(ap, _max_step_diag(X[lab], dX[lab], STEP_FRAC))
-                        ad = min(ad, _max_step_diag(Z[lab], dZ[lab], STEP_FRAC))
+                for p, x, z, lx, lz, dx, dz in zip(psd, X, Z, fx, fz, dX, dZ):
+                    ap = min(ap, *(_max_step(lx, dx, STEP_FRAC) if p else _max_step_diag(x, dx, STEP_FRAC)))
+                    ad = min(ad, *(_max_step(lz, dz, STEP_FRAC) if p else _max_step_diag(z, dz, STEP_FRAC)))
                 return ap, ad
 
             # Predictor (affine) direction: Uc = -V, i.e. Rc = -X.
-            Rc_aff = {lab: -X[lab] for lab in X}
-            dy_a, dX_a, dZ_a = newton(Rc_aff)
+            dy_a, dX_a, dZ_a = newton([-x for x in X])
 
             if mehrotra:
                 ap_a, ad_a = step_lengths(dX_a, dZ_a)
-                gap_aff = 0.0
-                for lab in X:
-                    gap_aff += float(
-                        np.sum((X[lab] + ap_a * dX_a[lab]) * (Z[lab] + ad_a * dZ_a[lab]))
-                    )
+                gap_aff = ws.inner([x + ap_a * dx for x, dx in zip(X, dX_a)], [z + ad_a * dz for z, dz in zip(Z, dZ_a)])
                 sigma = min(0.9999, max(1e-6, (max(gap_aff, 0.0) / gap) ** 3))
             else:
                 sigma = SIGMA_FIXED
 
-            # Corrector: Lyapunov solve in the scaled space per block.
-            Rc = {}
-            for lab, d in ws.data.items():
-                if d.kind == "psd":
-                    W, R, Rinv, lamV, QV = scal[lab]
-                    Ea = _sym(Rinv @ dX_a[lab] @ Rinv)
-                    Fa = _sym(R @ dZ_a[lab] @ R)
-                    Wmat = sigma * mu * np.eye(d.dim) - QV @ np.diag(lamV**2) @ QV.T - _sym(Ea @ Fa)
-                    Wh = QV.T @ Wmat @ QV
-                    Uh = 2.0 * Wh / np.add.outer(lamV, lamV)
-                    U = QV @ Uh @ QV.T
-                    Rc[lab] = _sym(R @ U @ R)
+            # Corrector: Lyapunov solve in the scaled space per group.
+            Rc = []
+            for p, sc, dx, dz in zip(psd, scal, dX_a, dZ_a):
+                if p:
+                    Rc.append(_corrector(sc, dx, dz, sigma * mu))
                 else:
-                    w, v = scal[lab]
-                    u = (sigma * mu - v * v - dX_a[lab] * dZ_a[lab]) / v
-                    Rc[lab] = w * u
+                    w, v = sc
+                    Rc.append(w * ((sigma * mu - v * v - dx * dz) / v))
             dy, dX, dZ = newton(Rc)
             ap, ad = step_lengths(dX, dZ)
         except (FloatingPointError, np.linalg.LinAlgError):
@@ -438,9 +459,9 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
             break
 
         # Apply the step, backtracking if roundoff pushed an iterate out of
-        # the cone.
-        ap = ws.backtrack(X, dX, ap)
-        ad = ws.backtrack(Z, dZ, ad)
+        # the cone; an accepted step's factors are those of the next iterate.
+        ap, fx = ws.backtrack(X, dX, ap)
+        ad, fz = ws.backtrack(Z, dZ, ad)
 
         if max(ap, ad) < 1e-10:
             stall += 1
@@ -449,9 +470,8 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
                 break
         else:
             stall = 0
-        for lab in X:
-            X[lab] = _sym(X[lab] + ap * dX[lab]) if ws.data[lab].kind == "psd" else X[lab] + ap * dX[lab]
-            Z[lab] = _sym(Z[lab] + ad * dZ[lab]) if ws.data[lab].kind == "psd" else Z[lab] + ad * dZ[lab]
+        X = [_sym(x + ap * dx) if p else x + ap * dx for p, x, dx in zip(psd, X, dX)]
+        Z = [_sym(z + ad * dz) if p else z + ad * dz for p, z, dz in zip(psd, Z, dZ)]
         y = y + ad * dy
 
         # Feasibility restoration: once the primal residual is small, snap X
@@ -461,11 +481,9 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
             nrm = float(np.linalg.norm(rp_now))
             if 0.0 < nrm <= 1e-3 * (1.0 + float(np.linalg.norm(ws.b))):
                 Xr = ws.restore(X, gram_chol, rp_now)
-                if ws.interior(Xr):
-                    X = {
-                        lab: _sym(v) if ws.data[lab].kind == "psd" else v
-                        for lab, v in Xr.items()
-                    }
+                fr = ws.interior(Xr)
+                if fr is not None:
+                    X, fx = [_sym(v) if p else v for p, v in zip(psd, Xr)], fr
 
     # Report the best iterate seen (later iterations can drift once the
     # Schur system degenerates).
@@ -478,21 +496,21 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
         else:
             status = "numerical-failure"
 
-    pobj = sum(float(np.sum(ws.data[lab].C * X[lab])) for lab in X)
+    pobj = ws.inner(ws.C, X)
     gap = ws.inner(X, Z)
     relgap = gap / (1.0 + abs(pobj) + abs(float(ws.b @ y)))
     elapsed = time.perf_counter() - started
     log.info(
-        "solve: %d iterations, status %s, stop %s, %.2f s, %.1f ms/iteration",
-        it, status, stop_reason, elapsed, 1e3 * elapsed / max(it, 1),
+        "solve: %d iterations, status %s, stop %s, %.2f s, Schur %.2f s, %.1f ms/iteration",
+        it, status, stop_reason, elapsed, schur_s, 1e3 * elapsed / max(it, 1),
     )
     return SdpSolution(
-        blocks={lab: x.copy() for lab, x in X.items()},
+        blocks={lab: x.copy() for lab, x in ws.by_label(X).items()},
         y=y / ws.row_scale,
         objective=pobj,
         status=status,
         gap=relgap,
         iterations=it,
-        dual_blocks={lab: z.copy() for lab, z in Z.items()},
+        dual_blocks={lab: z.copy() for lab, z in ws.by_label(Z).items()},
         stop_reason=stop_reason,
     )

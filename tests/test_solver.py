@@ -40,7 +40,7 @@ def test_lambda_max(caplog):
     records = [r for r in caplog.records if r.name == "pentapack.solver"]
     assert [r.levelno for r in records] == [logging.DEBUG] * sol.iterations + [logging.INFO]
     assert "status optimal, stop converged" in records[-1].getMessage()
-    assert re.search(r", \d+\.\d ms/iteration$", records[-1].getMessage())
+    assert re.search(r", Schur \d+\.\d\d s, \d+\.\d ms/iteration$", records[-1].getMessage())
 
 
 def test_schur_factor_is_never_lu_solved(monkeypatch):
@@ -140,8 +140,13 @@ def random_scaling(ws):
     return W
 
 
-def test_schur_matches_dense_reference_on_problem_A(monkeypatch):
-    """Problem A at TINY's size, with the scaling of the first iteration."""
+@pytest.mark.parametrize(
+    "cfg",
+    [RunConfig(d=5, alpha_count=3, grid_n=16), RunConfig(), RunConfig(N=7, d=9)],
+    ids=["tiny", "published", "N7-d9"],
+)
+def test_schur_matches_dense_reference_on_problem_A(cfg, monkeypatch):
+    """Problem A with the scaling of the first iteration and a random one, at every psd block size the pipeline uses."""
     calls = []
     schur = solver._Workspace.schur
 
@@ -151,9 +156,11 @@ def test_schur_matches_dense_reference_on_problem_A(monkeypatch):
 
     monkeypatch.setattr(solver._Workspace, "schur", recording_schur)
     monkeypatch.setattr(solver, "MAX_ITER", 1)
-    solve(build_problem(RunConfig(d=5, alpha_count=3, grid_n=16)))
+    solve(build_problem(cfg))
     ws, W = calls[0]
     assert max(len(d.runs) for d in ws.data.values()) > 1
+    assert np.array_equal(ws.schur(W), reference_schur(ws, W))
+    W = random_scaling(ws)
     assert np.array_equal(ws.schur(W), reference_schur(ws, W))
 
 
@@ -202,6 +209,56 @@ def test_schur_matches_dense_reference_over_many_runs():
     assert [len(ws.data[lab].runs) for lab in "XY"] == [6, 6]
     W = random_scaling(ws)
     assert np.array_equal(ws.schur(W), reference_schur(ws, W))
+
+
+def test_schur_matches_dense_reference_with_a_row_symmetric_to_one_ulp():
+    """A block whose coefficients are symmetric only to rounding keeps a transposed copy for W A_k W."""
+    p = alternating_problem(shared=False)
+    t = p.eq_constraints[0]
+    A = t.coeffs["X"].copy()
+    A[0, 1] = np.nextafter(A[0, 1], np.inf)
+    eqs = [LinearTerm({**t.coeffs, "X": A}, t.rhs), *p.eq_constraints[1:]]
+    ws = solver._Workspace(SdpProblem(p.blocks, p.objective, eqs, []))
+    assert not np.shares_memory(ws.data["X"].At, ws.data["X"].A)
+    assert np.shares_memory(ws.data["Y"].At, ws.data["Y"].A)
+    W = random_scaling(ws)
+    assert np.array_equal(ws.schur(W), reference_schur(ws, W))
+
+
+def test_backtrack_shrinks_for_one_block_of_a_stack():
+    """X and Y share one stack; only Y leaves the cone at the trial step."""
+    ws = solver._Workspace(alternating_problem(shared=False))
+    assert [labs for kind, labs in ws.groups] == [["X", "Y"], ["D"]]
+    rng = np.random.default_rng(63)
+    G = rng.standard_normal((2, 4, 4))
+    V = [G @ G.swapaxes(1, 2) + np.eye(4), np.ones(12)]
+    H = rng.standard_normal((4, 4))
+    dV = [np.stack([0.1 * (H + H.T), -2.0 * V[0][1]]), np.zeros(12)]
+    assert np.linalg.eigvalsh(V[0][0] + dV[0][0]).min() > 0
+    step, factors = ws.backtrack(V, dV, 1.0)
+    # Y + s dY = (1 - 2s) Y is interior from the third try on, as it was for Y alone
+    assert step == 1.0 * 0.7 * 0.7
+    trial = [v + step * d for v, d in zip(V, dV)]
+    assert np.array_equal(factors[0], np.linalg.cholesky(solver._sym(trial[0])))
+    assert factors[1] is None
+    assert ws.backtrack(V, [dV[0], -1e7 * V[1]], 1.0) == (0.0, None)  # D stays outside for 0.7^39 > 1e-7
+
+
+def test_one_block_of_a_stack_losing_definiteness_ends_the_solve(monkeypatch):
+    nt_scaling = solver._nt_scaling
+    calls = []
+
+    def flip_second_block(X, Z):
+        calls.append(len(X))
+        if len(calls) == 3:
+            X = X.copy()
+            X[1] = -X[1]
+        return nt_scaling(X, Z)
+
+    monkeypatch.setattr(solver, "_nt_scaling", flip_second_block)
+    sol = solve(alternating_problem(shared=False))
+    assert calls == [2, 2, 2]
+    assert sol.stop_reason == "cholesky-failure"
 
 
 def test_diag_column_shared_by_two_rows():
