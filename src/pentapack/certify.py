@@ -61,7 +61,7 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     from scipy.linalg import cho_solve  # imported on first use: scipy.linalg takes longer to load than pentapack
     A, b = stack_rows(p.blocks, p.eq_constraints)
     m = len(A)
-    svals = np.linalg.svd(A, compute_uv=False)
+    svals = np.linalg.svd(A.T, compute_uv=False)  # the tall transpose: the same values, in about half the time
     if svals[-1] < 1e-8 * svals[0]:
         raise RankDeficiencyError(
             f"equality system nearly rank-deficient (sigma_min/sigma_max = {svals[-1]/svals[0]:.2e})"
@@ -1048,7 +1048,7 @@ def verify_nonpositivity(
     h0, ha0 = 0.5 * dx0, 0.5 * dalpha
     boxes0 = _boxes(xlo0, ylo0, h0, fe)  # the grid's alpha-free part, for every slice
     pos0, aix0 = np.arange(cap), np.zeros(cap, np.intp)
-    split0: list = []  # level-0 boxes (xlo, ylo, alpha) to refine
+    split0: list = []  # per alpha slice, (alpha, xlo, ylo) of its level-0 boxes to refine
     for ia in range(sample_spec.alpha_count):
         amid = alpha_lo + (ia + 0.5) * dalpha
         lv = batch(boxes0, np.array([amid]), pos0, aix0, h0, ha0, 0)
@@ -1057,7 +1057,7 @@ def verify_nonpositivity(
         sign.add_many(lv.lo[reg], lv.hi[reg], lambda j: lv.item(reg[j]))
         tally(lv, 0)
         split = lv.kept[lv.action == 2]
-        split0.extend((x, y, amid) for x, y in zip(xlo0[split].tolist(), ylo0[split].tolist()))
+        split0.append((amid, xlo0[split], ylo0[split]))
 
     radial_positions = 0  # positions of the refinement levels, each given the alpha-free part once
 
@@ -1098,7 +1098,8 @@ def verify_nonpositivity(
     # are checked before each split level-0 box (last-in first-out): a
     # subtree once begun is decided and counted in full.
     aborted = False
-    for box in reversed(split0):
+    lifo = ((x, y, amid) for amid, xs, ys in reversed(split0) for x, y in zip(xs[::-1].tolist(), ys[::-1].tolist()))
+    for box in lifo:
         if n_failures >= max_failures or evaluations >= max_evaluations:
             aborted = True
             break

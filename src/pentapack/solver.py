@@ -2,9 +2,10 @@
 
 Infeasible-start path following with Nesterov-Todd scaling and a Mehrotra
 predictor-corrector step.  Problem sizes here are small (blocks of dimension
-up to a few dozen, around a thousand constraints), so everything is dense:
-the Newton system is reduced to the Schur complement M[i,j] = <A_i, W A_j W>,
-which is symmetric positive definite under NT scaling and solved by Cholesky.
+up to a few dozen, around a thousand constraints), so all but the diag
+blocks is dense: the Newton system is reduced to the Schur complement
+M[i,j] = <A_i, W A_j W>, which is symmetric positive definite under NT
+scaling and solved by Cholesky.
 
 M is assembled block by block.  A psd block's rows split into runs of
 consecutive constraint indices, and its dense product is added into M one
@@ -15,15 +16,18 @@ iteration the factors of X and Z, W Rd W and the Cholesky factor of M serve
 both the predictor and the corrector.
 
 Every float of a solve is fixed, since one ulp in M moves the paper's bound
-by about 2e-6; three things make the iteration cheaper without moving one:
+by about 2e-6; these things make the iteration cheaper without moving one:
 
 - The psd blocks of one size live in one (k, n, n) stack (a group), and
   each per-matrix kernel (eigh, cholesky, solve, eigvalsh, matmul) runs
-  once per stack.  numpy's linalg gufuncs and matmul call the same LAPACK
+  once per stack; the step lengths of X and Z run as one stack of X's
+  factors then Z's.  numpy's linalg gufuncs and matmul call the same LAPACK
   or BLAS routine on each matrix of a stack as on that matrix alone.  What
   sums across entries of a block or across blocks (inner products, norms,
   A(X), A*(y), the Newton right-hand side, M itself) still runs block by
   block in label order, because its summation order fixes the bits.
+- The NT scaling forms only the roots it uses, X^(1/2) and
+  (X^(1/2) Z X^(1/2))^(-1/2), each the same product as beside its sibling.
 - The step test factors sym(X + a dX) for every block to see that the step
   stays interior.  The update of an accepted step is that same expression,
   so its factors are the next X's and the next step-length computation
@@ -31,8 +35,19 @@ by about 2e-6; three things make the iteration cheaper without moving one:
   restored X.
 - W A_j W replays the two gemms that np.einsum("ij,kjl,lm->kim", W, A, W)
   makes on its optimized path, with A's transpose copied once per block
-  instead of once per call.  The plain stacked W @ A @ W multiplies in
-  another order and differs in the last bit at n = 36.
+  instead of once per call, and the second gemm's rows in (k, i) order, so
+  its product is B itself and T is copied once.  Reordering the rows of a
+  gemm's left operand leaves each entry's dot product unchanged.  The plain
+  stacked W @ A @ W multiplies in another order and differs in the last
+  bit at n = 36.
+- An X left as it was by the feasibility restoration passes on its
+  b - A(X) as the next rp.  The Schur solves call LAPACK potrs, fetched
+  once per solve, with the arguments scipy's cho_solve passes it.
+- A diag block keeps its nonzeros, and A(X), A*(y) and the Gram matrix sum
+  only those.  A sum with one nonzero per row (A(X), Gram) or per column
+  (A*(y)) is that one rounded product in the dense product too, as in the
+  slack block; a column shared by several rows, like theta's B, may round
+  A*(y) differently in the last bit.
 
 The search direction solves
     A(dX) = rp,   A*(dy) + dZ = Rd,   dX + W dZ W = R Uc R
@@ -79,6 +94,9 @@ class _BlockData:
             At = A.transpose(0, 2, 1)
             self.At = (A if np.array_equal(A.view(np.uint64), At.view(np.uint64)) else At).reshape(-1, dim)
         else:
+            # the nonzeros a_rj as (r, j, a_rj), column by column
+            c, r = np.nonzero(A.T)
+            self.nz = (r, c, A[r, c])
             # rows of M, column j and entries a_rj, a_sj of each pair (r, s) sharing a nonzero column
             nz = [np.flatnonzero(A[:, j]) for j in range(dim)]
             r = np.concatenate([np.repeat(k, len(k)) for k in nz])
@@ -99,20 +117,20 @@ def _sym(m):
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def _eig_psd_sqrt(mat):
-    """Return (sqrt, inv sqrt) of each symmetric positive definite matrix of a stack."""
+def _eig_psd_sqrt(mat, powers=(1, -1)):
+    """[mat^(p/2) for p in powers], p = 1 or -1, of each symmetric positive definite matrix of a stack."""
     w, q = np.linalg.eigh(mat)
     if (w.min(axis=-1) <= 0).any():
         raise FloatingPointError("matrix lost positive definiteness")
     rw = np.sqrt(w)[..., None, :]
     qt = q.swapaxes(-1, -2)
-    return (q * rw) @ qt, (q / rw) @ qt
+    return [(q * rw if p == 1 else q / rw) @ qt for p in powers]
 
 
 def _nt_scaling(X, Z):
     """(W, R, R^-1, eigenvalues and eigenvectors of V) for stacks of psd X and Z."""
-    xs, _ = _eig_psd_sqrt(X)
-    _, s_isqrt = _eig_psd_sqrt(_sym(xs @ Z @ xs))
+    xs, = _eig_psd_sqrt(X, (1,))
+    s_isqrt, = _eig_psd_sqrt(_sym(xs @ Z @ xs), (-1,))
     W = _sym(xs @ s_isqrt @ xs)
     R, Rinv = _eig_psd_sqrt(W)
     lamV, QV = np.linalg.eigh(_sym(Rinv @ X @ Rinv))
@@ -223,19 +241,22 @@ class _Workspace:
             if d.kind == "psd":
                 out[d.rows] += np.einsum("kij,ij->k", d.A, x)
             else:
-                out[d.rows] += d.A @ x
+                r, j, a = d.nz
+                out[d.rows] += np.bincount(r, a * x[j], len(d.rows))
         return out
 
     def gram_factor(self):
         """Cholesky factor of A A^T for feasibility restoration (or None)."""
         G = np.zeros((self.m, self.m))
         for d in self.data.values():
-            if len(d.rows) == 0:
-                continue
-            Ab = d.A.reshape(len(d.rows), -1)
-            _add_runs(G, d.runs, Ab @ Ab.T)
+            if d.kind == "diag":
+                i, j, _, a_i, a_j = d.outer
+                np.add.at(G, (i, j), a_i * a_j)
+            elif len(d.rows):
+                Ab = d.A.reshape(len(d.rows), -1)
+                _add_runs(G, d.runs, Ab @ Ab.T)
         try:
-            return np.linalg.cholesky(G)
+            return np.asfortranarray(np.linalg.cholesky(G))  # cho_solve would copy a C-ordered factor on every call
         except np.linalg.LinAlgError:
             return None
 
@@ -249,9 +270,10 @@ class _Workspace:
             if d.kind == "psd":
                 w = W[lab]
                 # B[k] = W A_k W by the gemms of np.einsum("ij,kjl,lm->kim", w, d.A, w, optimize=True):
-                # T[k, l, i] = sum_j A[k, j, l] W[i, j], then B[k, i, m] = sum_l T[k, l, i] W[l, m]
+                # T[k, l, i] = sum_j A[k, j, l] W[i, j], then B[k, i, m] = sum_l T[k, l, i] W[l, m],
+                # the second gemm's rows taken in (k, i) order rather than einsum's (i, k)
                 T = (d.At @ w.T).reshape(mb, n, n)
-                B = (T.transpose(2, 0, 1).reshape(n * mb, n) @ w).reshape(n, mb, n).transpose(1, 0, 2)
+                B = T.transpose(0, 2, 1).reshape(mb * n, n) @ w
                 _add_runs(M, d.runs, d.A.reshape(mb, -1) @ B.reshape(mb, -1).T)
             else:
                 i, j, col, a_i, a_j = d.outer
@@ -272,7 +294,8 @@ class _Workspace:
             if d.kind == "psd":
                 out[lab] = np.einsum("k,kij->ij", yb, d.A)
             else:
-                out[lab] = yb @ d.A
+                r, j, a = d.nz
+                out[lab] = np.bincount(j, yb[r] * a, d.dim)
         return self.stacked(out)
 
     def inner(self, X, Y):
@@ -305,6 +328,18 @@ class _Workspace:
             step *= 0.7
         return 0.0, None
 
+    def step_lengths(self, X, Z, fx, fz, dX, dZ):
+        """`_max_step`'s (ap, ad) for dX and dZ, given X's and Z's `factors`; both of a psd group as one stack."""
+        ap = ad = 1.0
+        for (kind, _), x, z, lx, lz, dx, dz in zip(self.groups, X, Z, fx, fz, dX, dZ):
+            if kind == "psd":
+                steps = _max_step(np.concatenate((lx, lz)), np.concatenate((dx, dz)), STEP_FRAC)
+                sx, sz = steps[:len(lx)], steps[len(lx):]
+            else:
+                sx, sz = _max_step_diag(x, dx, STEP_FRAC), _max_step_diag(z, dz, STEP_FRAC)
+            ap, ad = min(ap, *sx), min(ad, *sz)
+        return ap, ad
+
 
 def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra: bool = True) -> SdpSolution:
     """Solve a block-diagonal SDP to the requested tolerances.
@@ -319,10 +354,11 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
     max-iter (MAX_ITER iterations).  Logs one DEBUG line per iteration and
     one INFO line per solve on the `pentapack.solver` logger.
     """
-    from scipy.linalg import cho_solve  # imported on first use: scipy.linalg takes longer to load than pentapack
+    from scipy.linalg import get_lapack_funcs  # imported on first use: scipy.linalg takes longer to load than pentapack
     started = time.perf_counter()
     ws = _Workspace(p)
     m = ws.m
+    potrs, = get_lapack_funcs(("potrs",), (ws.b,))  # the routine cho_solve picks for float64 data
 
     # Initial iterates: scaled identities, sized from the problem data.
     bnorm = float(np.abs(ws.b).max()) if m else 1.0
@@ -348,8 +384,8 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
     fx = fz = None  # `factors` of X and Z, known from the step test that accepted them
     schur_s = 0.0  # forming and factoring the Schur matrix
     gram_chol = ws.gram_factor()
+    rp = ws.b - ws.apply_A(X)
     for it in range(1, MAX_ITER + 1):
-        rp = ws.b - ws.apply_A(X)
         Rd = [c - z - a for c, z, a in zip(ws.C, Z, ws.apply_At(y))]
         gap = ws.inner(X, Z)
         mu = gap / ws.total_dim
@@ -405,7 +441,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
                 status = "numerical-failure"
                 stop_reason = "cholesky-failure"
                 break
-            L = np.asfortranarray(L)  # cho_solve would copy a C-ordered factor on every call
+            L = np.asfortranarray(L)  # potrs would copy a C-ordered factor on every call
 
             # Unchanged between the predictor and the corrector.
             fx = ws.factors(X) if fx is None else fx
@@ -413,11 +449,11 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
             WRW = [_sym(w @ rd @ w) if p else w**2 * rd for p, w, rd in zip(psd, W, Rd)]
 
             def schur_solve(rhs):
-                x = cho_solve((L, True), rhs, check_finite=False)
+                x = potrs(L, rhs, lower=True, overwrite_b=False)[0]
                 # one step of iterative refinement; the Schur matrix turns
                 # very ill-conditioned near convergence
                 r = rhs - M @ x - shift * x
-                return x + cho_solve((L, True), r, check_finite=False)
+                return x + potrs(L, r, lower=True, overwrite_b=False)[0]
 
             def newton(Rc):
                 """Solve the Newton system for a given centrality target."""
@@ -426,18 +462,11 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
                 dX = [_sym(rc - w @ dz @ w) if p else rc - w**2 * dz for p, w, rc, dz in zip(psd, W, Rc, dZ)]
                 return dy, dX, dZ
 
-            def step_lengths(dX, dZ):
-                ap = ad = 1.0
-                for p, x, z, lx, lz, dx, dz in zip(psd, X, Z, fx, fz, dX, dZ):
-                    ap = min(ap, *(_max_step(lx, dx, STEP_FRAC) if p else _max_step_diag(x, dx, STEP_FRAC)))
-                    ad = min(ad, *(_max_step(lz, dz, STEP_FRAC) if p else _max_step_diag(z, dz, STEP_FRAC)))
-                return ap, ad
-
             # Predictor (affine) direction: Uc = -V, i.e. Rc = -X.
             dy_a, dX_a, dZ_a = newton([-x for x in X])
 
             if mehrotra:
-                ap_a, ad_a = step_lengths(dX_a, dZ_a)
+                ap_a, ad_a = ws.step_lengths(X, Z, fx, fz, dX_a, dZ_a)
                 gap_aff = ws.inner([x + ap_a * dx for x, dx in zip(X, dX_a)], [z + ad_a * dz for z, dz in zip(Z, dZ_a)])
                 sigma = min(0.9999, max(1e-6, (max(gap_aff, 0.0) / gap) ** 3))
             else:
@@ -452,7 +481,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
                     w, v = sc
                     Rc.append(w * ((sigma * mu - v * v - dx * dz) / v))
             dy, dX, dZ = newton(Rc)
-            ap, ad = step_lengths(dX, dZ)
+            ap, ad = ws.step_lengths(X, Z, fx, fz, dX, dZ)
         except (FloatingPointError, np.linalg.LinAlgError):
             status = "numerical-failure"
             stop_reason = "cholesky-failure"
@@ -473,17 +502,18 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
         X = [_sym(x + ap * dx) if p else x + ap * dx for p, x, dx in zip(psd, X, dX)]
         Z = [_sym(z + ad * dz) if p else z + ad * dz for p, z, dz in zip(psd, Z, dZ)]
         y = y + ad * dy
+        rp = ws.b - ws.apply_A(X)
 
         # Feasibility restoration: once the primal residual is small, snap X
         # onto the affine constraint set when that keeps it inside the cone.
         if gram_chol is not None:
-            rp_now = ws.b - ws.apply_A(X)
-            nrm = float(np.linalg.norm(rp_now))
+            nrm = float(np.linalg.norm(rp))
             if 0.0 < nrm <= 1e-3 * (1.0 + float(np.linalg.norm(ws.b))):
-                Xr = ws.restore(X, gram_chol, rp_now)
+                Xr = ws.restore(X, gram_chol, rp)
                 fr = ws.interior(Xr)
                 if fr is not None:
                     X, fx = [_sym(v) if p else v for p, v in zip(psd, Xr)], fr
+                    rp = ws.b - ws.apply_A(X)
 
     # Report the best iterate seen (later iterations can drift once the
     # Schur system degenerates).

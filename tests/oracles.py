@@ -6,8 +6,9 @@ quadratures it is derived from live here, and so do the mpf-operator forms
 of the verifier's high-precision kernels, which run on mpmath.libmp calls,
 and the one-at-a-time forms of what the pipeline batches (tensor entries,
 radial constants, alpha tables, polygon edges, the rank test over every
-kept row, SDPA entry lines and the solver's constraint data), which the
-tests hold its results to bit for bit.  The motion group's Cartesian form (`Motion`,
+kept row, SDPA entry lines, the solver's constraint data, its NT scaling,
+step lengths and diag-block products), which the tests hold its results to
+bit for bit.  The motion group's Cartesian form (`Motion`,
 `compose`, `invert` and the polar maps) is here too: the package needs only
 the polar `MotionPoint`.  Nothing under `src/` imports this.
 """
@@ -36,6 +37,7 @@ from pentapack.geometry import (
 )
 from pentapack.motion import MotionPoint, rotation_matrix, wrap_angle
 from pentapack.sdp import Block, SdpProblem, SdpSolution, standard_form
+from pentapack.solver import STEP_FRAC, _add_runs, _max_step, _max_step_diag, _sym
 from pentapack.sos import BlockSpec, _f_entries, _products, block_specs, realize_basis
 from pentapack.specfun import coeff_D, coeff_D_mp, laguerre, laguerre_coeffs_exact
 
@@ -619,3 +621,62 @@ def workspace_data_per_row(p: SdpProblem) -> tuple[dict, np.ndarray, np.ndarray]
             A[k] = np.asarray(eqs[i].coeffs[blk.label]) / norms[i]
         data[blk.label] = (np.array(rows, dtype=int), A)
     return data, norms, b / norms
+
+
+def _eig_psd_sqrt_both(mat):
+    """(sqrt, inv sqrt) of each symmetric positive definite matrix of a stack, both always formed."""
+    w, q = np.linalg.eigh(mat)
+    rw = np.sqrt(w)[..., None, :]
+    qt = q.swapaxes(-1, -2)
+    return (q * rw) @ qt, (q / rw) @ qt
+
+
+def nt_scaling_full(X, Z):
+    """`solver._nt_scaling` with both roots formed at each of the three square roots."""
+    xs, _ = _eig_psd_sqrt_both(X)
+    _, s_isqrt = _eig_psd_sqrt_both(_sym(xs @ Z @ xs))
+    W = _sym(xs @ s_isqrt @ xs)
+    R, Rinv = _eig_psd_sqrt_both(W)
+    lamV, QV = np.linalg.eigh(_sym(Rinv @ X @ Rinv))
+    return W, R, Rinv, lamV, QV
+
+
+def step_lengths_per_side(ws, X, Z, fx, fz, dX, dZ):
+    """`solver._Workspace.step_lengths` with one `_max_step` call for X's stack and one for Z's."""
+    ap = ad = 1.0
+    for (kind, _), x, z, lx, lz, dx, dz in zip(ws.groups, X, Z, fx, fz, dX, dZ):
+        if kind == "psd":
+            ap = min(ap, *_max_step(lx, dx, STEP_FRAC))
+            ad = min(ad, *_max_step(lz, dz, STEP_FRAC))
+        else:
+            ap = min(ap, *_max_step_diag(x, dx, STEP_FRAC))
+            ad = min(ad, *_max_step_diag(z, dz, STEP_FRAC))
+    return ap, ad
+
+
+def apply_A_dense(ws, X):
+    """`solver._Workspace.apply_A` with each diag block's dense coefficient rows."""
+    out = np.zeros(ws.m)
+    for lab, x in ws.by_label(X).items():
+        d = ws.data[lab]
+        out[d.rows] += np.einsum("kij,ij->k", d.A, x) if d.kind == "psd" else d.A @ x
+    return out
+
+
+def apply_At_dense(ws, y):
+    """`solver._Workspace.apply_At` with each diag block's dense coefficient rows."""
+    out = {}
+    for lab, d in ws.data.items():
+        yb = y[d.rows]
+        out[lab] = np.einsum("k,kij->ij", yb, d.A) if d.kind == "psd" else yb @ d.A
+    return ws.stacked(out)
+
+
+def gram_factor_dense(ws):
+    """`solver._Workspace.gram_factor` with every block's Gram matrix a dense product."""
+    G = np.zeros((ws.m, ws.m))
+    for d in ws.data.values():
+        if len(d.rows):
+            Ab = d.A.reshape(len(d.rows), -1)
+            _add_runs(G, d.runs, Ab @ Ab.T)
+    return np.linalg.cholesky(G)

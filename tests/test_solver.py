@@ -5,8 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from oracles import workspace_data_per_row
-from pentapack import solver
+from oracles import (
+    apply_A_dense,
+    apply_At_dense,
+    gram_factor_dense,
+    nt_scaling_full,
+    step_lengths_per_side,
+    workspace_data_per_row,
+)
+from pentapack import solver, theta
 from pentapack.pipeline import RunConfig, build_problem
 from pentapack.sos import assemble_feasibility_variant
 from pentapack.sdp import Block, LinearTerm, SdpProblem
@@ -176,6 +183,92 @@ def test_workspace_matches_the_per_row_fill_on_problem_A():
         for lab, (rows, A) in data.items():
             assert ws.data[lab].rows.tobytes() == rows.tobytes()
             assert ws.data[lab].A.shape == A.shape and ws.data[lab].A.tobytes() == A.tobytes()
+
+
+def first_iteration(p, monkeypatch):
+    """The workspace and the arguments of every `_nt_scaling` and `step_lengths` call in one iteration of solving p."""
+    calls = {"nt": [], "steps": []}
+    nt_scaling, step_lengths = solver._nt_scaling, solver._Workspace.step_lengths
+
+    def recording_nt(X, Z):
+        calls["nt"].append((X, Z))
+        return nt_scaling(X, Z)
+
+    def recording_steps(ws, *args):
+        calls["ws"] = ws
+        calls["steps"].append(args)
+        return step_lengths(ws, *args)
+
+    monkeypatch.setattr(solver, "_nt_scaling", recording_nt)
+    monkeypatch.setattr(solver._Workspace, "step_lengths", recording_steps)
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
+    solve(p)
+    monkeypatch.undo()
+    return calls
+
+
+def same_bits(a, b):
+    return len(a) == len(b) and all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(a, b))
+
+
+def test_nt_scaling_and_step_lengths_match_their_full_forms_on_problem_A(monkeypatch):
+    """Only the roots used, and X's and Z's step lengths from one stack per size, bit for bit."""
+    calls = first_iteration(build_problem(RunConfig()), monkeypatch)
+    assert [len(X) for X, _ in calls["nt"]] == [2, 4, 2]
+    for X, Z in calls["nt"]:
+        assert same_bits(solver._nt_scaling(X, Z), nt_scaling_full(X, Z))
+    ws = calls["ws"]
+    assert len(calls["steps"]) == 2  # predictor and corrector
+    for args in calls["steps"]:
+        ap, ad = ws.step_lengths(*args)
+        assert ap != ad
+        assert np.array([ap, ad]).tobytes() == np.array(step_lengths_per_side(ws, *args)).tobytes()
+
+
+def test_step_lengths_match_per_side_calls_on_random_stacks():
+    ws = solver._Workspace(alternating_problem(shared=False))
+    rng = np.random.default_rng(64)
+    for _ in range(20):
+        G = rng.standard_normal((2, 2, 4, 4))
+        X, Z = ([g @ g.swapaxes(1, 2) + 0.1 * np.eye(4), rng.uniform(0.5, 2.0, 12)] for g in G)
+        H = rng.standard_normal((2, 2, 4, 4))
+        dX, dZ = ([h + h.swapaxes(1, 2), rng.standard_normal(12)] for h in H)
+        args = (X, Z, ws.factors(X), ws.factors(Z), dX, dZ)
+        ap, ad = ws.step_lengths(*args)
+        assert np.array([ap, ad]).tobytes() == np.array(step_lengths_per_side(ws, *args)).tobytes()
+
+
+def check_diag_products(ws, rng, exact=True):
+    """apply_A, apply_At and gram_factor against their dense diag forms, bit for bit or to rtol 1e-15."""
+    same = same_bits if exact else (lambda a, b: all(np.allclose(u, v, rtol=1e-15, atol=0.0) for u, v in zip(a, b)))
+    assert any(kind == "diag" for kind, _ in ws.groups)
+    X = [rng.standard_normal(c.shape) for c in ws.C]
+    y = rng.standard_normal(ws.m)
+    assert same([ws.apply_A(X)], [apply_A_dense(ws, X)])
+    assert same(ws.apply_At(y), apply_At_dense(ws, y))
+    assert same([ws.gram_factor()], [gram_factor_dense(ws)])
+
+
+def test_diag_products_match_the_dense_forms_on_problem_A():
+    problem = build_problem(RunConfig())
+    rng = np.random.default_rng(65)
+    for p in (problem, assemble_feasibility_variant(problem, -0.25, 1e-4)):
+        check_diag_products(solver._Workspace(p), rng)
+
+
+def test_diag_products_on_a_column_shared_by_every_row(monkeypatch):
+    """theta's B: one column in the n rows K(x, x) <= B, whose A*(y) sums n products in another order."""
+    problems = []
+
+    def recording_solve(p, **kw):
+        problems.append(p)
+        return solve(p, **kw)
+
+    monkeypatch.setattr(theta, "solve", recording_solve)
+    theta.theta_prime_bound(theta.cycle_graph(7))
+    ws = solver._Workspace(problems[0])
+    assert np.count_nonzero(ws.data["B"].A) == 7
+    check_diag_products(ws, np.random.default_rng(66), exact=False)
 
 
 def solution_sha256(sol):
