@@ -760,8 +760,6 @@ class SignVerification:
     evaluations: int
     lipschitz_x: float
     lipschitz_alpha: float
-    covering_radius: float
-    base_cell_radius: float
     precision_bits: int
     enlargement: float
     failures: list = field(default_factory=list)
@@ -936,6 +934,12 @@ def verify_nonpositivity(
     evaluator and `_bernstein_max` make the libmp calls that the mpf
     operators make, at the working precision and round-to-nearest (see
     `MpEvaluator`), so each mp number is the one the operators give.
+
+    `certified_sign` (no failure, no abort) implies cert_margin <= 0, so a
+    report needs no further sign test.  With no failure and no abort, every
+    box offered to `cert` was discharged with (hi + a) + b <= 0, and the
+    reported (fc + a) + b is no larger, since lo <= fc <= hi and rounding
+    is monotone.
     """
     if not 1.0 <= enlargement < math.inf:  # false for NaN too
         raise ValueError(f"enlargement must be finite and >= 1, got {enlargement}")
@@ -1115,15 +1119,7 @@ def verify_nonpositivity(
     cert_margin = max((value(*item) + item[5] + item[6] for item in cert.survivors()), default=-math.inf)
 
     certified = not n_failures and not aborted
-    base_radius = math.sqrt(2.0) * 0.5 * dx0 + (L_a / L_x) * 0.5 * dalpha if L_x > 0 else 0.0
-    if certified and L_x > 0 and math.isfinite(sign_margin):
-        covering_radius = max((cert_margin - sign_margin) / L_x, 0.0)
-    else:
-        covering_radius = base_radius
-    notes = (
-        "adaptive box certification; covering_radius is the effective radius "
-        "(cert_margin - sign_margin)/L_x so that sign_margin + L*covering = cert_margin"
-    )
+    notes = "adaptive box certification"
     if aborted:
         notes += "; refinement aborted at the failure/evaluation budget"
     log.info(
@@ -1144,8 +1140,6 @@ def verify_nonpositivity(
         evaluations=evaluations,
         lipschitz_x=L_x,
         lipschitz_alpha=L_a,
-        covering_radius=covering_radius,
-        base_cell_radius=base_radius,
         precision_bits=precision_bits,
         enlargement=enlargement,
         failures=failures,
@@ -1179,8 +1173,6 @@ class VerificationReport:
     min_block_eigenvalue: float
     max_constraint_residual: float
     sign_margin: float
-    lipschitz_bound: float
-    covering_radius: float
     cert_margin: float = math.nan
     enlargement: float
     certified: bool = False
@@ -1196,9 +1188,7 @@ class VerificationReport:
     notes: str = ""
 
     def invariant_holds(self) -> bool:
-        eig_ok = self.min_block_eigenvalue > self.safety_factor * self.max_constraint_residual
-        sign_ok = self.sign_margin + self.lipschitz_bound * self.covering_radius <= 0.0
-        return eig_ok and sign_ok
+        return self.min_block_eigenvalue > self.safety_factor * self.max_constraint_residual
 
     def to_text(self) -> str:
         lines = ["pentapack verification report v1"]
@@ -1227,7 +1217,8 @@ def build_report(
     `certified` is true only when the positivity margins dominate the
     residuals (so an exactly feasible nearby solution exists, which also
     discharges the rho >= 1 region through the cylinder identity) and the
-    adaptive sign pass succeeded.  A safety factor <= 0 is refused.
+    adaptive sign pass succeeded (`certified_sign`).  A safety factor <= 0
+    is refused.
     """
     if not safety_factor > 0:
         raise ValueError(f"safety_factor must be > 0, got {safety_factor}")
@@ -1236,8 +1227,6 @@ def build_report(
         min_block_eigenvalue=min_eig,
         max_constraint_residual=max_res,
         sign_margin=verification.sign_margin,
-        lipschitz_bound=verification.lipschitz_x,
-        covering_radius=verification.covering_radius,
         enlargement=verification.enlargement,
         bound=final_bound(t, verification.enlargement),
         safety_factor=safety_factor,

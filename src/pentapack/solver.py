@@ -37,7 +37,9 @@ by about 2e-6; these things make the iteration cheaper without moving one:
   makes on its optimized path, with A's transpose copied once per block
   instead of once per call, and the second gemm's rows in (k, i) order, so
   its product is B itself and T is copied once.  Reordering the rows of a
-  gemm's left operand leaves each entry's dot product unchanged.  The plain
+  gemm's left operand left each entry's dot product unchanged on OpenBLAS's
+  SkylakeX kernels, where this was checked; on its Haswell kernels it does
+  not, and the bits of a solve differ from those of the (i, k) order.  The plain
   stacked W @ A @ W multiplies in another order and differs in the last
   bit at n = 36.
 - An X left as it was by the feasibility restoration passes on its
@@ -97,8 +99,9 @@ class _BlockData:
             # the nonzeros a_rj as (r, j, a_rj), column by column
             c, r = np.nonzero(A.T)
             self.nz = (r, c, A[r, c])
-            # rows of M, column j and entries a_rj, a_sj of each pair (r, s) sharing a nonzero column
-            nz = [np.flatnonzero(A[:, j]) for j in range(dim)]
+            # rows of M, column j and entries a_rj, a_sj of each pair (r, s) sharing a nonzero column;
+            # column j's nonzero rows are its run of self.nz, in ascending order
+            nz = np.split(r, np.cumsum(np.bincount(c, minlength=dim))[:-1])
             r = np.concatenate([np.repeat(k, len(k)) for k in nz])
             s = np.concatenate([np.tile(k, len(k)) for k in nz])
             j = np.repeat(np.arange(dim), [len(k) ** 2 for k in nz])

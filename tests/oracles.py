@@ -7,10 +7,11 @@ of the verifier's high-precision kernels, which run on mpmath.libmp calls,
 and the one-at-a-time forms of what the pipeline batches (tensor entries,
 radial constants, alpha tables, polygon edges, the rank test over every
 kept row, SDPA entry lines, the solver's constraint data, its NT scaling,
-step lengths and diag-block products), which the tests hold its results to
-bit for bit.  The motion group's Cartesian form (`Motion`,
-`compose`, `invert` and the polar maps) is here too: the package needs only
-the polar `MotionPoint`.  Nothing under `src/` imports this.
+step lengths, diag-block products and the diag columns' nonzero rows),
+which the tests hold its results to bit for bit.  The motion group's
+Cartesian form (`Motion`, `compose`, `invert` and the polar maps) is here
+too: the package needs only the polar `MotionPoint`.  Nothing under `src/`
+imports this.
 """
 
 from __future__ import annotations
@@ -680,3 +681,12 @@ def gram_factor_dense(ws):
             Ab = d.A.reshape(len(d.rows), -1)
             _add_runs(G, d.runs, Ab @ Ab.T)
     return np.linalg.cholesky(G)
+
+
+def diag_outer_per_column(d):
+    """`solver._BlockData.outer` of a diag block, each column's nonzero rows found by scanning that column."""
+    nz = [np.flatnonzero(d.A[:, j]) for j in range(d.dim)]
+    r = np.concatenate([np.repeat(k, len(k)) for k in nz])
+    s = np.concatenate([np.tile(k, len(k)) for k in nz])
+    j = np.repeat(np.arange(d.dim), [len(k) ** 2 for k in nz])
+    return d.rows[r], d.rows[s], j, d.A[r, j], d.A[s, j]

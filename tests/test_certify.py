@@ -135,7 +135,7 @@ def test_feasibility_margin_keeps_a_nan_diag_entry():
     sol = _margin_solution({"X": np.eye(2), "D": np.array([math.nan, 1.0])})
     mineig, res = feasibility_margin(sol, p)
     assert math.isnan(mineig) and math.isnan(res)
-    sv = SignVerification(-0.01, (0.0, 0.0, 0.0), -0.01, True, 1, 1, 1.0, 0.0, 0.0, 0.1, 128, 1.02)
+    sv = SignVerification(-0.01, (0.0, 0.0, 0.0), -0.01, True, 1, 1, 1.0, 0.0, 128, 1.02)
     assert not build_report(scaled_unit_tensor(1.0), sol, p, sv).certified
 
 
@@ -606,10 +606,6 @@ def test_verify_certifies_negative_tensor():
     assert sv.sign_margin < 0
     assert sv.cert_margin <= 0
     assert sv.stream_points > 0
-    # the report-facing identity: sign_margin + L * covering = cert_margin
-    assert sv.sign_margin + sv.lipschitz_x * sv.covering_radius == pytest.approx(
-        sv.cert_margin, abs=1e-12
-    )
     # every split level-0 box refined to depth 4 without abort; recorded when
     # refinement decided one box's children per batch
     assert asdict(sv) == dict(
@@ -621,8 +617,6 @@ def test_verify_certifies_negative_tensor():
         evaluations=1421680,
         lipschitz_x=1.4242135623745193,
         lipschitz_alpha=0.0,
-        covering_radius=0.005204645883092221,
-        base_cell_radius=0.05892556509887896,
         precision_bits=256,
         enlargement=1.02,
         failures=[],
@@ -693,12 +687,30 @@ def test_build_report_refuses_a_nonpositive_safety_factor():
     p = SdpProblem([Block("X", 2, "psd")], {}, [LinearTerm({"X": np.eye(2)}, 1.0)], [])
     sol = SdpSolution(blocks={"X": np.diag([1.001 + 1e-9, -1e-3])}, y=np.zeros(1), objective=0.0,
                       status="optimal", gap=0.0, iterations=0)
-    sv = SignVerification(-0.01, (0.0, 0.0, 0.0), -0.01, True, 1, 1, 1.0, 0.0, 0.0, 0.1, 128, 1.02)
+    sv = SignVerification(-0.01, (0.0, 0.0, 0.0), -0.01, True, 1, 1, 1.0, 0.0, 128, 1.02)
     t = scaled_unit_tensor(1.0)
     assert not build_report(t, sol, p, sv).certified
     for factor in (0.0, -1e12, math.nan):
         with pytest.raises(ValueError, match="safety_factor must be > 0"):
             build_report(t, sol, p, sv, safety_factor=factor)
+
+
+@pytest.mark.parametrize("sign_margin, lipschitz_x, cert_margin", [
+    (-0.0004152688227695016, 3.109843462086795, -8.32734014991692e-21),
+    (-0.000602703181819313, 2.294141017204881, 0.0),
+])
+def test_build_report_certifies_on_the_sign_verdict(sign_margin, lipschitz_x, cert_margin):
+    """A proved sign and an exactly met equality row certify.
+
+    For these triples sign_margin + L_x * max((cert_margin - sign_margin)/L_x, 0)
+    rounds to 5.4e-20 and 1.1e-19, so a sign test on that covering-radius
+    round trip turned the proved cert_margin <= 0 into a NO.
+    """
+    p = SdpProblem([Block("X", 2, "psd")], {}, [LinearTerm({"X": np.eye(2)}, 2.0)], [])
+    sol = _margin_solution({"X": np.eye(2)})
+    assert feasibility_margin(sol, p) == (1.0, 0.0)
+    sv = SignVerification(sign_margin, (0.0, 0.0, 0.0), cert_margin, True, 1, 1, lipschitz_x, 0.0, 128, 1.02)
+    assert build_report(scaled_unit_tensor(1.0), sol, p, sv).certified is True
 
 
 def test_verify_precision_consistency():
@@ -883,10 +895,7 @@ GOLDEN_CASES = {
     ),
 }
 
-NOTES = (
-    "adaptive box certification; covering_radius is the effective radius "
-    "(cert_margin - sign_margin)/L_x so that sign_margin + L*covering = cert_margin"
-)
+NOTES = "adaptive box certification"
 ABORTED = "; refinement aborted at the failure/evaluation budget"
 
 # 'certifies' recorded from the verifier that evaluated every box at
@@ -902,8 +911,6 @@ GOLDEN = {
         evaluations=520,
         lipschitz_x=3.1565041213210123,
         lipschitz_alpha=0.06366197723682179,
-        covering_radius=0.12450253017991542,
-        base_cell_radius=0.09092279705580408,
         precision_bits=192,
         enlargement=1.02,
         failures=[
@@ -919,8 +926,6 @@ GOLDEN = {
         evaluations=696,
         lipschitz_x=1.4242135623745193,
         lipschitz_alpha=0.0,
-        covering_radius=0.05892556509887896,
-        base_cell_radius=0.05892556509887896,
         precision_bits=128,
         enlargement=1.02,
         failures=[
@@ -952,8 +957,6 @@ GOLDEN = {
         evaluations=455,
         lipschitz_x=24031.39947460307,
         lipschitz_alpha=848.5470330301692,
-        covering_radius=0.12524642464162433,
-        base_cell_radius=0.12524642464162433,
         precision_bits=256,
         enlargement=1.02,
         failures=[
@@ -985,8 +988,6 @@ GOLDEN = {
         evaluations=5812,
         lipschitz_x=2.626546471299487,
         lipschitz_alpha=0.0704477702920862,
-        covering_radius=0.09400581783917587,
-        base_cell_radius=0.09400581783917587,
         precision_bits=256,
         enlargement=1.02,
         failures=[
@@ -1019,28 +1020,30 @@ def _run_golden(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_verify_golden_record(name):
-    assert asdict(_run_golden(name)) == GOLDEN[name]
+    sv = _run_golden(name)
+    assert asdict(sv) == GOLDEN[name]
+    assert not sv.certified_sign or (sv.cert_margin <= 0 and not sv.failures)
 
 
 # sha256 of repr(asdict(sv)) for the paper-default fixture at 256 bits, recorded
 # from the verifier that evaluated each refinement box's centre on its own;
 # unlike the GOLDEN cases these reach depth 6 with several alphas per level
 FIXTURE_SHA256 = {
-    (1.0, (9, 32, 4)): "45f37ae6cce986234601131d906746d47ab5799821c2c210652a345eabc3566f",
-    (1.0, (5, 24, 6)): "7fffee30b74f3272c7c9fcee8efb7b785627345ba51b45cd5d123b4c2bb6ad9a",
-    (1.0, (3, 16, 2)): "436213f9b84159dfc444dbd6348f81b457f08a3015e4355294a7e66ac9f176a3",
-    (1.02, (9, 32, 4)): "546936e3e47673ee2d9043e72ed0cd664210cf821c96754a751a991ddb2b6135",
-    (1.02, (5, 24, 6)): "a4b1a990e1e24deb9bc815e449344779e1b3002893de8aa7280e6b1e6152ccaf",
-    (1.02, (3, 16, 2)): "18ccff9e1bd129b394329e7947940ffd682e7e85b2088a078849e5518b8f8364",
-    (1.04, (9, 32, 4)): "2bf1824713d27e5cf22e4b7c8203b422a96a94fa6d7c17511433507fdd6f65c0",
-    (1.04, (5, 24, 6)): "936d85fe6df18b75c9c5256c419e7d875f355ac84ccff05e5eec17aaa765d8ac",
-    (1.04, (3, 16, 2)): "79d8da6ecb130731aff98d3a65e63f44d4fb9f1c90b64f171428565c9ffcef45",
-    (1.05, (9, 32, 4)): "0f07a82157a3c6f2777cd2e2af0050ccae068119302df898031a6a90326ff2fb",
-    (1.05, (5, 24, 6)): "da11171c133ff66c9afe72098748cdd8de0cb48ebe5cd8df1f4b5f4630249948",
-    (1.05, (3, 16, 2)): "a98f33d1328213f7f8369fa1fc9d4b8f78ca7d25da7d9558f5ae9bcfce6769ff",
-    (1.06, (9, 32, 4)): "d6338891e69d4468d381e09fddf200898c019e02f25501bcad0effaa2b189c60",
-    (1.06, (5, 24, 6)): "c138a6538b4d064cc5a167292ecf971e7267d229f0f895b9a1bfb7727a76f4ac",
-    (1.06, (3, 16, 2)): "18993c5f7daef57eeb8db1d9893efe5a3eacfeac021d1df8c928944414c5fb28",
+    (1.0, (9, 32, 4)): "3345cf85dc006a8f12de5f4a9679fa3df4eddaaed029c312475ec75de4eac338",
+    (1.0, (5, 24, 6)): "db5a52e3cb11f9ab59c0e8abe56cd5433a3cf6463c1573000fcc98330dfb85ba",
+    (1.0, (3, 16, 2)): "c59ac4eb25c815494c5a2cf6e709adcf6f1f0df7491cfc7d09db833d0558042a",
+    (1.02, (9, 32, 4)): "e8a127522f9508bb7a3e720b24f384184d04b9c6162b2628f3fbf4f5587ddb3a",
+    (1.02, (5, 24, 6)): "43cabcc2df3b1934faf6235ebf09be87c983adb648cb15a6da7316aa95ed8325",
+    (1.02, (3, 16, 2)): "d13e3334d9a77a696a20fc8f0f0377827aa9db730a912bf5ff4f69f5feff8c6b",
+    (1.04, (9, 32, 4)): "85703ba06cdd138fac290579f9873e1d4dc001c4636df925d01bee77dc292ef6",
+    (1.04, (5, 24, 6)): "4521a73cd8427f6725d53324e15e36f62bfa35c556dbc859c2240a404d38a3b4",
+    (1.04, (3, 16, 2)): "e2dba80f4f23c5d65bfccdaebc47d87790379a2c838f5a974117ef5965a537e1",
+    (1.05, (9, 32, 4)): "f0566b3e3806c4ec1a30140bdd16c98673615fec901fcf4aeab95013d78c55b8",
+    (1.05, (5, 24, 6)): "ae412f6f4a9bc0863031ed045e6100795a3327538c4d7909e7b0f656bc4638d0",
+    (1.05, (3, 16, 2)): "bee851f3b040d9677953ebb1160060e8e9ce3b5205c5517006ac3d4a81d0278f",
+    (1.06, (9, 32, 4)): "9de7851429fe2f0e3a0654f7c5e9f0a66f0fe3f1a17f0018bc72cf4fa53bc758",
+    (1.06, (5, 24, 6)): "f4d0dbbd2d0d0a389d47ff5d2c99d39176b3e23b8bd335a17e58fb9c2e432294",
+    (1.06, (3, 16, 2)): "e4c03cca2da195980f8110895047b9613525434d6fa6f216160602fcc444c30d",
 }
 
 
@@ -1049,6 +1052,7 @@ def test_verify_fixture_golden_sha256(enlargement, spec):
     t = CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text())
     sv = verify_nonpositivity(t, enlargement, VerifySpec(*spec), 256)
     assert hashlib.sha256(repr(asdict(sv)).encode()).hexdigest() == FIXTURE_SHA256[enlargement, spec]
+    assert not sv.certified_sign or (sv.cert_margin <= 0 and not sv.failures)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -1068,6 +1072,7 @@ def test_verify_mp_fallback_golden_record(name, monkeypatch, caplog):
     with caplog.at_level(logging.INFO, logger="pentapack.certify"):
         sv = _run_golden(name)
     assert asdict(sv) == GOLDEN[name]
+    assert not sv.certified_sign or (sv.cert_margin <= 0 and not sv.failures)
     assert len(panels) == certify._panel_counts["all"] - before["all"] > 0
     assert certify._panel_counts["mp"] - before["mp"] == len(panels)
     # every mp call belongs to a counted box
@@ -1130,18 +1135,18 @@ def test_verify_logs_one_summary_line(caplog):
 def test_report_dict_follows_the_field_order():
     report = VerificationReport(
         min_block_eigenvalue=1e-6, max_constraint_residual=1e-15, sign_margin=-1e-3,
-        lipschitz_bound=2.0, covering_radius=1e-4, enlargement=1.02, bound=0.98,
+        enlargement=1.02, bound=0.98,
         witness=(0.5, 1.0, 0.1), lambda_value=1.0,
     )
     d = report.to_dict()
     assert list(d) == [
-        "min_block_eigenvalue", "max_constraint_residual", "sign_margin", "lipschitz_bound",
-        "covering_radius", "cert_margin", "enlargement", "certified", "bound", "safety_factor",
+        "min_block_eigenvalue", "max_constraint_residual", "sign_margin", "cert_margin",
+        "enlargement", "certified", "bound", "safety_factor",
         "witness", "stream_points", "precision_bits", "tensor_hash", "sample_spec", "lambda",
         "f_origin", "notes",
     ]
     assert d["witness"] == [0.5, 1.0, 0.1] and d["lambda"] == 1.0 and d["certified"] is False
-    assert report.to_text().splitlines()[11] == "witness: [0.5, 1.0, 0.1]"
+    assert report.to_text().splitlines()[9] == "witness: [0.5, 1.0, 0.1]"
 
 
 def test_final_bound_formula():

@@ -87,9 +87,9 @@ GOLDEN_SHA256 = {
     "projected.sol": "e13fe7645acb84deb78f856271e4550fa65867439950f02078fd0dd4c198949f",
     "projected.meta.json": "3422f68d9663b5f6269cefe18aa50bce377f40503a4c1323189ba74ddb816d70",
     "tensor.txt": "6ca736558b7a94b5d9d78faa3dc772ffd394bd58086f615816e28f868f5584a6",
-    "verify.json": "3ecd3e1c027ae1e61acc7b3634f3e2bcc59c5387b4bb1bf844adc1962b0e37a3",
-    "report.txt": "1bf2c0944dbc6a3280f20c204ce89bdacb1cf57227b3425b0233cdd23bfdf5eb",
-    "report.json": "3c1c7a87bf85279928c804fcbea97ec623e9ab10cb14476bde2ada6cd3cc46cf",
+    "verify.json": "848db1c7901178760c5334979aa1dd35da108b73d57201429808a2b293ab48ab",
+    "report.txt": "652512c6949de9767cfb715ec3b577add9f37819f55b52f8462a6912749a21ba",
+    "report.json": "5af57dc76b911e9479a1496f264730545ea70e95b4dab2bdcd17a59675dd0500",
 }
 
 
@@ -243,14 +243,19 @@ def test_report_refuses_to_certify_unsoundly(tiny_run):
     if report.certified:
         assert report.invariant_holds()
     else:
-        # the invariant clause or the sign pass must genuinely fail
-        assert (
-            not report.invariant_holds()
-            or report.sign_margin + report.lipschitz_bound * report.covering_radius > 0
-            or report.min_block_eigenvalue <= report.safety_factor * report.max_constraint_residual
-            or report.cert_margin > 0
-        )
+        # the eigenvalue clause or the sign pass must genuinely fail
+        assert not report.invariant_holds() or report.cert_margin > 0
 
+
+def test_bound_refuses_a_verify_json_with_a_covering_radius(tiny_run, tmp_path):
+    """verify.json once held covering_radius and base_cell_radius; such a file is refused, not misread."""
+    cfg, outdir, _report = tiny_run
+    shutil.copytree(outdir, tmp_path, dirs_exist_ok=True)
+    data = json.loads(pipeline._read(tmp_path / "verify.json", cfg, "verify"))
+    old = {**data, "covering_radius": 0.0, "base_cell_radius": 0.1}
+    pipeline._write(tmp_path / "verify.json", cfg, "verify", json.dumps(old, indent=2) + "\n")
+    with pytest.raises(TypeError, match="covering_radius"):
+        step_bound(cfg, tmp_path)
 
 def test_cli_theta_c5(capsys):
     assert main(["theta", "--graph", "c5"]) == 0

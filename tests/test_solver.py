@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     apply_A_dense,
     apply_At_dense,
+    diag_outer_per_column,
     gram_factor_dense,
     nt_scaling_full,
     step_lengths_per_side,
@@ -183,6 +184,21 @@ def test_workspace_matches_the_per_row_fill_on_problem_A():
         for lab, (rows, A) in data.items():
             assert ws.data[lab].rows.tobytes() == rows.tobytes()
             assert ws.data[lab].A.shape == A.shape and ws.data[lab].A.tobytes() == A.tobytes()
+
+
+def test_diag_outer_matches_the_per_column_scan():
+    """Each diag column's nonzero rows, taken from the block's nonzeros, bit for bit and in the same dtypes."""
+    problem = build_problem(RunConfig())
+    problems = (problem, assemble_feasibility_variant(problem, -0.25, 1e-4), alternating_problem(shared=True))
+    for p in problems:
+        diag = [d for d in solver._Workspace(p).data.values() if d.kind == "diag"]
+        assert diag
+        for d in diag:
+            ref = diag_outer_per_column(d)
+            assert len(d.outer) == len(ref)
+            assert all(u.dtype == v.dtype and np.array_equal(u, v) for u, v in zip(d.outer, ref))
+    shared = solver._Workspace(problems[2]).data["D"]
+    assert np.bincount(shared.outer[2]).max() == 4  # each column: two rows, four pairs
 
 
 def first_iteration(p, monkeypatch):
