@@ -113,7 +113,7 @@ def main(argv=None) -> int:
             sol = step_solve(cfg, outdir, import_path=args.import_solution)
             print(f"solve: status={sol.status} objective={sol.objective:.9f}")
         elif args.command == "refine":
-            sol = step_refine(cfg, outdir)
+            sol, _ = step_refine(cfg, outdir)
             print(f"refine: status={sol.status} iterations={sol.iterations}")
         elif args.command == "project":
             _, _, info = step_project(cfg, outdir)

@@ -183,17 +183,14 @@ def constraint_sample(
         raise ValueError(f"enlargement must be >= 1, got {enlargement}")
     alphas = np.linspace(-2.0 * math.pi / 10.0, 0.0, alpha_count)
     coords = -1.0 + np.arange(grid_n) * (2.0 / grid_n)
+    X, Y = np.meshgrid(coords, coords)  # row by row: y outer, x inner
+    disk = X * X + Y * Y <= 1.0 + 1e-12
     out: list[SamplePoint] = []
-    for alpha in alphas:
-        alpha = float(alpha)
+    for alpha in alphas.tolist():
         facets = _closest_facet_pair(minkowski_difference(alpha, enlargement))
-        for y in coords:
-            for x in coords:
-                if x * x + y * y > 1.0 + 1e-12:
-                    continue
-                if not any(n[0] * x + n[1] * y >= c - 1e-12 for n, c in facets):
-                    continue
-                rho = math.hypot(x, y)
-                theta = math.atan2(y, x) if rho > 0 else 0.0
-                out.append(SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi)))
+        keep = disk & np.logical_or.reduce([n[0] * X + n[1] * Y >= c - 1e-12 for n, c in facets])
+        for x, y in zip(X[keep].tolist(), Y[keep].tolist()):
+            rho = math.hypot(x, y)
+            theta = math.atan2(y, x) if rho > 0 else 0.0
+            out.append(SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi)))
     return out

@@ -7,9 +7,15 @@ timestamps; identical configurations produce byte-identical files.
 
 The constraint sample is built once per `run_all`, by `step_sample`, and
 handed to `step_generate`; Problem A is assembled once, by `step_generate`,
-and handed to every later step that needs it.  A step run on its own
-(`pentapack generate`, `pentapack solve`, ...) builds them again.  Each
-step logs its wall time on the `pentapack.pipeline` logger (`pentapack -v`).
+and handed to every later step that needs it.  `run_all` hands each later
+result on in memory as well: the refine solution and its feasibility
+variant to `step_project`, the tensor to `step_verify`, and the projection,
+the tensor and the `SignVerification` to `step_bound`, each as the step
+would read it back from its artifact (`sdpa.as_read` for a solution), so
+the artifacts are the same bytes either way.  A step run on its own
+(`pentapack generate`, `pentapack solve`, ...) builds the sample and the
+problem again and reads its other inputs from the artifacts.  Each step
+logs its wall time on the `pentapack.pipeline` logger (`pentapack -v`).
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from .geometry import (
     minkowski_difference,
     _closest_facet_pair,
 )
-from .sdp import SdpProblem
-from .sdpa import export_sdpa, export_solution, import_solution
+from .sdp import SdpProblem, SdpSolution
+from .sdpa import as_read, export_sdpa, export_solution, import_solution
 from .sos import assemble_feasibility_variant, assemble_problem_A, recover_tensor
 from .solver import solve
 
@@ -210,6 +216,19 @@ def _feasibility_variant(cfg: RunConfig, outdir: Path, problem: SdpProblem) -> S
     return assemble_feasibility_variant(problem, meta["objective"], margin=cfg.refine_margin)
 
 
+def _read_verification(cfg: RunConfig, path: Path) -> SignVerification:
+    """The `SignVerification` of a verify.json; one with other keys than this version writes is refused."""
+    data = json.loads(_read(path, cfg, "verify"))
+    names = {f.name for f in fields(SignVerification)}
+    unknown, missing = sorted(set(data) - names), sorted(names - set(data))
+    if unknown or missing:
+        raise ValueError(
+            f"{path} is not what this version's verify writes (unknown keys: {', '.join(unknown) or 'none'}; "
+            f"missing keys: {', '.join(missing) or 'none'}); re-run `pentapack verify`"
+        )
+    return SignVerification(**data)
+
+
 def _timed(step):
     """Log the wall time of each call of a pipeline step."""
     name = step.__name__.removeprefix("step_")
@@ -275,7 +294,10 @@ def step_solve(
 
 
 @_timed
-def step_refine(cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None):
+def step_refine(
+    cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None
+) -> tuple[SdpSolution, SdpProblem]:
+    """The feasibility re-solve's solution and the variant of Problem A it solved."""
     problem = _problem_for(cfg, problem)
     variant = _feasibility_variant(cfg, outdir, problem)
     sol = solve(variant, gap_tol=1e-7, feas_tol=1e-9, mehrotra=False)
@@ -289,29 +311,38 @@ def step_refine(cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = No
         "cap": variant.meta["cap"],
     }
     _write(outdir / "refine.meta.json", cfg, "refine-meta", json.dumps(rmeta, indent=2) + "\n")
-    return sol
+    return sol, variant
 
 
 @_timed
-def step_project(cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None):
+def step_project(
+    cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None,
+    refined: tuple[SdpSolution, SdpProblem] | None = None,
+):
+    """(projection as projected.sol holds it, tensor, info) from `refined`, `step_refine`'s
+    (solution, variant), or else from refine.sol."""
     source = outdir / "refine.sol"
-    if not source.exists():
+    if refined is None and not source.exists():
         raise FileNotFoundError(f"{source} is missing; run refine first")
     problem = _problem_for(cfg, problem)
-    variant = _feasibility_variant(cfg, outdir, problem)
-    sol = import_solution(_read(source, cfg, "solution"), variant)
+    if refined is None:
+        variant = _feasibility_variant(cfg, outdir, problem)
+        sol = import_solution(_read(source, cfg, "solution"), variant)
+    else:
+        sol, variant = as_read(*refined), refined[1]
     projected, info = project_affine(sol, problem)
     _write(outdir / "projected.sol", cfg, "solution", export_solution(projected, variant))
     _write(outdir / "projected.meta.json", cfg, "project-meta", json.dumps(info, indent=2) + "\n")
     tensor = recover_tensor(projected, cfg.params)
     _write(outdir / "tensor.txt", cfg, "tensor", tensor.dumps())
-    return projected, tensor, info
+    return as_read(projected, variant), tensor, info
 
 
 @_timed
-def step_verify(cfg: RunConfig, outdir: Path) -> SignVerification:
-    t = CoefficientTensor.loads(_read(outdir / "tensor.txt", cfg, "tensor"))
-    verification = verify_nonpositivity(t, cfg.effective_verify_enlargement, cfg.verify_spec(), cfg.precision_bits)
+def step_verify(cfg: RunConfig, outdir: Path, *, tensor: CoefficientTensor | None = None) -> SignVerification:
+    """The sign verification of `tensor`, or else of tensor.txt."""
+    tensor = CoefficientTensor.loads(_read(outdir / "tensor.txt", cfg, "tensor")) if tensor is None else tensor
+    verification = verify_nonpositivity(tensor, cfg.effective_verify_enlargement, cfg.verify_spec(), cfg.precision_bits)
     body = json.dumps(asdict(verification), indent=2) + "\n"
     _write(outdir / "verify.json", cfg, "verify", body)
     return verification
@@ -319,13 +350,19 @@ def step_verify(cfg: RunConfig, outdir: Path) -> SignVerification:
 
 @_timed
 def step_bound(
-    cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None
+    cfg: RunConfig, outdir: Path, *, problem: SdpProblem | None = None, projected: SdpSolution | None = None,
+    tensor: CoefficientTensor | None = None, verification: SignVerification | None = None,
 ) -> VerificationReport:
+    """The report on `projected`, `tensor` and `verification` as `step_project` and `step_verify`
+    return them; each one not given is read from its artifact."""
     problem = _problem_for(cfg, problem)
-    variant = _feasibility_variant(cfg, outdir, problem)
-    projected = import_solution(_read(outdir / "projected.sol", cfg, "solution"), variant)
-    tensor = CoefficientTensor.loads(_read(outdir / "tensor.txt", cfg, "tensor"))
-    verification = SignVerification(**json.loads(_read(outdir / "verify.json", cfg, "verify")))
+    if projected is None:
+        variant = _feasibility_variant(cfg, outdir, problem)
+        projected = import_solution(_read(outdir / "projected.sol", cfg, "solution"), variant)
+    if tensor is None:
+        tensor = CoefficientTensor.loads(_read(outdir / "tensor.txt", cfg, "tensor"))
+    if verification is None:
+        verification = _read_verification(cfg, outdir / "verify.json")
     report = build_report(
         tensor, projected, problem, verification, safety_factor=cfg.safety_factor
     )
@@ -339,10 +376,10 @@ def run_all(cfg: RunConfig, outdir: Path | str, plot_data: bool = False) -> Veri
     sample = step_sample(cfg, outdir, plot_data=plot_data)
     problem = step_generate(cfg, outdir, sample=sample)
     step_solve(cfg, outdir, problem=problem)
-    step_refine(cfg, outdir, problem=problem)
-    step_project(cfg, outdir, problem=problem)
-    step_verify(cfg, outdir)
-    return step_bound(cfg, outdir, problem=problem)
+    refined = step_refine(cfg, outdir, problem=problem)
+    projected, tensor, _ = step_project(cfg, outdir, problem=problem, refined=refined)
+    verification = step_verify(cfg, outdir, tensor=tensor)
+    return step_bound(cfg, outdir, problem=problem, projected=projected, tensor=tensor, verification=verification)
 
 
 def default_outdir() -> Path:

@@ -54,7 +54,8 @@ class SdpProblem:
         """Refuse duplicate labels, unknown blocks, wrong shapes and asymmetric psd coefficients.
 
         Symmetry is `np.allclose(c, c.T, atol=1e-12)` for every coefficient
-        of a psd block, objective included, checked in one call per block.
+        of a psd block, objective included, checked in one call per block;
+        a stack equal to its transpose passes without it.
         """
         mats: dict[str, list[np.ndarray]] = {b.label: [] for b in self.blocks}
         if len(mats) != len(self.blocks):
@@ -70,7 +71,8 @@ class SdpProblem:
                 raise ValueError(f"bad coefficient shape for {blk.kind} block {blk.label}")
             if blk.kind == "psd" and mats[blk.label]:
                 stack = np.stack(mats[blk.label])
-                if not np.allclose(stack, stack.transpose(0, 2, 1), atol=1e-12):
+                transposed = stack.transpose(0, 2, 1)
+                if not np.array_equal(stack, transposed) and not np.allclose(stack, transposed, atol=1e-12):
                     raise ValueError(f"coefficient for block {blk.label} is not symmetric")
 
     def value(self, term_coeffs: dict[str, np.ndarray], blocks: dict[str, np.ndarray]) -> float:

@@ -49,25 +49,30 @@ def export_sdpa(p: SdpProblem) -> str:
 def _entry_lines(blocks: list[Block], mats: list[dict | None], first: int = 0) -> list[str]:
     """The lines "matno blockno i j value" of the nonzero upper-triangle entries, 1-based, in that
     order; mats[k] (None for no entries) is matrix first + k.  Each block's matrices are stacked,
-    and each distinct value of a block is formatted once."""
+    each distinct value of a block is formatted once, and a line joins the cached texts "matno "
+    and "blockno i j " to its value's."""
     keys, lines = [np.zeros(0, dtype=int)], []
+    matnos = [f"{m} " for m in range(first, first + len(mats))]
     for bno, blk in enumerate(blocks, start=1):
         have = np.array([k for k, m in enumerate(mats) if m is not None and blk.label in m], dtype=int)
         if not have.size:
             continue
         stack = np.array([np.asarray(mats[k][blk.label], dtype=float) for k in have])
+        n = blk.dim
         if blk.kind == "psd":
-            k, i, j = np.nonzero((stack != 0.0) & np.triu(np.ones((blk.dim, blk.dim), dtype=bool)))
-            vals = stack[k, i, j]
+            k, i, j = np.nonzero((stack != 0.0) & np.triu(np.ones((n, n), dtype=bool)))
+            vals, cell = stack[k, i, j], i * n + j
+            cells = [f"{bno} {a} {b} " for a in range(1, n + 1) for b in range(1, n + 1)]
         else:
-            k, i = np.nonzero(stack != 0.0)
-            j, vals = i, stack[k, i]
+            k, cell = np.nonzero(stack != 0.0)
+            vals = stack[k, cell]
+            cells = [f"{bno} {a} {a} " for a in range(1, n + 1)]
         distinct, which = np.unique(vals, return_inverse=True)  # no zeros, so no -0.0 beside 0.0
         texts = [repr(v) for v in distinct.tolist()]
         keys.append(have[k])
-        lines += [f"{m} {bno} {a} {b} {texts[u]}" for m, a, b, u in
-                  zip((have[k] + first).tolist(), (i + 1).tolist(), (j + 1).tolist(), which.tolist())]
-    return [lines[n] for n in np.argsort(np.concatenate(keys), kind="stable")]  # blocks stay in order
+        lines += [matnos[m] + cells[c] + texts[u]
+                  for m, c, u in zip(have[k].tolist(), cell.tolist(), which.tolist())]
+    return [lines[n] for n in np.argsort(np.concatenate(keys), kind="stable").tolist()]  # blocks stay in order
 
 
 def _entry_fields(ln: str) -> tuple[int, int, int, int, float]:
@@ -192,4 +197,36 @@ def import_solution(text: str, p: SdpProblem) -> SdpSolution:
     return SdpSolution(
         blocks=prim, y=y, objective=p.value(p.objective, prim), status="imported", gap=float("nan"),
         iterations=0, dual_blocks=dual, stop_reason="imported",
+    )
+
+
+def as_read(sol: SdpSolution, p: SdpProblem) -> SdpSolution:
+    """What `import_solution(export_solution(sol, p), p)` returns, without the text.
+
+    A solution file holds the nonzero upper-triangle entries, so each psd
+    block reads back as its upper triangle mirrored, -0.0 as 0.0 and a
+    missing block as zeros; the objective is recomputed as on import.  A
+    non-finite value, which import refuses, is refused.
+    """
+    blocks, _, eqs = standard_form(p)
+    if len(sol.y) != len(eqs):
+        raise DimensionMismatchError("dual vector length does not match problem")
+
+    def read(mats: dict | None) -> dict[str, np.ndarray]:
+        out = {}
+        for blk in blocks:
+            shape = (blk.dim, blk.dim) if blk.kind == "psd" else (blk.dim,)
+            v = np.asarray(mats[blk.label], dtype=float) if mats and blk.label in mats else np.zeros(shape)
+            if not np.isfinite(v).all():
+                raise MalformedFileError(f"non-finite value in block {blk.label}")
+            out[blk.label] = np.triu(v) + np.triu(v, 1).T if blk.kind == "psd" else v + 0.0
+        return out
+
+    y = np.array(sol.y, dtype=float)
+    if not np.isfinite(y).all():
+        raise MalformedFileError("non-finite value in the dual vector")
+    prim = read(sol.blocks)
+    return SdpSolution(
+        blocks=prim, y=y, objective=p.value(p.objective, prim), status="imported", gap=float("nan"),
+        iterations=0, dual_blocks=read(sol.dual_blocks), stop_reason="imported",
     )

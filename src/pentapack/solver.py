@@ -35,13 +35,12 @@ by about 2e-6; these things make the iteration cheaper without moving one:
   restored X.
 - W A_j W replays the two gemms that np.einsum("ij,kjl,lm->kim", W, A, W)
   makes on its optimized path, with A's transpose copied once per block
-  instead of once per call, and the second gemm's rows in (k, i) order, so
-  its product is B itself and T is copied once.  Reordering the rows of a
-  gemm's left operand left each entry's dot product unchanged on OpenBLAS's
-  SkylakeX kernels, where this was checked; on its Haswell kernels it does
-  not, and the bits of a solve differ from those of the (i, k) order.  The plain
-  stacked W @ A @ W multiplies in another order and differs in the last
-  bit at n = 36.
+  instead of once per call.  The second gemm takes its rows in einsum's
+  (i, k) order.  Reordering the rows of a gemm's left operand is not exact:
+  on OpenBLAS's SkylakeX kernels the (k, i) order, which would spare a
+  copy, gave the same bits, but on its Haswell kernels it moved the bits of
+  a solve.  The plain stacked W @ A @ W multiplies in another order and
+  differs in the last bit at n = 36.
 - An X left as it was by the feasibility restoration passes on its
   b - A(X) as the next rp.  The Schur solves call LAPACK potrs, fetched
   once per solve, with the arguments scipy's cho_solve passes it.
@@ -274,9 +273,9 @@ class _Workspace:
                 w = W[lab]
                 # B[k] = W A_k W by the gemms of np.einsum("ij,kjl,lm->kim", w, d.A, w, optimize=True):
                 # T[k, l, i] = sum_j A[k, j, l] W[i, j], then B[k, i, m] = sum_l T[k, l, i] W[l, m],
-                # the second gemm's rows taken in (k, i) order rather than einsum's (i, k)
+                # the second gemm's rows in einsum's (i, k) order
                 T = (d.At @ w.T).reshape(mb, n, n)
-                B = T.transpose(0, 2, 1).reshape(mb * n, n) @ w
+                B = (T.transpose(2, 0, 1).reshape(n * mb, n) @ w).reshape(n, mb, n).transpose(1, 0, 2)
                 _add_runs(M, d.runs, d.A.reshape(mb, -1) @ B.reshape(mb, -1).T)
             else:
                 i, j, col, a_i, a_j = d.outer

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_div, mpf_mul, mpf_sub, round_nearest, to_float
 
 from .fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams
 from .sdp import Block, LinearTerm, SdpProblem, SdpSolution, stack_rows
@@ -182,39 +183,50 @@ def _f_entries(specs, r: int, s: int):
 
 
 def _basis_coords(upoly: list, T: list[list], d: int) -> list:
-    """Solve for gamma with sum_k gamma_k B_k = upoly (B_k lower triangular)."""
-    c = list(upoly) + [0 * T[0][0]] * (d + 1 - len(upoly))
-    gamma = [0 * T[0][0]] * (d + 1)
+    """Solve for gamma with sum_k gamma_k B_k = upoly (B_k lower triangular).
+
+    upoly holds mpf numbers, T and the returned gamma `_mpf_` tuples.  The
+    back substitution makes the libmp calls that its operator form makes
+    (mpf_mul, mpf_sub and mpf_div at the working precision, round-to-nearest;
+    see `certify.MpEvaluator`), so each gamma_k is that form's.
+    """
+    prec, rnd = mp.prec, round_nearest
+    c = [v._mpf_ for v in upoly] + [fzero] * (d + 1 - len(upoly))
+    gamma = [fzero] * (d + 1)
     for k in range(d, -1, -1):
         acc = c[k]
         for kp in range(k + 1, d + 1):
-            acc = acc - gamma[kp] * T[kp][k]
-        gamma[k] = acc / T[k][k]
+            acc = mpf_sub(acc, mpf_mul(gamma[kp], T[kp][k], prec, rnd), prec, rnd)
+        gamma[k] = mpf_div(acc, T[k][k], prec, rnd)
     return gamma
 
 
 class _RowAccumulator:
-    """Sparse high-precision constraint row over block entries."""
+    """Sparse high-precision constraint row over block entries, each kept with its rounding to float."""
 
     def __init__(self, label: str):
         self.label = label
-        self.entries: dict[tuple[str, int, int], object] = {}
+        self.entries: dict[tuple[str, int, int], tuple] = {}  # key -> (value, float(value))
 
-    def add(self, block: str, a: int, b: int, value) -> None:
-        """Add value at (block, a, b); a key's first value is stored as is (it is already rounded)."""
+    def add(self, block: str, a: int, b: int, value, rounded: float) -> None:
+        """Add value, whose float is `rounded`, at (block, a, b); a key's first value is stored as is
+        (it is already rounded to the working precision), and a sum is rounded to float again."""
         key = (block, a, b)
-        self.entries[key] = self.entries[key] + value if key in self.entries else value
+        if key in self.entries:
+            value = self.entries[key][0] + value
+            rounded = float(value)
+        self.entries[key] = value, rounded
 
     def to_term(self, dims: dict[str, int], rhs: float) -> LinearTerm:
         """Round to a float LinearTerm with symmetrized coefficient matrices.
 
-        Each entry is rounded to float once.  Entries below 1e-35 times the
-        row's largest rounded magnitude are dropped.  A row whose largest
+        Each entry's float is the one `add` keeps.  Entries below 1e-35 times
+        the row's largest rounded magnitude are dropped.  A row whose largest
         magnitude is below 1e-30 is zero up to the assembly precision and
         rounds to a term without coefficients.
         """
         mats: dict[str, np.ndarray] = {}
-        rounded = [(key, float(v)) for key, v in self.entries.items()]
+        rounded = [(key, fv) for key, (_, fv) in self.entries.items()]
         max_abs = max((abs(fv) for _, fv in rounded), default=0.0)
         if max_abs < 1e-30:
             return LinearTerm(mats, rhs, self.label)
@@ -288,7 +300,7 @@ def _hp_row_dict(row: _RowAccumulator) -> dict:
     symmetrized float matrices of `to_term`.
     """
     out: dict[tuple[str, int, int], object] = {}
-    for (blk, a, b), v in row.entries.items():
+    for (blk, a, b), (v, _) in row.entries.items():
         key = (blk, a, b) if a <= b else (blk, b, a)
         out[key] = out[key] + v if key in out else v
     return out
@@ -350,6 +362,8 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
     with mp.workdps(ASSEMBLY_DPS):
         bco = realize_basis(d, high_precision=True)
         prods = _products(bco)  # bco[k]: the coefficients of P_k in u = rho^2, lower triangular
+        prods_f = {k: [float(c) for c in v] for k, v in prods.items()}
+        T = [[c._mpf_ for c in row] for row in bco]
         expansion = functools.cache(tau_radial_expansion)  # one per (|r - s|, length), made at ASSEMBLY_DPS
 
         # ------------------------------------------------------------------
@@ -360,11 +374,12 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
 
         # The entry polynomial depends only on (family, i, l, l') and, for Q,
         # on |r - s|: far fewer keys than block entries (216 against 3,240 at
-        # N = 5, d = 11), so each is expanded in the basis once.
+        # N = 5, d = 11), so each is expanded in the basis, and each of its
+        # coordinates rounded to float, once.
         entry_coords: dict[tuple, tuple] = {}  # key -> (constant coefficient, nonzero basis coordinates)
 
         def add_identity(m1, m2, key, block, a, b):
-            """Add a block entry's terms to the identity rows; return its polynomial's constant."""
+            """Add a block entry's terms to the identity rows; return its polynomial's constant (mpf, float)."""
             if key not in entry_coords:
                 family, i, l, lp = key[:4]
                 base = prods[(i, l, lp)]
@@ -372,14 +387,15 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                     upoly = expansion(key[4], len(base))(base)
                 else:  # R, or S multiplied by (rho^2 - 1)
                     upoly = base if family == "R" else conv(base, [-1, 1])
-                gamma = _basis_coords(upoly, bco, d)
-                entry_coords[key] = upoly[0], [(k, g) for k, g in enumerate(gamma) if g != 0]
+                coords = [(k, mp.make_mpf(g), to_float(g, rnd=round_nearest))
+                          for k, g in enumerate(_basis_coords(upoly, T, d)) if g != fzero]
+                entry_coords[key] = (upoly[0], float(upoly[0])), coords
             const, coords = entry_coords[key]
             if (m1, m2) not in classes:
                 classes[m1, m2] = [_RowAccumulator(f"identity[{m1},{m2};k={k}]") for k in range(d + 1)]
             rows = classes[m1, m2]
-            for k, g in coords:
-                rows[k].add(block, a, b, g)
+            for k, g, fg in coords:
+                rows[k].add(block, a, b, g, fg)
             return const
 
         # ------------------------------------------------------------------
@@ -388,7 +404,6 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
         radial_terms: dict[tuple[int, int], tuple] = {}  # (m, k) -> (D, L^m_{k-m/2}(pi rho^2))
         powers: dict[int, np.ndarray] = {}  # m -> (-1)^(m/2) rho^m
         phases: dict[tuple[int, int], np.ndarray] = {}
-        prods_f = {k: [float(c) for c in v] for k, v in prods.items()}
 
         def radial(key) -> np.ndarray:
             """The radial factor of a Q entry's tau at every point."""
@@ -425,8 +440,8 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
                 for b_idx, (lp, s) in enumerate(bs.index):
                     key = ("Q", bs.i, l, lp, abs(r - s))
                     const = add_identity(-r, -s, key, bs.label, a_idx, b_idx)
-                    if r == s and const != 0:  # f at the identity
-                        obj_row.add(bs.label, a_idx, b_idx, const)
+                    if r == s and const[0] != 0:  # f at the identity
+                        obj_row.add(bs.label, a_idx, b_idx, *const)
                     stack[:, a_idx, b_idx] += radial(key) * phase(r, s)
             # (M + M^T)/2 in place, numpy buffering the overlapping transpose
             stack += stack.transpose(0, 2, 1)
@@ -448,7 +463,7 @@ def assemble_problem_A(params: ModelParams, sample) -> SdpProblem:
             for lab, a, b, key in _f_entries(q_blocks, r, s):
                 c = prods[key]
                 if k < len(c) and c[k] != 0:
-                    row.add(lab, a, b, c[k])
+                    row.add(lab, a, b, c[k], prods_f[key][k])
             eq_rows.append((row, rhs))
 
         # ------------------------------------------------------------------

@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_mul_int, round_nearest
 
 
 def laguerre(n: int, m: int, x: float) -> float:
@@ -81,26 +82,31 @@ def tau_radial_expansion(m: int, K: int):
     pi^j is computed once, and D_{r,s;k} and the Laguerre coefficients of
     each k, as mpf, on the first c with c_k nonzero; the map makes the
     operations of the per-term form ((base * lambda) * pi^j) on the same
-    numbers, so its values are that form's.  Expanding several c with one m
-    through one map builds the constants once.  Call it at the precision it
-    was made at.
+    numbers, so its values are that form's.  It makes them as the libmp
+    calls the mpf operators make (mpf_mul_int for the sign, mpf_mul and
+    mpf_add at the working precision, round-to-nearest; see
+    `certify.MpEvaluator`), on the `_mpf_` tuples.  Expanding several c with
+    one m through one map builds the constants once.  Call it at the
+    precision it was made at, with mpf entries in c.
     """
     h, sign = m // 2, (-1) ** (m // 2)
-    pis = [mp.pi**j for j in range(K - h)]
+    pis = [(mp.pi**j)._mpf_ for j in range(K - h)]
     terms: dict[int, tuple] = {}
 
     def expand(c) -> list:
-        out = [mp.mpf(0)] * K
+        prec, rnd = mp.prec, round_nearest
+        out = [fzero] * K
         for k in range(h, K):
             if c[k] == 0:
                 continue
             if k not in terms:
                 lams = laguerre_coeffs_exact(k - h, m)
-                terms[k] = coeff_D_mp(m, k), [mp.mpf(lam.numerator) / lam.denominator for lam in lams]
+                terms[k] = coeff_D_mp(m, k)._mpf_, [(mp.mpf(q.numerator) / q.denominator)._mpf_ for q in lams]
             dmk, lams = terms[k]
-            base = sign * c[k] * dmk
+            base = mpf_mul(mpf_mul_int(c[k]._mpf_, sign, prec, rnd), dmk, prec, rnd)
             for j, lam in enumerate(lams):
-                out[h + j] += base * lam * pis[j]
-        return out
+                term = mpf_mul(mpf_mul(base, lam, prec, rnd), pis[j], prec, rnd)
+                out[h + j] = mpf_add(out[h + j], term, prec, rnd)
+        return [mp.make_mpf(v) for v in out]
 
     return expand

@@ -3,11 +3,13 @@
 The pipeline evaluates f only in its Laguerre closed form; the Bessel matrix
 coefficients (`scipy.special.jv`), Kummer's 1F1 (`mpmath.hyp1f1`) and the
 quadratures it is derived from live here, and so do the mpf-operator forms
-of the verifier's high-precision kernels, which run on mpmath.libmp calls,
+of the high-precision kernels that run on mpmath.libmp calls (the
+verifier's, the radial expansion and the assembly's basis coordinates),
 and the one-at-a-time forms of what the pipeline batches (tensor entries,
-radial constants, alpha tables, polygon edges, the rank test over every
-kept row, SDPA entry lines, the solver's constraint data, its NT scaling,
-step lengths, diag-block products and the diag columns' nonzero rows),
+radial constants, alpha tables, polygon edges, the constraint sample's
+grid filter, the rank test over every kept row, SDPA entry lines, the
+solver's constraint data, its NT scaling, step lengths, diag-block
+products and the diag columns' nonzero rows),
 which the tests hold its results to bit for bit.  The motion group's
 Cartesian form (`Motion`, `compose`, `invert` and the polar maps) is here
 too: the package needs only the polar `MotionPoint`.  Nothing under `src/`
@@ -32,6 +34,7 @@ from pentapack.geometry import (
     _COLLINEAR_TOL,
     ConvexPolygon,
     SamplePoint,
+    _closest_facet_pair,
     contains_interior,
     minkowski_difference,
     pentagon,
@@ -528,6 +531,37 @@ def tau_radial_coeffs_per_term(c, m: int) -> list:
         base = sign * c[k] * coeff_D_mp(m, k)
         for j, lam in enumerate(laguerre_coeffs_exact(k - m // 2, m)):
             out[m // 2 + j] += base * (mp.mpf(lam.numerator) / lam.denominator) * mp.pi**j
+    return out
+
+
+def basis_coords_operator_form(upoly: list, T: list[list], d: int) -> list:
+    """`sos._basis_coords` on mpf operators: T and the returned gamma as mpf numbers."""
+    c = list(upoly) + [0 * T[0][0]] * (d + 1 - len(upoly))
+    gamma = [0 * T[0][0]] * (d + 1)
+    for k in range(d, -1, -1):
+        acc = c[k]
+        for kp in range(k + 1, d + 1):
+            acc = acc - gamma[kp] * T[kp][k]
+        gamma[k] = acc / T[k][k]
+    return gamma
+
+
+def constraint_sample_per_point(alpha_count: int, grid_n: int, enlargement: float) -> list[SamplePoint]:
+    """`geometry.constraint_sample` with the disk and facet tests made point by point in float64 scalars."""
+    coords = -1.0 + np.arange(grid_n) * (2.0 / grid_n)
+    out = []
+    for alpha in np.linspace(-2.0 * math.pi / 10.0, 0.0, alpha_count):
+        alpha = float(alpha)
+        facets = _closest_facet_pair(minkowski_difference(alpha, enlargement))
+        for y in coords:
+            for x in coords:
+                if x * x + y * y > 1.0 + 1e-12:
+                    continue
+                if not any(n[0] * x + n[1] * y >= c - 1e-12 for n, c in facets):
+                    continue
+                rho = math.hypot(x, y)
+                theta = math.atan2(y, x) if rho > 0 else 0.0
+                out.append(SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi)))
     return out
 
 

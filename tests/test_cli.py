@@ -147,6 +147,25 @@ def test_each_run_assembles_once(tmp_path, monkeypatch):
         assert len(samples) == run + 1  # step_generate assembles on step_sample's points
 
 
+def test_run_all_reads_back_only_the_solve_objective(tmp_path, monkeypatch):
+    """run_all hands each step's results on in memory: of its artifacts it reads back solve.meta.json alone."""
+    imports, reads = [], []
+    read, import_solution = pipeline._read, pipeline.import_solution
+
+    def recorded_read(path, *args):
+        reads.append(path.name)
+        return read(path, *args)
+
+    def counted_import(*args):
+        imports.append(1)
+        return import_solution(*args)
+
+    monkeypatch.setattr(pipeline, "_read", recorded_read)
+    monkeypatch.setattr(pipeline, "import_solution", counted_import)
+    run_all(RunConfig(**TINY), tmp_path)
+    assert imports == [] and reads == ["solve.meta.json"]
+
+
 @pytest.mark.parametrize("step", [step_solve, step_refine, step_project, step_bound])
 def test_steps_refuse_a_problem_from_another_config(tiny_run, tmp_path, step):
     cfg, outdir, _report = tiny_run
@@ -247,14 +266,30 @@ def test_report_refuses_to_certify_unsoundly(tiny_run):
         assert not report.invariant_holds() or report.cert_margin > 0
 
 
-def test_bound_refuses_a_verify_json_with_a_covering_radius(tiny_run, tmp_path):
-    """verify.json once held covering_radius and base_cell_radius; such a file is refused, not misread."""
+def test_bound_refuses_a_verify_json_with_a_covering_radius(tiny_run, tmp_path, capsys):
+    """verify.json once held covering_radius and base_cell_radius; such a file is refused, not misread,
+    with the file, the keys and the remedy named."""
     cfg, outdir, _report = tiny_run
     shutil.copytree(outdir, tmp_path, dirs_exist_ok=True)
     data = json.loads(pipeline._read(tmp_path / "verify.json", cfg, "verify"))
     old = {**data, "covering_radius": 0.0, "base_cell_radius": 0.1}
     pipeline._write(tmp_path / "verify.json", cfg, "verify", json.dumps(old, indent=2) + "\n")
-    with pytest.raises(TypeError, match="covering_radius"):
+    with pytest.raises(ValueError, match="verify.json .*unknown keys: base_cell_radius, covering_radius; "
+                                         "missing keys: none.*re-run `pentapack verify`"):
+        step_bound(cfg, tmp_path)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(cfg.to_json())
+    assert main(["bound", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+    assert "re-run `pentapack verify`" in capsys.readouterr().err
+
+
+def test_bound_refuses_a_verify_json_without_a_key(tiny_run, tmp_path):
+    cfg, outdir, _report = tiny_run
+    shutil.copytree(outdir, tmp_path, dirs_exist_ok=True)
+    data = json.loads(pipeline._read(tmp_path / "verify.json", cfg, "verify"))
+    del data["notes"]
+    pipeline._write(tmp_path / "verify.json", cfg, "verify", json.dumps(data, indent=2) + "\n")
+    with pytest.raises(ValueError, match="unknown keys: none; missing keys: notes"):
         step_bound(cfg, tmp_path)
 
 def test_cli_theta_c5(capsys):

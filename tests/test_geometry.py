@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    constraint_sample_per_point,
     copies_disjoint,
     copies_disjoint_sat,
     point_in_polygon_raycast,
@@ -211,6 +212,15 @@ def test_constraint_sample_size_and_invariants():
         assert p.rho <= 1.0 + 1e-12
         assert copies_disjoint(p.xy, p.alpha, 1.0)  # outside the unit difference too
         assert copies_disjoint(p.xy, p.alpha, 1.02)
+
+
+@pytest.mark.parametrize("args", [(5, 50, 1.02), (3, 16, 1.02), (7, 33, 1.0), (33, 64, 1.05), (2, 2, 1.5)])
+def test_constraint_sample_matches_the_per_point_filter(args):
+    """The same points in the same order, each coordinate bit for bit."""
+    def bits(points):
+        return [np.array([p.rho, p.theta, p.alpha]).tobytes() for p in points]
+
+    assert bits(constraint_sample(*args)) == bits(constraint_sample_per_point(*args))
 
 
 def test_constraint_sample_rejects_bad_args():

@@ -1,3 +1,4 @@
+import pickle
 import re
 from dataclasses import replace
 
@@ -5,17 +6,20 @@ import numpy as np
 import pytest
 
 from oracles import entry_lines_per_line
+from pentapack.pipeline import RunConfig, build_problem
 from pentapack.sdp import Block, LinearTerm, SdpProblem, standard_form
 from pentapack.sdpa import (
     DimensionMismatchError,
     MalformedFileError,
     _entry_lines,
+    as_read,
     export_sdpa,
     export_solution,
     import_solution,
     parse_sdpa,
 )
 from pentapack.solver import solve
+from pentapack.sos import assemble_feasibility_variant
 
 
 def mixed_problem():
@@ -205,3 +209,30 @@ def test_exported_solution_matches_one_repr_per_line():
                   dual_blocks={k: -v for k, v in sol.blocks.items()})
     lines = export_solution(sol, p).splitlines()
     assert lines[2:-1] == entry_lines_per_line(blocks, [sol.dual_blocks, sol.blocks], first=1)
+
+
+@pytest.mark.parametrize("facet_lines", [False, True])
+def test_exported_problem_A_matches_one_repr_per_line(facet_lines):
+    """Problem A at the published size and its feasibility variant, with and without the facet lines."""
+    problem = build_problem(RunConfig(facet_lines=facet_lines))
+    for p in (problem, assemble_feasibility_variant(problem, -0.25, 1e-4)):
+        blocks, objective, eqs = standard_form(p)
+        negated = {lab: -np.asarray(c, dtype=float) for lab, c in objective.items()}
+        want = entry_lines_per_line(blocks, [negated] + [t.coeffs for t in eqs])
+        assert len(want) > 80_000 and export_sdpa(p).splitlines()[5:] == want
+
+
+def test_as_read_equals_the_file_round_trip():
+    """-0.0, an asymmetric psd block, a missing block and no dual blocks read back as import_solution reads them,
+    bit for bit and in memory layout; a non-finite value is refused as import refuses it."""
+    p = mixed_problem()
+    sol = solve(p)
+    X = sol.blocks["X"].copy()
+    X[0, 1], X[2, 2], X[3, 0] = -0.0, -0.0, 7.0
+    odd = replace(sol, blocks={"X": X, "u": np.array([-0.0, 2.5])}, dual_blocks=None, y=-sol.y)
+    for s in (sol, odd):
+        assert pickle.dumps(as_read(s, p)) == pickle.dumps(import_solution(export_solution(s, p), p))
+    X[1, 1] = np.nan
+    for read in (as_read, lambda s, p: import_solution(export_solution(s, p), p)):
+        with pytest.raises(MalformedFileError, match="non-finite"):
+            read(odd, p)

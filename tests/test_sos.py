@@ -4,8 +4,18 @@ import re
 
 import numpy as np
 import pytest
+from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
-from oracles import build_calF, build_F, build_W, evaluate_fhat, independent_rows_all_kept
+from oracles import (
+    basis_coords_operator_form,
+    build_calF,
+    build_F,
+    build_W,
+    evaluate_fhat,
+    independent_rows_all_kept,
+    tau_radial_coeffs_per_term,
+)
 from pentapack import sos
 from pentapack.certify import project_affine
 from pentapack.fourier import ModelParams, evaluate_f, lambda_of
@@ -29,6 +39,39 @@ from pentapack.sdp import SdpSolution
 
 
 PARAMS = ModelParams(5, 11)
+
+
+@pytest.mark.parametrize("dps", [sos.ASSEMBLY_DPS, 76])  # 76 digits are 256 bits
+def test_entry_polynomials_equal_the_operator_forms(dps, monkeypatch):
+    """Every entry polynomial of the published-size assembly, run at `dps`, bit for bit: the expansion in u of
+    each Q entry's against the per-term form, and the basis coordinates of each against the operator form."""
+    precs, coords, expansions = set(), [], []
+    basis_coords, expansion = sos._basis_coords, sos.tau_radial_expansion
+
+    def checked_coords(upoly, T, d):
+        gamma = basis_coords(upoly, T, d)
+        precs.add(mp.prec)
+        want = basis_coords_operator_form(upoly, [[mp.make_mpf(t) for t in row] for row in T], d)
+        coords.append(gamma == [v._mpf_ for v in want])
+        return gamma
+
+    def checked_expansion(m, K):
+        expand = expansion(m, K)
+
+        def checked(c):
+            u = expand(c)
+            expansions.append([v._mpf_ for v in u] == [v._mpf_ for v in tau_radial_coeffs_per_term(c, m)])
+            return u
+
+        return checked
+
+    monkeypatch.setattr(sos, "ASSEMBLY_DPS", dps)
+    monkeypatch.setattr(sos, "_basis_coords", checked_coords)
+    monkeypatch.setattr(sos, "tau_radial_expansion", checked_expansion)
+    assemble_problem_A(PARAMS, constraint_sample(3, 16, 1.02))
+    assert precs == {dps_to_prec(dps)} and dps_to_prec(76) == 256
+    assert len(coords) == 216 and all(coords)
+    assert len(expansions) == 144 and all(expansions)
 
 
 def test_index_sets_for_n5():
