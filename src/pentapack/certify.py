@@ -38,6 +38,7 @@ from .fourier import CoefficientTensor, evaluate_f, lambda_of
 from .geometry import minkowski_difference, pentagon
 from .motion import ORIGIN
 from .sdp import LinearTerm, SdpProblem, SdpSolution, stack_rows
+from .solver import cholesky_lower
 from .specfun import tau_radial_expansion
 
 log = logging.getLogger("pentapack.certify")
@@ -68,7 +69,7 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
         )
     x = np.concatenate([np.ravel(sol.blocks[blk.label]) for blk in p.blocks])
     pre = A @ x - b
-    G = np.linalg.cholesky(A @ A.T)
+    G = cholesky_lower(A @ A.T)  # Fortran-ordered, which cho_solve takes without a copy
     x1 = x.copy()
     for _ in range(3):  # refinement squeezes the residual toward roundoff
         r = A @ x1 - b
@@ -160,22 +161,30 @@ def _nan_sticky(f, a, b):
     return b if mp.isnan(b) else f(a, b)
 
 
-def _ineq_proved_satisfied(t: LinearTerm, blocks: dict) -> bool:
-    """True only if the row's exact residual, sum <c, x> - rhs, is negative.
+def _ineqs_proved_satisfied(terms: list[LinearTerm], blocks: dict) -> list[bool]:
+    """For each row, True only if its exact residual, sum <c, x> - rhs, is negative.
 
-    In float64, acc = sum vdot(c, x) - rhs is within gamma_n(2^-53) S of the
+    In float64, acc = sum <c, x> - rhs is within gamma_n(2^-53) S of the
     exact residual for any summation order (Higham, ch. 3), S = sum
-    vdot(|c|, |x|) + |rhs| and n = 1 + sum (size + 1) over the blocks.
-    Doubling the radius covers the rounding of S, the radius and the sum, so
-    acc + radius < 0 as computed proves it.
+    <|c|, |x|> + |rhs| and n = 1 + sum (size + 1) over the row's blocks, so
+    the rows touching a block take their products with it as one
+    matrix-vector product.  Doubling the radius covers the rounding of S,
+    the radius and the sum, so acc + radius < 0 as computed proves it.
     """
-    acc, S, n = -t.rhs, abs(t.rhs), 1
-    for lab, c in t.coeffs.items():
-        c, x = np.ravel(c), np.ravel(blocks[lab])
-        acc += np.vdot(c, x)
-        S += np.vdot(np.abs(c), np.abs(x))
-        n += c.size + 1
-    return bool(acc + 2.0 * _gamma(n, 2.0**-53) * S < 0.0)
+    rhs = np.array([t.rhs for t in terms], dtype=float)
+    acc, S, n = -rhs, np.abs(rhs), np.ones(len(terms), dtype=int)
+    rows: dict[str, list[int]] = {}  # the rows touching each block
+    for i, t in enumerate(terms):
+        for lab in t.coeffs:
+            rows.setdefault(lab, []).append(i)
+    for lab, idx in rows.items():
+        x = np.ravel(blocks[lab])
+        c = np.array([terms[i].coeffs[lab] for i in idx], dtype=float).reshape(len(idx), -1)
+        acc[idx] += c @ x
+        S[idx] += np.abs(c) @ np.abs(x)
+        n[idx] += c.shape[1] + 1
+    radius = 2.0 * np.array([_gamma(k, 2.0**-53) for k in n.tolist()]) * S
+    return (acc + radius < 0.0).tolist()
 
 
 def _proved_positive_definite(b: np.ndarray, tau: float = 0.0) -> bool:
@@ -271,7 +280,7 @@ def feasibility_margin(
     perturbation argument compares against the eigenvalues; only that sqrt
     and division round, at `precision_bits`.  Inequality rows count only
     their violation, and one proved not violated in float64
-    (`_ineq_proved_satisfied`) is skipped.  An equality row with no nonzero
+    (`_ineqs_proved_satisfied`) is skipped.  An equality row with no nonzero
     weight raises ValueError.  The eigenvalues are `mp.eigsy`'s.
 
     Float64 only skips eigenvalue work that provably cannot change the
@@ -290,7 +299,8 @@ def feasibility_margin(
     started = time.perf_counter()
     with mp.workprec(precision_bits):
         eq_rows = _equality_rows(sol, p)
-        ineq_rows = [_float_row(t, sol.blocks) for t in p.ineq_constraints if not _ineq_proved_satisfied(t, sol.blocks)]
+        settled = _ineqs_proved_satisfied(p.ineq_constraints, sol.blocks)
+        ineq_rows = [_float_row(t, sol.blocks) for t, done in zip(p.ineq_constraints, settled) if not done]
         worst = mp.mpf(0)
         for row in eq_rows:
             worst = _nan_sticky(max, worst, abs(_residual(*row)))

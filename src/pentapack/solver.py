@@ -43,7 +43,19 @@ by about 2e-6; these things make the iteration cheaper without moving one:
   differs in the last bit at n = 36.
 - An X left as it was by the feasibility restoration passes on its
   b - A(X) as the next rp.  The Schur solves call LAPACK potrs, fetched
-  once per solve, with the arguments scipy's cho_solve passes it.
+  once per solve, with the arguments scipy's cho_solve passes it.  With no
+  shift the refinement's residual skips subtracting 0 x, which could change
+  no more than the sign of a zero entry.
+- M and the Gram matrix are factored by `cholesky_lower` straight into a
+  Fortran-ordered buffer, the layout potrs reads without a copy.  It calls
+  numpy's private gufunc `_umath_linalg.cholesky_lo`, the one
+  np.linalg.cholesky calls, with an `out` argument that np.linalg.cholesky
+  does not offer: the gufunc copies its input into the same column-major
+  buffer and runs the same LAPACK potrf on it whatever the layout of `out`,
+  so the factor has the same bits; only the copy of the result differs,
+  column by column instead of the strided copy into C order (and then
+  np.asfortranarray's second copy).  The private name is pinned against
+  np.linalg.cholesky by the tests.
 - A diag block keeps its nonzeros, and A(X), A*(y) and the Gram matrix sum
   only those.  A sum with one nonzero per row (A(X), Gram) or per column
   (A*(y)) is that one rounded product in the dense product too, as in the
@@ -64,6 +76,7 @@ import math
 import time
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .sdp import SdpProblem, SdpSolution, standard_form
 
@@ -105,6 +118,21 @@ class _BlockData:
             s = np.concatenate([np.tile(k, len(k)) for k in nz])
             j = np.repeat(np.arange(dim), [len(k) ** 2 for k in nz])
             self.outer = (rows[r], rows[s], j, A[r, j], A[s, j])
+
+
+def _not_positive_definite(err, flag):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def cholesky_lower(a, out=None):
+    """np.linalg.cholesky(a) for a float64 matrix a, written into `out` (a new Fortran-ordered array by default).
+
+    Returns `out`; raises LinAlgError, as np.linalg.cholesky does, when a is
+    not positive definite, and `out` then holds NaNs.
+    """
+    out = np.empty(a.shape, order="F") if out is None else out
+    with np.errstate(call=_not_positive_definite, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.cholesky_lo(a, out=out, signature="d->d")
 
 
 def _add_runs(M, runs, sub):
@@ -258,7 +286,7 @@ class _Workspace:
                 Ab = d.A.reshape(len(d.rows), -1)
                 _add_runs(G, d.runs, Ab @ Ab.T)
         try:
-            return np.asfortranarray(np.linalg.cholesky(G))  # cho_solve would copy a C-ordered factor on every call
+            return cholesky_lower(G)  # Fortran-ordered, which cho_solve takes without a copy
         except np.linalg.LinAlgError:
             return None
 
@@ -361,6 +389,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
     ws = _Workspace(p)
     m = ws.m
     potrs, = get_lapack_funcs(("potrs",), (ws.b,))  # the routine cho_solve picks for float64 data
+    L = np.empty((m, m), order="F")  # the Schur factor of every iteration, in the layout potrs reads
 
     # Initial iterates: scaled identities, sized from the problem data.
     bnorm = float(np.abs(ws.b).max()) if m else 1.0
@@ -428,22 +457,22 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
 
             schur_started = time.perf_counter()
             M = ws.schur(ws.by_label(W))
-            L = None
+            factored = False
             shift = 0.0
             for attempt in range(4):
                 try:
-                    L = np.linalg.cholesky(M + shift * np.eye(m) if shift else M)
+                    cholesky_lower(M + shift * np.eye(m) if shift else M, L)
+                    factored = True
                     break
                 except np.linalg.LinAlgError:
                     if attempt == 0:
                         mnorm = float(np.abs(M).max())
                     shift = mnorm * (1e-13 if attempt == 0 else shift / mnorm * 1e3)
             schur_s += time.perf_counter() - schur_started
-            if L is None:
+            if not factored:
                 status = "numerical-failure"
                 stop_reason = "cholesky-failure"
                 break
-            L = np.asfortranarray(L)  # potrs would copy a C-ordered factor on every call
 
             # Unchanged between the predictor and the corrector.
             fx = ws.factors(X) if fx is None else fx
@@ -454,7 +483,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
                 x = potrs(L, rhs, lower=True, overwrite_b=False)[0]
                 # one step of iterative refinement; the Schur matrix turns
                 # very ill-conditioned near convergence
-                r = rhs - M @ x - shift * x
+                r = rhs - M @ x - shift * x if shift else rhs - M @ x
                 return x + potrs(L, r, lower=True, overwrite_b=False)[0]
 
             def newton(Rc):

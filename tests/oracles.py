@@ -7,9 +7,9 @@ of the high-precision kernels that run on mpmath.libmp calls (the
 verifier's, the radial expansion and the assembly's basis coordinates),
 and the one-at-a-time forms of what the pipeline batches (tensor entries,
 radial constants, alpha tables, polygon edges, the constraint sample's
-grid filter, the rank test over every kept row, SDPA entry lines, the
-solver's constraint data, its NT scaling, step lengths, diag-block
-products and the diag columns' nonzero rows),
+grid filter, the rank test over every kept row, the margins' inequality
+screen, SDPA entry lines, the solver's constraint data, its NT scaling,
+step lengths, diag-block products and the diag columns' nonzero rows),
 which the tests hold its results to bit for bit.  The motion group's
 Cartesian form (`Motion`, `compose`, `invert` and the polar maps) is here
 too: the package needs only the polar `MotionPoint`.  Nothing under `src/`
@@ -28,7 +28,7 @@ from mpmath import mp
 from scipy.integrate import quad
 from scipy.special import jv
 
-from pentapack.certify import _equality_rows, _float_row
+from pentapack.certify import _equality_rows, _float_row, _gamma
 from pentapack.fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams, evaluate_f
 from pentapack.geometry import (
     _COLLINEAR_TOL,
@@ -40,7 +40,7 @@ from pentapack.geometry import (
     pentagon,
 )
 from pentapack.motion import MotionPoint, rotation_matrix, wrap_angle
-from pentapack.sdp import Block, SdpProblem, SdpSolution, standard_form
+from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution, standard_form
 from pentapack.solver import STEP_FRAC, _add_runs, _max_step, _max_step_diag, _sym
 from pentapack.sos import BlockSpec, _f_entries, _products, block_specs, realize_basis
 from pentapack.specfun import coeff_D, coeff_D_mp, laguerre, laguerre_coeffs_exact
@@ -422,6 +422,17 @@ def _residual_mp(rhs, terms):
         acc += w * mp.mpf(float(x))
         nrm += w * w
     return acc, nrm
+
+
+def ineq_proved_satisfied_per_row(t: LinearTerm, blocks: dict) -> bool:
+    """`certify._ineqs_proved_satisfied` for one row, summed block by block with `np.vdot`."""
+    acc, S, n = -t.rhs, abs(t.rhs), 1
+    for lab, c in t.coeffs.items():
+        c, x = np.ravel(c), np.ravel(blocks[lab])
+        acc += np.vdot(c, x)
+        S += np.vdot(np.abs(c), np.abs(x))
+        n += c.size + 1
+    return bool(acc + 2.0 * _gamma(n, 2.0**-53) * S < 0.0)
 
 
 def equality_residual_hp(sol: SdpSolution, p: SdpProblem, precision_bits: int = 128) -> float:

@@ -20,6 +20,7 @@ from oracles import (
     alpha_tables_per_s,
     bernstein_max_operators,
     compiled_pairs_per_term,
+    ineq_proved_satisfied_per_row,
     margin_all_mp,
     mp_eval_operators,
     verification_sample,
@@ -44,6 +45,7 @@ from pentapack.certify import (
 from pentapack.fourier import CoefficientTensor, ModelParams, evaluate_f, random_positive_tensor
 from pentapack.geometry import constraint_sample, pentagon
 from pentapack.motion import MotionPoint
+from pentapack.pipeline import RunConfig, build_problem
 from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution
 from pentapack.sos import assemble_feasibility_variant, assemble_problem_A
 from pentapack.solver import solve
@@ -217,6 +219,21 @@ def test_feasibility_margin_sends_a_violated_row_to_mp(refined_small, monkeypatc
     assert got == margin_all_mp(projected, p)
     assert lifted.count(violated.rhs) == 1
     assert got[1] == pytest.approx(1e-9, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "cfg", [RunConfig(), RunConfig(d=5, alpha_count=3, grid_n=16), RunConfig(facet_lines=True)],
+    ids=["published", "tiny", "facet-lines"],
+)
+def test_inequality_screen_matches_the_per_row_form(cfg):
+    """The stacked screen decides every row as the per-row sums do, at the solve's point and at its projection."""
+    problem = build_problem(cfg)
+    sol = solve(problem)
+    for point in (sol, project_affine(sol, problem)[0]):
+        got = certify._ineqs_proved_satisfied(problem.ineq_constraints, point.blocks)
+        assert got == [ineq_proved_satisfied_per_row(t, point.blocks) for t in problem.ineq_constraints]
+        assert all(type(v) is bool for v in got)
+    assert got[0] and not all(certify._ineqs_proved_satisfied(problem.ineq_constraints, sol.blocks))
 
 
 def test_feasibility_margin_tied_blocks_both_reach_eigsy(refined_small, monkeypatch):

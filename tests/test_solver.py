@@ -83,16 +83,16 @@ def test_dependent_rows_take_the_shifted_cholesky_path(monkeypatch):
     reference = solve(SdpProblem([Block("X", 4, "psd")], {"X": C}, rows, []))
 
     failed = []
-    cholesky = np.linalg.cholesky
+    cholesky_lower = solver.cholesky_lower
 
-    def recording_cholesky(a):
+    def recording_cholesky(a, out=None):
         try:
-            return cholesky(a)
+            return cholesky_lower(a, out)
         except np.linalg.LinAlgError:
             failed.append(np.shape(a))
             raise
 
-    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    monkeypatch.setattr(solver, "cholesky_lower", recording_cholesky)
     sol = solve(SdpProblem([Block("X", 4, "psd")], {"X": C}, rows + [duplicate], []))
     # the singular Gram matrix fails once; every further 3 x 3 failure is an
     # unshifted Schur factorisation that the shift retry recovered from
@@ -113,6 +113,42 @@ def reference_schur(ws, W):
             Msub = (d.A * W[lab] ** 2) @ d.A.T
         M[np.ix_(d.rows, d.rows)] += Msub
     return M
+
+
+def test_cholesky_lower_equals_numpy_cholesky_bit_for_bit(monkeypatch):
+    """The published Schur matrix, Problem A's Gram matrix and a random SPD matrix, each factored into one buffer."""
+    calls, grams = [], []
+    schur, cholesky_lower = solver._Workspace.schur, solver.cholesky_lower
+
+    def recording_schur(ws, W):
+        calls.append((ws, W))
+        return schur(ws, W)
+
+    def recording_cholesky(a, out=None):
+        grams.append(a)
+        return cholesky_lower(a, out)
+
+    monkeypatch.setattr(solver._Workspace, "schur", recording_schur)
+    monkeypatch.setattr(solver, "MAX_ITER", 1)
+    solve(build_problem(RunConfig()))
+    ws, W = calls[0]
+    monkeypatch.setattr(solver, "cholesky_lower", recording_cholesky)
+    ws.gram_factor()
+    monkeypatch.undo()
+    g = np.random.default_rng(67).standard_normal((300, 320))
+    out = np.empty((ws.m, ws.m), order="F")
+    for a in (reference_schur(ws, W), grams[0], g @ g.T):
+        buf = out if len(a) == ws.m else np.empty(a.shape, order="F")
+        assert solver.cholesky_lower(a, buf) is buf
+        assert buf.flags.f_contiguous
+        assert buf.tobytes() == np.linalg.cholesky(a).tobytes()
+    indefinite = reference_schur(ws, W)
+    indefinite[5, 5] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solver.cholesky_lower(indefinite, out)
+    M = reference_schur(ws, W)
+    assert solver.cholesky_lower(M, out).tobytes() == np.linalg.cholesky(M).tobytes()
+    assert solver.cholesky_lower(g @ g.T).flags.f_contiguous
 
 
 def alternating_problem(shared):
