@@ -10,9 +10,14 @@ handed to `step_generate`; Problem A is assembled once, by `step_generate`,
 and handed to every later step that needs it.  `run_all` hands each later
 result on in memory as well: the refine solution and its feasibility
 variant to `step_project`, the tensor to `step_verify`, and the projection,
-the tensor and the `SignVerification` to `step_bound`, each as the step
-would read it back from its artifact (`sdpa.as_read` for a solution), so
-the artifacts are the same bytes either way.  A step run on its own
+the tensor and the `SignVerification` to `step_bound`.  Each solution is
+handed on as the solver or the projection returns it, and gives the
+artifacts that its file would: every psd block is exactly symmetric (each
+solver iterate goes through `_sym`, and `project_affine` sets each block to
+0.5 (v + v^T)), so its upper triangle holds it all; the writer drops only
+zeros, and a signed zero changes no nonzero sum; and the objective and
+status that import rewrites reach no artifact (`project_affine` reads only
+blocks and y, `feasibility_margin` only blocks).  A step run on its own
 (`pentapack generate`, `pentapack solve`, ...) builds the sample and the
 problem again and reads its other inputs from the artifacts.  Each step
 logs its wall time on the `pentapack.pipeline` logger (`pentapack -v`).
@@ -48,7 +53,7 @@ from .geometry import (
     _closest_facet_pair,
 )
 from .sdp import SdpProblem, SdpSolution
-from .sdpa import as_read, export_sdpa, export_solution, import_solution
+from .sdpa import export_sdpa, export_solution, import_solution
 from .sos import assemble_feasibility_variant, assemble_problem_A, recover_tensor
 from .solver import solve
 
@@ -329,13 +334,13 @@ def step_project(
         variant = _feasibility_variant(cfg, outdir, problem)
         sol = import_solution(_read(source, cfg, "solution"), variant)
     else:
-        sol, variant = as_read(*refined), refined[1]
+        sol, variant = refined
     projected, info = project_affine(sol, problem)
     _write(outdir / "projected.sol", cfg, "solution", export_solution(projected, variant))
     _write(outdir / "projected.meta.json", cfg, "project-meta", json.dumps(info, indent=2) + "\n")
     tensor = recover_tensor(projected, cfg.params)
     _write(outdir / "tensor.txt", cfg, "tensor", tensor.dumps())
-    return as_read(projected, variant), tensor, info
+    return projected, tensor, info
 
 
 @_timed

@@ -198,35 +198,3 @@ def import_solution(text: str, p: SdpProblem) -> SdpSolution:
         blocks=prim, y=y, objective=p.value(p.objective, prim), status="imported", gap=float("nan"),
         iterations=0, dual_blocks=dual, stop_reason="imported",
     )
-
-
-def as_read(sol: SdpSolution, p: SdpProblem) -> SdpSolution:
-    """What `import_solution(export_solution(sol, p), p)` returns, without the text.
-
-    A solution file holds the nonzero upper-triangle entries, so each psd
-    block reads back as its upper triangle mirrored, -0.0 as 0.0 and a
-    missing block as zeros; the objective is recomputed as on import.  A
-    non-finite value, which import refuses, is refused.
-    """
-    blocks, _, eqs = standard_form(p)
-    if len(sol.y) != len(eqs):
-        raise DimensionMismatchError("dual vector length does not match problem")
-
-    def read(mats: dict | None) -> dict[str, np.ndarray]:
-        out = {}
-        for blk in blocks:
-            shape = (blk.dim, blk.dim) if blk.kind == "psd" else (blk.dim,)
-            v = np.asarray(mats[blk.label], dtype=float) if mats and blk.label in mats else np.zeros(shape)
-            if not np.isfinite(v).all():
-                raise MalformedFileError(f"non-finite value in block {blk.label}")
-            out[blk.label] = np.triu(v) + np.triu(v, 1).T if blk.kind == "psd" else v + 0.0
-        return out
-
-    y = np.array(sol.y, dtype=float)
-    if not np.isfinite(y).all():
-        raise MalformedFileError("non-finite value in the dual vector")
-    prim = read(sol.blocks)
-    return SdpSolution(
-        blocks=prim, y=y, objective=p.value(p.objective, prim), status="imported", gap=float("nan"),
-        iterations=0, dual_blocks=read(sol.dual_blocks), stop_reason="imported",
-    )

@@ -547,8 +547,10 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
                     rp = ws.b - ws.apply_A(X)
 
     # Report the best iterate seen (later iterations can drift once the
-    # Schur system degenerates).
-    if best is not None and status not in ("optimal", "infeasible"):
+    # Schur system degenerates).  An optimal or infeasible stop breaks at the
+    # top of an iteration, so pobj and relgap are those of the X, Z and y it
+    # reports; any other stop reports the best iterate, with its own.
+    if status not in ("optimal", "infeasible"):
         _, X, Z, y, (pobj, relgap, pinf, dinf) = best
         if pinf <= feas_tol and dinf <= feas_tol and relgap <= gap_tol:
             status = "optimal"
@@ -557,9 +559,6 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
         else:
             status = "numerical-failure"
 
-    pobj = ws.inner(ws.C, X)
-    gap = ws.inner(X, Z)
-    relgap = gap / (1.0 + abs(pobj) + abs(float(ws.b @ y)))
     elapsed = time.perf_counter() - started
     log.info(
         "solve: %d iterations, status %s, stop %s, %.2f s, Schur %.2f s, %.1f ms/iteration",

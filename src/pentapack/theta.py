@@ -42,6 +42,8 @@ class FiniteGraph:
     def from_edges(cls, n: int, edges) -> "FiniteGraph":
         a = np.zeros((n, n), dtype=bool)
         for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) has a vertex outside 0..{n - 1}")
             if u == v:
                 raise ValueError("loops are not allowed")
             a[u, v] = a[v, u] = True
@@ -67,6 +69,14 @@ def petersen_graph() -> FiniteGraph:
     return FiniteGraph.from_edges(10, outer + spokes + inner)
 
 
+def _vertex(token: str, first: int, n: int, line: str) -> int:
+    """The 0-based vertex that `token` of `line` names, counting from `first`; one out of range is refused."""
+    v = int(token) - first
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {token.strip()} outside {first}..{n - 1 + first} in {line!r}")
+    return v
+
+
 def parse_graph(text: str) -> FiniteGraph:
     """Parse an adjacency-list or DIMACS-like edge-list description.
 
@@ -79,20 +89,22 @@ def parse_graph(text: str) -> FiniteGraph:
         raise ValueError("empty graph description")
     if lines[0].startswith("p"):
         parts = lines[0].split()
+        if len(parts) < 3:
+            raise ValueError(f"no vertex count in {lines[0]!r}")
         n = int(parts[2])
         edges = []
         for ln in lines[1:]:
             if ln.startswith("e"):
                 _, u, v = ln.split()
-                edges.append((int(u) - 1, int(v) - 1))
+                edges.append((_vertex(u, 1, n, ln), _vertex(v, 1, n, ln)))
         return FiniteGraph.from_edges(n, edges)
     n = int(lines[0])
     edges = []
     for ln in lines[1:]:
         head, _, rest = ln.partition(":")
-        u = int(head)
+        u = _vertex(head, 0, n, ln)
         for tok in rest.split():
-            v = int(tok)
+            v = _vertex(tok, 0, n, ln)
             if u != v:
                 edges.append((u, v))
     return FiniteGraph.from_edges(n, edges)

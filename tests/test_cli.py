@@ -20,6 +20,7 @@ from pentapack.pipeline import (
     step_solve,
     step_verify,
 )
+from pentapack.sdpa import import_solution
 
 # Small configuration exercising every stage quickly.
 TINY = dict(
@@ -121,6 +122,25 @@ def test_stepwise_equals_all_byte_for_byte(tiny_run, tmp_path):
     assert sorted(p.name for p in outdir.iterdir()) == sorted(ARTIFACTS)
     for name in ARTIFACTS:
         assert (tmp_path / name).read_bytes() == (outdir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("facet_lines", [False, True])
+def test_handed_on_solutions_equal_their_files(tmp_path, facet_lines):
+    """The solutions `step_refine` and `step_project` return, which `run_all` hands on, are what refine.sol
+    and projected.sol read back as, bit for bit: every block, dual block and y."""
+    cfg = RunConfig(**TINY, facet_lines=facet_lines)
+    problem = step_generate(cfg, tmp_path)
+    step_solve(cfg, tmp_path, problem=problem)
+    refined = step_refine(cfg, tmp_path, problem=problem)
+    projected, _tensor, _info = step_project(cfg, tmp_path, problem=problem, refined=refined)
+    sol, variant = refined
+    for got, name in ((sol, "refine.sol"), (projected, "projected.sol")):
+        read = import_solution(pipeline._read(tmp_path / name, cfg, "solution"), variant)
+        assert got.y.tobytes() == read.y.tobytes(), name
+        for mats, back in ((got.blocks, read.blocks), (got.dual_blocks, read.dual_blocks)):
+            assert list(mats) == list(back), name
+            for lab, v in back.items():
+                assert (mats[lab].shape, mats[lab].tobytes()) == (v.shape, v.tobytes()), (name, lab)
 
 
 def test_each_run_assembles_once(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,9 @@ def test_graph_validation():
         FiniteGraph(np.array([[True]]))  # loop
     with pytest.raises(ValueError):
         FiniteGraph(np.array([[False, True], [False, False]]))  # asymmetric
+    for edge in ((0, -1), (1, 3)):
+        with pytest.raises(ValueError, match=re.escape(str(edge))):
+            FiniteGraph.from_edges(3, [edge])
 
 
 def test_parse_dimacs_and_adjacency_list():
@@ -97,3 +101,12 @@ def test_parse_dimacs_and_adjacency_list():
     assert brute_force_alpha(g2) == 2
     with pytest.raises(ValueError):
         parse_graph("")
+    for text, line in (
+        ("p edge 3 1\ne 0 2\n", "e 0 2"),  # vertex 0 once wrapped round to vertex 3
+        ("p edge 3 1\ne 1 4\n", "e 1 4"),
+        ("p edge\ne 1 2\n", "p edge"),
+        ("3\n0: -1\n", "0: -1"),  # once wrapped round to vertex 2
+        ("3\n3: 1\n", "3: 1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            parse_graph(text)
