@@ -52,24 +52,71 @@ class RankDeficiencyError(ValueError):
 # projection onto the equality constraints
 
 
+def _rank_screen(K: np.ndarray, n: int) -> bool:
+    """True only if the SVD of A (m x n) passes `project_affine`'s rank test, proved from K = fl(A A^T).
+
+    The bound is in `project_affine`'s docstring.  A non-finite or empty K,
+    or an eigvalsh that does not converge, gives False.
+    """
+    m = len(K)
+    t = float(np.trace(K))
+    if not (m and math.isfinite(t)):
+        return False
+    try:
+        lam = np.linalg.eigvalsh(K)
+    except np.linalg.LinAlgError:
+        return False
+    S, p, u = 2.0 * t, m * n, 2.0**-53
+    delta = 2.0 * ((_gamma(n, u) + 2.0 * p * u) * S + p * 2.0**-1074)
+    eps = 2.0 * p * u * math.sqrt(S)
+    lo = math.sqrt(max(float(lam[0]) - delta, 0.0)) - eps
+    hi = math.sqrt(float(lam[-1]) + delta) + eps
+    return lo > 2e-8 * hi
+
+
 def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     """Least-squares projection of the blocks onto the equality subspace.
 
     Inequalities are untouched.  Returns the projected solution together
     with diagnostics: displacement norm and pre/post residuals.  Raises
-    RankDeficiencyError when dependent rows survived assembly pruning.
+    RankDeficiencyError when dependent rows survived assembly pruning, that
+    is when the SVD of the stacked rows A (m x n) gives sigma_min < 1e-8
+    sigma_max as computed.
+
+    The SVD, most of this function's time, runs only when `_rank_screen`
+    cannot prove from K = fl(A A^T), formed once for the Cholesky solves
+    too, that its test passes; so the refusal is raised exactly when the
+    SVD test raises it.  With u = 2^-53 and S = 2 fl(tr K) >= ||A||_F^2
+    (K's diagonal and its sum lose at most the factors 1 - gamma_n and 1 -
+    gamma_m): K is A A^T + E with ||E||_2 <= gamma_n ||A||_F^2 (Higham, Thm
+    3.5, any summation order), and Weyl's inequality moves each eigenvalue
+    by at most that.  LAPACK's eigvalsh and SVD are backward stable,
+    |lambda^ - lambda| <= p u ||K||_2 and |sigma^ - sigma| <= p u ||A||_2,
+    for a modestly growing p that LAPACK does not state; the screen takes p
+    = m n, far above the small multiples of the dimension seen in practice.
+    As ||K||_2 <= 2 S and ||A||_2^2 <= S, each computed eigenvalue is within
+    delta = (gamma_n + 2 p u) S + m n 2^-1074 of sigma_i(A)^2 (the last term
+    for gradual underflow), and each singular value the SVD returns within
+    eps = p u sqrt(S) of sigma_i(A).  So the SVD's smallest is at least
+    sqrt(lambda_min - delta) - eps and its largest at most sqrt(lambda_max
+    + delta) + eps.  delta and eps enter doubled, and the screen asks for
+    twice the ratio 1e-8, which covers the rounding of these few operations
+    and of the SVD test's own product.  At the paper default the ratio is
+    6.0e-4 and the screen passes by four orders of magnitude.
     """
     from scipy.linalg import cho_solve  # imported on first use: scipy.linalg takes longer to load than pentapack
     A, b = stack_rows(p.blocks, p.eq_constraints)
     m = len(A)
-    svals = np.linalg.svd(A.T, compute_uv=False)  # the tall transpose: the same values, in about half the time
-    if svals[-1] < 1e-8 * svals[0]:
-        raise RankDeficiencyError(
-            f"equality system nearly rank-deficient (sigma_min/sigma_max = {svals[-1]/svals[0]:.2e})"
-        )
+    K = A @ A.T
+    if not _rank_screen(K, A.shape[1]):
+        svals = np.linalg.svd(A.T, compute_uv=False)  # the tall transpose: the same values, in about half the time
+        if svals[-1] < 1e-8 * svals[0]:
+            raise RankDeficiencyError(
+                f"equality system nearly rank-deficient (sigma_min/sigma_max = {svals[-1]/svals[0]:.2e})"
+            )
     x = np.concatenate([np.ravel(sol.blocks[blk.label]) for blk in p.blocks])
     pre = A @ x - b
-    G = cholesky_lower(A @ A.T)  # Fortran-ordered, which cho_solve takes without a copy
+    G = cholesky_lower(K)  # Fortran-ordered, which cho_solve takes without a copy
     x1 = x.copy()
     for _ in range(3):  # refinement squeezes the residual toward roundoff
         r = A @ x1 - b
@@ -794,6 +841,7 @@ class _Boxes(NamedTuple):
     disk: np.ndarray
     centre_disk: np.ndarray
     radial: _Radial
+    grid_n: int = 0  # n for the stream's n x n grid (`_grid_screen`), 0 for the positions of a refinement level
 
 
 def _boxes(xlo, ylo, h, fe: FloatEvaluator) -> _Boxes:
@@ -805,6 +853,14 @@ def _boxes(xlo, ylo, h, fe: FloatEvaluator) -> _Boxes:
     cx = xlo + h
     cy = ylo + h
     return _Boxes(xlo, xhi, ylo, yhi, cx, cy, ~(nx * nx + ny * ny > 1.0), cx * cx + cy * cy <= 1.0, fe.radial(cx, cy))
+
+
+def _geometry(alpha: float, enlargement: float) -> np.ndarray:
+    """The normal components and offsets (n.x <= c inside) of the edges of the enlarged Minkowski difference
+    at alpha, shape (3, 10, 1), padded with 0.x <= inf: K - A(alpha)K has at most 5 + 5 edges."""
+    edges = minkowski_difference(alpha, enlargement).edges()
+    edges += [((0.0, 0.0), math.inf)] * (10 - len(edges))
+    return np.array([[[n[0]] for n, _ in edges], [[n[1]] for n, _ in edges], [[c] for _, c in edges]])
 
 
 def _screen(boxes: _Boxes, pos, geo, margin):
@@ -825,6 +881,24 @@ def _screen(boxes: _Boxes, pos, geo, margin):
     inside = (n0 * px + n1 * py <= off - margin - 1e-12).all(axis=0)
     centre_inside = (n0 * boxes.cx[pos] + n1 * boxes.cy[pos] <= off - 1e-12).all(axis=0)
     return boxes.disk[pos] & ~inside, boxes.centre_disk[pos] & ~centre_inside
+
+
+def _grid_screen(boxes: _Boxes, geo, margin):
+    """`_screen` at every position of the grid `boxes`, in order, for one alpha (geo of shape (3, edges, 1)).
+
+    The boxes are grid_n x grid_n, row-major (y outer, x inner), so n0 x
+    and n1 y are formed once per column and once per row; each box adds the
+    same two rounded products and compares the sum with the same threshold.
+    """
+    n = boxes.grid_n
+    n0, n1, off = geo
+    cols, rows = slice(None, n), slice(None, None, n)
+    a = n0 * np.where(n0 >= 0, boxes.xhi[cols], boxes.xlo[cols])  # (edges, columns)
+    b = n1 * np.where(n1 >= 0, boxes.yhi[rows], boxes.ylo[rows])  # (edges, rows)
+    inside = (a[:, None, :] + b[:, :, None] <= (off - margin - 1e-12)[:, :, None]).all(axis=0)
+    a, b = n0 * boxes.cx[cols], n1 * boxes.cy[rows]
+    centre_inside = (a[:, None, :] + b[:, :, None] <= (off - 1e-12)[:, :, None]).all(axis=0)
+    return boxes.disk & ~inside.ravel(), boxes.centre_disk & ~centre_inside.ravel()
 
 
 class _Leaders:
@@ -918,7 +992,13 @@ def verify_nonpositivity(
     distinct positions and distinct alphas, known from how the level is
     built, so the alpha-free work runs once per position, in the `_boxes`
     of the level: the disk test, the centres and `FloatEvaluator.radial`
-    (for the stream grid once, for all its slices).  Every value comes first from
+    (for the stream grid once, for all its slices).  The stream's erosion
+    and region tests run per grid line (`_grid_screen`): a grid box's x
+    bounds are its column's and its y bounds its row's, so n0 x is formed
+    once per column and n1 y once per row, and each box adds the same two
+    rounded products as the per-slot `_screen` and compares the same sum,
+    so its masks are `_screen`'s; a refinement level's positions form no
+    grid and take `_screen`.  Every value comes first from
     `FloatEvaluator` as v with a proved radius E, |v - f_mp| <= E: Higham's
     gamma_n bounds for u = x^2 + y^2, the angle-addition recurrence, Horner,
     the pair sum and exp give
@@ -981,11 +1061,8 @@ def verify_nonpositivity(
 
     @functools.cache
     def alpha_data(amid):
-        edges = minkowski_difference(amid, enlargement).edges()
-        edges += [((0.0, 0.0), math.inf)] * (10 - len(edges))  # 0.x <= inf; K - A(alpha)K has <= 5 + 5 edges
-        geo = np.array([[[n[0]] for n, _ in edges], [[n[1]] for n, _ in edges], [[c] for _, c in edges]])
         cos_t, sin_t = ev.alpha_tables(amid)
-        return geo, cos_t, sin_t, fe.tables(cos_t, sin_t)
+        return _geometry(amid, enlargement), cos_t, sin_t, fe.tables(cos_t, sin_t)
 
     @functools.cache
     def exact(cx, cy, amid):
@@ -1017,7 +1094,10 @@ def verify_nonpositivity(
         runs = []
         for i in range(0, pos.size, cap):
             p, u = pos[i : i + cap], aix[i : i + cap]
-            keep, region = _screen(boxes, p, geo if one else geo[:, :, u], rate * ha)
+            if boxes.grid_n:  # the stream's grid, whose one run is every position in order
+                keep, region = _grid_screen(boxes, geo, rate * ha)
+            else:
+                keep, region = _screen(boxes, p, geo if one else geo[:, :, u], rate * ha)
             idx = np.flatnonzero(keep)
             p, u, region = p[idx], u[idx], region[idx]
             cx, cy, part = boxes.cx[p], boxes.cy[p], boxes.radial.take(p)
@@ -1060,7 +1140,7 @@ def verify_nonpositivity(
     xlo0 = np.tile(edges0, sample_spec.grid_n)  # row-major: iy outer, ix inner
     ylo0 = np.repeat(edges0, sample_spec.grid_n)
     h0, ha0 = 0.5 * dx0, 0.5 * dalpha
-    boxes0 = _boxes(xlo0, ylo0, h0, fe)  # the grid's alpha-free part, for every slice
+    boxes0 = _boxes(xlo0, ylo0, h0, fe)._replace(grid_n=sample_spec.grid_n)  # alpha-free, for every slice
     pos0, aix0 = np.arange(cap), np.zeros(cap, np.intp)
     split0: list = []  # per alpha slice, (alpha, xlo, ylo) of its level-0 boxes to refine
     for ia in range(sample_spec.alpha_count):

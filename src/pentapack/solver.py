@@ -61,6 +61,13 @@ by about 2e-6; these things make the iteration cheaper without moving one:
   (A*(y)) is that one rounded product in the dense product too, as in the
   slack block; a column shared by several rows, like theta's B, may round
   A*(y) differently in the last bit.
+- M and the Gram matrix start as np.zeros.  A pair of row runs that no
+  earlier block in label order touches still holds those zeros, so
+  `_add_runs` writes it as sub + 0.0 without reading M; x + 0.0 is 0.0 + x
+  in IEEE arithmetic, -0.0 included (a plain copy would keep -0.0).  A
+  shift retry forms M + 0.0 and adds the shift on the diagonal
+  (`_shifted`), which is M + shift I: shift * 0.0 is +0.0 off the diagonal
+  for a finite shift, and (M_ii + 0.0) + shift = M_ii + shift.
 
 The search direction solves
     A(dX) = rp,   A*(dy) + dZ = Rd,   dX + W dZ W = R Uc R
@@ -111,12 +118,14 @@ class _BlockData:
             # the nonzeros a_rj as (r, j, a_rj), column by column
             c, r = np.nonzero(A.T)
             self.nz = (r, c, A[r, c])
-            # rows of M, column j and entries a_rj, a_sj of each pair (r, s) sharing a nonzero column;
-            # column j's nonzero rows are its run of self.nz, in ascending order
-            nz = np.split(r, np.cumsum(np.bincount(c, minlength=dim))[:-1])
-            r = np.concatenate([np.repeat(k, len(k)) for k in nz])
-            s = np.concatenate([np.tile(k, len(k)) for k in nz])
-            j = np.repeat(np.arange(dim), [len(k) ** 2 for k in nz])
+            # rows of M, column j and entries a_rj, a_sj of each pair (r, s) sharing a nonzero column,
+            # column by column, r outer and s inner; column j's nonzero rows are its run of self.nz,
+            # in ascending order, and its t-th pair is (t // count_j, t % count_j) in that run
+            count = np.bincount(c, minlength=dim)
+            first = np.cumsum(count) - count  # where each column's run starts
+            j = np.repeat(np.arange(dim), count**2)
+            t = np.arange(len(j)) - np.repeat(np.cumsum(count**2) - count**2, count**2)
+            r, s = r[first[j] + t // count[j]], r[first[j] + t % count[j]]
             self.outer = (rows[r], rows[s], j, A[r, j], A[s, j])
 
 
@@ -135,11 +144,32 @@ def cholesky_lower(a, out=None):
         return _umath_linalg.cholesky_lo(a, out=out, signature="d->d")
 
 
-def _add_runs(M, runs, sub):
-    """M[np.ix_(rows, rows)] += sub, as one basic slice per pair of row runs."""
-    for mi, si in runs:
-        for mj, sj in runs:
+def _add_runs(M, pairs, sub):
+    """M[np.ix_(rows, rows)] += sub, as one basic slice per pair of row runs (`_Workspace.pairs`).
+
+    A pair marked first still holds the zeros of np.zeros, so it is written
+    as sub + 0.0 without reading M: x + 0.0 is 0.0 + x, -0.0 included.
+    """
+    for mi, mj, si, sj, first in pairs:
+        if first:
+            np.add(sub[si, sj], 0.0, out=M[mi, mj])
+        else:
             M[mi, mj] += sub[si, sj]
+
+
+def _shifted(M, shift):
+    """M + shift * np.eye(len(M)) bit for bit, for shift >= 0, in one pass over M when shift is finite.
+
+    Off the diagonal shift * 0.0 is +0.0, so the sum there is M + 0.0; on
+    it (M_ii + 0.0) + shift is M_ii + shift, as x + 0.0 differs from x only
+    for x = -0.0, and -0.0 + shift = +0.0 + shift.  An infinite or NaN
+    shift (M holds one) makes shift * 0.0 NaN, so it takes the dense sum.
+    """
+    if not math.isfinite(shift):
+        return M + shift * np.eye(len(M))
+    out = M + 0.0
+    out.reshape(-1)[:: len(M) + 1] += shift
+    return out
 
 
 def _sym(m):
@@ -252,6 +282,17 @@ class _Workspace:
         place = {lab: (g, i if kind == "psd" else None)
                  for g, (kind, labs) in enumerate(self.groups) for i, lab in enumerate(labs)}
         self.where = {lab: place[lab] for lab in self.data}  # label -> (group, index in its stack), label order
+        # Per psd label, (slice of M, slice of M, slice of the block's rows, slice of its rows, first) per
+        # pair of its runs, first when no earlier block in label order touches that part of M or of G
+        touched = np.zeros((self.m, self.m), bool)
+        self.pairs = {}
+        for lab, d in self.data.items():
+            if d.kind == "diag":
+                touched[d.outer[:2]] = True
+                continue
+            self.pairs[lab] = [(mi, mj, si, sj, not touched[mi, mj].any()) for mi, si in d.runs for mj, sj in d.runs]
+            for mi, mj, *_ in self.pairs[lab]:
+                touched[mi, mj] = True
         self.C = self.stacked({lab: d.C for lab, d in self.data.items()})
 
     def by_label(self, G):
@@ -278,13 +319,13 @@ class _Workspace:
     def gram_factor(self):
         """Cholesky factor of A A^T for feasibility restoration (or None)."""
         G = np.zeros((self.m, self.m))
-        for d in self.data.values():
+        for lab, d in self.data.items():
             if d.kind == "diag":
                 i, j, _, a_i, a_j = d.outer
                 np.add.at(G, (i, j), a_i * a_j)
             elif len(d.rows):
                 Ab = d.A.reshape(len(d.rows), -1)
-                _add_runs(G, d.runs, Ab @ Ab.T)
+                _add_runs(G, self.pairs[lab], Ab @ Ab.T)
         try:
             return cholesky_lower(G)  # Fortran-ordered, which cho_solve takes without a copy
         except np.linalg.LinAlgError:
@@ -304,7 +345,7 @@ class _Workspace:
                 # the second gemm's rows in einsum's (i, k) order
                 T = (d.At @ w.T).reshape(mb, n, n)
                 B = (T.transpose(2, 0, 1).reshape(n * mb, n) @ w).reshape(n, mb, n).transpose(1, 0, 2)
-                _add_runs(M, d.runs, d.A.reshape(mb, -1) @ B.reshape(mb, -1).T)
+                _add_runs(M, self.pairs[lab], d.A.reshape(mb, -1) @ B.reshape(mb, -1).T)
             else:
                 i, j, col, a_i, a_j = d.outer
                 np.add.at(M, (i, j), a_i * W[lab][col] ** 2 * a_j)
@@ -461,7 +502,7 @@ def solve(p: SdpProblem, gap_tol: float = 1e-8, feas_tol: float = 1e-8, mehrotra
             shift = 0.0
             for attempt in range(4):
                 try:
-                    cholesky_lower(M + shift * np.eye(m) if shift else M, L)
+                    cholesky_lower(_shifted(M, shift) if shift else M, L)
                     factored = True
                     break
                 except np.linalg.LinAlgError:

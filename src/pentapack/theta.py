@@ -69,9 +69,17 @@ def petersen_graph() -> FiniteGraph:
     return FiniteGraph.from_edges(10, outer + spokes + inner)
 
 
+def _int(token: str, line: str) -> int:
+    """The integer `token` of `line`; anything else is refused, naming the line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{token.strip()!r} is not an integer in {line!r}") from None
+
+
 def _vertex(token: str, first: int, n: int, line: str) -> int:
     """The 0-based vertex that `token` of `line` names, counting from `first`; one out of range is refused."""
-    v = int(token) - first
+    v = _int(token, line) - first
     if not 0 <= v < n:
         raise ValueError(f"vertex {token.strip()} outside {first}..{n - 1 + first} in {line!r}")
     return v
@@ -91,17 +99,21 @@ def parse_graph(text: str) -> FiniteGraph:
         parts = lines[0].split()
         if len(parts) < 3:
             raise ValueError(f"no vertex count in {lines[0]!r}")
-        n = int(parts[2])
+        n = _int(parts[2], lines[0])
         edges = []
         for ln in lines[1:]:
             if ln.startswith("e"):
-                _, u, v = ln.split()
-                edges.append((_vertex(u, 1, n, ln), _vertex(v, 1, n, ln)))
+                parts = ln.split()
+                if len(parts) != 3:
+                    raise ValueError(f"expected 'e u v', got {ln!r}")
+                edges.append((_vertex(parts[1], 1, n, ln), _vertex(parts[2], 1, n, ln)))
         return FiniteGraph.from_edges(n, edges)
-    n = int(lines[0])
+    n = _int(lines[0], lines[0])
     edges = []
     for ln in lines[1:]:
-        head, _, rest = ln.partition(":")
+        head, colon, rest = ln.partition(":")
+        if not colon:
+            raise ValueError(f"expected 'u: v w ...', got {ln!r}")
         u = _vertex(head, 0, n, ln)
         for tok in rest.split():
             v = _vertex(tok, 0, n, ln)

@@ -41,7 +41,7 @@ from pentapack.geometry import (
 )
 from pentapack.motion import MotionPoint, rotation_matrix, wrap_angle
 from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution, standard_form
-from pentapack.solver import STEP_FRAC, _add_runs, _max_step, _max_step_diag, _sym
+from pentapack.solver import STEP_FRAC, _max_step, _max_step_diag, _sym
 from pentapack.sos import BlockSpec, _f_entries, _products, block_specs, realize_basis
 from pentapack.specfun import coeff_D, coeff_D_mp, laguerre, laguerre_coeffs_exact
 
@@ -724,7 +724,7 @@ def gram_factor_dense(ws):
     for d in ws.data.values():
         if len(d.rows):
             Ab = d.A.reshape(len(d.rows), -1)
-            _add_runs(G, d.runs, Ab @ Ab.T)
+            G[np.ix_(d.rows, d.rows)] += Ab @ Ab.T
     return np.linalg.cholesky(G)
 
 

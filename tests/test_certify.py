@@ -10,6 +10,7 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ from pentapack.fourier import CoefficientTensor, ModelParams, evaluate_f, random
 from pentapack.geometry import constraint_sample, pentagon
 from pentapack.motion import MotionPoint
 from pentapack.pipeline import RunConfig, build_problem
-from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution
+from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution, stack_rows
 from pentapack.sos import assemble_feasibility_variant, assemble_problem_A
 from pentapack.solver import solve
 
@@ -108,6 +109,76 @@ def test_projection_rejects_rank_deficiency():
                       status="optimal", gap=0.0, iterations=0)
     with pytest.raises(RankDeficiencyError):
         project_affine(sol, p)
+
+
+def _near_dependent_system(ratio):
+    """Equality rows e1, e2, e3 and (e1 + s e4) / |.| of one diag block, s = 2 r / (1 - r^2): the last two
+    have Gram eigenvalues 1 +/- c, c = 1 / sqrt(1 + s^2), so sigma_min / sigma_max = r."""
+    s = 2.0 * ratio / (1.0 - ratio**2)
+    rows = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, s]]
+    p = SdpProblem([Block("x", 4, "diag")], {"x": np.ones(4)},
+                   [LinearTerm({"x": np.array(r)}, 1.0) for r in rows], [])
+    sol = SdpSolution(blocks={"x": np.ones(4)}, y=np.zeros(4), objective=0.0, status="optimal", gap=0.0, iterations=0)
+    return p, sol
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 2e-8, 1e-8 * (1 + 1e-6), 1e-8 * (1 - 1e-6), 5e-9])
+def test_rank_screen_leaves_the_close_calls_to_the_svd(ratio, monkeypatch):
+    """Far from the threshold the Gram eigenvalues prove the SVD test passes and it is not run;
+    near it the SVD runs and refuses exactly when its sigma_min < 1e-8 sigma_max."""
+    p, sol = _near_dependent_system(ratio)
+    A, _ = stack_rows(p.blocks, p.eq_constraints)
+    svals = np.linalg.svd(A.T, compute_uv=False)
+    assert svals[-1] / svals[0] == pytest.approx(ratio, rel=1e-7)
+    refused = bool(svals[-1] < 1e-8 * svals[0])
+    assert refused == (ratio < 1e-8)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    if refused:
+        with pytest.raises(RankDeficiencyError):
+            project_affine(sol, p)
+    else:
+        project_affine(sol, p)
+    assert len(calls) == (0 if ratio == 1e-3 else 1)
+
+
+def _stream_grid(grid_n):
+    """The stream pass's level-0 boxes (row-major: y outer, x inner), without the radial part."""
+    dx0 = 2.0 / grid_n
+    edges0 = -1.0 + np.arange(grid_n) * dx0
+    no_radial = SimpleNamespace(radial=lambda x, y: None)
+    return certify._boxes(np.tile(edges0, grid_n), np.repeat(edges0, grid_n), 0.5 * dx0, no_radial)
+
+
+@pytest.mark.parametrize("grid_n", [1, 2, 7, 128])
+def test_grid_screen_equals_the_per_slot_screen(grid_n):
+    """`_grid_screen` gives `_screen`'s keep and region masks over the whole stream grid, including at normals
+    with a +0.0 or -0.0 component and at a zero margin."""
+    boxes = _stream_grid(grid_n)
+    grid, pos = boxes._replace(grid_n=grid_n), np.arange(grid_n**2)
+    dalpha = 0.4 * math.pi / 33  # the default slices; their first and last midpoints, and the ends themselves
+    alphas = (-0.2 * math.pi, -0.2 * math.pi + 0.5 * dalpha, 0.0, 0.2 * math.pi - 0.5 * dalpha, 0.2 * math.pi)
+    kept = set()
+    for E in (1.0, 1.02, 1.1):
+        for alpha in alphas:
+            geo = certify._geometry(alpha, E)
+            signed = geo.copy()
+            signed[0, :4, 0] = [0.0, -0.0, 0.0, -0.0]
+            signed[1, 2:6, 0] = [-0.0, 0.0, 0.0, -0.0]
+            for g in (geo, signed):
+                for margin in (0.0, (0.5 * E + 1e-12) * 0.5 * dalpha):
+                    keep, region = certify._grid_screen(grid, g, margin)
+                    ref_keep, ref_region = certify._screen(boxes, pos, g, margin)
+                    assert keep.tobytes() == ref_keep.tobytes()
+                    assert region.tobytes() == ref_region.tobytes()
+                    kept.update(keep.tolist())
+    assert kept == ({True, False} if grid_n > 1 else {True})
 
 
 # -- margins -----------------------------------------------------------------

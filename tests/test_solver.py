@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import math
 import re
 
 import numpy as np
@@ -368,6 +369,54 @@ def test_schur_matches_dense_reference_with_a_row_symmetric_to_one_ulp():
     assert np.shares_memory(ws.data["Y"].At, ws.data["Y"].A)
     W = random_scaling(ws)
     assert np.array_equal(ws.schur(W), reference_schur(ws, W))
+
+
+def test_first_touch_pairs_write_what_adding_to_zeros_gives():
+    """A pair of runs that no earlier block touches is written as sub + 0.0: zeros plus `+=`, -0.0 included."""
+    sub = np.array([[-0.0, 0.0, 5e-324, -2.5], [-5e-324, -0.0, 1.0, -0.0], [3.0, -1e-310, -0.0, 0.0],
+                    [0.0, -0.0, -0.0, 7.0]])
+    runs = [(slice(1, 3), slice(0, 2)), (slice(5, 7), slice(2, 4))]  # rows 1, 2, 5, 6 of M
+    M = np.zeros((8, 8))
+    for (mi, si), (mj, sj) in ((a, b) for a in runs for b in runs):
+        M[mi, mj] += sub[si, sj]
+    for first in (True, False):
+        out = np.zeros((8, 8))
+        solver._add_runs(out, [(mi, mj, si, sj, first) for mi, si in runs for mj, sj in runs], sub)
+        assert out.tobytes() == M.tobytes()
+    assert np.signbit(sub[0, 0]) and not np.signbit(M[1, 1])  # where a plain copy would keep -0.0
+
+
+def test_workspace_marks_the_pairs_no_earlier_block_touches():
+    """Y's runs meet X's rows in one pair, which is added to; its other pairs are written; M as the dense reference."""
+    rng = np.random.default_rng(64)
+    eqs = []
+    for i, labs in enumerate(("X", "XY", "X", "Y")):  # X touches rows 0, 1, 2; Y rows 1 and 3
+        coeffs = {}
+        for lab in labs:
+            A = rng.standard_normal((3, 3))
+            coeffs[lab] = A + A.T
+        eqs.append(LinearTerm(coeffs, float(i)))
+    ws = solver._Workspace(SdpProblem([Block("X", 3), Block("Y", 3)], {"X": np.eye(3), "Y": np.eye(3)}, eqs, []))
+    assert [first for *_, first in ws.pairs["X"]] == [True]
+    assert [(mi.start, mj.start, first) for mi, mj, *_, first in ws.pairs["Y"]] == [
+        (1, 1, False), (1, 3, True), (3, 1, True), (3, 3, True)]
+    W = random_scaling(ws)
+    assert np.array_equal(ws.schur(W), reference_schur(ws, W))
+    assert np.array_equal(ws.gram_factor(), gram_factor_dense(ws))
+
+
+def test_shifted_copy_equals_the_dense_shift_bit_for_bit():
+    """`_shifted(M, shift)` is M + shift * np.eye(m) bit for bit, on a matrix with signed zeros and subnormals."""
+    rng = np.random.default_rng(65)
+    M = rng.standard_normal((9, 9))
+    M[[0, 2, 4, 6], [1, 2, 4, 3]] = -0.0  # two of them on the diagonal
+    M[[3, 5, 7], [3, 8, 7]] = 0.0
+    M[[1, 8, 6, 0], [1, 2, 6, 5]] = [5e-324, -5e-324, -1e-310, 2.2e-308]
+    before = M.copy()
+    for shift in (0.0, 5e-324, 1e-310, 1e-13, 0.75, 3.5e300, math.inf, math.nan):
+        with np.errstate(invalid="ignore"):  # inf * 0.0 off the diagonal
+            assert solver._shifted(M, shift).tobytes() == (M + shift * np.eye(9)).tobytes(), shift
+    assert M.tobytes() == before.tobytes()
 
 
 def test_backtrack_shrinks_for_one_block_of_a_stack():

@@ -107,6 +107,12 @@ def test_parse_dimacs_and_adjacency_list():
         ("p edge\ne 1 2\n", "p edge"),
         ("3\n0: -1\n", "0: -1"),  # once wrapped round to vertex 2
         ("3\n3: 1\n", "3: 1"),
+        ("p edge 3 1\ne 1 x\n", "e 1 x"),  # these once failed without naming the line
+        ("p edge 3 1\ne 1 2 3\n", "e 1 2 3"),
+        ("p edge 3 1\ne 1\n", "e 1"),
+        ("3\n0 1\n", "0 1"),
+        ("p edge x 1\n", "p edge x 1"),
+        ("x\n", "x"),
     ):
         with pytest.raises(ValueError, match=re.escape(repr(line))):
             parse_graph(text)
