@@ -36,7 +36,7 @@ from mpmath.libmp import (
 
 from .fourier import CoefficientTensor, evaluate_f, lambda_of
 from .geometry import minkowski_difference, pentagon
-from .motion import ORIGIN
+from .motion import ORIGIN, MotionPoint
 from .sdp import LinearTerm, SdpProblem, SdpSolution, stack_rows
 from .solver import cholesky_lower
 from .specfun import tau_radial_expansion
@@ -528,10 +528,7 @@ def _compiled_pairs(t: CoefficientTensor):
     with one |r - s| share one `tau_radial_expansion`.
     """
     seen = set()
-    for r, s, k, v in t.nonzero_items():
-        m = abs(r - s)
-        if (r - s) % 10 != 0 or k < m // 2:
-            continue
+    for r, s, k, _ in t.free_items():
         if (r, s) in seen or (-r, -s) in seen:
             continue
         seen.add((r, s))
@@ -1205,7 +1202,8 @@ def verify_nonpositivity(
         fc = value(cx, cy, amid, lo, hi)
         if fc > sign_margin:
             sign_margin = fc
-            witness = (math.hypot(cx, cy), math.atan2(cy, cx) % (2 * math.pi), amid % (2 * math.pi))
+            w = MotionPoint.from_xy(cx, cy, amid)
+            witness = (w.rho, w.theta, w.alpha)
     cert_margin = max((value(*item) + item[5] + item[6] for item in cert.survivors()), default=-math.inf)
 
     certified = not n_failures and not aborted

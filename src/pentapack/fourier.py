@@ -82,21 +82,16 @@ class CoefficientTensor:
         neg = np.abs(self.entries - self.entries[::-1, ::-1, :]).max()
         return float(max(sym, neg))
 
+    def _free_mask(self) -> np.ndarray:
+        """True at the slots the structural zeros leave free: (r - s) % ANGULAR_MODULUS == 0, k >= |r - s| // 2."""
+        N, d = self.params.N, self.params.d
+        r = np.arange(-N, N + 1)
+        diff = r[:, None] - r[None, :]
+        return (diff % ANGULAR_MODULUS == 0)[:, :, None] & (np.arange(d + 1) >= np.abs(diff)[:, :, None] // 2)
+
     def structural_violation(self) -> float:
         """Largest entry that the structural zero constraints forbid."""
-        N, d = self.params.N, self.params.d
-        worst = 0.0
-        for r in range(-N, N + 1):
-            for s in range(-N, N + 1):
-                if (r - s) % ANGULAR_MODULUS != 0:
-                    worst = max(worst, float(np.abs(self.entries[r + N, s + N]).max()))
-                    continue
-                m = abs(r - s)
-                if m // 2 > 0:
-                    bad = self.entries[r + N, s + N, : min(m // 2, d + 1)]
-                    if bad.size:
-                        worst = max(worst, float(np.abs(bad).max()))
-        return worst
+        return float(np.abs(self.entries[~self._free_mask()]).max(initial=0.0))
 
     def validate(self) -> None:
         tol = 1e-8 * max(1.0, self.l1_norm())
@@ -114,6 +109,11 @@ class CoefficientTensor:
         idx = np.nonzero(self.entries)
         for i, j, k, v in zip(*(a.tolist() for a in idx), self.entries[idx].tolist()):
             yield (i - N, j - N, k, v)
+
+    def free_items(self):
+        """`nonzero_items` less those in structurally zero slots: the terms of f's closed form."""
+        N, free = self.params.N, self._free_mask()
+        return ((r, s, k, v) for r, s, k, v in self.nonzero_items() if free[r + N, s + N, k])
 
     # -- text serialization ------------------------------------------------
 
@@ -176,10 +176,8 @@ def evaluate_f(t: CoefficientTensor, p: MotionPoint) -> float:
     x = math.pi * p.rho * p.rho
     expf = math.exp(-x)
     total = 0.0 + 0.0j
-    for r, s, k, v in t.nonzero_items():
+    for r, s, k, v in t.free_items():
         m = abs(r - s)
-        if (r - s) % ANGULAR_MODULUS != 0 or k < m // 2:
-            continue  # structurally zero slot: no closed-form term
         term = (
             v
             * (-1.0) ** (m // 2)

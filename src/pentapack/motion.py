@@ -17,11 +17,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(a: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
+    """Reduce an angle to [0, 2*pi): a % (2*pi), except that the 2*pi a tiny negative a rounds to is 0.0."""
     r = math.fmod(a, TWO_PI)
     if r < 0.0:
         r += TWO_PI
-    return 0.0 if r == TWO_PI else r
+    return 0.0 if r == 0.0 or r == TWO_PI else r  # -0.0 too
 
 
 def rotation_matrix(alpha: float) -> np.ndarray:
@@ -50,6 +50,11 @@ class MotionPoint:
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
+
+    @classmethod
+    def from_xy(cls, x: float, y: float, alpha: float) -> "MotionPoint":
+        """The motion with translation (x, y): rho by math.hypot, theta by math.atan2."""
+        return cls(math.hypot(x, y), math.atan2(y, x), alpha)
 
 
 ORIGIN = MotionPoint(0.0, 0.0, 0.0)

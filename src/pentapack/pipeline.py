@@ -46,12 +46,8 @@ from .certify import (
     verify_nonpositivity,
 )
 from .fourier import CoefficientTensor, ModelParams
-from .geometry import (
-    SamplePoint,
-    constraint_sample,
-    minkowski_difference,
-    _closest_facet_pair,
-)
+from .geometry import constraint_sample, minkowski_difference
+from .motion import MotionPoint
 from .sdp import SdpProblem, SdpSolution
 from .sdpa import export_sdpa, export_solution, import_solution
 from .sos import assemble_feasibility_variant, assemble_problem_A, recover_tensor
@@ -143,37 +139,12 @@ class RunConfig:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
-def build_sample(cfg: RunConfig) -> list[SamplePoint]:
-    """The constraint sample, optionally enriched with facet-line points.
-
-    The facet-line points pin the function along the supporting lines of the
-    two chosen facets (where the grid-only sample leaves positive slivers);
-    they raise the optimal value, trading bound quality for a verifiable
-    sign condition.
-    """
-    pts = constraint_sample(cfg.alpha_count, cfg.grid_n, cfg.enlargement)
-    if not cfg.facet_lines:
-        return pts
-    alphas = np.linspace(-2.0 * math.pi / 10.0, 0.0, cfg.alpha_count)
-    step = 2.0 / cfg.grid_n
-    extra: list[SamplePoint] = []
-    for alpha in alphas:
-        alpha = float(alpha)
-        facets = _closest_facet_pair(minkowski_difference(alpha, cfg.enlargement))
-        for n, c in facets:
-            reach = math.sqrt(max(0.0, 1.0 - c * c))
-            for tv in np.arange(-reach, reach + 1e-12, step):
-                x = c * n[0] - tv * n[1]
-                y = c * n[1] + tv * n[0]
-                rho = math.hypot(x, y)
-                if rho > 1.0 + 1e-12:
-                    continue
-                theta = math.atan2(y, x) if rho > 0 else 0.0
-                extra.append(SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi)))
-    return pts + extra
+def build_sample(cfg: RunConfig) -> list[MotionPoint]:
+    """The constraint sample of `cfg`, facet-line points included if it asks for them."""
+    return constraint_sample(cfg.alpha_count, cfg.grid_n, cfg.enlargement, cfg.facet_lines)
 
 
-def build_problem(cfg: RunConfig, sample: list[SamplePoint] | None = None) -> SdpProblem:
+def build_problem(cfg: RunConfig, sample: list[MotionPoint] | None = None) -> SdpProblem:
     """Problem A on the given constraint sample of `cfg`, or on a new one."""
     problem = assemble_problem_A(cfg.params, build_sample(cfg) if sample is None else sample)
     problem.meta["config"] = cfg.config_hash()
@@ -249,7 +220,7 @@ def _timed(step):
 
 
 @_timed
-def step_sample(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> list[SamplePoint]:
+def step_sample(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> list[MotionPoint]:
     pts = build_sample(cfg)
     body = "\n".join(f"{p.rho!r} {p.theta!r} {p.alpha!r}" for p in pts) + "\n"
     _write(outdir / "sample.txt", cfg, "constraint-sample", body)
@@ -267,7 +238,7 @@ def step_sample(cfg: RunConfig, outdir: Path, plot_data: bool = False) -> list[S
 
 
 @_timed
-def step_generate(cfg: RunConfig, outdir: Path, *, sample: list[SamplePoint] | None = None) -> SdpProblem:
+def step_generate(cfg: RunConfig, outdir: Path, *, sample: list[MotionPoint] | None = None) -> SdpProblem:
     problem = build_problem(cfg, sample)
     _write(outdir / "problem.dat-s", cfg, "sdpa-problem", export_sdpa(problem))
     manifest = "\n".join(problem.meta["manifest"]) + "\n"

@@ -35,7 +35,6 @@ from .fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams
 from .sdp import Block, LinearTerm, SdpProblem, SdpSolution, stack_rows
 from .specfun import coeff_D_mp, laguerre, laguerre_coeffs_exact, tau_radial_expansion
 
-RETAINED_LABELS = ("Q00", "Q05", "Q10", "Q15", "R00", "R05", "S0", "S5")
 ASSEMBLY_DPS = 50  # working precision (decimal digits) for row generation
 
 
@@ -76,27 +75,16 @@ class BlockSpec:
 
 
 def block_specs(params: ModelParams) -> list[BlockSpec]:
-    """Variable blocks of the program: the retained set, `RETAINED_LABELS`."""
-    N, d = params.N, params.d
-    half = d // 2
-    isets = index_sets(N)
-    psets = pair_sets(N)
+    """Variable blocks of the program: Q0j, Q1j, R0j, then Sj, each for the classes j = 0, 5 that have indices."""
+    half = params.d // 2
+    isets, psets = index_sets(params.N), pair_sets(params.N)
     specs = []
-    for i in (0, 1):
-        for j in range(ANGULAR_MODULUS):
-            if isets[j]:
-                idx = tuple((l, r) for l in range(half + 1) for r in isets[j])
-                specs.append(BlockSpec(f"Q{i}{j}", "Q", i, j, idx))
-    for i in (0, 1):
-        for j in range(ANGULAR_MODULUS):
-            if psets[j]:
-                idx = tuple((l, p) for l in range(half + 1) for p in psets[j])
-                specs.append(BlockSpec(f"R{i}{j}", "R", i, j, idx))
-    for j in range(ANGULAR_MODULUS):
-        if psets[j]:
-            idx = tuple((l, p) for l in range(half + 1) for p in psets[j])
-            specs.append(BlockSpec(f"S{j}", "S", 0, j, idx))
-    return [b for b in specs if b.label in RETAINED_LABELS]
+    for family, i, sets in (("Q", 0, isets), ("Q", 1, isets), ("R", 0, psets), ("S", 0, psets)):
+        for j in (0, 5):
+            if sets[j]:
+                label = f"S{j}" if family == "S" else f"{family}{i}{j}"
+                specs.append(BlockSpec(label, family, i, j, tuple((l, q) for l in range(half + 1) for q in sets[j])))
+    return specs
 
 
 # ---------------------------------------------------------------------------

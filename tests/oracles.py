@@ -7,13 +7,15 @@ of the high-precision kernels that run on mpmath.libmp calls (the
 verifier's, the radial expansion and the assembly's basis coordinates),
 and the one-at-a-time forms of what the pipeline batches (tensor entries,
 radial constants, alpha tables, polygon edges, the constraint sample's
-grid filter, the rank test over every kept row, the margins' inequality
-screen, SDPA entry lines, the solver's constraint data, its NT scaling,
-step lengths, diag-block products and the diag columns' nonzero rows),
+grid filter and facet-line points, the rank test over every kept row, the
+margins' inequality screen, SDPA entry lines, the solver's constraint data,
+its NT scaling, step lengths, diag-block products and the diag columns'
+nonzero rows),
 which the tests hold its results to bit for bit.  The motion group's
 Cartesian form (`Motion`, `compose`, `invert` and the polar maps) is here
-too: the package needs only the polar `MotionPoint`.  Nothing under `src/`
-imports this.
+too: the package needs only the polar `MotionPoint`; so is the strict
+interior test `contains_interior`, which only the tests use.  Nothing under
+`src/` imports this.
 """
 
 from __future__ import annotations
@@ -30,15 +32,7 @@ from scipy.special import jv
 
 from pentapack.certify import _equality_rows, _float_row, _gamma
 from pentapack.fourier import ANGULAR_MODULUS, CoefficientTensor, ModelParams, evaluate_f
-from pentapack.geometry import (
-    _COLLINEAR_TOL,
-    ConvexPolygon,
-    SamplePoint,
-    _closest_facet_pair,
-    contains_interior,
-    minkowski_difference,
-    pentagon,
-)
+from pentapack.geometry import _COLLINEAR_TOL, ConvexPolygon, _closest_facet_pair, minkowski_difference, pentagon
 from pentapack.motion import MotionPoint, rotation_matrix, wrap_angle
 from pentapack.sdp import Block, LinearTerm, SdpProblem, SdpSolution, standard_form
 from pentapack.solver import STEP_FRAC, _max_step, _max_step_diag, _sym
@@ -354,6 +348,15 @@ def point_in_polygon_raycast(p: ConvexPolygon, x) -> bool:
     return inside
 
 
+def contains_interior(p: ConvexPolygon, x) -> bool:
+    """True iff x lies strictly inside p."""
+    x = np.asarray(x, dtype=float)
+    for n, c in p.edges():
+        if n @ x >= c - _COLLINEAR_TOL:
+            return False
+    return True
+
+
 def copies_disjoint(x, alpha: float, scale: float = 1.0) -> bool:
     """True iff the interiors of scale*K and x + A(alpha) scale*K are disjoint."""
     return not contains_interior(minkowski_difference(alpha, scale), x)
@@ -380,7 +383,7 @@ def copies_disjoint_sat(x, alpha: float, scale: float = 1.0) -> bool:
     return False
 
 
-def verification_sample(alpha_count: int, grid_n: int, scale: float) -> Iterator[SamplePoint]:
+def verification_sample(alpha_count: int, grid_n: int, scale: float) -> Iterator[MotionPoint]:
     """Stream the verification sample for the enlarged body.
 
     Walks alpha over the cell centers of a uniform partition of
@@ -406,8 +409,7 @@ def verification_sample(alpha_count: int, grid_n: int, scale: float) -> Iterator
         for iy, ix in zip(*np.nonzero(keep)):
             x, y = float(X[iy, ix]), float(Y[iy, ix])
             rho = math.hypot(x, y)
-            theta = math.atan2(y, x) if rho > 0 else 0.0
-            yield SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi))
+            yield MotionPoint(rho, math.atan2(y, x) if rho > 0 else 0.0, alpha)
 
 
 def _residual_mp(rhs, terms):
@@ -557,12 +559,15 @@ def basis_coords_operator_form(upoly: list, T: list[list], d: int) -> list:
     return gamma
 
 
-def constraint_sample_per_point(alpha_count: int, grid_n: int, enlargement: float) -> list[SamplePoint]:
-    """`geometry.constraint_sample` with the disk and facet tests made point by point in float64 scalars."""
+def constraint_sample_per_point(
+    alpha_count: int, grid_n: int, enlargement: float, facet_lines: bool = False
+) -> list[MotionPoint]:
+    """`geometry.constraint_sample` with the disk and facet tests made point by point in float64 scalars,
+    and the facet-line points laid out one by one after all the grid points."""
     coords = -1.0 + np.arange(grid_n) * (2.0 / grid_n)
+    alphas = [float(alpha) for alpha in np.linspace(-2.0 * math.pi / 10.0, 0.0, alpha_count)]
     out = []
-    for alpha in np.linspace(-2.0 * math.pi / 10.0, 0.0, alpha_count):
-        alpha = float(alpha)
+    for alpha in alphas:
         facets = _closest_facet_pair(minkowski_difference(alpha, enlargement))
         for y in coords:
             for x in coords:
@@ -571,8 +576,17 @@ def constraint_sample_per_point(alpha_count: int, grid_n: int, enlargement: floa
                 if not any(n[0] * x + n[1] * y >= c - 1e-12 for n, c in facets):
                     continue
                 rho = math.hypot(x, y)
-                theta = math.atan2(y, x) if rho > 0 else 0.0
-                out.append(SamplePoint(rho, theta % (2 * math.pi), alpha % (2 * math.pi)))
+                out.append(MotionPoint(rho, math.atan2(y, x) if rho > 0 else 0.0, alpha))
+    for alpha in alphas if facet_lines else ():
+        for n, c in _closest_facet_pair(minkowski_difference(alpha, enlargement)):
+            reach = math.sqrt(max(0.0, 1.0 - c * c))
+            for tv in np.arange(-reach, reach + 1e-12, 2.0 / grid_n):
+                x = c * n[0] - tv * n[1]
+                y = c * n[1] + tv * n[0]
+                rho = math.hypot(x, y)
+                if rho > 1.0 + 1e-12:
+                    continue
+                out.append(MotionPoint(rho, math.atan2(y, x) if rho > 0 else 0.0, alpha))
     return out
 
 

@@ -149,7 +149,7 @@ def facet_line_relaxation_bound(cfg: RunConfig) -> tuple[float, float]:
     sample = build_sample(fcfg)
     outside = [
         p for p in sample
-        if not (p.rho <= 1.0 and copies_disjoint_sat(p.xy, p.alpha, cfg.enlargement))
+        if not (p.rho <= 1.0 and copies_disjoint_sat(from_polar(p).x, p.alpha, cfg.enlargement))
     ]
     assert not outside, f"{len(outside)} sample points lie outside the sign-condition region"
     problem = assemble_problem_A(fcfg.params, sample)

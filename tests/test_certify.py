@@ -297,14 +297,20 @@ def test_feasibility_margin_sends_a_violated_row_to_mp(refined_small, monkeypatc
     ids=["published", "tiny", "facet-lines"],
 )
 def test_inequality_screen_matches_the_per_row_form(cfg):
-    """The stacked screen decides every row as the per-row sums do, at the solve's point and at its projection."""
+    """The stacked screen decides every row as the per-row sums do, at the solve's point and at its
+    projection.  A copy of row 7 that the solve's point violates by 1e-9 of its norm is appended, so
+    the screen's unproved outcome occurs on every BLAS kernel and thread count."""
     problem = build_problem(cfg)
     sol = solve(problem)
+    t = problem.ineq_constraints[7]
+    value = sum(np.vdot(c, sol.blocks[lab]) for lab, c in t.coeffs.items())
+    norm = math.sqrt(sum(np.vdot(c, c) for c in t.coeffs.values()))
+    rows = [*problem.ineq_constraints, LinearTerm(t.coeffs, float(value - 1e-9 * norm), t.label)]
     for point in (sol, project_affine(sol, problem)[0]):
-        got = certify._ineqs_proved_satisfied(problem.ineq_constraints, point.blocks)
-        assert got == [ineq_proved_satisfied_per_row(t, point.blocks) for t in problem.ineq_constraints]
+        got = certify._ineqs_proved_satisfied(rows, point.blocks)
+        assert got == [ineq_proved_satisfied_per_row(t, point.blocks) for t in rows]
         assert all(type(v) is bool for v in got)
-    assert got[0] and not all(certify._ineqs_proved_satisfied(problem.ineq_constraints, sol.blocks))
+    assert got[0] and not certify._ineqs_proved_satisfied(rows, sol.blocks)[-1]
 
 
 def test_feasibility_margin_tied_blocks_both_reach_eigsy(refined_small, monkeypatch):

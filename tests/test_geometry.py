@@ -6,8 +6,10 @@ import pytest
 
 from oracles import (
     constraint_sample_per_point,
+    contains_interior,
     copies_disjoint,
     copies_disjoint_sat,
+    from_polar,
     point_in_polygon_raycast,
     polygon_edges_per_edge,
     verification_sample,
@@ -15,11 +17,11 @@ from oracles import (
 from pentapack.geometry import (
     _VERTEX_MERGE_TOL,
     constraint_sample,
-    contains_interior,
     minkowski_difference,
     pentagon,
 )
 from pentapack.motion import rotation_matrix
+from pentapack.pipeline import RunConfig, build_sample
 
 
 def test_pentagon_vertices_and_area():
@@ -210,17 +212,31 @@ def test_constraint_sample_size_and_invariants():
     assert 450 <= len(pts) <= 650
     for p in pts:
         assert p.rho <= 1.0 + 1e-12
-        assert copies_disjoint(p.xy, p.alpha, 1.0)  # outside the unit difference too
-        assert copies_disjoint(p.xy, p.alpha, 1.02)
+        assert copies_disjoint(from_polar(p).x, p.alpha, 1.0)  # outside the unit difference too
+        assert copies_disjoint(from_polar(p).x, p.alpha, 1.02)
 
 
-@pytest.mark.parametrize("args", [(5, 50, 1.02), (3, 16, 1.02), (7, 33, 1.0), (33, 64, 1.05), (2, 2, 1.5)])
+@pytest.mark.parametrize("args", [
+    (5, 50, 1.02), (3, 16, 1.02), (7, 33, 1.0), (33, 64, 1.05), (2, 2, 1.5),
+    (5, 50, 1.02, True), (3, 16, 1.02, True), (7, 33, 1.0, True), (33, 64, 1.05, True), (2, 2, 1.5, True),
+])
 def test_constraint_sample_matches_the_per_point_filter(args):
     """The same points in the same order, each coordinate bit for bit."""
     def bits(points):
         return [np.array([p.rho, p.theta, p.alpha]).tobytes() for p in points]
 
     assert bits(constraint_sample(*args)) == bits(constraint_sample_per_point(*args))
+
+
+@pytest.mark.parametrize("alpha_count, grid_n, enlargement, facet_lines", [
+    (2, 2, 1.0, True), (5, 50, 1.0, True), (3, 16, 1.0, True), (5, 50, 1.02, True), (5, 50, 1.02, False),
+])
+def test_sample_angles_lie_in_zero_two_pi(alpha_count, grid_n, enlargement, facet_lines):
+    """Every theta and alpha in [0, 2 pi): at enlargement 1 a facet-line point lies just below the
+    +x axis, where atan2 gives a tiny negative angle that `% (2 pi)` rounds up to 2 pi."""
+    cfg = RunConfig(alpha_count=alpha_count, grid_n=grid_n, enlargement=enlargement, facet_lines=facet_lines)
+    for p in build_sample(cfg):
+        assert 0.0 <= p.theta < 2 * math.pi and 0.0 <= p.alpha < 2 * math.pi
 
 
 def test_constraint_sample_rejects_bad_args():
@@ -236,7 +252,7 @@ def test_verification_sample_stream():
     for p in pts[::7]:
         assert p.rho <= 1.0
         assert -1e-12 <= p.alpha % (2 * math.pi)
-        assert copies_disjoint(p.xy, p.alpha, 1.02)
+        assert copies_disjoint(from_polar(p).x, p.alpha, 1.02)
     # deterministic: a second run yields the same sequence
     again = list(verification_sample(8, 64, 1.02))
     assert pts == again
