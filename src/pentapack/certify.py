@@ -1,19 +1,20 @@
 """Turn a numerical SDP solution into a defensible density bound.
 
 The chain is: project the solution onto the equality constraints (least
-squares, with high-precision residual refinement), recompute feasibility
-margins in extended precision (float64 with proved error bounds skips the
-rows and blocks that cannot change them), verify the sign condition of the
-recovered function over the enlarged-body region with certified Lipschitz
-bounds, and evaluate the final bound
+squares, `project_affine`, with three steps of residual refinement in
+float64), recompute feasibility margins in extended precision (float64 with
+proved error bounds skips the rows and blocks that cannot change them),
+verify the sign condition of the recovered function over the enlarged-body
+region with certified Lipschitz bounds, and evaluate the final bound
 
     2 pi * f(0, I) / f_{0,0;0} * area(enlargement * K).
 
 Certification follows the eigenvalue-versus-residual argument: when every
-block's minimum eigenvalue exceeds safety_factor times the worst constraint
-residual, a nearby exactly feasible solution exists, and the cylinder
-identity then covers rho >= 1 exactly; the region rho <= 1 outside the
-enlarged Minkowski difference is covered by the adaptive box pass below.
+block's minimum eigenvalue exceeds the safety factor, the constant 1e3 of
+`VerificationReport`, times the worst constraint residual, a nearby exactly
+feasible solution exists, and the cylinder identity then covers rho >= 1
+exactly; the region rho <= 1 outside the enlarged Minkowski difference is
+covered by the adaptive box pass below.
 """
 
 from __future__ import annotations
@@ -696,7 +697,8 @@ class FloatEvaluator:
     f_mp is `MpEvaluator.eval` at the same point.  Every operation acts on
     one point at a time, so rows taken from a `radial` of many points give
     each point the same v and E bits as a `radial` of it alone, and the
-    bound below holds for each of them.
+    bound below holds for each of them.  `ev` works at 53 bits or more
+    (`verify_nonpositivity` refuses fewer), so mp does not round the point.
 
     The bound (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3
     and 5) uses the unit roundoff ur = 2^-53, gamma_n = n ur/(1 - n ur) and
@@ -728,10 +730,8 @@ class FloatEvaluator:
     J=7) n = 163, gamma_n S ~ 1.8e-14 S, and the radius E = 2^-40 S ~ 9.1e-13
     S is 50 times larger; a larger model raises E to 10 gamma_n S.  The
     margin also covers the rounding of S itself and of v -/+ E, so [v - E,
-    v + E] as computed encloses f_mp.  Below 53 bits mp rounds the point
-    itself, so there E is infinite and every decision falls back to mp.
-    Measured on the paper-default tensor at 4,000 random points, the error
-    stays below 1.4 * 2^-52 S.
+    v + E] as computed encloses f_mp.  Measured on the paper-default tensor
+    at 4,000 random points, the error stays below 1.4 * 2^-52 S.
     """
 
     def __init__(self, ev: MpEvaluator):
@@ -746,10 +746,7 @@ class FloatEvaluator:
         self.n_pairs = len(ev.pairs)
         self.M = int(self.m.max(initial=0))
         n = 4 * (coeffs.shape[1] - 1) + 7 * self.M + self.n_pairs + 42
-        if ev.prec < 53:
-            self.rel = math.inf
-        else:
-            self.rel = max(FLOAT_ERROR_RADIUS, 10 * _gamma(n, 2.0**-53)) + _gamma(n, 2.0**-ev.prec)
+        self.rel = max(FLOAT_ERROR_RADIUS, 10 * _gamma(n, 2.0**-53)) + _gamma(n, 2.0**-ev.prec)
 
     def tables(self, cos_table, sin_table):
         """Per-pair rows cos(s alpha), sign(r-s) sin(s alpha) from `MpEvaluator.alpha_tables`."""
@@ -1030,6 +1027,8 @@ def verify_nonpositivity(
     """
     if not 1.0 <= enlargement < math.inf:  # false for NaN too
         raise ValueError(f"enlargement must be finite and >= 1, got {enlargement}")
+    if precision_bits < 53:  # at 0 bits mp.pi is 4.0
+        raise ValueError(f"precision_bits must be >= 53, got {precision_bits}")
     started = time.perf_counter()
     rho_max = math.sqrt(2.0) + 0.01  # boxes live in [-1,1]^2
     ev = MpEvaluator(t, precision_bits)  # the one compile of t when precision_bits >= 128
@@ -1298,18 +1297,15 @@ def build_report(
     sol: SdpSolution,
     problem: SdpProblem,
     verification: SignVerification,
-    safety_factor: float = 1e3,
 ) -> VerificationReport:
     """Combine margins, sign verification and the bound into one report.
 
     `certified` is true only when the positivity margins dominate the
-    residuals (so an exactly feasible nearby solution exists, which also
-    discharges the rho >= 1 region through the cylinder identity) and the
-    adaptive sign pass succeeded (`certified_sign`).  A safety factor <= 0
-    is refused.
+    residuals by the report's constant safety factor (so an exactly
+    feasible nearby solution exists, which also discharges the rho >= 1
+    region through the cylinder identity) and the adaptive sign pass
+    succeeded (`certified_sign`).
     """
-    if not safety_factor > 0:
-        raise ValueError(f"safety_factor must be > 0, got {safety_factor}")
     min_eig, max_res = feasibility_margin(sol, problem)
     report = VerificationReport(
         min_block_eigenvalue=min_eig,
@@ -1317,7 +1313,6 @@ def build_report(
         sign_margin=verification.sign_margin,
         enlargement=verification.enlargement,
         bound=final_bound(t, verification.enlargement),
-        safety_factor=safety_factor,
         cert_margin=verification.cert_margin,
         witness=verification.witness,
         stream_points=verification.stream_points,

@@ -94,6 +94,10 @@ class CoefficientTensor:
         return float(np.abs(self.entries[~self._free_mask()]).max(initial=0.0))
 
     def validate(self) -> None:
+        """Refuse a non-finite entry, naming its slot, then forbidden or asymmetric entries above 1e-8 max(1, l1)."""
+        if not np.isfinite(self.entries).all():
+            r, s, k = np.argwhere(~np.isfinite(self.entries))[0] - (self.params.N, self.params.N, 0)
+            raise TensorInvariantError(f"tensor entry r {r} s {s} k {k} is {self.get(r, s, k)}, not finite")
         tol = 1e-8 * max(1.0, self.l1_norm())
         if self.structural_violation() > tol:
             raise TensorInvariantError("structural zero constraints violated")

@@ -80,28 +80,22 @@ class RunConfig:
     grid_n: int = 50
     enlargement: float = 1.02
     precision_bits: int = 256
-    gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
     refine_margin: float = 1e-4
     facet_lines: bool = False
     verify_alpha_count: int = 33
     verify_grid_n: int = 128
     verify_max_depth: int = 6
     verify_enlargement: float | None = None
-    safety_factor: float = 1e3
 
     def __post_init__(self):
         # refuse a bad model or verification setting before any step writes an artifact
         self.params
         self.verify_spec()
         for name, ok, need in (
-            ("safety_factor", self.safety_factor > 0, "> 0"),
             ("precision_bits", self.precision_bits >= 53, ">= 53"),  # at 0 bits mp.pi is 4.0
             ("enlargement", 1 <= self.enlargement < math.inf, "finite and >= 1"),  # constraint_sample needs >= 1
             ("verify_enlargement", self.verify_enlargement is None or self.verify_enlargement >= 1, ">= 1"),
             ("verify_enlargement", self.verify_enlargement is None or self.verify_enlargement < math.inf, "finite"),
-            ("gap_tol", 0 < self.gap_tol < math.inf, "finite and > 0"),
-            ("feas_tol", 0 < self.feas_tol < math.inf, "finite and > 0"),
             ("refine_margin", self.refine_margin >= 0, ">= 0"),
         ):
             if not ok:
@@ -254,7 +248,7 @@ def step_solve(
     if import_path is not None:
         sol = import_solution(Path(import_path).read_text(), problem)
     else:
-        sol = solve(problem, gap_tol=cfg.gap_tol, feas_tol=cfg.feas_tol)
+        sol = solve(problem)
         if not sol.is_usable():
             raise RuntimeError(f"solve failed with status {sol.status}")
     _write(outdir / "solve.sol", cfg, "solution", export_solution(sol, problem))
@@ -339,9 +333,7 @@ def step_bound(
         tensor = CoefficientTensor.loads(_read(outdir / "tensor.txt", cfg, "tensor"))
     if verification is None:
         verification = _read_verification(cfg, outdir / "verify.json")
-    report = build_report(
-        tensor, projected, problem, verification, safety_factor=cfg.safety_factor
-    )
+    report = build_report(tensor, projected, problem, verification)
     _write(outdir / "report.txt", cfg, "report", report.to_text())
     _write(outdir / "report.json", cfg, "report-json", report.to_json())
     return report

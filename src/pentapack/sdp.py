@@ -13,6 +13,7 @@ the convention used by the SDPA file writer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,7 @@ class SdpProblem:
     meta: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Refuse duplicate labels, unknown blocks, wrong shapes and asymmetric psd coefficients.
+        """Refuse duplicate labels, unknown blocks, wrong shapes, non-finite numbers and asymmetric psd coefficients.
 
         Symmetry is `np.allclose(c, c.T, atol=1e-12)` for every coefficient
         of a psd block, objective included, checked in one call per block;
@@ -60,6 +61,10 @@ class SdpProblem:
         mats: dict[str, list[np.ndarray]] = {b.label: [] for b in self.blocks}
         if len(mats) != len(self.blocks):
             raise ValueError("duplicate block labels")
+        for kind, terms in (("eq", self.eq_constraints), ("ineq", self.ineq_constraints)):
+            for i, t in enumerate(terms):
+                if not math.isfinite(t.rhs):
+                    raise ValueError(f"right-hand side {t.rhs} of row {t.label or f'{kind}[{i}]'} is not finite")
         for term in [LinearTerm(self.objective, 0.0)] + self.eq_constraints + self.ineq_constraints:
             for lab, mat in term.coeffs.items():
                 if lab not in mats:
@@ -69,8 +74,10 @@ class SdpProblem:
             shape = (blk.dim, blk.dim) if blk.kind == "psd" else (blk.dim,)
             if any(mat.shape != shape for mat in mats[blk.label]):
                 raise ValueError(f"bad coefficient shape for {blk.kind} block {blk.label}")
-            if blk.kind == "psd" and mats[blk.label]:
-                stack = np.stack(mats[blk.label])
+            stack = np.array(mats[blk.label]).reshape(-1, *shape)
+            if not np.isfinite(stack).all():
+                raise ValueError(f"coefficient for block {blk.label} is not finite")
+            if blk.kind == "psd":
                 transposed = stack.transpose(0, 2, 1)
                 if not np.array_equal(stack, transposed) and not np.allclose(stack, transposed, atol=1e-12):
                     raise ValueError(f"coefficient for block {blk.label} is not symmetric")

@@ -153,7 +153,7 @@ def facet_line_relaxation_bound(cfg: RunConfig) -> tuple[float, float]:
     ]
     assert not outside, f"{len(outside)} sample points lie outside the sign-condition region"
     problem = assemble_problem_A(fcfg.params, sample)
-    sol = solve(problem, gap_tol=cfg.gap_tol, feas_tol=cfg.feas_tol)
+    sol = solve(problem)
     n_eq = len(problem.eq_constraints)
     y_eq, y_pt = sol.y[:n_eq], sol.y[n_eq:]
     assert (y_pt <= 0.0).all(), f"slack block of Z has entry {-y_pt.max():.3e} < 0"

@@ -156,6 +156,7 @@ def _stream_grid(grid_n):
     return certify._boxes(np.tile(edges0, grid_n), np.repeat(edges0, grid_n), 0.5 * dx0, no_radial)
 
 
+@pytest.mark.kernel_independent
 @pytest.mark.parametrize("grid_n", [1, 2, 7, 128])
 def test_grid_screen_equals_the_per_slot_screen(grid_n):
     """`_grid_screen` gives `_screen`'s keep and region masks over the whole stream grid, including at normals
@@ -292,6 +293,7 @@ def test_feasibility_margin_sends_a_violated_row_to_mp(refined_small, monkeypatc
     assert got[1] == pytest.approx(1e-9, rel=1e-4)
 
 
+@pytest.mark.kernel_independent
 @pytest.mark.parametrize(
     "cfg", [RunConfig(), RunConfig(d=5, alpha_count=3, grid_n=16), RunConfig(facet_lines=True)],
     ids=["published", "tiny", "facet-lines"],
@@ -768,6 +770,14 @@ def test_verify_compiles_the_tensor_once(bits, compiles, monkeypatch):
     assert len(calls) == compiles
 
 
+@pytest.mark.parametrize("bits", [52, 0, -1])
+def test_verify_refuses_fewer_than_53_bits(bits, monkeypatch):
+    """At 0 bits the verifier once returned sign_margin -0.25 for the paper-default tensor (-0.00105 at 256)."""
+    monkeypatch.setattr(certify, "MpEvaluator", None)  # refused before the tensor is compiled
+    with pytest.raises(ValueError, match=rf"^precision_bits must be >= 53, got {bits}$"):
+        verify_nonpositivity(scaled_unit_tensor(-1.0), 1.02, VerifySpec(3, 8, 1), bits)
+
+
 @pytest.mark.parametrize("spec, name", [((0, 8, 1), "alpha_count"), ((-3, 8, 1), "alpha_count"),
                                         ((3, 0, 1), "grid_n"), ((3, -4, 1), "grid_n"), ((3, 8, -1), "max_depth")])
 def test_verify_refuses_an_empty_sweep(spec, name):
@@ -776,17 +786,13 @@ def test_verify_refuses_an_empty_sweep(spec, name):
         verify_nonpositivity(scaled_unit_tensor(-1.0), 1.02, VerifySpec(*spec), 128)
 
 
-def test_build_report_refuses_a_nonpositive_safety_factor():
-    """At safety_factor -1e12 the test min_eig > safety_factor * residual passes an indefinite block."""
+def test_build_report_does_not_certify_an_indefinite_block():
+    """A proved sign and a residual near 1e-9 do not certify a block whose smallest eigenvalue is -1e-3."""
     p = SdpProblem([Block("X", 2, "psd")], {}, [LinearTerm({"X": np.eye(2)}, 1.0)], [])
     sol = SdpSolution(blocks={"X": np.diag([1.001 + 1e-9, -1e-3])}, y=np.zeros(1), objective=0.0,
                       status="optimal", gap=0.0, iterations=0)
     sv = SignVerification(-0.01, (0.0, 0.0, 0.0), -0.01, True, 1, 1, 1.0, 0.0, 128, 1.02)
-    t = scaled_unit_tensor(1.0)
-    assert not build_report(t, sol, p, sv).certified
-    for factor in (0.0, -1e12, math.nan):
-        with pytest.raises(ValueError, match="safety_factor must be > 0"):
-            build_report(t, sol, p, sv, safety_factor=factor)
+    assert not build_report(scaled_unit_tensor(1.0), sol, p, sv).certified
 
 
 @pytest.mark.parametrize("sign_margin, lipschitz_x, cert_margin", [
@@ -1141,6 +1147,7 @@ FIXTURE_SHA256 = {
 }
 
 
+@pytest.mark.kernel_independent
 @pytest.mark.parametrize("enlargement, spec", list(FIXTURE_SHA256))
 def test_verify_fixture_golden_sha256(enlargement, spec):
     t = CoefficientTensor.loads(PAPER_DEFAULT_TENSOR.read_text())

@@ -78,19 +78,19 @@ def test_margins_golden_bits(tiny_run):
 
 # sha256 of every TINY artifact, recorded with 2 OpenBLAS threads like the margins above.
 GOLDEN_SHA256 = {
-    "sample.txt": "254f4e126441135afa6b82a0a8c88642f77f8487c71097e209d4d0bb16b68966",
-    "problem.dat-s": "395e0ffa98cb2ae53befceb9b1979bde39a938e1a449b1bda659b10ab11740f6",
-    "problem.manifest.txt": "540b92b845297a8ccc19105d2c027a80d5aca6d6fd6c4ad6506015d67c37f86f",
-    "solve.sol": "a723d9b7c2e78cbea5c4e45f71ec07793b8e21fd0caad99127d9d43526a1ca74",
-    "solve.meta.json": "593f818d9d0433f693684eb04c5d0940be2e198717d989c5e0c6d537bfc9b7f4",
-    "refine.sol": "c33b1111ef7c529adbaa714e08e7fd38f5a95d132065f804de78717e48f6bfef",
-    "refine.meta.json": "6cfa8137730595dfb789f88d86c7f93f4bb2d1b425700d0d51a1121305b889a7",
-    "projected.sol": "e13fe7645acb84deb78f856271e4550fa65867439950f02078fd0dd4c198949f",
-    "projected.meta.json": "3422f68d9663b5f6269cefe18aa50bce377f40503a4c1323189ba74ddb816d70",
-    "tensor.txt": "6ca736558b7a94b5d9d78faa3dc772ffd394bd58086f615816e28f868f5584a6",
-    "verify.json": "848db1c7901178760c5334979aa1dd35da108b73d57201429808a2b293ab48ab",
-    "report.txt": "652512c6949de9767cfb715ec3b577add9f37819f55b52f8462a6912749a21ba",
-    "report.json": "5af57dc76b911e9479a1496f264730545ea70e95b4dab2bdcd17a59675dd0500",
+    "sample.txt": "2e434cd30066e813a901461d0df061ea2f474164a3310cd32f5c655c0fd407ef",
+    "problem.dat-s": "96e712b1845f90db72d09ddf1d72de84c174b4de374ad49545bcf2ec6e6b4af1",
+    "problem.manifest.txt": "cbd8140300246f630855b58c667cfc9ebe5ce9d8444fc651ae165652673c064e",
+    "solve.sol": "ef03607d29da8f2ed2305d87a1abd043c4611e64332b4bb6375e2431b29c5980",
+    "solve.meta.json": "0f37323f999292b4d12812e5c51ee10ffb6497d0c76fc90b934abc9016f3bb82",
+    "refine.sol": "44fc81115c658e823a90ea31fb02beffcd75140f02d4756809e63f1ab325072d",
+    "refine.meta.json": "ceeafedb16453577ead2880b48471807c52a940eb4562409008bff9f85e99f34",
+    "projected.sol": "daec206176c22fa2ebd15a3317c3595544e216ea30573eb9ca4bad98030b4e56",
+    "projected.meta.json": "12fdc558651bb67d526ee23be5693f14328b64eca22396a3c141b401e5f2fcb6",
+    "tensor.txt": "36495537f046588df5fa3446f52ea9a9c76c5b1b776ea1116252d32ec34c48b9",
+    "verify.json": "4068ad9bff5f11e8b49dcb0fda98a23573aaecfee006de25e974678d964a4d59",
+    "report.txt": "f91ecbfdd8a16c810151dbeda7d36fe3362894df05466ebfd8fc30eba4461cc9",
+    "report.json": "bf95aeb2fbc7177934ba2b65de267754a805caa3b4ac3e88df6aae43f9246132",
 }
 
 
@@ -109,6 +109,7 @@ def test_solver_meta_records_stop_reason(tiny_run):
         assert meta["stop_reason"] in reasons, name
 
 
+@pytest.mark.kernel_independent
 def test_stepwise_equals_all_byte_for_byte(tiny_run, tmp_path):
     """Each step below assembles Problem A itself; `run_all` assembled it once."""
     cfg, outdir, _report = tiny_run
@@ -124,6 +125,7 @@ def test_stepwise_equals_all_byte_for_byte(tiny_run, tmp_path):
         assert (tmp_path / name).read_bytes() == (outdir / name).read_bytes(), name
 
 
+@pytest.mark.kernel_independent
 @pytest.mark.parametrize("facet_lines", [False, True])
 def test_handed_on_solutions_equal_their_files(tmp_path, facet_lines):
     """The solutions `step_refine` and `step_project` return, which `run_all` hands on, are what refine.sol
@@ -191,7 +193,7 @@ def test_steps_refuse_a_problem_from_another_config(tiny_run, tmp_path, step):
     cfg, outdir, _report = tiny_run
     for name in ARTIFACTS:
         shutil.copy(outdir / name, tmp_path / name)
-    other = RunConfig(**{**TINY, "gap_tol": 1e-7})
+    other = RunConfig(**{**TINY, "refine_margin": 1e-3})
     with pytest.raises(ValueError, match="problem was built under a different configuration"):
         step(cfg, tmp_path, problem=build_problem(other))
 
@@ -224,7 +226,6 @@ def test_verify_refuses_an_empty_sweep(tmp_path, capsys, flag, value, name):
 
 @pytest.mark.parametrize("flag, value, message, field", [
     ("--verify-grid-n", "-4", "VerifySpec grid_n must be >= 1, got -4", "verify_grid_n"),
-    ("--safety-factor", "-1", "safety_factor must be > 0, got -1.0", "safety_factor"),
     ("-N", "0", "N must be >= 1, got 0", "N"),
     ("-d", "4", "d must be odd and >= 1, got 4", "d"),
     ("--precision-bits", "0", "precision_bits must be >= 53, got 0", "precision_bits"),
@@ -234,8 +235,6 @@ def test_verify_refuses_an_empty_sweep(tmp_path, capsys, flag, value, name):
     ("--enlargement", "0.5", "enlargement must be finite and >= 1, got 0.5", "enlargement"),
     ("--enlargement", "NaN", "enlargement must be finite and >= 1, got nan", "enlargement"),
     ("--enlargement", "Infinity", "enlargement must be finite and >= 1, got inf", "enlargement"),
-    ("--gap-tol", "-1", "gap_tol must be finite and > 0, got -1.0", "gap_tol"),
-    ("--feas-tol", "0", "feas_tol must be finite and > 0, got 0.0", "feas_tol"),
     ("--refine-margin", "-1", "refine_margin must be >= 0, got -1.0", "refine_margin"),
 ])
 def test_all_refuses_a_bad_verification_setting_up_front(tmp_path, capsys, flag, value, message, field):
@@ -386,15 +385,12 @@ FLAG_VALUES = {
     "--grid-n": ("grid_n", 8),
     "--enlargement": ("enlargement", 1.03),
     "--precision-bits": ("precision_bits", 128),
-    "--gap-tol": ("gap_tol", 1e-7),
-    "--feas-tol": ("feas_tol", 1e-7),
     "--refine-margin": ("refine_margin", 1e-3),
     "--facet-lines": ("facet_lines", True),
     "--verify-alpha-count": ("verify_alpha_count", 3),
     "--verify-grid-n": ("verify_grid_n", 10),
     "--verify-max-depth": ("verify_max_depth", 2),
     "--verify-enlargement": ("verify_enlargement", 1.05),
-    "--safety-factor": ("safety_factor", 10.0),
 }
 
 
@@ -412,11 +408,13 @@ def test_every_config_field_has_its_flag(tmp_path):
 
 
 def test_config_file_with_unknown_fields_is_refused(tmp_path, capsys):
-    """A configuration written before threads, solver and retained_blocks_only were removed."""
+    """A configuration written before threads, solver, retained_blocks_only, gap_tol, feas_tol and
+    safety_factor were removed."""
     stale = {**json.loads(RunConfig().to_json()), "threads": 1, "solver": "embedded",
-             "retained_blocks_only": True}
+             "retained_blocks_only": True, "gap_tol": 1e-8, "feas_tol": 1e-8, "safety_factor": 1e3}
     text = json.dumps(stale)
-    with pytest.raises(ValueError, match=r"unknown RunConfig field\(s\): retained_blocks_only, solver, threads"):
+    with pytest.raises(ValueError, match=r"unknown RunConfig field\(s\): feas_tol, gap_tol, retained_blocks_only, "
+                                         r"safety_factor, solver, threads$"):
         RunConfig.from_json(text)
     cfgfile = tmp_path / "stale.json"
     cfgfile.write_text(text)

@@ -194,6 +194,18 @@ def test_invariant_violation_detected():
         evaluate_f(t, MotionPoint(0.5, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("r, s, k", [(0, 0, 0), (1, 0, 0)])
+def test_validate_refuses_a_non_finite_entry(value, r, s, k):
+    """A NaN at f[0][0][0] once made the tolerance NaN, so every check passed and `lambda_of` returned nan;
+    (1, 0, 0) is a structurally zero slot."""
+    t = unit_tensor()
+    e = t.entries.copy()
+    e[r + 2, s + 2, k] = value
+    with pytest.raises(TensorInvariantError, match=rf"^tensor entry r {r} s {s} k {k} is {value}, not finite$"):
+        lambda_of(CoefficientTensor(ModelParams(2, 3), e))
+
+
 def test_serialization_roundtrip():
     rng = np.random.default_rng(39)
     t = random_positive_tensor(ModelParams(3, 5), rng)

@@ -28,8 +28,27 @@ def test_validate_accepts_asymmetry_within_atol():
 
 
 def test_validate_refuses_nan():
-    with pytest.raises(ValueError, match="block X is not symmetric"):
+    with pytest.raises(ValueError, match="^coefficient for block X is not finite$"):
         problem(np.array([[np.nan, 0.0], [0.0, 1.0]])).validate()
+
+
+@pytest.mark.parametrize("where, message", [
+    ("eq rhs", r"^right-hand side nan of row eq\[0\] is not finite$"),
+    ("ineq rhs", r"^right-hand side -inf of row cap is not finite$"),
+    ("diag objective", "^coefficient for block D is not finite$"),
+    ("psd coefficient", "^coefficient for block X is not finite$"),
+])
+def test_validate_refuses_a_non_finite_number_and_names_its_block_or_row(where, message):
+    """Each once passed; a NaN right-hand side was exported as `nan`, which `parse_sdpa` refuses."""
+    p = problem(np.array([[1.0, np.inf], [np.inf, 1.0]]) if where == "psd coefficient" else np.eye(2))
+    if where == "eq rhs":
+        p.eq_constraints[0].rhs = np.nan
+    if where == "ineq rhs":
+        p.ineq_constraints[0] = LinearTerm(p.ineq_constraints[0].coeffs, -np.inf, "cap")
+    if where == "diag objective":
+        p.objective["D"] = np.array([1.0, np.inf])
+    with pytest.raises(ValueError, match=message):
+        p.validate()
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,7 @@ def reference_schur(ws, W):
     return M
 
 
+@pytest.mark.kernel_independent
 def test_cholesky_lower_equals_numpy_cholesky_bit_for_bit(monkeypatch):
     """The published Schur matrix, Problem A's Gram matrix and a random SPD matrix, each factored into one buffer."""
     calls, grams = [], []
@@ -185,6 +186,7 @@ def random_scaling(ws):
     return W
 
 
+@pytest.mark.kernel_independent
 @pytest.mark.parametrize(
     "cfg",
     [RunConfig(d=5, alpha_count=3, grid_n=16), RunConfig(), RunConfig(N=7, d=9)],
@@ -350,6 +352,7 @@ def test_published_solves_golden_sha256():
     assert solution_sha256(ref) == "7c0616188235ebe4284bb9864cb2bce39160462274fa1b15204a55d3ff99e99e"
 
 
+@pytest.mark.kernel_independent
 def test_schur_matches_dense_reference_over_many_runs():
     ws = solver._Workspace(alternating_problem(shared=False))
     assert [len(ws.data[lab].runs) for lab in "XY"] == [6, 6]
@@ -357,6 +360,7 @@ def test_schur_matches_dense_reference_over_many_runs():
     assert np.array_equal(ws.schur(W), reference_schur(ws, W))
 
 
+@pytest.mark.kernel_independent
 def test_schur_matches_dense_reference_with_a_row_symmetric_to_one_ulp():
     """A block whose coefficients are symmetric only to rounding keeps a transposed copy for W A_k W."""
     p = alternating_problem(shared=False)
