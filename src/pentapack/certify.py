@@ -53,28 +53,6 @@ class RankDeficiencyError(ValueError):
 # projection onto the equality constraints
 
 
-def _rank_screen(K: np.ndarray, n: int) -> bool:
-    """True only if the SVD of A (m x n) passes `project_affine`'s rank test, proved from K = fl(A A^T).
-
-    The bound is in `project_affine`'s docstring.  A non-finite or empty K,
-    or an eigvalsh that does not converge, gives False.
-    """
-    m = len(K)
-    t = float(np.trace(K))
-    if not (m and math.isfinite(t)):
-        return False
-    try:
-        lam = np.linalg.eigvalsh(K)
-    except np.linalg.LinAlgError:
-        return False
-    S, p, u = 2.0 * t, m * n, 2.0**-53
-    delta = 2.0 * ((_gamma(n, u) + 2.0 * p * u) * S + p * 2.0**-1074)
-    eps = 2.0 * p * u * math.sqrt(S)
-    lo = math.sqrt(max(float(lam[0]) - delta, 0.0)) - eps
-    hi = math.sqrt(float(lam[-1]) + delta) + eps
-    return lo > 2e-8 * hi
-
-
 def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     """Least-squares projection of the blocks onto the equality subspace.
 
@@ -82,34 +60,28 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
     with diagnostics: displacement norm and pre/post residuals.  Raises
     RankDeficiencyError when dependent rows survived assembly pruning, that
     is when the SVD of the stacked rows A (m x n) gives sigma_min < 1e-8
-    sigma_max as computed.
+    sigma_max as computed, or K = fl(A A^T) has no float Cholesky factor.
 
-    The SVD, most of this function's time, runs only when `_rank_screen`
-    cannot prove from K = fl(A A^T), formed once for the Cholesky solves
-    too, that its test passes; so the refusal is raised exactly when the
-    SVD test raises it.  With u = 2^-53 and S = 2 fl(tr K) >= ||A||_F^2
-    (K's diagonal and its sum lose at most the factors 1 - gamma_n and 1 -
-    gamma_m): K is A A^T + E with ||E||_2 <= gamma_n ||A||_F^2 (Higham, Thm
-    3.5, any summation order), and Weyl's inequality moves each eigenvalue
-    by at most that.  LAPACK's eigvalsh and SVD are backward stable,
-    |lambda^ - lambda| <= p u ||K||_2 and |sigma^ - sigma| <= p u ||A||_2,
-    for a modestly growing p that LAPACK does not state; the screen takes p
-    = m n, far above the small multiples of the dimension seen in practice.
-    As ||K||_2 <= 2 S and ||A||_2^2 <= S, each computed eigenvalue is within
-    delta = (gamma_n + 2 p u) S + m n 2^-1074 of sigma_i(A)^2 (the last term
-    for gradual underflow), and each singular value the SVD returns within
-    eps = p u sqrt(S) of sigma_i(A).  So the SVD's smallest is at least
-    sqrt(lambda_min - delta) - eps and its largest at most sqrt(lambda_max
-    + delta) + eps.  delta and eps enter doubled, and the screen asks for
-    twice the ratio 1e-8, which covers the rounding of these few operations
-    and of the SVD test's own product.  At the paper default the ratio is
-    6.0e-4 and the screen passes by four orders of magnitude.
+    The SVD, most of this function's time, runs only when
+    `_proved_positive_definite` cannot prove K - tau I positive definite,
+    tau = (gamma_(n+1) + 4e-16) S + 4 m n 2^-1074 rounded up, S = 2 fl(tr K)
+    >= ||A||_F^2 - 2 m n 2^-1074 (K's diagonal and its sum lose at most the
+    factors 1 - gamma_n and 1 - gamma_m, and gradual underflow n 2^-1074 per
+    entry).  K is A A^T + E with ||E||_2 <= gamma_n ||A||_F^2 + m n 2^-1074
+    (Higham, Thm 3.5, any summation order); gamma_(n+1) in place of gamma_n
+    covers the rounding of tau itself.  So a pass proves sigma_min(A)^2 >
+    4e-16 ||A||_F^2, sigma_min > 2e-8 sigma_max, and an SVD with backward
+    error p u ||A||_2 returns a ratio above (2e-8 - p u) / (1 + p u) >
+    1.0001e-8 for any p u <= 0.99e-8, so its test passes and the refusal is
+    raised exactly when the SVD test raises it.
     """
     from scipy.linalg import cho_solve  # imported on first use: scipy.linalg takes longer to load than pentapack
     A, b = stack_rows(p.blocks, p.eq_constraints)
     m = len(A)
     K = A @ A.T
-    if not _rank_screen(K, A.shape[1]):
+    n, S = A.shape[1], 2.0 * float(np.trace(K))
+    tau = math.nextafter((_gamma(n + 1, 2.0**-53) + 4e-16) * S + 4 * m * n * 2.0**-1074, math.inf)
+    if not _proved_positive_definite(K, tau):
         svals = np.linalg.svd(A.T, compute_uv=False)  # the tall transpose: the same values, in about half the time
         if svals[-1] < 1e-8 * svals[0]:
             raise RankDeficiencyError(
@@ -117,7 +89,13 @@ def project_affine(sol: SdpSolution, p: SdpProblem) -> tuple[SdpSolution, dict]:
             )
     x = np.concatenate([np.ravel(sol.blocks[blk.label]) for blk in p.blocks])
     pre = A @ x - b
-    G = cholesky_lower(K)  # Fortran-ordered, which cho_solve takes without a copy
+    try:
+        G = cholesky_lower(K)  # Fortran-ordered, which cho_solve takes without a copy
+    except np.linalg.LinAlgError:
+        raise RankDeficiencyError(
+            f"equality system ({m} x {n}) nearly rank-deficient: sigma_min/sigma_max passes the 1e-8 test, "
+            "but the Gram matrix A A^T of its rows has no float64 Cholesky factor"
+        ) from None
     x1 = x.copy()
     for _ in range(3):  # refinement squeezes the residual toward roundoff
         r = A @ x1 - b

@@ -112,7 +112,8 @@ def stack_rows(blocks: list[Block], terms: list[LinearTerm]) -> tuple[np.ndarray
     """The terms as dense rows of unit norm, and their right-hand sides scaled alike.
 
     A row runs over the blocks in the given order, each psd coefficient
-    matrix flattened row-major and each diag vector as it is.
+    matrix flattened row-major and each diag vector as it is.  A row with no
+    nonzero coefficient has no unit-norm form and raises ValueError.
     """
     offs, total = {}, 0
     for b in blocks:
@@ -124,6 +125,8 @@ def stack_rows(blocks: list[Block], terms: list[LinearTerm]) -> tuple[np.ndarray
             c = np.asarray(c)
             rows[i, offs[lab]: offs[lab] + c.size] = c.ravel()
         n = np.linalg.norm(rows[i])
+        if n == 0.0:
+            raise ValueError(f"row {i} ({t.label!r}) has no nonzero coefficient")
         rows[i] /= n
         rhs[i] = t.rhs / n
     return rows, rhs

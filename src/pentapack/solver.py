@@ -241,7 +241,6 @@ class _Workspace:
     def __init__(self, p: SdpProblem):
         p.validate()
         blocks, objective, eqs = standard_form(p)
-        self.block_meta = blocks
         self.m = len(eqs)
         if self.m == 0:
             raise ValueError("problem has no constraints")

@@ -96,25 +96,6 @@ def paper_run(tmp_path_factory):
     return cfg, outdir, report
 
 
-def _interval_cholesky_succeeds(ctx, Z, tau) -> bool:
-    """Whether the interval Cholesky factorization of Z - tau*I has positive pivots.
-
-    Every computed interval encloses the value the factorization takes at
-    each symmetric matrix inside Z's entry intervals, so success proves that
-    all of them have smallest eigenvalue > tau.
-    """
-    n = len(Z)
-    L = [[None] * n for _ in range(n)]
-    for j in range(n):
-        pivot = Z[j][j] - tau - ctx.fsum(L[j][k] ** 2 for k in range(j))
-        if not pivot.a > 0:
-            return False
-        L[j][j] = ctx.sqrt(pivot)
-        for i in range(j + 1, n):
-            L[i][j] = (Z[i][j] - ctx.fsum(L[i][k] * L[j][k] for k in range(j))) / L[j][j]
-    return True
-
-
 def facet_line_relaxation_bound(cfg: RunConfig) -> tuple[float, float]:
     """Rigorous lower bound on every density bound certifiable at cfg.
 
@@ -137,8 +118,11 @@ def facet_line_relaxation_bound(cfg: RunConfig) -> tuple[float, float]:
     primal point and the duality gap play no part.  Z is formed in interval
     arithmetic from the assembly's 50-digit equality rows, taken as exact,
     and from the closed form of f for C = L_0 and the L_p, so the intervals
-    enclose every rounding.  An interval Cholesky factorization of Z - tau*I
-    per block proves lambda_min(Z) > tau > 0; the slack block of Z is -y_p.
+    enclose every rounding.  Per block, with mid the float midpoints of Z's
+    entries and r >= the Frobenius norm of their largest distances from them
+    (so r >= ||Z' - mid||_2 for every Z' inside the intervals),
+    `certify._proved_positive_definite` proves mid - (tau + r) I positive
+    definite, so lambda_min(Z') > tau > 0; the slack block of Z is -y_p.
     The midpoint of Z must reproduce Z formed in floating point from the
     solver's own rows, which ties the closed form used here to the problem
     that was solved.
@@ -230,7 +214,9 @@ def facet_line_relaxation_bound(cfg: RunConfig) -> tuple[float, float]:
         mismatch = float(np.abs(mid - z_float).max())
         assert mismatch <= 1e-12, f"block {bs.label}: interval Z differs from the solver's by {mismatch:.2e}"
         tau = 0.5 * float(np.linalg.eigvalsh(mid).min())
-        assert tau > 0.0 and _interval_cholesky_succeeds(ctx, Z[bs.label], ctx.mpf(tau)), (
+        r = ctx.sqrt(ctx.fsum(abs(e - c) ** 2 for z, m in zip(Z[bs.label], mid) for e, c in zip(z, m))).b
+        r = math.nextafter(float(r), math.inf)
+        assert tau > 0.0 and certify._proved_positive_definite(mid, math.nextafter(tau + r, math.inf)), (
             f"block {bs.label} of Z is not proved PSD (estimated lambda_min {2 * tau:.3e})"
         )
         taus.append(tau)

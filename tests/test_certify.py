@@ -98,6 +98,7 @@ def test_projection_repairs_perturbed_solution(solved_small):
     assert info["displacement"] <= 10 * info["pre_residual"] * math.sqrt(info["rows"]) * 10
 
 
+@pytest.mark.kernel_independent
 def test_projection_rejects_rank_deficiency():
     p = SdpProblem(
         [Block("X", 2, "psd")],
@@ -122,6 +123,7 @@ def _near_dependent_system(ratio):
     return p, sol
 
 
+@pytest.mark.kernel_independent
 @pytest.mark.parametrize("ratio", [1e-3, 2e-8, 1e-8 * (1 + 1e-6), 1e-8 * (1 - 1e-6), 5e-9])
 def test_rank_screen_leaves_the_close_calls_to_the_svd(ratio, monkeypatch):
     """Far from the threshold the Gram eigenvalues prove the SVD test passes and it is not run;
@@ -146,6 +148,90 @@ def test_rank_screen_leaves_the_close_calls_to_the_svd(ratio, monkeypatch):
     else:
         project_affine(sol, p)
     assert len(calls) == (0 if ratio == 1e-3 else 1)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The arguments of each np.linalg.svd call made while the test runs."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _seeded_near_dependent_system(seed):
+    """Eight random rows of one diag block of 60, the last the one before it plus 2.5e-8 times more noise."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((8, 60))
+    A[7] = A[6] + 2.5e-8 * rng.standard_normal(60)
+    p = SdpProblem([Block("x", 60, "diag")], {"x": np.ones(60)}, [LinearTerm({"x": a}, 1.0) for a in A], [])
+    sol = SdpSolution(blocks={"x": np.ones(60)}, y=np.zeros(8), objective=0.0, status="optimal", gap=0.0, iterations=0)
+    return p, sol
+
+
+@pytest.mark.kernel_independent
+@pytest.mark.parametrize("ratio", np.logspace(-9, -3, 20).tolist())
+def test_gram_proof_skips_the_svd_only_above_its_threshold(ratio, svd_calls):
+    """The SVD is skipped only where its sigma_min / sigma_max is >= 1e-8, and always far above it."""
+    p, sol = _near_dependent_system(ratio)
+    A, _ = stack_rows(p.blocks, p.eq_constraints)
+    try:
+        project_affine(sol, p)
+    except RankDeficiencyError:
+        pass
+    skipped = not svd_calls
+    svals = np.linalg.svd(A.T, compute_uv=False)
+    assert not skipped or svals[-1] >= 1e-8 * svals[0]
+    assert skipped or ratio < 1e-6
+
+
+@pytest.mark.kernel_independent
+@pytest.mark.parametrize("seed", range(10))
+def test_gram_proof_leaves_seeded_near_dependent_rows_to_the_svd(seed, svd_calls):
+    """sigma_min / sigma_max is within 2x of 1e-8 at every seed: the SVD decides, and a failed
+    Cholesky of A A^T after a passed SVD test is refused as rank deficiency too."""
+    p, sol = _seeded_near_dependent_system(seed)
+    try:
+        project_affine(sol, p)
+    except RankDeficiencyError:
+        pass
+    assert len(svd_calls) == 1
+
+
+@pytest.mark.kernel_independent
+def test_projection_refuses_a_gram_matrix_with_no_cholesky_factor(svd_calls):
+    """Seed 0: the SVD's sigma_min / sigma_max = 1.15e-8 passes its test, then A A^T has no float Cholesky factor."""
+    p, sol = _seeded_near_dependent_system(0)
+    A, _ = stack_rows(p.blocks, p.eq_constraints)
+    svals = np.linalg.svd(A.T, compute_uv=False)
+    assert svals[-1] / svals[0] == pytest.approx(1.151e-8, rel=1e-3)
+    with pytest.raises(RankDeficiencyError, match=r"equality system \(8 x 60\).*no float64 Cholesky factor"):
+        project_affine(sol, p)
+
+
+@pytest.mark.kernel_independent
+def test_gram_proof_decides_problem_A_at_degree_15_without_the_svd(svd_calls):
+    """At d = 15 the SVD's ratio is 3.3e-5; the Gram matrix's proof settles it."""
+    problem = build_problem(RunConfig(d=15))
+    blocks = {b.label: np.zeros((b.dim, b.dim) if b.kind == "psd" else b.dim) for b in problem.blocks}
+    sol = SdpSolution(blocks=blocks, y=np.zeros(0), objective=0.0, status="optimal", gap=0.0, iterations=0)
+    project_affine(sol, problem)
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("row", [LinearTerm({"X": np.zeros((2, 2))}, 0.0, "zero"), LinearTerm({}, 0.0, "empty")],
+                         ids=["zero", "empty"])
+def test_projection_refuses_an_equality_row_with_no_nonzero_coefficient(row):
+    p = SdpProblem([Block("X", 2, "psd")], {"X": np.eye(2)}, [LinearTerm({"X": np.eye(2)}, 1.0, "trace"), row], [])
+    p.validate()
+    sol = SdpSolution(blocks={"X": np.eye(2)}, y=np.zeros(2), objective=0.0,
+                      status="optimal", gap=0.0, iterations=0)
+    with pytest.raises(ValueError, match=re.escape(f"row 1 ({row.label!r}) has no nonzero coefficient")):
+        project_affine(sol, p)
 
 
 def _stream_grid(grid_n):
